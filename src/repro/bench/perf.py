@@ -346,14 +346,12 @@ def bench_obs_report() -> Dict[str, Any]:
     fixed faulted sweep must keep tripping alerts — losing them means
     request failures stopped reaching the SLO engine.
     """
-    import numpy as np
-
     from repro.core.runtime import FreePartConfig
     from repro.faults.campaign import ChaosSettings, run_target
     from repro.faults.plan import FaultPlan, FaultRates
     from repro.obs.report import build_report, render_report_json
     from repro.obs.slo import evaluate_slos
-    from repro.serve.bench import standard_pipeline
+    from repro.serve.bench import load_requests
     from repro.serve.server import PipelineServer
     from repro.sim.kernel import SimKernel
 
@@ -364,17 +362,7 @@ def bench_obs_report() -> Dict[str, Any]:
         pool_size=2,
         batching=True,
     )
-    rng = np.random.default_rng(0)
-    for tenant in range(2):
-        for index in range(2):
-            path = f"/data/tenant-{tenant}/in-{index}.png"
-            server.kernel.fs.write_file(path, rng.normal(size=(16, 16)))
-            server.submit(
-                f"tenant-{tenant}",
-                standard_pipeline(
-                    path, f"/out/tenant-{tenant}/out-{index}.png"
-                ),
-            )
+    load_requests(server, 2, 2, 16)
     server.drain()
     server.shutdown()
     kernel = server.kernel

@@ -371,10 +371,8 @@ def _trace_serve_target(args: argparse.Namespace):
     Returns the (shut-down) server; its kernel holds the trace, the
     series registry, and the per-request SLO events.
     """
-    import numpy as np
-
     from repro.core.runtime import FreePartConfig
-    from repro.serve.bench import standard_pipeline
+    from repro.serve.bench import load_requests
     from repro.serve.server import PipelineServer
     from repro.sim.kernel import SimKernel
 
@@ -384,17 +382,7 @@ def _trace_serve_target(args: argparse.Namespace):
         pool_size=2,
         batching=True,
     )
-    rng = np.random.default_rng(0)
-    for t in range(2):
-        for r in range(args.items):
-            path = f"/data/tenant-{t}/in-{r}.png"
-            server.kernel.fs.write_file(
-                path, rng.normal(size=(args.image_size, args.image_size))
-            )
-            server.submit(
-                f"tenant-{t}",
-                standard_pipeline(path, f"/out/tenant-{t}/out-{r}.png"),
-            )
+    load_requests(server, 2, args.items, args.image_size)
     server.drain()
     server.shutdown()
     return server
@@ -436,13 +424,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _report_cluster_target(args: argparse.Namespace):
     """Run a clean sharded multi-node serving workload with tracing on."""
-    import numpy as np
-
+    from repro.cluster.bench import load_sharded_requests
     from repro.cluster.kernel import ClusterKernel
     from repro.cluster.serve import ClusterServer
-    from repro.cluster.sharding import DirectoryPartitioner
     from repro.core.runtime import FreePartConfig
-    from repro.serve.bench import standard_pipeline
 
     cluster = ClusterKernel(nodes=args.nodes)
     cluster.enable_tracing()
@@ -452,32 +437,7 @@ def _report_cluster_target(args: argparse.Namespace):
         pool_size=2,
         batching=True,
     )
-    tenants = 2 * args.nodes
-    rng = np.random.default_rng(0)
-    paths = []
-    payloads = {}
-    for tenant in range(tenants):
-        for index in range(args.items):
-            path = f"/data/tenant-{tenant}/in-{index}.png"
-            paths.append(path)
-            payloads[path] = rng.normal(
-                size=(args.image_size, args.image_size)
-            )
-    manifest = DirectoryPartitioner().split(paths)
-    server.load_dataset(manifest, payloads)
-    for tenant in range(tenants):
-        server.pin_tenant_to_item(
-            f"tenant-{tenant}", f"/data/tenant-{tenant}/in-0.png"
-        )
-    for tenant in range(tenants):
-        for index in range(args.items):
-            server.submit(
-                f"tenant-{tenant}",
-                standard_pipeline(
-                    f"/data/tenant-{tenant}/in-{index}.png",
-                    f"/out/tenant-{tenant}/out-{index}.png",
-                ),
-            )
+    load_sharded_requests(server, 2 * args.nodes, args.items, args.image_size)
     server.drain()
     server.shutdown()
     return server

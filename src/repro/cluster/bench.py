@@ -50,19 +50,45 @@ class SingleNodeFailurePlan(NoFaultPlan):
         return None
 
 
-def _workload(
-    tenants: int, requests_per_tenant: int, image_size: int
-) -> Tuple[List[str], Dict[str, Any]]:
-    """Deterministic input paths and payloads (one rng, fixed order)."""
+def load_sharded_requests(
+    server: ClusterServer,
+    tenants: int,
+    items: int,
+    image_size: int,
+    partitioner: str = "directory",
+) -> ShardManifest:
+    """The sharded-cluster serving fixture: ``tenants x items`` pipelines.
+
+    Draws every input from one seeded rng, shards the dataset across the
+    nodes, pins each tenant to the node owning its first item, then
+    submits — the same order on every run.  Returns the manifest.
+    """
     rng = np.random.default_rng(0)
     paths: List[str] = []
     payloads: Dict[str, Any] = {}
     for tenant in range(tenants):
-        for request in range(requests_per_tenant):
-            path = f"/data/tenant-{tenant}/in-{request}.png"
+        for index in range(items):
+            path = f"/data/tenant-{tenant}/in-{index}.png"
             paths.append(path)
             payloads[path] = rng.normal(size=(image_size, image_size))
-    return paths, payloads
+    manifest = make_partitioner(
+        partitioner, default_shards=tenants
+    ).split(paths)
+    server.load_dataset(manifest, payloads)
+    for tenant in range(tenants):
+        server.pin_tenant_to_item(
+            f"tenant-{tenant}", f"/data/tenant-{tenant}/in-0.png"
+        )
+    for tenant in range(tenants):
+        for index in range(items):
+            server.submit(
+                f"tenant-{tenant}",
+                standard_pipeline(
+                    f"/data/tenant-{tenant}/in-{index}.png",
+                    f"/out/tenant-{tenant}/out-{index}.png",
+                ),
+            )
+    return manifest
 
 
 def run_cluster_config(
@@ -75,30 +101,15 @@ def run_cluster_config(
     fault_plan: Optional[NoFaultPlan] = None,
 ) -> Tuple[ShardManifest, Dict[str, Any]]:
     """One full serving run at a node count; returns (manifest, stats)."""
-    paths, payloads = _workload(tenants, requests_per_tenant, image_size)
-    manifest = make_partitioner(
-        partitioner, default_shards=tenants
-    ).split(paths)
     cluster = ClusterKernel(nodes=nodes)
     if fault_plan is not None:
         cluster.inject_faults(fault_plan)
     server = ClusterServer(
         cluster=cluster, pool_size=pool_size, batching=True
     )
-    server.load_dataset(manifest, payloads)
-    for tenant in range(tenants):
-        server.pin_tenant_to_item(
-            f"tenant-{tenant}", f"/data/tenant-{tenant}/in-0.png"
-        )
-    for tenant in range(tenants):
-        for request in range(requests_per_tenant):
-            path = f"/data/tenant-{tenant}/in-{request}.png"
-            server.submit(
-                f"tenant-{tenant}",
-                standard_pipeline(
-                    path, f"/out/tenant-{tenant}/out-{request}.png"
-                ),
-            )
+    manifest = load_sharded_requests(
+        server, tenants, requests_per_tenant, image_size, partitioner
+    )
     responses = server.drain()
     stats = server.stats()
     stats["responses"] = len(responses)

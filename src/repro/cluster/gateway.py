@@ -18,14 +18,13 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.gateway import ApiCall
+from repro.core.gateway import PREV, ApiCall
 from repro.core.hybrid import HybridAnalyzer
 from repro.core.partitioner import four_way_plan
 from repro.core.rpc import RemoteHandle
 from repro.core.runtime import FreePartConfig, FreePartGateway
 from repro.errors import ClusterError
 from repro.frameworks.registry import get_api, iter_apis
-from repro.serve.batching import PREV
 
 from repro.cluster.kernel import ClusterKernel
 from repro.cluster.placement import Placement, affinity_placement
@@ -156,10 +155,6 @@ class ClusterGateway:
             tag="prev-chain",
             deref=deref,
         )
-        if deref:
-            self.cluster.node(dst).kernel.metrics.counter(
-                "cluster.cross_node_derefs"
-            ).inc()
         return payload
 
     def materialize(self, value: Any, node_index: int) -> Any:

@@ -244,15 +244,11 @@ class ClusterKernel:
         link = self.topology.link_between(src, dst)
         cost = source.kernel.clock.cost_model
         send_ns = link.per_message_ns + cost.serialize_cost(nbytes)
-        tracer = source.kernel.tracer
-        if tracer.enabled:
-            with tracer.span(
-                "inter_node_send", category="inter_node",
-                node=src, peer=dst, kind=kind, bytes=nbytes, tag=tag,
-                deref=deref,
-            ):
-                source.kernel.clock.advance(send_ns)
-        else:
+        with source.kernel.tracer.span(
+            "inter_node_send", category="inter_node",
+            node=src, peer=dst, kind=kind, bytes=nbytes, tag=tag,
+            deref=deref,
+        ):
             source.kernel.clock.advance(send_ns)
         arrival_ns = (
             source.kernel.clock.now_ns
@@ -260,15 +256,11 @@ class ClusterKernel:
             + link.transmit_ns(nbytes)
         )
         wait_ns = max(0, arrival_ns - destination.kernel.clock.now_ns)
-        dst_tracer = destination.kernel.tracer
-        if dst_tracer.enabled:
-            with dst_tracer.span(
-                "inter_node_recv", category="inter_node",
-                node=dst, peer=src, kind=kind, bytes=nbytes, tag=tag,
-                deref=deref,
-            ):
-                destination.kernel.clock.advance(wait_ns)
-        else:
+        with destination.kernel.tracer.span(
+            "inter_node_recv", category="inter_node",
+            node=dst, peer=src, kind=kind, bytes=nbytes, tag=tag,
+            deref=deref,
+        ):
             destination.kernel.clock.advance(wait_ns)
         self.accounting.record_message(src, dst, nbytes)
         if deref:

@@ -27,7 +27,7 @@ from repro.errors import ClusterError
 from repro.serve.server import PipelineServer, ServeRequest, ServeResponse
 
 from repro.cluster.kernel import ClusterKernel
-from repro.cluster.sharding import ShardManifest, stable_hash
+from repro.cluster.sharding import ShardManifest, shard_dataset, stable_hash
 
 
 class ClusterServer:
@@ -89,14 +89,7 @@ class ClusterServer:
         """
         self.manifest = manifest
         self._durable = dict(payloads)
-        self.shard_assignment = {}
-        for shard in manifest.shards:
-            node_index = shard.index % self.cluster.node_count
-            self.shard_assignment[shard.index] = node_index
-            node = self.cluster.node(node_index)
-            for item in shard.items:
-                if item in payloads:
-                    node.kernel.fs.write_file(item, payloads[item])
+        self.shard_assignment = shard_dataset(self.cluster, manifest, payloads)
         return dict(self.shard_assignment)
 
     def pin_tenant_to_item(self, tenant_id: str, item: str) -> int:

@@ -234,15 +234,11 @@ class AgentProcess:
                     RESTART_BACKOFF_BASE_NS << (attempt - 1),
                     RESTART_BACKOFF_CAP_NS,
                 )
-                tracer = self.kernel.tracer
-                if tracer.enabled:
-                    with tracer.span(
-                        "restart_backoff", category="restart",
-                        pid=self.process.pid, agent=self.partition.label,
-                        attempt=attempt, backoff_ns=backoff_ns,
-                    ):
-                        self.kernel.clock.advance(backoff_ns)
-                else:
+                with self.kernel.tracer.span(
+                    "restart_backoff", category="restart",
+                    pid=self.process.pid, agent=self.partition.label,
+                    attempt=attempt, backoff_ns=backoff_ns,
+                ):
                     self.kernel.clock.advance(backoff_ns)
                 self.stats.restart_backoff_ns += backoff_ns
             replacement = self.kernel.restart(
@@ -529,13 +525,9 @@ class AgentProcess:
         del self._checkpoints[:-CHECKPOINT_HISTORY]
         state_bytes = 256 * max(len(self._checkpoint) + items, 1)
         charge_ns = int(cost.checkpoint_ns_per_byte * state_bytes)
-        tracer = self.kernel.tracer
-        if tracer.enabled:
-            with tracer.span("checkpoint", category="checkpoint",
-                             pid=self.process.pid, bytes=state_bytes,
-                             agent=self.partition.label):
-                self.kernel.clock.advance(charge_ns)
-        else:
+        with self.kernel.tracer.span("checkpoint", category="checkpoint",
+                                     pid=self.process.pid, bytes=state_bytes,
+                                     agent=self.partition.label):
             self.kernel.clock.advance(charge_ns)
         self.stats.checkpoints += 1
         if tear_at is not None:

@@ -26,7 +26,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.core.apitypes import APIType
 from repro.frameworks.base import DataObject, ExecutionContext, FrameworkAPI
 from repro.frameworks.registry import get_api
-from repro.obs.metrics import MetricsRegistry
 from repro.sim.kernel import SimKernel
 from repro.sim.memory import Buffer, MemoryLayout
 from repro.sim.process import SimProcess
@@ -63,30 +62,37 @@ class ApiCall:
     kwargs: Tuple[Tuple[str, Any], ...] = ()
 
 
+class _Prev:
+    """Sentinel: "the result of the previous call in this pipeline"."""
+
+    _instance = None
+
+    def __new__(cls):
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self) -> str:
+        return "PREV"
+
+    #: Wire size if it ever escapes onto a channel (it should not).
+    nbytes = 8
+
+
+#: Place in an ApiCall's args to reference the preceding call's result.
+PREV = _Prev()
+
+
 @dataclass
 class GatewayStats:
-    """Counters every gateway keeps (Table 6 / Table 12 inputs).
-
-    .. deprecated::
-        ``GatewayStats`` is now a compatibility shim over the
-        :mod:`repro.obs.metrics` registry: every :meth:`record` also
-        increments the machine-wide ``gateway.api_calls`` and
-        ``gateway.calls.<type>`` counters on the owning kernel's
-        ``metrics`` registry.  The per-gateway ``calls`` list and its
-        accessors remain supported, but new aggregation code should read
-        the registry instead.
-    """
+    """The framework API calls one gateway dispatched, in call order
+    (Table 6 / Table 12 inputs)."""
 
     calls: List[CallRecord] = field(default_factory=list)
-    registry: MetricsRegistry = field(default_factory=MetricsRegistry)
 
     def record(self, record: CallRecord) -> None:
-        """Append one call record (and feed the metrics registry)."""
+        """Append one call record."""
         self.calls.append(record)
-        self.registry.counter("gateway.api_calls").inc()
-        self.registry.counter(
-            f"gateway.calls.{record.api_type.value}"
-        ).inc()
 
     def total_calls(self) -> int:
         """Number of framework API calls recorded."""
@@ -120,7 +126,7 @@ class ApiGateway(abc.ABC):
     def __init__(self, kernel: SimKernel, host: SimProcess) -> None:
         self.kernel = kernel
         self.host = host
-        self.stats = GatewayStats(registry=kernel.metrics)
+        self.stats = GatewayStats()
         self._host_buffers: Dict[str, int] = {}
 
     # -- tracing annotations -------------------------------------------
@@ -149,14 +155,33 @@ class ApiGateway(abc.ABC):
     def call_many(self, calls: "List[ApiCall]") -> List[Any]:
         """Dispatch a sequence of calls, returning one result per call.
 
-        The default simply loops over :meth:`call`; gateways that can
-        coalesce adjacent same-agent calls into one IPC round trip (the
-        serving layer's batching) override this.
+        A :data:`PREV` argument stands for the previous call's result.
+        The default loops over :meth:`call`; gateways that can coalesce
+        adjacent same-agent calls into one IPC round trip (the serving
+        layer's batching) override this.
         """
-        return [
-            self.call(c.framework, c.name, *c.args, **dict(c.kwargs))
-            for c in calls
-        ]
+        results: List[Any] = []
+        for index, call in enumerate(calls):
+            args = tuple(
+                self._resolve_prev(value, index, results)
+                for value in call.args
+            )
+            kwargs = {
+                key: self._resolve_prev(value, index, results)
+                for key, value in call.kwargs
+            }
+            results.append(
+                self.call(call.framework, call.name, *args, **kwargs)
+            )
+        return results
+
+    @staticmethod
+    def _resolve_prev(value: Any, index: int, results: List[Any]) -> Any:
+        if value is PREV:
+            if index == 0:
+                raise ValueError("PREV used in the first call of a pipeline")
+            return results[index - 1]
+        return value
 
     def _resolve_api(self, framework: str, name: str) -> FrameworkAPI:
         return get_api(framework, name)

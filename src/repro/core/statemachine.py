@@ -136,8 +136,9 @@ class TemporalStateMachine:
         self.state = new_state
         tracer = self.tracer
         clock_ns = 0
+        protected = 0
         first = next(iter(self._processes()), None)
-        if tracer.enabled and first is not None:
+        if first is not None:
             # The freeze span covers the mprotect storm the transition
             # triggers; the transition itself is an instant marker.
             tracer.instant("state_transition", category="state",
@@ -145,13 +146,9 @@ class TemporalStateMachine:
                            current=new_state.value)
             with tracer.span("freeze", category="state", pid=first.pid,
                              state=previous.value) as span:
-                protected = (
-                    self._protect_state(previous) if self.enforce else 0
-                )
+                if self.enforce:
+                    protected = self._protect_state(previous)
                 span.annotate(protected_buffers=protected)
-        else:
-            protected = self._protect_state(previous) if self.enforce else 0
-        if first is not None:
             clock_ns = first.clock.now_ns
         transition = Transition(
             previous=previous,

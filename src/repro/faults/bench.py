@@ -25,6 +25,7 @@ from typing import Any, Dict, List, Sequence
 
 from repro.faults.campaign import ChaosSettings, check_invariants, run_target
 from repro.faults.plan import FaultPlan, FaultRates
+from repro.serve.metrics import percentile
 
 #: Fault rates of the standard availability sweep (fault-free, 1%, 5%).
 DEFAULT_FAULT_RATES = (0.0, 0.01, 0.05)
@@ -32,15 +33,6 @@ DEFAULT_FAULT_RATES = (0.0, 0.01, 0.05)
 #: The serving workload submits this many requests per run per tenant
 #: pair (2 tenants x items requests each).
 TENANTS = 2
-
-
-def _percentile(values: Sequence[int], pct: float) -> int:
-    """Deterministic nearest-rank percentile (0 for an empty sequence)."""
-    if not values:
-        return 0
-    ordered = sorted(values)
-    rank = max(1, -(-len(ordered) * pct // 100))  # ceil without floats
-    return ordered[int(rank) - 1]
 
 
 def _point(rate: float, settings: ChaosSettings, baseline) -> Dict[str, Any]:
@@ -64,6 +56,7 @@ def _point(rate: float, settings: ChaosSettings, baseline) -> Dict[str, Any]:
         if not all(check_invariants(baseline, outcome).values()):
             invariants_held = False
     total = per_run * settings.campaign
+    recovery_ns.sort()
     return {
         "fault_rate": rate,
         "schedules": settings.campaign,
@@ -73,8 +66,8 @@ def _point(rate: float, settings: ChaosSettings, baseline) -> Dict[str, Any]:
         "faults_injected": faults,
         "restarts": restarts,
         "retries": retries,
-        "p50_recovery_ns": _percentile(recovery_ns, 50),
-        "p99_recovery_ns": _percentile(recovery_ns, 99),
+        "p50_recovery_ns": percentile(recovery_ns, 0.50),
+        "p99_recovery_ns": percentile(recovery_ns, 0.99),
         "invariants_held": invariants_held,
     }
 

@@ -378,9 +378,7 @@ def _run_cve(target: str, settings: ChaosSettings,
 def _run_serve(settings: ChaosSettings,
                plan: Optional[FaultPlan]) -> RunOutcome:
     """One multi-tenant serving workload (2 tenants x items requests)."""
-    import numpy as np
-
-    from repro.serve.bench import standard_pipeline
+    from repro.serve.bench import load_requests
     from repro.serve.server import PipelineServer
 
     kernel, injector = _make_kernel(plan)
@@ -391,20 +389,7 @@ def _run_serve(settings: ChaosSettings,
         batching=True,
         max_retries=CHAOS_RPC_RETRIES,
     )
-    rng = np.random.default_rng(0)
-    for tenant in range(2):
-        for index in range(settings.items):
-            path = f"/data/tenant-{tenant}/in-{index}.png"
-            kernel.fs.write_file(
-                path,
-                rng.normal(size=(settings.image_size, settings.image_size)),
-            )
-            server.submit(
-                f"tenant-{tenant}",
-                standard_pipeline(
-                    path, f"/out/tenant-{tenant}/out-{index}.png"
-                ),
-            )
+    load_requests(server, 2, settings.items, settings.image_size)
     responses = server.drain()
     stale = server.registry.stale_keys(kernel.processes())
     failed = [r for r in responses if not r.ok]
@@ -489,12 +474,9 @@ def _run_cluster(settings: ChaosSettings,
     frozen-write counts, stale refs, and observed fault ids aggregate
     over all nodes.
     """
-    import numpy as np
-
+    from repro.cluster.bench import load_sharded_requests
     from repro.cluster.kernel import ClusterKernel
-    from repro.cluster.sharding import DirectoryPartitioner
     from repro.cluster.serve import ClusterServer
-    from repro.serve.bench import standard_pipeline
 
     nodes = max(settings.nodes, 2)
     cluster = ClusterKernel(nodes=nodes)
@@ -508,32 +490,9 @@ def _run_cluster(settings: ChaosSettings,
         batching=True,
         max_retries=CHAOS_RPC_RETRIES,
     )
-    tenants = 2 * nodes
-    rng = np.random.default_rng(0)
-    paths = []
-    payloads = {}
-    for tenant in range(tenants):
-        for index in range(settings.items):
-            path = f"/data/tenant-{tenant}/in-{index}.png"
-            paths.append(path)
-            payloads[path] = rng.normal(
-                size=(settings.image_size, settings.image_size)
-            )
-    manifest = DirectoryPartitioner().split(paths)
-    server.load_dataset(manifest, payloads)
-    for tenant in range(tenants):
-        server.pin_tenant_to_item(
-            f"tenant-{tenant}", f"/data/tenant-{tenant}/in-0.png"
-        )
-    for tenant in range(tenants):
-        for index in range(settings.items):
-            server.submit(
-                f"tenant-{tenant}",
-                standard_pipeline(
-                    f"/data/tenant-{tenant}/in-{index}.png",
-                    f"/out/tenant-{tenant}/out-{index}.png",
-                ),
-            )
+    load_sharded_requests(
+        server, 2 * nodes, settings.items, settings.image_size
+    )
     responses = server.drain()
     failed = [r for r in responses if not r.ok]
     outputs: Dict[str, str] = {}

@@ -1,14 +1,13 @@
-"""Observability: span tracing and metrics over the virtual clock.
+"""Observability: span tracing and time series over the virtual clock.
 
-Every span timestamp and histogram bucket is derived from the
+Every span timestamp and series window is derived from the
 deterministic :class:`~repro.sim.clock.VirtualClock`, never from wall
-time, so traces and metric snapshots are bit-identical across machines.
+time, so traces and series snapshots are bit-identical across machines.
 The layer never *advances* the clock — with tracing enabled, every
 virtual-clock quantity (the 3.68% overhead figure, serve throughput,
 Table 9 rows) is unchanged from an untraced run.
 """
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.slo import (
     DEFAULT_SLOS,
     AlertEvent,
@@ -28,12 +27,8 @@ from repro.obs.tracer import NULL_TRACER, NullTracer, Span, SpanTracer
 __all__ = [
     "AlertEvent",
     "BurnWindow",
-    "Counter",
     "DEFAULT_SLOS",
     "FixedGridSketch",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
     "RequestEvent",

@@ -32,6 +32,7 @@ __all__ = [
     "FixedGridSketch",
     "TimeSeries",
     "TimeSeriesRegistry",
+    "ceil_rank",
     "series_key",
 ]
 
@@ -55,6 +56,18 @@ def _build_grid(start: int = 1_000, limit: int = 10 ** 13) -> Tuple[int, ...]:
 
 
 QUANTILE_GRID: Tuple[int, ...] = _build_grid()
+
+
+def ceil_rank(count: int, fraction: float) -> int:
+    """The 1-based rank of the ``fraction`` quantile of ``count`` values.
+
+    ``ceil(fraction * count)``, at least 1 — the smallest rank with at
+    least ``fraction`` of the sample at or below it.  The product is
+    scaled to an integer before the ceiling, so float noise above an
+    exact rank (``0.07 * 100 == 7.000000000000001``) cannot round it up
+    to the next one.
+    """
+    return max(1, -(-int(fraction * count * 1_000_000) // 1_000_000))
 
 
 class FixedGridSketch:
@@ -109,14 +122,14 @@ class FixedGridSketch:
     def quantile(self, fraction: float) -> int:
         """The grid upper bound covering the ceil-rank observation.
 
-        ``rank = ceil(fraction * count)``; walking the grid in order,
-        the first bucket whose cumulative count reaches ``rank`` yields
-        the answer.  An overflow-bucket hit returns the exact tracked
-        maximum; an empty sketch returns 0.
+        Walking the grid in order, the first bucket whose cumulative
+        count reaches :func:`ceil_rank` yields the answer.  An
+        overflow-bucket hit returns the exact tracked maximum; an empty
+        sketch returns 0.
         """
         if self.count == 0:
             return 0
-        rank = max(1, -(-int(fraction * self.count * 1_000_000) // 1_000_000))
+        rank = ceil_rank(self.count, fraction)
         cumulative = 0
         for slot in sorted(self.counts):
             cumulative += self.counts[slot]
@@ -227,7 +240,7 @@ class TimeSeriesRegistry:
     """Named, labeled series created on first use.
 
     Lives on each :class:`~repro.sim.kernel.SimKernel` (``kernel.series``)
-    next to the metrics registry; instrumentation points pass explicit
+    as its one metrics store; instrumentation points pass explicit
     virtual timestamps or let the registry read the kernel clock.
     """
 

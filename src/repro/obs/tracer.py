@@ -15,14 +15,16 @@ carries the ``pid`` of the simulated process it belongs to, which the
 Chrome exporter turns into one process row per agent (and one per
 tenant lane in serve mode).
 
-The default tracer on every kernel is :data:`NULL_TRACER`, whose
-``enabled`` flag lets hot paths skip instrumentation entirely::
+The default tracer on every kernel is :data:`NULL_TRACER`, whose spans
+are one shared no-op context manager, so instrumented code has a single
+path whether tracing is on or off::
 
-    if tracer.enabled:
-        with tracer.span("syscall", category="syscall", pid=pid):
-            clock.advance(cost.syscall_ns)
-    else:
-        clock.advance(cost.syscall_ns)
+    with tracer.span("restart", category="restart", pid=pid):
+        clock.advance(cost.process_restart_ns)
+
+Only the five hottest operations (syscall entry, framework invoke,
+channel send, gateway call, mprotect) guard on ``tracer.enabled``
+instead, where the no-op span would cost more than the guard.
 """
 
 from __future__ import annotations
@@ -238,11 +240,12 @@ _NULL_OPEN_SPAN = _NullOpenSpan()
 
 
 class NullTracer:
-    """The zero-cost default: every operation is a no-op.
+    """The default: every operation is a no-op.
 
-    ``enabled`` is False so hot paths (syscall entry, channel send, copy)
-    can skip building span attributes altogether; code that does call
-    through pays one attribute lookup and a shared no-op context manager.
+    ``enabled`` is False so the hottest paths (syscall entry, framework
+    invoke, channel send, gateway call, mprotect) can skip building span
+    attributes altogether; everything else calls through and pays a
+    shared no-op context manager.
     """
 
     enabled = False

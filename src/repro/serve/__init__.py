@@ -51,7 +51,6 @@ from repro.serve.server import (
     PipelineServer,
     ServeRequest,
     ServeResponse,
-    run_pipeline,
 )
 from repro.serve.tenancy import Tenant, TenantRegistry
 
@@ -90,5 +89,4 @@ __all__ = [
     "profile_by_name",
     "run_open_loop",
     "run_open_loop_cluster",
-    "run_pipeline",
 ]

@@ -20,28 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, List, Sequence, Tuple
 
-from repro.core.gateway import ApiCall
+from repro.core.gateway import PREV, ApiCall
 
-
-class _Prev:
-    """Sentinel: "the result of the previous call in this pipeline"."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "PREV"
-
-    #: Wire size if it ever escapes onto a channel (it should not).
-    nbytes = 8
-
-
-#: Place in an ApiCall's args to reference the preceding call's result.
-PREV = _Prev()
+__all__ = ["PREV", "BatchGroup", "BatchingStats", "plan_batches"]
 
 
 @dataclass(frozen=True)

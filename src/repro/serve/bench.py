@@ -15,8 +15,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.gateway import ApiCall
-from repro.serve.batching import PREV
+from repro.core.gateway import PREV, ApiCall
 from repro.serve.server import NaiveServer, PipelineServer
 
 
@@ -30,10 +29,16 @@ def standard_pipeline(path: str, out: str) -> List[ApiCall]:
     ]
 
 
-def _load(server, tenants: int, requests: int, image_size: int) -> None:
+def load_requests(server, tenants: int, items: int, image_size: int) -> None:
+    """The closed-loop serving fixture: ``tenants x items`` pipelines.
+
+    Each input is a seeded random image written to the server's own
+    filesystem just before its request is submitted, so the draw order
+    and the submit order are fixed.
+    """
     rng = np.random.default_rng(0)
     for t in range(tenants):
-        for r in range(requests):
+        for r in range(items):
             path = f"/data/tenant-{t}/in-{r}.png"
             server.kernel.fs.write_file(
                 path, rng.normal(size=(image_size, image_size))
@@ -46,7 +51,7 @@ def _load(server, tenants: int, requests: int, image_size: int) -> None:
 
 def _measure(server, tenants: int, requests: int, image_size: int
              ) -> Dict[str, Any]:
-    _load(server, tenants, requests, image_size)
+    load_requests(server, tenants, requests, image_size)
     responses = server.drain()
     failed = [r for r in responses if not r.ok]
     if failed:

@@ -113,33 +113,7 @@ class ServeGateway(FreePartGateway):
 
     def call_many(self, calls: List[ApiCall]) -> List[Any]:
         if not self.batching:
-            return self._call_sequential(calls)
-        return self._call_batched(calls)
-
-    def _call_sequential(self, calls: List[ApiCall]) -> List[Any]:
-        """Per-call dispatch, resolving PREV to the prior result."""
-        results: List[Any] = []
-        for index, call in enumerate(calls):
-            args = tuple(
-                self._resolve_prev(value, index, results)
-                for value in call.args
-            )
-            kwargs = {
-                key: self._resolve_prev(value, index, results)
-                for key, value in call.kwargs
-            }
-            results.append(self.call(call.framework, call.name, *args, **kwargs))
-        return results
-
-    def _resolve_prev(self, value: Any, index: int, results: List[Any]) -> Any:
-        if value is PREV:
-            if index == 0:
-                raise ValueError("PREV used in the first call of a pipeline")
-            return results[index - 1]
-        return value
-
-    def _call_batched(self, calls: List[ApiCall]) -> List[Any]:
-        """Coalesced dispatch: one IPC round trip per same-agent run."""
+            return super().call_many(calls)
         # Route every call first (state machine advances in call order;
         # each call's request carries the state label at its routing
         # point, exactly as per-call dispatch would).
@@ -154,27 +128,18 @@ class ServeGateway(FreePartGateway):
             calls, [p.index for p in partitions], self.max_batch_calls
         )
         results: List[Any] = [None] * len(calls)
+        tracer = self.kernel.tracer
         for group in groups:
-            self._exchange_group(group, apis, partitions, labels, results)
+            with tracer.span("batch", category="batch", pid=self.host.pid,
+                             size=len(group), tenant=self.tenant.tenant_id,
+                             agent=partitions[group.start].label):
+                self._exchange_group(group, apis, partitions, labels, results)
         return results
 
     def _exchange_group(
         self, group, apis, partitions, labels, results: List[Any]
     ) -> None:
-        tracer = self.kernel.tracer
-        if tracer.enabled:
-            with tracer.span("batch", category="batch", pid=self.host.pid,
-                             size=len(group), tenant=self.tenant.tenant_id,
-                             agent=partitions[group.start].label):
-                self._exchange_group_body(
-                    group, apis, partitions, labels, results
-                )
-            return
-        self._exchange_group_body(group, apis, partitions, labels, results)
-
-    def _exchange_group_body(
-        self, group, apis, partitions, labels, results: List[Any]
-    ) -> None:
+        """One IPC round trip for a run of adjacent same-agent calls."""
         agent = self._ensure_agent(partitions[group.start])
         requests: List[RpcRequest] = []
         group_apis = []
@@ -183,18 +148,12 @@ class ServeGateway(FreePartGateway):
             index = group.start + offset
             chained_args: List[Any] = []
             for value in call.args:
-                if value is PREV:
-                    if index == 0:
-                        raise ValueError(
-                            "PREV used in the first call of a pipeline"
-                        )
-                    if offset > 0:
-                        # Same batch: resolve inside the agent, zero IPC.
-                        chained_args.append(BatchChain(1))
-                        chains += 1
-                        continue
-                    value = results[index - 1]
-                chained_args.append(value)
+                if value is PREV and offset > 0:
+                    # Same batch: resolve inside the agent, zero IPC.
+                    chained_args.append(BatchChain(1))
+                    chains += 1
+                    continue
+                chained_args.append(self._resolve_prev(value, index, results))
             kwargs = tuple(
                 (key, self._resolve_prev(value, index, results))
                 for key, value in call.kwargs

@@ -14,11 +14,10 @@ Throughput = completed requests / makespan.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, List
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.timeseries import ceil_rank
 from repro.sim.clock import NS_PER_SEC
 
 
@@ -45,34 +44,27 @@ class RequestTiming:
 def percentile(sorted_values: List[int], fraction: float) -> int:
     """Nearest-rank percentile over a pre-sorted sample.
 
-    Uses the ceil-rank definition ``rank = ceil(fraction * n) - 1``: the
-    smallest value with at least ``fraction`` of the sample at or below
-    it.  (The previous ``round(fraction * (n - 1))`` interpolation-index
-    variant under-reported upper percentiles — p99 of a 10-element sample
-    picked the 9th value, not the maximum.)
+    The value at :func:`~repro.obs.timeseries.ceil_rank`: the smallest
+    value with at least ``fraction`` of the sample at or below it.  (The
+    previous ``round(fraction * (n - 1))`` interpolation-index variant
+    under-reported upper percentiles — p99 of a 10-element sample picked
+    the 9th value, not the maximum.)
     """
     if not sorted_values:
         return 0
     n = len(sorted_values)
-    rank = max(0, min(n - 1, math.ceil(fraction * n) - 1))
-    return sorted_values[rank]
+    return sorted_values[min(n, ceil_rank(n, fraction)) - 1]
 
 
 class ServingTimeline:
     """Earliest-free-lane replay of measured (arrival, service) pairs."""
 
-    def __init__(
-        self, lanes: int = 1, registry: Optional[MetricsRegistry] = None
-    ) -> None:
+    def __init__(self, lanes: int = 1) -> None:
         if lanes < 1:
             raise ValueError(f"timeline needs >= 1 lane, got {lanes}")
         self.lanes = lanes
         self._lane_free_ns = [0] * lanes
         self.timings: List[RequestTiming] = []
-        #: Optional obs registry fed one counter + two histograms per
-        #: observed request (serve.requests, serve.latency_ns,
-        #: serve.service_ns).
-        self.registry = registry
 
     def observe(
         self,
@@ -95,12 +87,6 @@ class ServingTimeline:
             service_ns=service_ns,
         )
         self.timings.append(timing)
-        if self.registry is not None:
-            self.registry.counter("serve.requests").inc()
-            self.registry.histogram("serve.latency_ns").observe(
-                timing.latency_ns
-            )
-            self.registry.histogram("serve.service_ns").observe(service_ns)
         return timing
 
     def set_lanes(self, lanes: int, at_ns: int = 0) -> None:

@@ -43,15 +43,12 @@ class PoolStats:
 class PoolMember:
     """One pooled agent plus its lease bookkeeping."""
 
-    __slots__ = ("agent", "slot", "leased_to", "busy_until_ns")
+    __slots__ = ("agent", "slot", "leased_to")
 
     def __init__(self, agent: AgentProcess, slot: int) -> None:
         self.agent = agent
         self.slot = slot
         self.leased_to: Optional[str] = None  # tenant id while leased
-        #: Virtual time at which this member's current work completes —
-        #: the serving timeline model uses it to compute queueing delay.
-        self.busy_until_ns: int = 0
 
     @property
     def leased(self) -> bool:

@@ -48,32 +48,6 @@ from repro.serve.tenancy import Tenant, TenantRegistry
 from repro.sim.kernel import SimKernel
 
 
-def run_pipeline(gateway, calls: Sequence[ApiCall]) -> List[Any]:
-    """Dispatch a call sequence per-call, resolving PREV to prior results.
-
-    Used by gateways without native pipeline support (the naive baseline
-    and the unprotected reference path); :class:`ServeGateway` has its own
-    batched implementation.
-    """
-    from repro.serve.batching import PREV
-
-    results: List[Any] = []
-    for index, call in enumerate(calls):
-        def resolve(value: Any) -> Any:
-            if value is PREV:
-                if index == 0:
-                    raise ValueError("PREV used in the first call")
-                return results[index - 1]
-            return value
-
-        results.append(gateway.call(
-            call.framework, call.name,
-            *tuple(resolve(v) for v in call.args),
-            **{key: resolve(v) for key, v in call.kwargs},
-        ))
-    return results
-
-
 @dataclass
 class ServeRequest:
     """One tenant's pipeline: an ordered sequence of API calls."""
@@ -149,9 +123,7 @@ class PipelineServer:
         #: stream for ``repro.obs.slo`` evaluation and run reports.
         self.events: List[RequestEvent] = []
         self.batch_stats = BatchingStats()
-        self.timeline = ServingTimeline(
-            lanes=pool_size, registry=self.kernel.metrics
-        )
+        self.timeline = ServingTimeline(lanes=pool_size)
         self.tenants: Dict[str, Tenant] = {}
         self._request_ids = itertools.count(1)
         self.responses: List[ServeResponse] = []
@@ -319,8 +291,6 @@ class PipelineServer:
 
     def _dispatch(self, request: ServeRequest) -> ServeResponse:
         tracer = self.kernel.tracer
-        if not tracer.enabled:
-            return self._dispatch_request(request)
         tenant = self.tenants[request.tenant_id]
         tracer.name_track(tenant.host.pid, f"tenant:{request.tenant_id}")
         # The queue wait already elapsed (it overlaps other requests'
@@ -627,9 +597,7 @@ class NaiveServer:
         self.plan = freepart.build_plan(self.categorization)
         self._freepart = freepart
         self.queue = AdmissionQueue(self.kernel.clock, capacity=queue_capacity)
-        self.timeline = ServingTimeline(
-            lanes=1, registry=self.kernel.metrics
-        )
+        self.timeline = ServingTimeline(lanes=1)
         self.node_label = ""
         self.events: List[RequestEvent] = []
         self._request_ids = itertools.count(1)
@@ -660,8 +628,6 @@ class NaiveServer:
 
     def _dispatch(self, request: ServeRequest) -> ServeResponse:
         tracer = self.kernel.tracer
-        if not tracer.enabled:
-            return self._dispatch_request(request)
         tracer.add_span(
             "admission_wait", category="admission",
             start_ns=request.enqueued_at_ns,
@@ -680,7 +646,7 @@ class NaiveServer:
         gateway = self._freepart.deploy(plan=self.plan)
         ok, error, values = True, "", None
         try:
-            values = run_pipeline(gateway, request.calls)
+            values = gateway.call_many(request.calls)
         except Exception as exc:
             ok, error = False, f"{type(exc).__name__}: {exc}"
         finally:

@@ -325,6 +325,7 @@ class Channel:
         cost = self._clock.cost_model
         message_ns = cost.message_cost(framed)
         tracer = self.tracer
+        # Hot (~35k calls/suite pass): a guard costs less than a no-op span.
         if tracer.enabled:
             # Split the single charge so the rollup separates message
             # framing (ipc) from payload serialization; the sum is

@@ -23,7 +23,6 @@ from typing import Any, Dict, List, Optional
 
 from repro.errors import ProcessNotFound
 from repro.faults.injector import NULL_INJECTOR
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import TimeSeriesRegistry
 from repro.obs.tracer import NULL_TRACER
 from repro.sim.clock import CostModel, VirtualClock
@@ -55,13 +54,12 @@ class SimKernel:
         tracer: Optional[Any] = None,
     ) -> None:
         self.clock = VirtualClock(cost_model=cost_model or CostModel())
-        #: Span tracer (repro.obs).  The no-op default costs hot paths a
-        #: single ``enabled`` check; ``enable_tracing`` swaps in a real one.
+        #: Span tracer (repro.obs).  The no-op default turns every span
+        #: into a shared no-op; ``enable_tracing`` swaps in a real one.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Machine-wide metrics registry (repro.obs.metrics).
-        self.metrics = MetricsRegistry()
         #: Dimensional time-series registry (repro.obs.timeseries):
-        #: windowed, labeled observations stamped from this clock.
+        #: windowed, labeled observations stamped from this clock — the
+        #: machine's one metrics store.
         self.series = TimeSeriesRegistry(self.clock)
         #: Fault injector (repro.faults).  The no-op default costs hot
         #: paths a single ``enabled`` check; ``inject_faults`` arms one.
@@ -147,20 +145,15 @@ class SimKernel:
         self._processes[pid] = process
         self.spawned_processes += 1
         tracer = self.tracer
-        if tracer.enabled:
-            tracer.name_track(pid, name)
-            span_name = "agent_spawn" if role == "agent" else "spawn"
-            if charge:
-                with tracer.span(span_name, category="spawn", pid=pid,
-                                 process=name):
-                    self.clock.advance(
-                        self.clock.cost_model.process_spawn_ns
-                    )
-            else:
-                tracer.instant(span_name, category="spawn", pid=pid,
-                               process=name)
-        elif charge:
-            self.clock.advance(self.clock.cost_model.process_spawn_ns)
+        tracer.name_track(pid, name)
+        span_name = "agent_spawn" if role == "agent" else "spawn"
+        if charge:
+            with tracer.span(span_name, category="spawn", pid=pid,
+                             process=name):
+                self.clock.advance(self.clock.cost_model.process_spawn_ns)
+        else:
+            tracer.instant(span_name, category="spawn", pid=pid,
+                           process=name)
         return process
 
     def process(self, pid: int) -> SimProcess:
@@ -200,25 +193,15 @@ class SimKernel:
         new_filter = filter_spec.build() if filter_spec is not None else None
         if new_filter is not None:
             new_filter.seal()
-        tracer = self.tracer
-        if tracer.enabled:
-            with tracer.span("restart", category="restart", pid=process.pid,
-                             process=process.name) as span:
-                replacement = self.spawn(
-                    name=process.name,
-                    syscall_filter=new_filter,
-                    role=process.role,
-                    charge=False,
-                )
-                span.annotate(new_pid=replacement.pid)
-                self.clock.advance(self.clock.cost_model.process_restart_ns)
-        else:
+        with self.tracer.span("restart", category="restart", pid=process.pid,
+                              process=process.name) as span:
             replacement = self.spawn(
                 name=process.name,
                 syscall_filter=new_filter,
                 role=process.role,
                 charge=False,
             )
+            span.annotate(new_pid=replacement.pid)
             self.clock.advance(self.clock.cost_model.process_restart_ns)
         replacement.generation = process.generation + 1
         self.restarted_processes += 1
@@ -276,50 +259,29 @@ class SimKernel:
         nbytes = payload_nbytes(payload)
         cost = self.clock.cost_model
         tracer = self.tracer
+        if count_message:
+            with tracer.span("ipc_message", category="ipc",
+                             pid=destination.pid, bytes=nbytes, tag=tag):
+                self.clock.advance(cost.ipc_message_ns)
+                self.ipc.record_message(nbytes)
         if zero_copy and nbytes >= ZERO_COPY_MIN_BYTES:
             segment = SharedSegment(
                 segment_id=next(self._segment_ids),
                 nbytes=nbytes,
                 payload=payload,
             )
-            remap_ns = cost.remap_cost(segment.npages)
-            if tracer.enabled:
-                if count_message:
-                    with tracer.span("ipc_message", category="ipc",
-                                     pid=destination.pid, bytes=nbytes,
-                                     tag=tag):
-                        self.clock.advance(cost.ipc_message_ns)
-                        self.ipc.record_message(nbytes)
-                with tracer.span("page_remap", category="zero_copy",
-                                 pid=destination.pid, bytes=nbytes, tag=tag,
-                                 src=source.pid, pages=segment.npages,
-                                 segment=segment.segment_id):
-                    self.clock.advance(remap_ns)
-                    self.ipc.record_zero_copy(nbytes)
-            else:
-                if count_message:
-                    self.clock.advance(cost.ipc_message_ns)
-                    self.ipc.record_message(nbytes)
-                self.clock.advance(remap_ns)
+            with tracer.span("page_remap", category="zero_copy",
+                             pid=destination.pid, bytes=nbytes, tag=tag,
+                             src=source.pid, pages=segment.npages,
+                             segment=segment.segment_id):
+                self.clock.advance(cost.remap_cost(segment.npages))
                 self.ipc.record_zero_copy(nbytes)
             return destination.memory.map_shared(
                 segment, tag=tag, origin_state=origin_state
             )
-        if tracer.enabled:
-            if count_message:
-                with tracer.span("ipc_message", category="ipc",
-                                 pid=destination.pid, bytes=nbytes, tag=tag):
-                    self.clock.advance(cost.ipc_message_ns)
-                    self.ipc.record_message(nbytes)
-            with tracer.span("ldc_copy" if lazy else "copy", category="copy",
-                             pid=destination.pid, bytes=nbytes, tag=tag,
-                             src=source.pid, lazy=lazy):
-                self.clock.advance(cost.copy_cost(nbytes))
-                self.ipc.record_copy(nbytes, lazy=lazy)
-        else:
-            if count_message:
-                self.clock.advance(cost.ipc_message_ns)
-                self.ipc.record_message(nbytes)
+        with tracer.span("ldc_copy" if lazy else "copy", category="copy",
+                         pid=destination.pid, bytes=nbytes, tag=tag,
+                         src=source.pid, lazy=lazy):
             self.clock.advance(cost.copy_cost(nbytes))
             self.ipc.record_copy(nbytes, lazy=lazy)
         return destination.memory.alloc(

@@ -385,6 +385,7 @@ class AddressSpace:
         self.mprotect_calls += 1
         if self.clock is not None:
             tracer = self.tracer
+            # Hot (~15k calls/suite pass): a guard costs less than a no-op span.
             if tracer.enabled:
                 with tracer.span("mprotect", category="mprotect",
                                  pid=self.pid, bytes=nbytes,
@@ -475,15 +476,12 @@ class AddressSpace:
         if self.accounting is not None:
             self.accounting.record_cow(buffer.nbytes)
         if self.clock is not None:
-            cost = self.clock.cost_model.copy_cost(buffer.nbytes)
-            tracer = self.tracer
-            if tracer.enabled:
-                with tracer.span("cow_copy", category="zero_copy",
-                                 pid=self.pid, bytes=buffer.nbytes,
-                                 segment=segment.segment_id):
-                    self.clock.advance(cost)
-            else:
-                self.clock.advance(cost)
+            with self.tracer.span("cow_copy", category="zero_copy",
+                                  pid=self.pid, bytes=buffer.nbytes,
+                                  segment=segment.segment_id):
+                self.clock.advance(
+                    self.clock.cost_model.copy_cost(buffer.nbytes)
+                )
 
     def raw_read(self, address: int, nbytes: int) -> Any:
         """Read from a raw address, as info-leak payloads do."""

@@ -110,6 +110,7 @@ class SimProcess:
         self.require_alive()
         cost = self.clock.cost_model
         tracer = self.tracer
+        # Hot (~42k calls/suite pass): a guard costs less than a no-op span.
         if tracer.enabled:
             with tracer.span("syscall_check", category="filter_check",
                              pid=self.pid, syscall=name):

@@ -4,18 +4,15 @@ import json
 
 from repro.cluster.bench import (
     SingleNodeFailurePlan,
+    load_sharded_requests,
     run_cluster_benchmark,
     run_cluster_config,
 )
 from repro.cluster.kernel import ClusterKernel
 from repro.cluster.serve import ClusterServer
-from repro.cluster.sharding import DirectoryPartitioner
 from repro.cluster.trace import render_cluster_trace
 from repro.faults.plan import FaultPlan, FaultRates
 from repro.obs.export import validate_chrome_trace
-from repro.serve.bench import standard_pipeline
-
-import numpy as np
 
 
 def _traced_run(fault_plan=None):
@@ -24,26 +21,7 @@ def _traced_run(fault_plan=None):
     if fault_plan is not None:
         cluster.inject_faults(fault_plan)
     server = ClusterServer(cluster=cluster, pool_size=2, batching=True)
-    rng = np.random.default_rng(0)
-    paths = [
-        f"/data/tenant-{t}/in-{r}.png" for t in range(4) for r in range(2)
-    ]
-    payloads = {p: rng.normal(size=(8, 8)) for p in paths}
-    manifest = DirectoryPartitioner().split(paths)
-    server.load_dataset(manifest, payloads)
-    for t in range(4):
-        server.pin_tenant_to_item(
-            f"tenant-{t}", f"/data/tenant-{t}/in-0.png"
-        )
-    for t in range(4):
-        for r in range(2):
-            server.submit(
-                f"tenant-{t}",
-                standard_pipeline(
-                    f"/data/tenant-{t}/in-{r}.png",
-                    f"/out/tenant-{t}/out-{r}.png",
-                ),
-            )
+    manifest = load_sharded_requests(server, 4, 2, 8)
     server.drain()
     stats = server.stats()
     server.shutdown()

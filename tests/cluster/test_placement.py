@@ -128,13 +128,9 @@ class TestClusterGateway:
         cluster = ClusterKernel(nodes=2)
         probe = ClusterGateway(cluster)  # just to borrow the plan
         placement = spread_placement(probe.plan, 2)
-        cluster, gateway, results = _run_pipeline(placement=placement)
+        cluster, _, _ = _run_pipeline(placement=placement)
         assert cluster.accounting.cross_node_derefs > 0
         assert cluster.accounting.cross_node_deref_bytes > 0
-        derefs = cluster.node(
-            gateway.node_for_call("opencv", "GaussianBlur")
-        ).kernel.metrics.counter("cluster.cross_node_derefs").value
-        assert derefs > 0
         cluster.verify_accounting()
 
     def test_spread_derefs_show_in_the_rollup(self):

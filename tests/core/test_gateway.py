@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 
 from repro.core.apitypes import APIType
-from repro.core.gateway import GatewayStats, CallRecord, NativeGateway
+from repro.core.gateway import (
+    PREV,
+    ApiCall,
+    CallRecord,
+    GatewayStats,
+    NativeGateway,
+)
+from repro.core.runtime import FreePart
 from repro.errors import ProcessCrashed
 from repro.frameworks.base import Mat
+from repro.serve.bench import standard_pipeline
 from repro.sim.kernel import SimKernel
 
 
@@ -86,7 +94,44 @@ def test_host_crash_propagates(gateway, kernel):
     assert not gateway.host.alive
 
 
+GATEWAYS = {
+    "native": NativeGateway,
+    "freepart": lambda kernel: FreePart(kernel=kernel).deploy(),
+}
+
+
+@pytest.mark.parametrize("make_gateway", GATEWAYS.values(), ids=GATEWAYS)
+def test_call_many_resolves_prev(make_gateway):
+    kernel = SimKernel()
+    image = np.random.default_rng(0).normal(size=(8, 8))
+    kernel.fs.write_file("/in.png", image)
+    gateway = make_gateway(kernel)
+    results = gateway.call_many(standard_pipeline("/in.png", "/out.png"))
+    assert len(results) == 4
+    assert kernel.fs.exists("/out.png")
+
+
+@pytest.mark.parametrize("make_gateway", GATEWAYS.values(), ids=GATEWAYS)
+def test_prev_in_the_first_call_is_rejected(make_gateway):
+    gateway = make_gateway(SimKernel())
+    with pytest.raises(ValueError, match="PREV used in the first call"):
+        gateway.call_many([ApiCall("opencv", "GaussianBlur", (PREV,))])
+    assert gateway.stats.total_calls() == 0
+
+
 class TestGatewayStats:
+    def test_record_keeps_every_call_in_order(self):
+        stats = GatewayStats()
+        record = CallRecord(
+            framework="opencv", name="imread", qualname="cv2.imread",
+            api_type=APIType.LOADING,
+        )
+        stats.record(record)
+        stats.record(record)
+        assert stats.calls == [record, record]
+        assert stats.total_calls() == 2
+        assert stats.unique_qualnames() == ["cv2.imread"]
+
     def test_counts_by_type(self):
         stats = GatewayStats()
         for name in ("a", "a", "b"):

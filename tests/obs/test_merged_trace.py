@@ -77,14 +77,11 @@ def test_inter_node_send_without_recv_is_rejected():
 
 
 def test_real_cluster_merged_trace_validates(tmp_path):
-    import numpy as np
-
+    from repro.cluster.bench import load_sharded_requests
     from repro.cluster.kernel import ClusterKernel
     from repro.cluster.serve import ClusterServer
-    from repro.cluster.sharding import DirectoryPartitioner
     from repro.cluster.trace import cluster_chrome_trace, cluster_rollup
     from repro.core.runtime import FreePartConfig
-    from repro.serve.bench import standard_pipeline
 
     cluster = ClusterKernel(nodes=2)
     cluster.enable_tracing()
@@ -92,26 +89,7 @@ def test_real_cluster_merged_trace_validates(tmp_path):
         cluster=cluster, config=FreePartConfig(trace=True),
         pool_size=2, batching=True,
     )
-    rng = np.random.default_rng(0)
-    paths = []
-    payloads = {}
-    for tenant in range(4):
-        path = f"/data/tenant-{tenant}/in-0.png"
-        paths.append(path)
-        payloads[path] = rng.normal(size=(16, 16))
-    manifest = DirectoryPartitioner().split(paths)
-    server.load_dataset(manifest, payloads)
-    for tenant in range(4):
-        server.pin_tenant_to_item(
-            f"tenant-{tenant}", f"/data/tenant-{tenant}/in-0.png"
-        )
-        server.submit(
-            f"tenant-{tenant}",
-            standard_pipeline(
-                f"/data/tenant-{tenant}/in-0.png",
-                f"/out/tenant-{tenant}/out-0.png",
-            ),
-        )
+    load_sharded_requests(server, 4, 1, 16)
     server.drain()
     server.shutdown()
     assert validate_merged_trace(cluster_chrome_trace(cluster)) == []

@@ -15,10 +15,8 @@ from repro.obs.tracer import Span
 
 
 def _serve_run():
-    import numpy as np
-
     from repro.core.runtime import FreePartConfig
-    from repro.serve.bench import standard_pipeline
+    from repro.serve.bench import load_requests
     from repro.serve.server import PipelineServer
     from repro.sim.kernel import SimKernel
 
@@ -28,17 +26,7 @@ def _serve_run():
         pool_size=2,
         batching=True,
     )
-    rng = np.random.default_rng(0)
-    for tenant in range(2):
-        for index in range(2):
-            path = f"/data/tenant-{tenant}/in-{index}.png"
-            server.kernel.fs.write_file(path, rng.normal(size=(16, 16)))
-            server.submit(
-                f"tenant-{tenant}",
-                standard_pipeline(
-                    path, f"/out/tenant-{tenant}/out-{index}.png"
-                ),
-            )
+    load_requests(server, 2, 2, 16)
     server.drain()
     server.shutdown()
     return server

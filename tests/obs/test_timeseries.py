@@ -1,7 +1,5 @@
 """Dimensional time-series: fixed-grid sketches, windows, registries."""
 
-import math
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +11,7 @@ from repro.obs.timeseries import (
     TimeSeriesRegistry,
     series_key,
 )
+from repro.serve.metrics import percentile
 
 
 class FakeClock:
@@ -68,8 +67,7 @@ def test_sketch_quantile_brackets_true_quantile(values):
         sketch.observe(value)
     ordered = sorted(values)
     for fraction in (0.5, 0.99, 0.999):
-        rank = max(1, math.ceil(fraction * len(ordered)))
-        true_value = ordered[rank - 1]
+        true_value = percentile(ordered, fraction)
         got = sketch.quantile(fraction)
         # Never below the true ceil-rank observation, never above the
         # maximum, and at most one grid ratio (25%) above the truth.

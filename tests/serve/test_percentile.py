@@ -1,8 +1,10 @@
 """Regression: ceil-rank percentile (the round-based index under-read p99)."""
 
+import math
+
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.timeseries import ceil_rank
 from repro.serve.metrics import ServingTimeline, percentile
 
 
@@ -39,11 +41,15 @@ def test_timeline_p99_reports_the_maximum_of_small_samples():
     assert summary["p99_latency_ms"] >= summary["p50_latency_ms"] > 0
 
 
-def test_timeline_feeds_optional_registry():
-    registry = MetricsRegistry()
-    timeline = ServingTimeline(lanes=2, registry=registry)
-    timeline.observe(1, "t", arrival_ns=0, service_ns=5_000)
-    timeline.observe(2, "t", arrival_ns=100, service_ns=7_000)
-    assert registry.counter("serve.requests").value == 2
-    assert registry.histogram("serve.latency_ns").count == 2
-    assert registry.histogram("serve.service_ns").total == 12_000
+def test_ceil_rank_ignores_float_noise_above_an_exact_rank():
+    assert 0.07 * 100 > 7  # 7.000000000000001
+    assert ceil_rank(100, 0.07) == 7
+    assert math.ceil(0.07 * 100) == 8
+
+
+def test_ceil_rank_matches_float_ceiling_at_reported_quantiles():
+    # The quantiles every report and bench reads: the scaled-integer rank
+    # equals the float ceiling for every sample size they see.
+    for fraction in (0.25, 0.50, 0.75, 0.90, 0.99, 0.999, 1.0):
+        for n in range(1, 20_001):
+            assert ceil_rank(n, fraction) == max(1, math.ceil(fraction * n))
