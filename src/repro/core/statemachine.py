@@ -160,14 +160,18 @@ class TemporalStateMachine:
         return transition
 
     def _protect_state(self, state: FrameworkState) -> int:
-        """Make every buffer defined during ``state`` read-only."""
+        """Make every buffer defined during ``state`` read-only.
+
+        Visits only the buffers no freeze has reached yet, not every
+        buffer ever defined in ``state``.
+        """
         protected = 0
         label = state.value
         for process in self._processes():
             if not process.alive:
                 continue
             host_process = process.role == "host"
-            for buffer in process.memory.buffers_in_state(label):
+            for buffer in process.memory.unfrozen_in_state(label):
                 if host_process and buffer.tag not in self.annotated_tags:
                     continue  # unannotated host variables stay writable
                 if process.memory.is_writable(buffer.buffer_id):

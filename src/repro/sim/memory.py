@@ -203,12 +203,19 @@ class AddressSpace:
         self._next_address = _HEAP_BASE
         self._next_buffer_id = 1
         self._buffers: Dict[int, Buffer] = {}
+        #: The freeze scan's index: per origin state, in allocation
+        #: order, the live buffers no read-only :meth:`protect_buffer`
+        #: has reached yet.  It holds every live buffer whose pages all
+        #: grant WRITE, and may hold more (the scan's probe decides).
+        self._unfrozen: Dict[str, Dict[int, Buffer]] = {}
         self._page_permissions: Dict[int, Permission] = {}
         self.mprotect_calls = 0
         #: Copy-on-write downgrades performed on shared-segment buffers.
         self.cow_downgrades = 0
         self.cow_bytes = 0
         #: Write attempts the permission check denied (SIGSEGV delivered).
+        #: Real denied writes only: an :meth:`is_writable` probe never
+        #: counts.
         self.write_denials = 0
         #: Writes that *completed* against a page lacking WRITE — an
         #: independent audit re-check after every successful store;
@@ -232,13 +239,10 @@ class AddressSpace:
         if nbytes < 0:
             raise ValueError(f"cannot allocate a negative size ({nbytes})")
         nbytes = max(nbytes, 1)
-        address = self._next_address
-        npages = (nbytes + PAGE_SIZE - 1) // PAGE_SIZE
-        self._next_address += (npages + _GUARD_PAGES) * PAGE_SIZE
         buffer = Buffer(
             buffer_id=self._next_buffer_id,
             pid=self.pid,
-            address=address,
+            address=self._map_fresh(nbytes, permission),
             nbytes=nbytes,
             tag=tag,
             payload=payload,
@@ -246,9 +250,18 @@ class AddressSpace:
         )
         self._next_buffer_id += 1
         self._buffers[buffer.buffer_id] = buffer
+        if permission & Permission.WRITE:
+            self._unfrozen.setdefault(origin_state, {})[buffer.buffer_id] = buffer
+        return buffer
+
+    def _map_fresh(self, nbytes: int, permission: Permission) -> int:
+        """Map pages for ``nbytes`` at the top of the heap; their address."""
+        address = self._next_address
+        npages = (nbytes + PAGE_SIZE - 1) // PAGE_SIZE
+        self._next_address += (npages + _GUARD_PAGES) * PAGE_SIZE
         for page in pages_spanned(address, nbytes):
             self._page_permissions[page] = permission
-        return buffer
+        return address
 
     def alloc_object(
         self,
@@ -300,6 +313,7 @@ class AddressSpace:
         buffer.freed = True
         buffer.payload = None
         del self._buffers[buffer_id]
+        self._unfrozen.get(buffer.origin_state, {}).pop(buffer_id, None)
 
     # ------------------------------------------------------------------
     # Lookup
@@ -336,6 +350,11 @@ class AddressSpace:
     def buffers_in_state(self, origin_state: str) -> List[Buffer]:
         """Buffers defined during one framework state."""
         return [b for b in self._buffers.values() if b.origin_state == origin_state]
+
+    def unfrozen_in_state(self, origin_state: str) -> List[Buffer]:
+        """Buffers of one state no read-only :meth:`protect_buffer` has
+        reached, in allocation order: a superset of the writable ones."""
+        return list(self._unfrozen.get(origin_state, {}).values())
 
     @property
     def resident_bytes(self) -> int:
@@ -382,6 +401,8 @@ class AddressSpace:
                 )
         for page in spanned:
             self._page_permissions[page] = permission
+        if permission & Permission.WRITE:
+            self._reindex(spanned)
         self.mprotect_calls += 1
         if self.clock is not None:
             tracer = self.tracer
@@ -394,18 +415,39 @@ class AddressSpace:
             else:
                 self.clock.advance(self.clock.cost_model.mprotect_ns)
 
+    def _reindex(self, pages: range) -> None:
+        """Return every live buffer overlapping ``pages`` to the freeze
+        scan's index.  Rare: only an explicit mprotect regains WRITE."""
+        touched = set()
+        for buffer in self._buffers.values():
+            if (page_of(buffer.address) < pages.stop
+                    and page_of(buffer.end - 1) >= pages.start):
+                index = self._unfrozen.setdefault(buffer.origin_state, {})
+                index[buffer.buffer_id] = buffer
+                touched.add(buffer.origin_state)
+        for state in touched:  # back into allocation order
+            self._unfrozen[state] = dict(sorted(self._unfrozen[state].items()))
+
     def protect_buffer(self, buffer_id: int, permission: Permission) -> None:
         """mprotect an entire buffer's page range."""
         buffer = self.get_buffer(buffer_id)
         self.mprotect(buffer.address, buffer.nbytes, permission)
+        if not permission & Permission.WRITE:
+            self._unfrozen.get(buffer.origin_state, {}).pop(buffer_id, None)
 
     def is_writable(self, buffer_id: int) -> bool:
-        """Is every page of the buffer writable?"""
-        buffer = self.get_buffer(buffer_id)
-        try:
-            self.check(buffer.address, buffer.nbytes, Permission.WRITE)
-        except SegmentationFault:
+        """Is every page of the buffer writable?
+
+        A probe: it never faults and never counts as a denied write.  An
+        unmapped buffer has no writable pages.
+        """
+        buffer = self._buffers.get(buffer_id)
+        if buffer is None:
             return False
+        permissions = self._page_permissions
+        for page in pages_spanned(buffer.address, buffer.nbytes):
+            if not permissions.get(page, Permission.NONE) & Permission.WRITE:
+                return False
         return True
 
     # ------------------------------------------------------------------
@@ -421,20 +463,25 @@ class AddressSpace:
     def store(self, buffer_id: int, payload: Any) -> Buffer:
         """Replace a buffer's payload (checks WRITE permission).
 
-        The simulated size is updated to follow the payload; growth beyond
-        the currently mapped pages extends the mapping, modelling a
-        ``realloc`` performed by the owning process.
+        The simulated size is updated to follow the payload, modelling a
+        ``realloc`` performed by the owning process: shrinking unmaps the
+        tail pages, and growth beyond the buffer's own pages moves it to
+        a fresh read-write range (the pages past its end are a guard page
+        or another buffer's), unmapping the old one.
         """
         buffer = self.get_buffer(buffer_id)
         self.check(buffer.address, buffer.nbytes, Permission.WRITE)
         self._cow_downgrade(buffer)
         new_nbytes = max(payload_nbytes(payload), 1)
-        old_pages = set(pages_spanned(buffer.address, buffer.nbytes))
-        new_pages = set(pages_spanned(buffer.address, new_nbytes))
-        for page in new_pages - old_pages:
-            self._page_permissions[page] = Permission.READ | Permission.WRITE
-        for page in old_pages - new_pages:
-            self._page_permissions.pop(page, None)
+        old_pages = pages_spanned(buffer.address, buffer.nbytes)
+        new_pages = pages_spanned(buffer.address, new_nbytes)
+        if len(new_pages) > len(old_pages):
+            for page in old_pages:
+                del self._page_permissions[page]
+            buffer.address = self._map_fresh(new_nbytes, Permission.rw())
+        else:
+            for page in old_pages[len(new_pages):]:
+                del self._page_permissions[page]
         buffer.payload = payload
         buffer.nbytes = new_nbytes
         self._audit_write(buffer.address, buffer.nbytes)

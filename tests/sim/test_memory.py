@@ -58,6 +58,30 @@ def test_store_grows_mapping_for_larger_payload(space):
     space.check(buffer.address, buffer.nbytes, Permission.WRITE)
 
 
+def test_store_growth_never_unfreezes_a_neighbour(space):
+    a = space.alloc(8)
+    b = space.alloc(8)
+    space.protect_buffer(b.buffer_id, Permission.ro())
+    space.store(a.buffer_id, bytes(3 * PAGE_SIZE))
+    assert not space.is_writable(b.buffer_id)
+    with pytest.raises(SegmentationFault):
+        space.store(b.buffer_id, b"x")
+    # a moved to a fresh range; its old page is unmapped
+    assert a.end <= b.address or b.end <= a.address
+    space.check(a.address, a.nbytes, Permission.WRITE)
+
+
+def test_store_growth_never_overlaps_a_later_alloc(space):
+    a = space.alloc(8)
+    space.store(a.buffer_id, bytes(3 * PAGE_SIZE))
+    b = space.alloc(8)
+    assert a.end <= b.address
+    space.protect_buffer(b.buffer_id, Permission.ro())
+    assert space.is_writable(a.buffer_id)
+    space.store(a.buffer_id, bytes(3 * PAGE_SIZE))
+    assert not space.is_writable(b.buffer_id)
+
+
 def test_mprotect_read_only_blocks_store(space):
     buffer = space.alloc_object([1, 2, 3], tag="data")
     space.protect_buffer(buffer.buffer_id, Permission.ro())
@@ -143,6 +167,40 @@ def test_is_writable_reflects_protection(space):
     assert space.is_writable(buffer.buffer_id)
     space.protect_buffer(buffer.buffer_id, Permission.ro())
     assert not space.is_writable(buffer.buffer_id)
+
+
+def test_is_writable_probe_is_not_a_denied_write(space):
+    buffer = space.alloc(8)
+    space.protect_buffer(buffer.buffer_id, Permission.ro())
+    assert not space.is_writable(buffer.buffer_id)
+    assert space.write_denials == 0
+    with pytest.raises(SegmentationFault):
+        space.store(buffer.buffer_id, b"x")
+    assert space.write_denials == 1
+
+
+def test_is_writable_of_a_freed_buffer_is_false(space):
+    buffer = space.alloc(8)
+    space.free(buffer.buffer_id)
+    assert not space.is_writable(buffer.buffer_id)
+
+
+def test_unfrozen_in_state_tracks_protection(space):
+    a = space.alloc(8, origin_state="data_loading")
+    b = space.alloc(8, origin_state="data_loading")
+    c = space.alloc(8, origin_state="data_loading")
+    space.alloc(8, origin_state="storing")
+
+    def unfrozen():
+        return [x.buffer_id for x in space.unfrozen_in_state("data_loading")]
+
+    assert unfrozen() == [a.buffer_id, b.buffer_id, c.buffer_id]
+    space.protect_buffer(a.buffer_id, Permission.ro())
+    space.free(c.buffer_id)
+    assert unfrozen() == [b.buffer_id]
+    space.protect_buffer(a.buffer_id, Permission.rw())
+    assert unfrozen() == [a.buffer_id, b.buffer_id]  # allocation order
+    assert space.unfrozen_in_state("visualizing") == []
 
 
 def test_resident_bytes(space):
