@@ -10,6 +10,7 @@ these are *data processing* APIs (``W(MEM, R(MEM))`` only).
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple, Type
 
 import numpy as np
@@ -121,6 +122,9 @@ def _cross_entropy(logits: np.ndarray, target: Optional[np.ndarray] = None) -> f
     return float(-np.mean(np.log(np.clip(picked, 1e-12, None))))
 
 
+#: ``math.erf`` as an object ufunc: one C call per element, no Python frame.
+_erf_ufunc = np.frompyfunc(math.erf, 1, 1)
+
 #: name → (callable over arrays, arity) for elementwise/unary operators.
 UNARY_OPS: Dict[str, ArrayFn] = {
     "abs": np.abs,
@@ -141,14 +145,10 @@ UNARY_OPS: Dict[str, ArrayFn] = {
     "softplus": lambda x: np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0),
     "reciprocal": lambda x: 1.0 / (np.asarray(x, dtype=np.float64) + 1e-9),
     "clamp": lambda x: np.clip(x, 0.0, 1.0),
-    "erf": lambda x: np.vectorize(_erf_scalar)(np.asarray(x, dtype=np.float64)),
+    "erf": lambda x: np.asarray(
+        _erf_ufunc(np.asarray(x, dtype=np.float64)), dtype=np.float64
+    ),
 }
-
-
-def _erf_scalar(x: float) -> float:
-    import math
-
-    return math.erf(x)
 
 
 REDUCTION_OPS: Dict[str, ArrayFn] = {

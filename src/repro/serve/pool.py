@@ -76,14 +76,17 @@ class AgentPool:
     def lease(self, tenant_id: str) -> PoolMember:
         """Lease a free member (round-robin), repairing dead ones.
 
-        Raises :class:`AgentUnavailable` when every member is leased —
-        the admission controller sizes in-flight work so this is a bug,
-        not an expected backpressure path.
+        Raises :class:`AgentUnavailable` when no member can be leased:
+        each is either leased or dead with its restart budget spent.
+        Requests run one at a time, so in practice the members are out
+        of budget, and the server fails just the request that asked.
         """
+        leased = out_of_budget = 0
         for _ in range(self.size):
             member = self.members[self._next % self.size]
             self._next += 1
             if member.leased:
+                leased += 1
                 continue
             repaired = False
             if not member.agent.alive:
@@ -95,6 +98,7 @@ class AgentPool:
                     # Restart budget spent: this member is permanently
                     # down, but its pool siblings can still serve.
                     self.stats.budget_exhausted += 1
+                    out_of_budget += 1
                     continue
                 self.stats.restarts += 1
                 self.stats.crashes_repaired += 1
@@ -112,7 +116,7 @@ class AgentPool:
             return member
         raise AgentUnavailable(
             f"pool for partition {self.partition.label!r} has no free "
-            f"member ({self.size} leased)"
+            f"member ({leased} leased, {out_of_budget} out of restart budget)"
         )
 
     def restore(self, member: PoolMember) -> None:

@@ -30,6 +30,7 @@ from repro.core.gateway import ApiCall
 from repro.core.runtime import FreePart, FreePartConfig
 from repro.errors import (
     AdmissionRejected,
+    AgentUnavailable,
     BrownoutShed,
     FrameworkCrash,
     RequestTimeout,
@@ -334,9 +335,21 @@ class PipelineServer:
                 tenant.requests_degraded += 1
                 self.degraded_responses += 1
                 return shed
-            leased = self.pools.lease_set(
-                request.tenant_id, slot_hint=request.request_id
-            )
+            try:
+                leased = self.pools.lease_set(
+                    request.tenant_id, slot_hint=request.request_id
+                )
+            except AgentUnavailable as exc:
+                # A pool has no member left to lease (each is dead with
+                # its restart budget spent).  Nothing was dispatched, so
+                # the probe slots go back unused.
+                for label in breaker_labels:
+                    self.breakers[label].release_probe()
+                tenant.requests_failed += 1
+                return self._finish(
+                    request, self.kernel.clock.now_ns, retries,
+                    ok=False, error=f"{type(exc).__name__}: {exc}",
+                )
             agents = {index: member.agent for index, member in leased.items()}
             gateway = ServeGateway(
                 kernel=self.kernel,

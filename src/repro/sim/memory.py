@@ -17,8 +17,9 @@ through the same permission check.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import SegmentationFault
 from repro.sim.clock import VirtualClock
@@ -43,6 +44,12 @@ class Permission(enum.IntFlag):
     @classmethod
     def ro(cls) -> "Permission":
         return cls.READ
+
+
+#: The protection bits as plain ints.  The page table stores and tests
+#: ints, because ``IntFlag`` arithmetic costs ~30x an int operation.
+_WRITE = int(Permission.WRITE)
+_RW = int(Permission.rw())
 
 
 def page_of(address: int) -> int:
@@ -182,6 +189,113 @@ def _memoize_frozen_size(payload: Any, size: int) -> None:
         pass
 
 
+class PageTable:
+    """Page protections kept as *runs*: page ranges sharing one permission.
+
+    A run is ``[start, stop)`` with one set of protection bits, stored as
+    a plain int.  Runs are sorted, disjoint and non-empty, and a page in
+    no run is unmapped.  A page mapped with no bits is still mapped:
+    :meth:`first_unmapped` tells the two apart, while :meth:`get` and
+    :meth:`first_lacking` read both as granting nothing.  Each operation
+    bisects to the first run it touches, so it costs the runs a range
+    spans rather than its pages.  Guard pages keep two buffers' runs
+    apart, so a buffer's range is usually exactly one run.
+    """
+
+    __slots__ = ("_starts", "_stops", "_bits")
+
+    def __init__(self) -> None:
+        self._starts: List[int] = []
+        self._stops: List[int] = []
+        self._bits: List[int] = []
+
+    def runs(self) -> List[Tuple[int, int, int]]:
+        """Every run as ``(start, stop, bits)``, in page order."""
+        return list(zip(self._starts, self._stops, self._bits))
+
+    def get(self, page: int) -> int:
+        """The bits one page grants (0 when it is unmapped)."""
+        i = bisect_right(self._starts, page) - 1
+        if i >= 0 and page < self._stops[i]:
+            return self._bits[i]
+        return 0
+
+    def first_lacking(
+        self, pages: range, needed: int
+    ) -> Optional[Tuple[int, int]]:
+        """The first page in ``pages`` missing a bit of ``needed``, with
+        the bits it grants; None when every page grants them all.  An
+        unmapped page grants nothing."""
+        if not needed:
+            return None
+        page, stop = pages.start, pages.stop
+        starts, stops, bits = self._starts, self._stops, self._bits
+        count = len(starts)
+        i = bisect_right(starts, page) - 1
+        while page < stop:
+            # Past the first run, the next one must start right here.
+            if i < 0 or i >= count or starts[i] > page or stops[i] <= page:
+                return page, 0
+            granted = bits[i]
+            if needed & ~granted:
+                return page, granted
+            page = stops[i]
+            i += 1
+        return None
+
+    def first_unmapped(self, pages: range) -> Optional[int]:
+        """The first page in ``pages`` outside every run; None if none."""
+        page, stop = pages.start, pages.stop
+        starts, stops = self._starts, self._stops
+        count = len(starts)
+        i = bisect_right(starts, page) - 1
+        while page < stop:
+            if i < 0 or i >= count or starts[i] > page or stops[i] <= page:
+                return page
+            page = stops[i]
+            i += 1
+        return None
+
+    def set(self, pages: range, bits: int) -> None:
+        """Map ``pages`` with ``bits``, replacing what covered them."""
+        start, stop = pages.start, pages.stop
+        if start >= stop:
+            return
+        starts, stops = self._starts, self._stops
+        if not stops or start >= stops[-1]:  # the heap top: every alloc
+            starts.append(start)
+            stops.append(stop)
+            self._bits.append(bits)
+            return
+        i = bisect_right(starts, start) - 1
+        if i >= 0 and starts[i] == start and stops[i] == stop:
+            self._bits[i] = bits  # exactly one run: every protect_buffer
+            return
+        self._carve(start, stop, [(start, stop, bits)])
+
+    def clear(self, pages: range) -> None:
+        """Unmap ``pages``."""
+        if pages.start < pages.stop:
+            self._carve(pages.start, pages.stop, [])
+
+    def _carve(self, start: int, stop: int,
+               middle: List[Tuple[int, int, int]]) -> None:
+        """Replace the runs overlapping ``[start, stop)`` with ``middle``,
+        keeping the parts of the end runs that lie outside the range."""
+        starts, stops, bits = self._starts, self._stops, self._bits
+        lo = bisect_right(stops, start)  # first run ending past start
+        hi = bisect_left(starts, stop)  # first run starting at or past stop
+        runs = list(middle)
+        if lo < hi:
+            if starts[lo] < start:
+                runs.insert(0, (starts[lo], start, bits[lo]))
+            if stops[hi - 1] > stop:
+                runs.append((stop, stops[hi - 1], bits[hi - 1]))
+        starts[lo:hi] = [run[0] for run in runs]
+        stops[lo:hi] = [run[1] for run in runs]
+        bits[lo:hi] = [run[2] for run in runs]
+
+
 class AddressSpace:
     """The virtual memory of a single simulated process."""
 
@@ -208,7 +322,8 @@ class AddressSpace:
         #: has reached yet.  It holds every live buffer whose pages all
         #: grant WRITE, and may hold more (the scan's probe decides).
         self._unfrozen: Dict[str, Dict[int, Buffer]] = {}
-        self._page_permissions: Dict[int, Permission] = {}
+        #: Every mapped page's protection bits, kept as runs.
+        self._pages = PageTable()
         self.mprotect_calls = 0
         #: Copy-on-write downgrades performed on shared-segment buffers.
         self.cow_downgrades = 0
@@ -239,10 +354,11 @@ class AddressSpace:
         if nbytes < 0:
             raise ValueError(f"cannot allocate a negative size ({nbytes})")
         nbytes = max(nbytes, 1)
+        bits = int(permission)
         buffer = Buffer(
             buffer_id=self._next_buffer_id,
             pid=self.pid,
-            address=self._map_fresh(nbytes, permission),
+            address=self._map_fresh(nbytes, bits),
             nbytes=nbytes,
             tag=tag,
             payload=payload,
@@ -250,17 +366,16 @@ class AddressSpace:
         )
         self._next_buffer_id += 1
         self._buffers[buffer.buffer_id] = buffer
-        if permission & Permission.WRITE:
+        if bits & _WRITE:
             self._unfrozen.setdefault(origin_state, {})[buffer.buffer_id] = buffer
         return buffer
 
-    def _map_fresh(self, nbytes: int, permission: Permission) -> int:
+    def _map_fresh(self, nbytes: int, bits: int) -> int:
         """Map pages for ``nbytes`` at the top of the heap; their address."""
         address = self._next_address
         npages = (nbytes + PAGE_SIZE - 1) // PAGE_SIZE
         self._next_address += (npages + _GUARD_PAGES) * PAGE_SIZE
-        for page in pages_spanned(address, nbytes):
-            self._page_permissions[page] = permission
+        self._pages.set(pages_spanned(address, nbytes), bits)
         return address
 
     def alloc_object(
@@ -305,8 +420,7 @@ class AddressSpace:
     def free(self, buffer_id: int) -> None:
         """Unmap a buffer; later accesses through it fault."""
         buffer = self.get_buffer(buffer_id)
-        for page in pages_spanned(buffer.address, buffer.nbytes):
-            self._page_permissions.pop(page, None)
+        self._pages.clear(pages_spanned(buffer.address, buffer.nbytes))
         if buffer.segment is not None:
             buffer.segment.mappings -= 1
             buffer.segment = None
@@ -366,42 +480,44 @@ class AddressSpace:
 
     def permission_of(self, address: int) -> Permission:
         """Page protection bits at an address."""
-        return self._page_permissions.get(page_of(address), Permission.NONE)
+        return Permission(self._pages.get(page_of(address)))
 
     def check(self, address: int, nbytes: int, needed: Permission) -> None:
         """Fault unless every page in the range grants ``needed``."""
-        for page in pages_spanned(address, max(nbytes, 1)):
-            granted = self._page_permissions.get(page, Permission.NONE)
-            if needed & ~granted:
-                if needed & Permission.WRITE:
-                    self.write_denials += 1
-                raise SegmentationFault(
-                    self.pid,
-                    page * PAGE_SIZE,
-                    needed.name.lower() if needed.name else str(needed),
-                    f"page grants {granted!r}",
-                )
+        needed_bits = int(needed)
+        lacking = self._pages.first_lacking(
+            pages_spanned(address, max(nbytes, 1)), needed_bits
+        )
+        if lacking is None:
+            return
+        page, granted = lacking
+        if needed_bits & _WRITE:
+            self.write_denials += 1
+        raise SegmentationFault(
+            self.pid,
+            page * PAGE_SIZE,
+            needed.name.lower() if needed.name else str(needed),
+            f"page grants {Permission(granted)!r}",
+        )
 
     def _audit_write(self, address: int, nbytes: int) -> None:
         """Post-write audit: count any write that got past the check onto
         a non-writable page (must never happen; the chaos invariant)."""
-        for page in pages_spanned(address, max(nbytes, 1)):
-            granted = self._page_permissions.get(page, Permission.NONE)
-            if not granted & Permission.WRITE:
-                self.frozen_write_granted += 1
-                return
+        pages = pages_spanned(address, max(nbytes, 1))
+        if self._pages.first_lacking(pages, _WRITE) is not None:
+            self.frozen_write_granted += 1
 
     def mprotect(self, address: int, nbytes: int, permission: Permission) -> None:
         """Change page protections for a mapped range (must be mapped)."""
         spanned = pages_spanned(address, max(nbytes, 1))
-        for page in spanned:
-            if page not in self._page_permissions:
-                raise SegmentationFault(
-                    self.pid, page * PAGE_SIZE, "mprotect", "page is not mapped"
-                )
-        for page in spanned:
-            self._page_permissions[page] = permission
-        if permission & Permission.WRITE:
+        unmapped = self._pages.first_unmapped(spanned)
+        if unmapped is not None:
+            raise SegmentationFault(
+                self.pid, unmapped * PAGE_SIZE, "mprotect", "page is not mapped"
+            )
+        bits = int(permission)
+        self._pages.set(spanned, bits)
+        if bits & _WRITE:
             self._reindex(spanned)
         self.mprotect_calls += 1
         if self.clock is not None:
@@ -432,7 +548,7 @@ class AddressSpace:
         """mprotect an entire buffer's page range."""
         buffer = self.get_buffer(buffer_id)
         self.mprotect(buffer.address, buffer.nbytes, permission)
-        if not permission & Permission.WRITE:
+        if not int(permission) & _WRITE:
             self._unfrozen.get(buffer.origin_state, {}).pop(buffer_id, None)
 
     def is_writable(self, buffer_id: int) -> bool:
@@ -444,11 +560,8 @@ class AddressSpace:
         buffer = self._buffers.get(buffer_id)
         if buffer is None:
             return False
-        permissions = self._page_permissions
-        for page in pages_spanned(buffer.address, buffer.nbytes):
-            if not permissions.get(page, Permission.NONE) & Permission.WRITE:
-                return False
-        return True
+        pages = pages_spanned(buffer.address, buffer.nbytes)
+        return self._pages.first_lacking(pages, _WRITE) is None
 
     # ------------------------------------------------------------------
     # Data access
@@ -476,12 +589,10 @@ class AddressSpace:
         old_pages = pages_spanned(buffer.address, buffer.nbytes)
         new_pages = pages_spanned(buffer.address, new_nbytes)
         if len(new_pages) > len(old_pages):
-            for page in old_pages:
-                del self._page_permissions[page]
-            buffer.address = self._map_fresh(new_nbytes, Permission.rw())
+            self._pages.clear(old_pages)
+            buffer.address = self._map_fresh(new_nbytes, _RW)
         else:
-            for page in old_pages[len(new_pages):]:
-                del self._page_permissions[page]
+            self._pages.clear(old_pages[len(new_pages):])
         buffer.payload = payload
         buffer.nbytes = new_nbytes
         self._audit_write(buffer.address, buffer.nbytes)

@@ -1,12 +1,15 @@
 """Model-based test of the freeze scan over one simulated address space.
 
-Random programs of allocations, frees, protection changes, resizing
-stores and state freezes run against one :class:`AddressSpace`.  Page
-permissions are checked against a reference model kept per buffer, and
-every freeze must protect exactly what a full rescan would: the buffers
-of the state whose pages all grant WRITE, in allocation order.
+Random programs of allocations, zero-copy mappings of shared segments,
+frees, protection changes, resizing stores and state freezes run against
+one :class:`AddressSpace`.  Page permissions are checked against a
+reference model kept per buffer, and every freeze must protect exactly
+what a full rescan would: the buffers of the state whose pages all grant
+WRITE, in allocation order.  A store through a shared mapping pays the
+copy-on-write downgrade once, and only after the permission check.
 """
 
+import itertools
 from typing import Dict, List
 
 import pytest
@@ -22,7 +25,7 @@ from repro.core.apitypes import FrameworkState
 from repro.core.statemachine import TemporalStateMachine
 from repro.errors import SegmentationFault
 from repro.sim.clock import VirtualClock
-from repro.sim.memory import PAGE_SIZE, Permission
+from repro.sim.memory import PAGE_SIZE, Permission, SharedSegment
 from repro.sim.process import SimProcess
 
 STATES = list(FrameworkState)
@@ -45,9 +48,50 @@ class FreezeScanMachine(RuleBasedStateMachine):
         #: The reference model: each live buffer's page permissions,
         #: relative to its start.
         self.pages: Dict[int, List[Permission]] = {}
+        #: Live buffers still mapping a shared segment (no COW yet).
+        self.shared: Dict[int, SharedSegment] = {}
+        #: Every segment ever mapped, mapped or not.
+        self.segments: List[SharedSegment] = []
+        self._segment_ids = itertools.count(1)
 
     def _pick(self, data) -> int:
         return data.draw(st.sampled_from(sorted(self.pages)))
+
+    def _store(self, buffer_id: int, nbytes: int) -> None:
+        """Grow or shrink a buffer; a frozen page refuses the store."""
+        model = self.pages[buffer_id]
+        space = self.space
+        segment = self.shared.get(buffer_id)
+        mappings = segment.mappings if segment is not None else 0
+        denials = space.write_denials
+        cow = (space.cow_downgrades, space.cow_bytes)
+        old_nbytes = space.get_buffer(buffer_id).nbytes
+        if not all(p & Permission.WRITE for p in model):
+            with pytest.raises(SegmentationFault):
+                space.store(buffer_id, bytes(nbytes))
+            # The check faults before any copy-on-write work.
+            assert space.write_denials == denials + 1
+            assert (space.cow_downgrades, space.cow_bytes) == cow
+            if segment is not None:
+                assert segment.mappings == mappings
+                assert space.get_buffer(buffer_id).segment is segment
+            return
+        space.store(buffer_id, bytes(nbytes))
+        assert space.write_denials == denials
+        if segment is None:
+            assert (space.cow_downgrades, space.cow_bytes) == cow
+        else:
+            # The first write through a shared mapping copies it, once.
+            assert space.cow_downgrades == cow[0] + 1
+            assert space.cow_bytes == cow[1] + old_nbytes
+            assert segment.mappings == mappings - 1
+            assert space.get_buffer(buffer_id).segment is None
+            del self.shared[buffer_id]
+        npages = _npages(nbytes)
+        if npages > len(model):  # moved to a fresh read-write range
+            self.pages[buffer_id] = [Permission.rw()] * npages
+        else:
+            del model[npages:]
 
     # -- rules ---------------------------------------------------------
 
@@ -56,12 +100,34 @@ class FreezeScanMachine(RuleBasedStateMachine):
         buffer = self.space.alloc(nbytes, origin_state=state.value)
         self.pages[buffer.buffer_id] = [Permission.rw()] * _npages(nbytes)
 
+    @rule(data=st.data(), state=st.sampled_from(STATES), nbytes=SIZES)
+    def map_shared(self, data, state, nbytes):
+        """Map a new segment, or one already mapped here once more."""
+        if self.segments and data.draw(st.booleans()):
+            segment = data.draw(st.sampled_from(self.segments))
+        else:
+            segment = SharedSegment(next(self._segment_ids), max(nbytes, 1),
+                                    payload=bytes(nbytes))
+            self.segments.append(segment)
+        mappings = segment.mappings
+        buffer = self.space.map_shared(segment, origin_state=state.value)
+        assert segment.mappings == mappings + 1
+        assert buffer.segment is segment
+        assert buffer.payload is segment.payload
+        self.pages[buffer.buffer_id] = [Permission.rw()] * _npages(
+            segment.nbytes)
+        self.shared[buffer.buffer_id] = segment
+
     @precondition(lambda self: self.pages)
     @rule(data=st.data())
     def free(self, data):
         buffer_id = self._pick(data)
+        segment = self.shared.pop(buffer_id, None)
+        mappings = segment.mappings if segment is not None else 0
         self.space.free(buffer_id)
         del self.pages[buffer_id]
+        if segment is not None:
+            assert segment.mappings == mappings - 1
 
     @precondition(lambda self: self.pages)
     @rule(data=st.data(), writable=st.booleans())
@@ -92,22 +158,12 @@ class FreezeScanMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.pages)
     @rule(data=st.data(), nbytes=SIZES)
     def store(self, data, nbytes):
-        """Grow or shrink a buffer; a frozen page refuses the store."""
-        buffer_id = self._pick(data)
-        model = self.pages[buffer_id]
-        denials = self.space.write_denials
-        if not all(p & Permission.WRITE for p in model):
-            with pytest.raises(SegmentationFault):
-                self.space.store(buffer_id, bytes(nbytes))
-            assert self.space.write_denials == denials + 1
-            return
-        self.space.store(buffer_id, bytes(nbytes))
-        npages = _npages(nbytes)
-        if npages > len(model):  # moved to a fresh read-write range
-            self.pages[buffer_id] = [Permission.rw()] * npages
-        else:
-            del model[npages:]
-        assert self.space.write_denials == denials
+        self._store(self._pick(data), nbytes)
+
+    @precondition(lambda self: self.shared)
+    @rule(data=st.data(), nbytes=SIZES)
+    def store_shared(self, data, nbytes):
+        self._store(data.draw(st.sampled_from(sorted(self.shared))), nbytes)
 
     @rule(state=st.sampled_from(STATES))
     def freeze(self, state):
@@ -147,6 +203,14 @@ class FreezeScanMachine(RuleBasedStateMachine):
             assert self.space.permission_of(past_end) == Permission.NONE
             assert self.space.is_writable(buffer_id) == all(
                 p & Permission.WRITE for p in model)
+
+    @invariant()
+    def segments_count_their_mappings(self):
+        for segment in self.segments:
+            mapped = [b for b, s in self.shared.items() if s is segment]
+            assert segment.mappings == len(mapped)
+            for buffer_id in mapped:
+                assert self.space.get_buffer(buffer_id).segment is segment
 
     @invariant()
     def buffers_never_share_pages(self):

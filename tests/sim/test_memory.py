@@ -103,6 +103,41 @@ def test_mprotect_unmapped_page_faults(space):
         space.mprotect(0xDEAD_0000, 10, Permission.ro())
 
 
+def test_fault_names_the_first_offending_page_and_its_grant(space):
+    buffer = space.alloc(4 * PAGE_SIZE)
+    space.mprotect(buffer.address + 2 * PAGE_SIZE, 2 * PAGE_SIZE,
+                   Permission.ro())
+    with pytest.raises(SegmentationFault) as fault:
+        space.check(buffer.address, buffer.nbytes, Permission.WRITE)
+    assert fault.value.address == buffer.address + 2 * PAGE_SIZE
+    assert fault.value.access == "write"
+    assert fault.value.reason == "page grants <Permission.READ: 1>"
+    assert space.write_denials == 1
+    # One byte past the end reaches the unmapped guard page; a denied
+    # read is not a write denial.
+    with pytest.raises(SegmentationFault) as fault:
+        space.check(buffer.address, buffer.nbytes + 1, Permission.READ)
+    assert fault.value.address == buffer.address + 4 * PAGE_SIZE
+    assert fault.value.access == "read"
+    assert fault.value.reason == "page grants <Permission.NONE: 0>"
+    assert space.write_denials == 1
+
+
+def test_mprotect_onto_an_unmapped_page_changes_nothing(space):
+    buffer = space.alloc(2 * PAGE_SIZE)
+    with pytest.raises(SegmentationFault) as fault:
+        space.mprotect(buffer.address, 3 * PAGE_SIZE, Permission.ro())
+    assert fault.value.address == buffer.address + 2 * PAGE_SIZE
+    assert fault.value.access == "mprotect"
+    assert space.is_writable(buffer.buffer_id)
+    assert space.mprotect_calls == 0
+    # A page mapped with no permission is still mapped.
+    space.mprotect(buffer.address, PAGE_SIZE, Permission.NONE)
+    assert space.permission_of(buffer.address) == Permission.NONE
+    space.mprotect(buffer.address, PAGE_SIZE, Permission.rw())
+    assert space.is_writable(buffer.buffer_id)
+
+
 def test_mprotect_charges_clock(space):
     buffer = space.alloc(10)
     before = space.clock.now_ns
