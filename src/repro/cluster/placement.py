@@ -14,15 +14,15 @@ unless the caller explicitly opts into paying the wire.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Sequence, Tuple,
+)
 
 from repro.core.partitioner import PartitionPlan
 from repro.errors import PlacementError
 
-try:  # pragma: no cover - import cycle guard for type checkers only
+if TYPE_CHECKING:
     from repro.staticcheck.privileges import AgentPrivilege
-except ImportError:  # pragma: no cover
-    AgentPrivilege = None  # type: ignore[assignment, misc]
 
 
 @dataclass(frozen=True)

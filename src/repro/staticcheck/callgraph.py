@@ -1,10 +1,11 @@
-"""AST call-graph extraction for host programs (PyCG-style, stdlib ``ast``).
+"""AST call-graph extraction for host programs, and the one walker.
 
 The builder parses one module at a time and recovers, per function, the
 linear sequence of *events* the partition verifier replays: framework
-API call sites, host-variable operations, and dereferences.  Resolution
-follows values the way PyCG's assignment graph does, restricted to the
-patterns host pipelines actually use:
+API call sites, host-variable operations, shared-state stores and calls
+into module-local helpers.  Resolution follows values the way PyCG's
+assignment graph does (stdlib ``ast`` only), restricted to the patterns
+host pipelines actually use:
 
 * gateway values — parameters named like a gateway, results of
   ``FreePart().deploy(...)`` / ``NativeGateway(...)`` /
@@ -19,19 +20,36 @@ patterns host pipelines actually use:
   site (fixpoint over the module's call edges).
 
 Anything beyond that — dynamically computed API names, gateways stored
-in containers, cross-module helpers — is counted as *unresolved* rather
-than guessed at, mirroring how the paper's static phase hands
-indirect-call walks to the dynamic analysis.
+in containers, cross-module helpers — is skipped rather than guessed
+at, mirroring how the paper's static phase hands indirect-call walks to
+the dynamic analysis.
+
+Every function body is walked by one class, :class:`FunctionWalker`,
+in one of two roles.  Each expression evaluates to a pair: a
+:class:`ValueKind` *shape*, which the builder tracks, and a
+:class:`Taint`, which the flow pass
+(:mod:`~repro.staticcheck.dataflow`) tracks.  With no analysis attached
+the walker records the trace events above; with one attached it
+resolves sites, advances the framework state machine, evaluates
+module-local calls inline and reports the flow hits.
 """
 
 from __future__ import annotations
 
 import ast
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import (
+    TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set,
+    Tuple, Union,
+)
 
-from repro.core.apitypes import APIType
+from repro.core.apitypes import APIType, FrameworkState, api_type_of_state
+from repro.core.statemachine import next_state
+
+if TYPE_CHECKING:
+    from repro.staticcheck.dataflow import DataflowAnalysis
+    from repro.staticcheck.inference import ApiVerdict
 
 #: Parameter names treated as gateway values without any dataflow proof.
 GATEWAY_PARAM_NAMES = frozenset({"gateway", "gw"})
@@ -48,9 +66,24 @@ GATEWAY_PRODUCING_METHODS = frozenset({"deploy", "for_thread"})
 #: Parameter names that mark a function as tenant-scoped (serve handler).
 TENANT_PARAM_NAMES = frozenset({"tenant", "tenant_id"})
 
+#: Container-mutating methods: argument taints join into the base, and
+#: a reference stored into shared state is a shared store.
+_CONTAINER_METHODS = frozenset({"append", "add", "insert", "setdefault",
+                                "update"})
+
+_HOST_OPS = frozenset({"host_alloc", "host_write", "host_read"})
+
+#: Depth bound of module-local call inlining, shared by the flow pass's
+#: inline evaluation and the inferencer's trace splice.
+MAX_INLINE_DEPTH = 4
+
+#: Neutral/unknown sites run in the current state's agent, defaulting to
+#: processing — mirrors ``ResolvedCall.effective_type``.
+_DEFAULT_AGENT = APIType.PROCESSING
+
 
 class ValueKind(enum.Enum):
-    """Abstract value lattice tracked through assignments."""
+    """Abstract value lattice tracked through assignments (the shape)."""
 
     GATEWAY = "gateway"
     HANDLE = "handle"              # result of gateway.call(...)
@@ -60,15 +93,86 @@ class ValueKind(enum.Enum):
     OTHER = "other"
 
 
+#: Shapes a shared store records: an object reference or its copy.
+_STORED_KINDS = (ValueKind.HANDLE, ValueKind.MATERIALIZED)
+
+
+# ----------------------------------------------------------------------
+# The taint lattice
+# ----------------------------------------------------------------------
+
+
 @dataclass(frozen=True)
-class Value:
-    """One abstract value (kind + the call event that produced it)."""
+class Taint:
+    """One provenance value of the flow pass's finite join semilattice."""
 
-    kind: ValueKind
-    origin_line: int = 0
+    agents: FrozenSet[str] = frozenset()
+    tenant: bool = False
+    materialized: bool = False
+    #: The value may carry actual data bytes.  False for pure ObjectRefs
+    #: — monotone by construction: joining a ref into a data value can
+    #: only *keep* it escape-eligible, never hide it.
+    payload: bool = False
+
+    def join(self, other: "Taint") -> "Taint":
+        """Least upper bound (set union / boolean or)."""
+        if self == other:
+            return self
+        return Taint(
+            agents=self.agents | other.agents,
+            tenant=self.tenant or other.tenant,
+            materialized=self.materialized or other.materialized,
+            payload=self.payload or other.payload,
+        )
+
+    def leq(self, other: "Taint") -> bool:
+        """Lattice order: every component of self is below other's."""
+        return (
+            self.agents <= other.agents
+            and self.tenant <= other.tenant
+            and self.materialized <= other.materialized
+            and self.payload <= other.payload
+        )
+
+    @property
+    def is_bottom(self) -> bool:
+        """True for the untainted value (lattice bottom)."""
+        return not (
+            self.agents or self.tenant or self.materialized or self.payload
+        )
 
 
-OTHER = Value(ValueKind.OTHER)
+BOTTOM = Taint()
+
+#: What every expression evaluates to: (shape, taint).
+Pair = Tuple[ValueKind, Taint]
+_PLAIN: Pair = (ValueKind.OTHER, BOTTOM)
+
+
+def _derive(taints: Iterable[Taint]) -> Taint:
+    """Provenance of a value computed *from* the given inputs.
+
+    Derived values keep agent/tenant/materialized provenance and may
+    carry data bytes (a deref, a repr, an aggregate) even when an input
+    was a pure reference.
+    """
+    joined = BOTTOM
+    for taint in taints:
+        joined = joined.join(taint)
+    if not joined.is_bottom and not joined.payload:
+        joined = replace(joined, payload=True)
+    return joined
+
+
+@dataclass
+class WalkStats:
+    """Deterministic work counters of the flow pass (bench + report)."""
+
+    functions: int = 0
+    events: int = 0
+    joins: int = 0
+    inlined_calls: int = 0
+    depth_cutoffs: int = 0
 
 
 # ----------------------------------------------------------------------
@@ -84,7 +188,6 @@ class CallEvent:
     api: str
     line: int
     col: int
-    result_name: Optional[str] = None
     #: Names of argument variables holding materialized payloads at the
     #: moment of the call (the wrong-partition-deref evidence).
     materialized_args: Tuple[str, ...] = ()
@@ -101,16 +204,6 @@ class HostOpEvent:
 
     op: str  # "alloc" | "write" | "read"
     tag: str
-    line: int
-    col: int
-
-
-@dataclass
-class MaterializeEvent:
-    """An explicit host dereference ``gateway.materialize(x)``."""
-
-    source_name: Optional[str]
-    result_name: Optional[str]
     line: int
     col: int
 
@@ -139,9 +232,7 @@ class InlineCallEvent:
     col: int
 
 
-TraceEvent = Union[
-    CallEvent, HostOpEvent, MaterializeEvent, SharedStoreEvent, InlineCallEvent
-]
+TraceEvent = Union[CallEvent, HostOpEvent, SharedStoreEvent, InlineCallEvent]
 
 
 # ----------------------------------------------------------------------
@@ -174,7 +265,8 @@ class FunctionTrace:
     gateway_params: Set[str] = field(default_factory=set)
     tenant_scoped: bool = False
     events: List[TraceEvent] = field(default_factory=list)
-    unresolved_calls: int = 0
+    #: The walked body: the ``def`` node, or the module for ``<module>``.
+    node: Optional[ast.AST] = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -193,24 +285,19 @@ class ModuleSummary:
     #: Frameworks with at least one APISpec whose name the builder could
     #: not resolve to a literal (dead-api checks are unsound for them).
     dynamic_spec_frameworks: Set[str] = field(default_factory=set)
-    unresolved_calls: int = 0
     parse_error: Optional[str] = None
-    #: The parsed module (None on parse errors).  The dataflow pass
-    #: re-walks it with a taint environment; keeping the tree here saves
-    #: a second parse and guarantees both passes see identical source.
+    #: The parsed module (None on parse errors).  The flow pass re-walks
+    #: it; keeping the tree here saves a second parse and guarantees both
+    #: roles see identical source.
     tree: Optional[ast.Module] = None
-    #: Module-level string constants (name -> value), shared with the
-    #: dataflow pass for tag/framework alias resolution.
+    #: Module-level string constants (name -> value).
     constants: Dict[str, str] = field(default_factory=dict)
     #: Module-level assigned names (shared-state bases for escape checks).
     module_level_names: Set[str] = field(default_factory=set)
-
-    def all_events(self) -> List[TraceEvent]:
-        """Every event across every function (declaration order)."""
-        events: List[TraceEvent] = []
-        for trace in self.functions.values():
-            events.extend(trace.events)
-        return events
+    #: Bare name → (qualname, def node) of every walked function, in
+    #: definition order.  A module function takes a name from a method;
+    #: of two methods, the first keeps it.
+    definitions: Dict[str, Tuple[str, ast.AST]] = field(default_factory=dict)
 
 
 # ----------------------------------------------------------------------
@@ -273,6 +360,19 @@ def _attr_key(node: ast.AST) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
+
+
+def _parameter_slots(function: ast.AST) -> Tuple[List[str], Set[str]]:
+    """Where a call's arguments bind in a module-local ``def``.
+
+    Returns the parameters positional arguments fill, in order, and the
+    names a keyword argument may bind to.  Anything else (a spill into
+    ``*args``/``**kwargs``, an unknown keyword) binds no parameter.
+    """
+    arguments = function.args
+    positional = [a.arg for a in arguments.posonlyargs + arguments.args]
+    keywords = {a.arg for a in arguments.args + arguments.kwonlyargs}
+    return positional, keywords
 
 
 # ----------------------------------------------------------------------
@@ -395,71 +495,246 @@ def _collect_api_spec(
     )
 
 
+def _collect_definitions(tree: ast.Module, summary: ModuleSummary) -> None:
+    """Module-level assigned names and the function collection."""
+    for statement in tree.body:
+        if isinstance(statement, ast.Assign):
+            for target in statement.targets:
+                if isinstance(target, ast.Name):
+                    summary.module_level_names.add(target.id)
+        elif isinstance(statement, ast.AnnAssign):
+            if isinstance(statement.target, ast.Name):
+                summary.module_level_names.add(statement.target.id)
+        elif isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            summary.definitions[statement.name] = (statement.name, statement)
+        elif isinstance(statement, ast.ClassDef):
+            for member in statement.body:
+                if isinstance(member, (ast.FunctionDef,
+                                       ast.AsyncFunctionDef)):
+                    # Methods are analyzed but only reachable by name for
+                    # module-level functions; a method name clashing with
+                    # a function keeps the function.
+                    summary.definitions.setdefault(
+                        member.name,
+                        (f"{statement.name}.{member.name}", member),
+                    )
+
+
 # ----------------------------------------------------------------------
-# Function walker
+# The walker
 # ----------------------------------------------------------------------
 
 
-class _FunctionWalker:
-    """Linear, flow-ordered walk of one function body."""
+class _Machine:
+    """Framework state + frozen-tag tracking, shared across inlining."""
+
+    def __init__(self) -> None:
+        self.state: FrameworkState = FrameworkState.INITIALIZATION
+        self.tag_state: Dict[str, FrameworkState] = {}
+        self.frozen: Set[str] = set()
+
+    def snapshot(self) -> Tuple[FrameworkState, Dict[str, FrameworkState],
+                                Set[str]]:
+        return (self.state, dict(self.tag_state), set(self.frozen))
+
+    def restore(
+        self,
+        snap: Tuple[FrameworkState, Dict[str, FrameworkState], Set[str]],
+    ) -> None:
+        self.state = snap[0]
+        self.tag_state = dict(snap[1])
+        self.frozen = set(snap[2])
+
+    def advance(self, verdict: "ApiVerdict", annotated: Set[str]) -> None:
+        """Take a resolved site's transition; leaving a state freezes the
+        annotated tags defined during it."""
+        new = next_state(self.state, verdict.api_type, verdict.neutral)
+        if new is None:
+            return
+        for tag, alloc_state in self.tag_state.items():
+            if alloc_state is self.state and tag in annotated:
+                self.frozen.add(tag)
+        self.state = new
+
+
+#: Environment snapshot: (taints, shapes, strings, local names).
+_EnvSnap = Tuple[Dict[str, Taint], Dict[str, ValueKind], Dict[str, str],
+                 Set[str]]
+
+
+class FunctionWalker:
+    """Flow-ordered walk of one function (or module) body.
+
+    The role is keyed on whether an analysis is attached:
+
+    * builder (no analysis): record trace events on ``trace`` and walk
+      each loop body once;
+    * flow pass: resolve sites through the analysis's inferencer,
+      advance the framework state machine, report hits, evaluate
+      module-local calls inline and walk each loop body twice.
+
+    The builder also collects gateway edges ``(callee, positions,
+    keywords)`` in :attr:`edges` and applies them after the walk.
+    """
 
     def __init__(
         self,
-        builder: "CallGraphBuilder",
+        summary: ModuleSummary,
         trace: FunctionTrace,
-        node: ast.FunctionDef,
+        analysis: Optional["DataflowAnalysis"] = None,
+        machine: Optional[_Machine] = None,
+        depth: int = 0,
+        active: Optional[Set[str]] = None,
+        param_taints: Optional[Dict[str, Taint]] = None,
+        param_shapes: Optional[Dict[str, ValueKind]] = None,
+        param_strings: Optional[Dict[str, str]] = None,
+        tenant_ctx: bool = False,
     ) -> None:
-        self.builder = builder
+        self.summary = summary
         self.trace = trace
-        self.node = node
-        self.env: Dict[str, Value] = {}
+        self.analysis = analysis
+        self.stats = (
+            analysis.report.stats if analysis is not None else WalkStats()
+        )
+        self.machine = machine or _Machine()
+        self.depth = depth
+        self.active = active if active is not None else {trace.qualname}
+        self.tenant_ctx = tenant_ctx or trace.tenant_scoped
+        self.env: Dict[str, Taint] = dict(param_taints or {})
+        self.shapes: Dict[str, ValueKind] = dict.fromkeys(
+            trace.gateway_params, ValueKind.GATEWAY
+        )
+        self.shapes.update(param_shapes or {})
+        #: name → string value (local literal bindings; the alias table).
+        self.strings: Dict[str, str] = dict(param_strings or {})
         self.local_names: Set[str] = set(trace.params)
+        if isinstance(trace.node, ast.Module):
+            self.local_names.update(summary.module_level_names)
         self.global_names: Set[str] = set()
-        for param in trace.gateway_params:
-            self.env[param] = Value(ValueKind.GATEWAY)
+        self.returns: Taint = BOTTOM
+        self.edges: List[Tuple[str, List[int], List[str]]] = []
 
-    # -- statement dispatch -------------------------------------------
+    # -- environment plumbing ------------------------------------------
+
+    def _snapshot_env(self) -> _EnvSnap:
+        return (dict(self.env), dict(self.shapes), dict(self.strings),
+                set(self.local_names))
+
+    def _restore_env(self, snap: _EnvSnap) -> None:
+        self.env = dict(snap[0])
+        self.shapes = dict(snap[1])
+        self.strings = dict(snap[2])
+        self.local_names = set(snap[3])
+
+    def _join_env(self, other: _EnvSnap) -> None:
+        """Merge with the environment of another path.
+
+        Taints join (a value defined on one path only is kept: this is a
+        may-analysis).  A shape survives unless the two paths set
+        different ones; a string alias survives only when both agree.
+        """
+        taints, shapes, strings, locals_ = other
+        for name, taint in taints.items():
+            self.env[name] = self.env.get(name, BOTTOM).join(taint)
+        for key, shape in shapes.items():
+            mine = self.shapes.setdefault(key, shape)
+            if mine is not shape:
+                del self.shapes[key]
+        self.strings = {
+            key: value for key, value in self.strings.items()
+            if strings.get(key) == value
+        }
+        self.local_names |= locals_
+        self.stats.joins += 1
+
+    def _bind(
+        self,
+        name: str,
+        shape: ValueKind,
+        taint: Taint,
+        string: Optional[str] = None,
+    ) -> None:
+        self.local_names.add(name)
+        self.env[name] = taint
+        if shape is ValueKind.OTHER:
+            self.shapes.pop(name, None)
+        else:
+            self.shapes[name] = shape
+        if string is None:
+            self.strings.pop(name, None)
+        else:
+            self.strings[name] = string
+
+    def _lookup(self, node: ast.AST) -> Pair:
+        """Env lookup for names and pure attribute chains (no events)."""
+        key = node.id if isinstance(node, ast.Name) else _attr_key(node)
+        if key is None:
+            return _PLAIN
+        return (self.shapes.get(key, ValueKind.OTHER),
+                self.env.get(key, BOTTOM))
+
+    def _string_of(self, node: ast.AST) -> Optional[str]:
+        """A string literal, local alias, or module constant."""
+        if isinstance(node, ast.Name) and node.id in self.strings:
+            return self.strings[node.id]
+        return _constant_str(node, self.summary.constants)
+
+    def _is_shared_base(self, base: str) -> bool:
+        """Does ``base`` name state that outlives this function call?"""
+        if base.startswith("self."):
+            return True
+        root = base.split(".", 1)[0]
+        if root in self.global_names:
+            return True
+        return (
+            root not in self.local_names
+            and root in self.summary.module_level_names
+        )
+
+    # -- statements ----------------------------------------------------
 
     def walk(self) -> None:
         """Walk the body statements in source order."""
-        for statement in self.node.body:
+        for statement in self.trace.node.body:
             self._statement(statement)
 
     def _statement(self, statement: ast.stmt) -> None:
-        if isinstance(statement, ast.Global):
-            self.global_names.update(statement.names)
-        elif isinstance(statement, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            self._assignment(statement)
-        elif isinstance(statement, ast.Expr):
+        if isinstance(statement, ast.Expr):
             self._eval(statement.value)
+        elif isinstance(statement, (ast.Assign, ast.AnnAssign,
+                                    ast.AugAssign)):
+            self._assignment(statement)
         elif isinstance(statement, ast.Return):
             if statement.value is not None:
-                self._eval(statement.value)
-        elif isinstance(statement, (ast.If,)):
+                taint = self._eval(statement.value)[1]
+                self.returns = self.returns.join(taint)
+        elif isinstance(statement, ast.If):
             self._eval(statement.test)
+            before = self._snapshot_env()
             for child in statement.body:
                 self._statement(child)
+            after_body = self._snapshot_env()
+            self._restore_env(before)
             for child in statement.orelse:
                 self._statement(child)
+            self._join_env(after_body)
         elif isinstance(statement, (ast.For, ast.AsyncFor)):
-            self._eval(statement.iter)
-            for child in statement.body:
-                self._statement(child)
+            taint = self._eval(statement.iter)[1]
+            self._assign_target(statement.target, (ValueKind.OTHER, taint),
+                                None, statement)
+            self._loop_body(statement.body)
             for child in statement.orelse:
                 self._statement(child)
         elif isinstance(statement, ast.While):
             self._eval(statement.test)
-            for child in statement.body:
-                self._statement(child)
+            self._loop_body(statement.body)
             for child in statement.orelse:
                 self._statement(child)
         elif isinstance(statement, (ast.With, ast.AsyncWith)):
             for item in statement.items:
                 value = self._eval(item.context_expr)
-                if item.optional_vars is not None and isinstance(
-                    item.optional_vars, ast.Name
-                ):
-                    self._bind(item.optional_vars.id, value)
+                if isinstance(item.optional_vars, ast.Name):
+                    self._bind(item.optional_vars.id, *value)
             for child in statement.body:
                 self._statement(child)
         elif isinstance(statement, ast.Try):
@@ -472,353 +747,536 @@ class _FunctionWalker:
                 self._statement(child)
             for child in statement.finalbody:
                 self._statement(child)
-        # Nested defs/classes, imports, pass/break/continue: no events.
+        elif isinstance(statement, ast.Global):
+            self.global_names.update(statement.names)
+        # Nested defs/classes, imports, pass/break/continue: no flow.
+
+    def _loop_body(self, body: List[ast.stmt]) -> None:
+        """Walk a loop body: once to trace it, twice in the flow pass.
+
+        The flow pass walks it a second time so back-edge taints reach
+        the head.  The machine is restored to its pre-loop snapshot
+        before the second pass: transitions replay identically, so
+        per-event agents match pass one and duplicate hits collapse in
+        the dedup set — only genuinely new back-edge flows surface.
+        """
+        if self.analysis is None:
+            for child in body:
+                self._statement(child)
+            return
+        pre_env = self._snapshot_env()
+        machine_snap = self.machine.snapshot()
+        for child in body:
+            self._statement(child)
+        self.machine.restore(machine_snap)
+        for child in body:
+            self._statement(child)
+        self._join_env(pre_env)  # the loop may run zero times
 
     # -- assignments ---------------------------------------------------
 
     def _assignment(self, statement: ast.stmt) -> None:
-        if isinstance(statement, ast.Assign):
+        if isinstance(statement, ast.AugAssign):
             value = self._eval(statement.value)
-            for target in statement.targets:
-                self._assign_target(target, value, statement)
-        elif isinstance(statement, ast.AnnAssign):
-            if statement.value is None:
-                return
-            value = self._eval(statement.value)
-            self._assign_target(statement.target, value, statement)
-        elif isinstance(statement, ast.AugAssign):
-            value = self._eval(statement.value)
-            self._assign_target(statement.target, value, statement,
+            self._assign_target(statement.target, value, None, statement,
                                 augmented=True)
+            return
+        if statement.value is None:  # a bare annotation
+            return
+        value = self._eval(statement.value)
+        string = self._string_of(statement.value)
+        targets = (
+            statement.targets if isinstance(statement, ast.Assign)
+            else (statement.target,)
+        )
+        for target in targets:
+            self._assign_target(target, value, string, statement)
 
     def _assign_target(
         self,
         target: ast.AST,
-        value: Value,
-        statement: ast.stmt,
+        value: Pair,
+        string: Optional[str],
+        where: ast.AST,
         augmented: bool = False,
     ) -> None:
+        shape, taint = value
         if isinstance(target, ast.Name):
-            if target.id in self.global_names:
-                self._shared_store(target.id, value, statement)
-            elif (
+            name = target.id
+            if name in self.global_names or (
                 augmented
-                and target.id not in self.local_names
-                and target.id in self.builder.module_level_names
+                and name not in self.local_names
+                and name in self.summary.module_level_names
             ):
-                self._shared_store(target.id, value, statement)
-            else:
-                self._bind(target.id, value)
+                self._shared_store(name, shape, taint, where)
+            if augmented:
+                taint = self.env.get(name, BOTTOM).join(taint)
+                shape = ValueKind.OTHER
+            self._bind(name, shape, taint, string)
         elif isinstance(target, ast.Attribute):
             key = _attr_key(target)
             if key is not None:
-                self.env[key] = value
+                self.env[key] = taint
+                if shape is ValueKind.OTHER:
+                    self.shapes.pop(key, None)
+                else:
+                    self.shapes[key] = shape
                 if key.startswith("self."):
-                    self._shared_store(key, value, statement)
+                    self._shared_store(key, shape, taint, where)
         elif isinstance(target, ast.Subscript):
-            base = _attr_key(target.value) or (
-                target.value.id if isinstance(target.value, ast.Name) else None
-            )
-            if base is not None and self._is_shared_base(base):
-                self._shared_store(f"{base}[...]", value, statement)
+            self._eval(target.slice)
+            base = _attr_key(target.value)
+            if base is not None:
+                # Container write: element taint joins into the base.
+                self.env[base] = self.env.get(base, BOTTOM).join(taint)
+                if self._is_shared_base(base):
+                    self._shared_store(f"{base}[...]", shape, taint, where)
         elif isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
-                self._assign_target(element, OTHER, statement)
-
-    def _bind(self, name: str, value: Value) -> None:
-        self.local_names.add(name)
-        self.env[name] = value
-
-    def _is_shared_base(self, base: str) -> bool:
-        """Does ``base`` name state that outlives this function call?"""
-        if base.startswith("self."):
-            return True
-        root = base.split(".", 1)[0]
-        if root in self.global_names:
-            return True
-        return (
-            root not in self.local_names
-            and root in self.builder.module_level_names
-        )
+                self._assign_target(element, (ValueKind.OTHER, taint), None,
+                                    where)
 
     def _shared_store(
-        self, target: str, value: Value, statement: ast.stmt
+        self,
+        target: str,
+        shape: Optional[ValueKind],
+        taint: Taint,
+        where: ast.AST,
     ) -> None:
-        self.trace.events.append(SharedStoreEvent(
-            target=target,
-            value_kind=value.kind,
-            line=statement.lineno,
-            col=statement.col_offset,
-        ))
+        """A value parked in state that outlives the call.
 
-    # -- expression evaluation ----------------------------------------
+        The builder records the shape (None: nothing worth recording);
+        the flow pass reports tenant-derived payload data as an escape.
+        """
+        if self.analysis is None:
+            if shape is not None:
+                self.trace.events.append(SharedStoreEvent(
+                    target=target,
+                    value_kind=shape,
+                    line=where.lineno,
+                    col=where.col_offset,
+                ))
+        elif taint.tenant and taint.payload:
+            self.analysis.add_escape(
+                where, target, "shared", self.trace.qualname
+            )
 
-    def _lookup(self, node: ast.AST) -> Value:
+    # -- expressions ---------------------------------------------------
+
+    def _eval(self, node: ast.AST) -> Pair:
+        """Evaluate an expression, acting on the calls inside it."""
+        if isinstance(node, ast.Constant):
+            return _PLAIN
         if isinstance(node, ast.Name):
-            return self.env.get(node.id, OTHER)
-        key = _attr_key(node)
-        if key is not None:
-            return self.env.get(key, OTHER)
-        return OTHER
-
-    def _eval(self, node: ast.AST) -> Value:
-        """Evaluate an expression, emitting events for recognized calls."""
+            return (self.shapes.get(node.id, ValueKind.OTHER),
+                    self.env.get(node.id, BOTTOM))
         if isinstance(node, ast.Call):
             return self._eval_call(node)
         if isinstance(node, ast.Attribute):
-            receiver = self._lookup(node.value)
-            if receiver.kind is ValueKind.GATEWAY:
+            key = _attr_key(node)
+            if key is None:
+                # The attribute of a computed value derives from it.
+                return (ValueKind.OTHER, _derive([self._eval(node.value)[1]]))
+            receiver_shape, receiver_taint = self._lookup(node.value)
+            if receiver_shape is ValueKind.GATEWAY:
                 # Bound-method aliases: ``call = gateway.call``.
                 if node.attr == "call":
-                    return Value(ValueKind.CALL_METHOD, node.lineno)
+                    return (ValueKind.CALL_METHOD, BOTTOM)
                 if node.attr == "materialize":
-                    return Value(ValueKind.MATERIALIZE_METHOD, node.lineno)
-            return self._lookup(node)
-        if isinstance(node, ast.Name):
-            return self._lookup(node)
+                    return (ValueKind.MATERIALIZE_METHOD, BOTTOM)
+            if key in self.env or key in self.shapes:
+                return (self.shapes.get(key, ValueKind.OTHER),
+                        self.env.get(key, BOTTOM))
+            # x.attr of a tainted x keeps x's provenance.
+            return (ValueKind.OTHER, _derive([receiver_taint]))
         if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            joined = BOTTOM
             for element in node.elts:
-                self._eval(element)
-            return OTHER
+                joined = joined.join(self._eval(element)[1])
+            return (ValueKind.OTHER, joined)
         if isinstance(node, ast.Dict):
+            joined = BOTTOM
             for key in node.keys:
                 if key is not None:
                     self._eval(key)
             for value in node.values:
-                self._eval(value)
-            return OTHER
+                joined = joined.join(self._eval(value)[1])
+            return (ValueKind.OTHER, joined)
         if isinstance(node, ast.BinOp):
-            self._eval(node.left)
-            self._eval(node.right)
-            return OTHER
+            left = self._eval(node.left)[1]
+            right = self._eval(node.right)[1]
+            return (ValueKind.OTHER, _derive([left, right]))
         if isinstance(node, ast.BoolOp):
+            joined = BOTTOM
             for value in node.values:
-                self._eval(value)
-            return OTHER
+                joined = joined.join(self._eval(value)[1])
+            return (ValueKind.OTHER, joined)
         if isinstance(node, ast.Compare):
             self._eval(node.left)
             for comparator in node.comparators:
                 self._eval(comparator)
-            return OTHER
+            return _PLAIN  # a boolean verdict, not the data
         if isinstance(node, ast.UnaryOp):
-            self._eval(node.operand)
-            return OTHER
+            return (ValueKind.OTHER, self._eval(node.operand)[1])
         if isinstance(node, ast.IfExp):
             self._eval(node.test)
-            first = self._eval(node.body)
-            second = self._eval(node.orelse)
-            return first if first.kind is second.kind else OTHER
+            first_shape, first = self._eval(node.body)
+            second_shape, second = self._eval(node.orelse)
+            if first_shape is not second_shape:
+                first_shape = ValueKind.OTHER
+            return (first_shape, first.join(second))
         if isinstance(node, ast.JoinedStr):
+            joined = BOTTOM
             for value in node.values:
                 if isinstance(value, ast.FormattedValue):
-                    self._eval(value.value)
-            return OTHER
-        if isinstance(node, ast.Starred):
+                    joined = joined.join(self._eval(value.value)[1])
+            return (ValueKind.OTHER, _derive([joined]))
+        if isinstance(node, (ast.Starred, ast.Await)):
             return self._eval(node.value)
         if isinstance(node, ast.Subscript):
-            self._eval(node.value)
-            return OTHER
-        if isinstance(node, ast.Await):
-            return self._eval(node.value)
-        return OTHER
+            base = self._eval(node.value)[1]
+            self._eval(node.slice)
+            # An element keeps its container's taint.
+            return (ValueKind.OTHER, base)
+        if isinstance(node, ast.NamedExpr):
+            value = self._eval(node.value)
+            self._bind(node.target.id, *value, self._string_of(node.value))
+            return value
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp,
+                             ast.DictComp)):
+            for generator in node.generators:
+                taint = self._eval(generator.iter)[1]
+                self._assign_target(generator.target,
+                                    (ValueKind.OTHER, taint), None, node)
+                for condition in generator.ifs:
+                    self._eval(condition)
+            if isinstance(node, ast.DictComp):
+                self._eval(node.key)
+                return (ValueKind.OTHER, self._eval(node.value)[1])
+            return (ValueKind.OTHER, self._eval(node.elt)[1])
+        return _PLAIN
 
-    # -- call classification -------------------------------------------
+    # -- calls ---------------------------------------------------------
 
-    def _eval_call(self, node: ast.Call) -> Value:
-        func = node.func
-
-        # Method calls on tracked values: gateway.call / materialize /
-        # host_* / for_thread / deploy, and shared-container mutation.
-        if isinstance(func, ast.Attribute):
-            receiver = self._lookup(func.value)
-            method = func.attr
-
-            if receiver.kind is ValueKind.GATEWAY:
-                handled = self._gateway_method(node, method)
-                if handled is not None:
-                    return handled
-            if method in GATEWAY_PRODUCING_METHODS:
-                self._eval_args(node)
-                return Value(ValueKind.GATEWAY, node.lineno)
-            if method in ("append", "add", "insert", "setdefault", "update"):
-                base = _attr_key(func.value) or (
-                    func.value.id if isinstance(func.value, ast.Name) else None
-                )
-                argument_kinds = [self._eval(arg) for arg in node.args]
-                for keyword in node.keywords:
-                    argument_kinds.append(self._eval(keyword.value))
-                if base is not None and self._is_shared_base(base):
-                    stored = next(
-                        (v for v in argument_kinds
-                         if v.kind in (ValueKind.HANDLE,
-                                       ValueKind.MATERIALIZED)),
-                        None,
-                    )
-                    if stored is not None:
-                        self.trace.events.append(SharedStoreEvent(
-                            target=f"{base}.{method}()",
-                            value_kind=stored.kind,
-                            line=node.lineno,
-                            col=node.col_offset,
-                        ))
-                return OTHER
-            self._eval_args(node)
-            return OTHER
-
-        # Bare-name calls.
-        if isinstance(func, ast.Name):
-            callee = func.id
-            bound = self.env.get(callee)
-            if bound is not None and bound.kind is ValueKind.CALL_METHOD:
-                return self._framework_call(node)
-            if bound is not None and bound.kind is ValueKind.MATERIALIZE_METHOD:
-                return self._materialize_call(node)
-            if callee in GATEWAY_FACTORIES:
-                self._eval_args(node)
-                return Value(ValueKind.GATEWAY, node.lineno)
-            if callee == "CallSite":
-                self._declared_site(node)
-                return OTHER
-            local_function = self.builder.function_nodes.get(callee)
-            if local_function is not None:
-                return self._local_call(node, callee)
-        self._eval_args(node)
-        return OTHER
-
-    def _eval_args(self, node: ast.Call) -> List[Value]:
+    def _eval_args(self, node: ast.Call) -> List[Pair]:
         values = [self._eval(arg) for arg in node.args]
         values.extend(self._eval(keyword.value) for keyword in node.keywords)
         return values
 
-    def _gateway_method(self, node: ast.Call, method: str) -> Optional[Value]:
-        """Events for a method call on a gateway value (None = not ours)."""
-        if method == "call":
-            return self._framework_call(node)
-        if method == "materialize":
-            return self._materialize_call(node)
-        if method in ("host_alloc", "host_write", "host_read"):
-            tag = (
-                _constant_str(node.args[0], self.builder.constants)
-                if node.args else None
-            )
-            self._eval_args(node)
-            if tag is not None:
-                self.trace.events.append(HostOpEvent(
-                    op=method[len("host_"):],
-                    tag=tag,
+    def _eval_call(self, node: ast.Call) -> Pair:
+        func = node.func
+
+        # Method calls: gateway.call / materialize / host_* / for_thread /
+        # deploy, container mutation, and anything else.
+        if isinstance(func, ast.Attribute):
+            method = func.attr
+            if self._lookup(func.value)[0] is ValueKind.GATEWAY:
+                if method == "call":
+                    return self._gateway_call(node)
+                if method == "materialize":
+                    return self._materialize_call(node)
+                if method in _HOST_OPS:
+                    return self._host_op(node, method[len("host_"):])
+            if method in GATEWAY_PRODUCING_METHODS:
+                self._eval_args(node)
+                return (ValueKind.GATEWAY, BOTTOM)
+            if method in _CONTAINER_METHODS:
+                return self._container_call(node, func.value, method)
+            # Unknown method: the result derives from receiver + args.
+            taints = [self._eval(func.value)[1]]
+            taints.extend(taint for _, taint in self._eval_args(node))
+            return (ValueKind.OTHER, _derive(taints))
+
+        # Bare-name calls.
+        if isinstance(func, ast.Name):
+            callee = func.id
+            shape = self.shapes.get(callee)
+            if shape is ValueKind.CALL_METHOD:
+                return self._gateway_call(node)
+            if shape is ValueKind.MATERIALIZE_METHOD:
+                return self._materialize_call(node)
+            if callee in GATEWAY_FACTORIES:
+                self._eval_args(node)
+                return (ValueKind.GATEWAY, BOTTOM)
+            if callee == "CallSite":
+                return self._declared_site(node)
+            if callee in self.summary.definitions:
+                return self._local_call(node, callee)
+        else:
+            # Computed callee (subscript, lambda result, ...).
+            self._eval(func)
+        return (ValueKind.OTHER,
+                _derive(taint for _, taint in self._eval_args(node)))
+
+    def _container_call(
+        self, node: ast.Call, receiver: ast.AST, method: str
+    ) -> Pair:
+        """``base.append(x)`` and kin: x's taint joins into the base."""
+        values = self._eval_args(node)
+        joined = BOTTOM
+        for _, taint in values:
+            joined = joined.join(taint)
+        base = _attr_key(receiver)
+        if base is not None:
+            self.env[base] = self.env.get(base, BOTTOM).join(joined)
+            if self._is_shared_base(base):
+                stored = next(
+                    (shape for shape, _ in values if shape in _STORED_KINDS),
+                    None,
+                )
+                self._shared_store(f"{base}.{method}()", stored, joined, node)
+        return _PLAIN
+
+    def _gateway_call(self, node: ast.Call) -> Pair:
+        """A ``gateway.call(framework, api, *args)`` site."""
+        args = node.args
+        payload = [
+            (arg.id if isinstance(arg, ast.Name) else "<expression>",
+             self._eval(arg))
+            for arg in args[2:]
+        ]
+        payload.extend(
+            (keyword.arg or "<expression>", self._eval(keyword.value))
+            for keyword in node.keywords
+        )
+        if self.analysis is None:
+            # Trace events name a site through literals and module
+            # constants only; local aliases are the flow pass's.
+            constants = self.summary.constants
+            framework = _constant_str(args[0], constants) if args else None
+            api = _constant_str(args[1], constants) if len(args) > 1 else None
+            if framework is not None and api is not None:
+                self.trace.events.append(CallEvent(
+                    framework=framework,
+                    api=api,
                     line=node.lineno,
                     col=node.col_offset,
+                    materialized_args=tuple(
+                        name for name, (shape, _) in payload
+                        if shape is ValueKind.MATERIALIZED
+                    ),
                 ))
-            return OTHER
-        return None
+            return (ValueKind.HANDLE, BOTTOM)
 
-    def _framework_call(self, node: ast.Call) -> Value:
-        """A ``gateway.call(framework, api, *args)`` site."""
-        if len(node.args) < 2:
-            self._unresolved()
-            return Value(ValueKind.HANDLE, node.lineno)
-        framework = _constant_str(node.args[0], self.builder.constants)
-        api = _constant_str(node.args[1], self.builder.constants)
-        payload_args = node.args[2:]
-        materialized: List[str] = []
-        for arg in payload_args:
-            value = self._eval(arg)
-            if value.kind is ValueKind.MATERIALIZED:
-                materialized.append(
-                    arg.id if isinstance(arg, ast.Name) else "<expression>"
+        self.stats.events += 1
+        framework = self._string_of(args[0]) if args else None
+        api = self._string_of(args[1]) if len(args) > 1 else None
+        verdict = (
+            self.analysis.verdict(framework, api, node)
+            if framework is not None and api is not None else None
+        )
+        if verdict is None:
+            return (ValueKind.HANDLE, Taint(tenant=self.tenant_ctx))
+
+        # The agent this site executes in (ResolvedCall.effective_type).
+        if verdict.neutral or not verdict.api_type.is_concrete:
+            effective = (
+                api_type_of_state(self.machine.state) or _DEFAULT_AGENT
+            )
+        else:
+            effective = verdict.api_type
+        agent = effective.value
+
+        for name, (_, taint) in payload:
+            foreign = taint.agents - {agent}
+            if taint.materialized and foreign:
+                self.analysis.add_leak(
+                    node, name, tuple(sorted(foreign)), agent,
+                    verdict.qualname, self.trace.qualname,
                 )
-        for keyword in node.keywords:
-            value = self._eval(keyword.value)
-            if value.kind is ValueKind.MATERIALIZED:
-                materialized.append(keyword.arg or "<expression>")
-        if framework is None or api is None:
-            self._unresolved()
-            return Value(ValueKind.HANDLE, node.lineno)
-        event = CallEvent(
-            framework=framework,
-            api=api,
-            line=node.lineno,
-            col=node.col_offset,
-            materialized_args=tuple(materialized),
+
+        self.machine.advance(verdict, self.summary.annotated_tags)
+        # The result is an ObjectRef: provenance without payload bytes.
+        return (
+            ValueKind.HANDLE,
+            Taint(agents=frozenset({agent}), tenant=self.tenant_ctx),
         )
-        self.trace.events.append(event)
-        return Value(ValueKind.HANDLE, node.lineno)
 
-    def _unresolved(self) -> None:
-        """Count a call site whose framework/API names are not literal."""
-        self.trace.unresolved_calls += 1
-        self.builder.summary.unresolved_calls += 1
-
-    def _materialize_call(self, node: ast.Call) -> Value:
-        source = (
-            node.args[0].id
-            if node.args and isinstance(node.args[0], ast.Name) else None
+    def _materialize_call(self, node: ast.Call) -> Pair:
+        """``gateway.materialize(ref)``: a host-side copy of agent data."""
+        self.stats.events += 1
+        source = BOTTOM
+        for _, taint in self._eval_args(node):
+            source = source.join(taint)
+        return (
+            ValueKind.MATERIALIZED,
+            Taint(
+                agents=source.agents,
+                tenant=source.tenant or self.tenant_ctx,
+                materialized=True,
+                payload=True,
+            ),
         )
-        self._eval_args(node)
-        self.trace.events.append(MaterializeEvent(
-            source_name=source,
-            result_name=None,
-            line=node.lineno,
-            col=node.col_offset,
-        ))
-        return Value(ValueKind.MATERIALIZED, node.lineno)
 
-    def _declared_site(self, node: ast.Call) -> None:
+    def _host_op(self, node: ast.Call, op: str) -> Pair:
+        """``gateway.host_alloc/write/read(tag, ...)``."""
+        values = self._eval_args(node)
+        first = node.args[0] if node.args else None
+        # What the per-site pass sees (literal / module constant) vs what
+        # the alias table can additionally resolve.
+        literal_tag = (
+            _constant_str(first, self.summary.constants)
+            if first is not None else None
+        )
+        if self.analysis is None:
+            if literal_tag is not None:
+                self.trace.events.append(HostOpEvent(
+                    op=op, tag=literal_tag,
+                    line=node.lineno, col=node.col_offset,
+                ))
+            return _PLAIN
+
+        self.stats.events += 1
+        tag = literal_tag
+        if tag is None and first is not None:
+            tag = self._string_of(first)
+        if op in ("alloc", "write"):
+            # Host buffers outlive the request and are host-visible:
+            # tenant-derived payloads escaping into one is a sink.
+            for _, taint in values[1 if first is not None else 0:]:
+                if taint.tenant and taint.payload:
+                    self.analysis.add_escape(
+                        node, f"host buffer '{tag or '<dynamic>'}'", "host",
+                        self.trace.qualname,
+                    )
+
+        machine = self.machine
+        if tag is not None:
+            if op == "alloc":
+                machine.tag_state[tag] = machine.state
+                machine.frozen.discard(tag)
+            elif op == "write":
+                if tag in machine.frozen and literal_tag is None:
+                    self.analysis.add_alias_write(
+                        node,
+                        first.id if isinstance(first, ast.Name)
+                        else "<expression>",
+                        tag,
+                        machine.tag_state.get(
+                            tag, FrameworkState.INITIALIZATION
+                        ),
+                        machine.state,
+                        self.trace.qualname,
+                    )
+                machine.tag_state.setdefault(tag, machine.state)
+        return _PLAIN
+
+    def _declared_site(self, node: ast.Call) -> Pair:
         """A ``CallSite(framework, api, ...)`` data record."""
-        fields: Dict[str, ast.AST] = {}
-        positional = ("framework", "api", "argspec", "api_type")
-        for position, arg in enumerate(node.args[: len(positional)]):
-            fields[positional[position]] = arg
-        for keyword in node.keywords:
-            if keyword.arg:
-                fields[keyword.arg] = keyword.value
-        framework = (
-            _constant_str(fields["framework"], self.builder.constants)
-            if "framework" in fields else None
-        )
-        api = (
-            _constant_str(fields["api"], self.builder.constants)
-            if "api" in fields else None
-        )
-        if framework is None or api is None:
-            self.trace.unresolved_calls += 1
-            self.builder.summary.unresolved_calls += 1
-            return
-        declared_type = (
-            _api_type_literal(fields["api_type"])
-            if "api_type" in fields else None
-        )
-        self.trace.events.append(CallEvent(
-            framework=framework,
-            api=api,
-            line=node.lineno,
-            col=node.col_offset,
-            declared_only=True,
-            declared_type=declared_type,
-        ))
+        if self.analysis is None:
+            fields: Dict[str, ast.AST] = {}
+            positional = ("framework", "api", "argspec", "api_type")
+            for position, arg in enumerate(node.args[: len(positional)]):
+                fields[positional[position]] = arg
+            for keyword in node.keywords:
+                if keyword.arg:
+                    fields[keyword.arg] = keyword.value
+            constants = self.summary.constants
+            framework = (
+                _constant_str(fields["framework"], constants)
+                if "framework" in fields else None
+            )
+            api = (
+                _constant_str(fields["api"], constants)
+                if "api" in fields else None
+            )
+            if framework is not None and api is not None:
+                self.trace.events.append(CallEvent(
+                    framework=framework,
+                    api=api,
+                    line=node.lineno,
+                    col=node.col_offset,
+                    declared_only=True,
+                    declared_type=(
+                        _api_type_literal(fields["api_type"])
+                        if "api_type" in fields else None
+                    ),
+                ))
+        self._eval_args(node)
+        return _PLAIN
 
-    def _local_call(self, node: ast.Call, callee: str) -> Value:
+    def _local_call(self, node: ast.Call, callee: str) -> Pair:
         """A call to another function defined in this module."""
-        argument_values = self._eval_args(node)
-        gateway_positions = [
-            position for position, value in enumerate(argument_values[: len(node.args)])
-            if value.kind is ValueKind.GATEWAY
-        ]
-        gateway_keywords = [
-            keyword.arg
-            for keyword, value in zip(
-                node.keywords, argument_values[len(node.args):]
-            )
-            if keyword.arg and value.kind is ValueKind.GATEWAY
-        ]
-        if gateway_positions or gateway_keywords:
-            self.builder.record_gateway_edge(
-                callee, gateway_positions, gateway_keywords
-            )
-            self.trace.events.append(InlineCallEvent(
-                callee=callee, line=node.lineno, col=node.col_offset,
-            ))
-        return OTHER
+        values = self._eval_args(node)
+        if self.analysis is None:
+            count = len(node.args)
+            positions = [
+                position for position, (shape, _) in enumerate(values[:count])
+                if shape is ValueKind.GATEWAY
+            ]
+            keywords = [
+                keyword.arg
+                for keyword, (shape, _) in zip(node.keywords, values[count:])
+                if keyword.arg and shape is ValueKind.GATEWAY
+            ]
+            if positions or keywords:
+                self.edges.append((callee, positions, keywords))
+                self.trace.events.append(InlineCallEvent(
+                    callee=callee, line=node.lineno, col=node.col_offset,
+                ))
+            return _PLAIN
+        return self._inline_call(node, callee, values)
+
+    def _inline_call(
+        self, node: ast.Call, callee: str, values: List[Pair]
+    ) -> Pair:
+        """Evaluate a module-local call inline on the caller's machine.
+
+        Only calls that carry flow (a gateway or a tainted argument) are
+        followed, depth-bounded and recursion-guarded.
+        """
+        joined = _derive(taint for _, taint in values)
+        qualname, function = self.summary.definitions[callee]
+        callee_trace = self.summary.functions.get(qualname)
+        carries_flow = not joined.is_bottom or any(
+            shape is ValueKind.GATEWAY for shape, _ in values
+        )
+        if (
+            callee_trace is None
+            or qualname in self.active
+            or not carries_flow
+        ):
+            return (ValueKind.OTHER, joined)
+        if self.depth >= MAX_INLINE_DEPTH:
+            self.stats.depth_cutoffs += 1
+            return (ValueKind.OTHER, joined)
+
+        positional, keyword_names = _parameter_slots(function)
+        count = len(node.args)
+        bindings = list(zip(positional, node.args, values))
+        bindings.extend(
+            (keyword.arg, keyword.value, value)
+            for keyword, value in zip(node.keywords, values[count:])
+            if keyword.arg in keyword_names
+        )
+        param_taints: Dict[str, Taint] = {}
+        param_shapes: Dict[str, ValueKind] = {}
+        param_strings: Dict[str, str] = {}
+        for name, argument, (shape, taint) in bindings:
+            param_taints[name] = taint
+            if shape is not ValueKind.OTHER:
+                param_shapes[name] = shape
+            string = self._string_of(argument)
+            if string is not None:
+                param_strings[name] = string
+
+        self.active.add(qualname)
+        walker = FunctionWalker(
+            self.summary,
+            callee_trace,
+            self.analysis,
+            machine=self.machine,
+            depth=self.depth + 1,
+            active=self.active,
+            param_taints=param_taints,
+            param_shapes=param_shapes,
+            param_strings=param_strings,
+            tenant_ctx=self.tenant_ctx,
+        )
+        walker.walk()
+        self.active.discard(qualname)
+        self.stats.inlined_calls += 1
+        return (ValueKind.OTHER, joined.join(walker.returns))
 
 
 # ----------------------------------------------------------------------
@@ -836,14 +1294,8 @@ class CallGraphBuilder:
         self.path = path
         self.source = source
         self.summary = ModuleSummary(path=path)
-        self._tree: Optional[ast.Module] = None
-        self.constants: Dict[str, str] = {}
-        self.module_level_names: Set[str] = set()
-        self.function_nodes: Dict[str, ast.FunctionDef] = {}
-        self._function_qualnames: Dict[str, str] = {}
         #: name → parameter names proven to receive gateway values.
         self._propagated: Dict[str, Set[str]] = {}
-        self._edges_changed = False
 
     @classmethod
     def from_file(cls, path: str) -> "CallGraphBuilder":
@@ -856,114 +1308,98 @@ class CallGraphBuilder:
         callee: str,
         positions: Sequence[int],
         keywords: Sequence[str],
-    ) -> None:
-        """A caller passes gateway values into a module-local function."""
-        node = self.function_nodes.get(callee)
-        if node is None:
-            return
-        parameter_names = [argument.arg for argument in node.args.args]
+    ) -> bool:
+        """A caller passes gateway values into a module-local function.
+
+        Returns True when this marks a parameter not marked before.
+        """
+        definition = self.summary.definitions.get(callee)
+        if definition is None:
+            return False
+        positional, keyword_names = _parameter_slots(definition[1])
         marked = self._propagated.setdefault(callee, set())
         before = len(marked)
         for position in positions:
-            if position < len(parameter_names):
-                marked.add(parameter_names[position])
-        for keyword in keywords:
-            if keyword in parameter_names:
-                marked.add(keyword)
-        if len(marked) != before:
-            self._edges_changed = True
+            if position < len(positional):
+                marked.add(positional[position])
+        marked.update(
+            keyword for keyword in keywords if keyword in keyword_names
+        )
+        return len(marked) != before
+
+    def _walk(self, trace: FunctionTrace) -> bool:
+        """Walk one trace; True when its gateway edges marked new params."""
+        walker = FunctionWalker(self.summary, trace)
+        walker.walk()
+        changed = False
+        for edge in walker.edges:
+            changed = self.record_gateway_edge(*edge) or changed
+        return changed
 
     def build(self) -> ModuleSummary:
         """Parse, prepass, and analyze every function to a fixpoint."""
+        summary = self.summary
         try:
             tree = ast.parse(self.source, filename=self.path)
         except SyntaxError as exc:
-            self.summary.parse_error = f"{exc.msg} (line {exc.lineno})"
-            return self.summary
-        self._tree = tree
-        self.summary.tree = tree
-        self.constants = _module_prepass(tree, self.summary)
-        self.summary.constants = self.constants
+            summary.parse_error = f"{exc.msg} (line {exc.lineno})"
+            return summary
+        summary.tree = tree
+        summary.constants = _module_prepass(tree, summary)
+        _collect_definitions(tree, summary)
 
-        for statement in tree.body:
-            if isinstance(statement, ast.Assign):
-                for target in statement.targets:
-                    if isinstance(target, ast.Name):
-                        self.module_level_names.add(target.id)
-            elif isinstance(statement, ast.AnnAssign):
-                if isinstance(statement.target, ast.Name):
-                    self.module_level_names.add(statement.target.id)
-        self.summary.module_level_names = self.module_level_names
-
-        self._collect_functions(tree)
+        module_trace = FunctionTrace(
+            qualname="<module>", line=1, params=(), node=tree
+        )
+        self._walk(module_trace)
+        if module_trace.events:
+            summary.functions["<module>"] = module_trace
+        # A builder walk reads no other function's trace, so a function
+        # is walked again only when its gateway parameters grew.  Each
+        # trace is built right before its walk: an edge found earlier in
+        # a pass reaches later functions in the same pass.
         for _ in range(self.MAX_PASSES):
-            self._edges_changed = False
-            self.summary.unresolved_calls = 0
-            self._analyze_all()
-            if not self._edges_changed:
+            changed = False
+            for name, (qualname, node) in summary.definitions.items():
+                trace = self._new_trace(
+                    qualname, node, self._propagated.get(name, set())
+                )
+                previous = summary.functions.get(qualname)
+                if (
+                    previous is not None
+                    and previous.gateway_params == trace.gateway_params
+                ):
+                    continue
+                changed = self._walk(trace) or changed
+                summary.functions[qualname] = trace
+            if not changed:
                 break
-        return self.summary
+        return summary
 
-    def _collect_functions(self, tree: ast.Module) -> None:
-        for statement in tree.body:
-            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self.function_nodes[statement.name] = statement
-                self._function_qualnames[statement.name] = statement.name
-            elif isinstance(statement, ast.ClassDef):
-                for member in statement.body:
-                    if isinstance(member, (ast.FunctionDef,
-                                           ast.AsyncFunctionDef)):
-                        qualname = f"{statement.name}.{member.name}"
-                        # Methods are analyzed but only reachable by
-                        # name for module-level functions; a method name
-                        # clashing with a function keeps the function.
-                        self.function_nodes.setdefault(member.name, member)
-                        self._function_qualnames.setdefault(
-                            member.name, qualname
-                        )
-
-    def _analyze_all(self) -> None:
-        self.summary.functions.clear()
-        module_trace = FunctionTrace(qualname="<module>", line=1, params=())
-        module_walker = _FunctionWalker(self, module_trace, self._tree)
-        module_walker.local_names.update(self.module_level_names)
-        module_walker.walk()
-        if module_trace.events or module_trace.unresolved_calls:
-            self.summary.functions["<module>"] = module_trace
-        for name, node in self.function_nodes.items():
-            qualname = self._function_qualnames.get(name, name)
-            trace = self._analyze_function(name, qualname, node)
-            self.summary.functions[qualname] = trace
-
-    def _analyze_function(
-        self, name: str, qualname: str, node: ast.FunctionDef
+    @staticmethod
+    def _new_trace(
+        qualname: str, node: ast.AST, propagated: Set[str]
     ) -> FunctionTrace:
-        parameter_names = tuple(
-            argument.arg
-            for argument in (
-                node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        arguments = node.args
+        params = tuple(
+            argument.arg for argument in (
+                arguments.posonlyargs + arguments.args + arguments.kwonlyargs
             )
         )
-        gateway_params = {
-            parameter for parameter in parameter_names
-            if parameter in GATEWAY_PARAM_NAMES
-            or parameter.endswith("_gateway")
-        }
-        gateway_params.update(self._propagated.get(name, set()))
-        trace = FunctionTrace(
+        return FunctionTrace(
             qualname=qualname,
             line=node.lineno,
-            params=parameter_names,
-            gateway_params=gateway_params,
+            params=params,
+            gateway_params={
+                param for param in params
+                if param in GATEWAY_PARAM_NAMES or param.endswith("_gateway")
+            } | propagated,
             tenant_scoped=any(
-                parameter in TENANT_PARAM_NAMES
-                or parameter.startswith("tenant")
-                for parameter in parameter_names
+                param in TENANT_PARAM_NAMES or param.startswith("tenant")
+                for param in params
             ),
+            node=node,
         )
-        walker = _FunctionWalker(self, trace, node)
-        walker.walk()
-        return trace
 
 
 def build_module(path: str) -> ModuleSummary:

@@ -5,7 +5,9 @@ machine over one function's call sequence; they cannot see a *value*
 that is produced in one partition and consumed in another, nor a frozen
 tag reached through a local alias.  This pass re-walks the module AST
 (the tree cached on :class:`~repro.staticcheck.callgraph.ModuleSummary`)
-with a taint environment and answers exactly those questions.
+with :class:`~repro.staticcheck.callgraph.FunctionWalker`, the walker
+the builder uses, attached to a :class:`DataflowAnalysis`, and answers
+exactly those questions.
 
 Every expression gets a :class:`Taint` drawn from a finite join
 semilattice:
@@ -30,89 +32,36 @@ Three hit families come out of the walk, one per new rule:
   *local* string alias resolves to a frozen tag the per-site
   ``frozen-write`` rule cannot see (``frozen-alias-write``).
 
-Propagation is a may-analysis: branches join pointwise, loop bodies are
-walked twice so back-edge flows reach the loop head, and module-local
-calls that receive gateway values or tainted arguments are evaluated
-inline (depth-bounded, recursion-guarded) sharing the caller's machine
-state — mirroring the inferencer's trace splicing.  Call sites resolve
-through the same :class:`~repro.staticcheck.inference.PartitionInferencer`
-the per-site rules use, so both passes agree on what every API *is*.
+Propagation is a may-analysis: branches join, loop bodies are walked
+twice so back-edge flows reach the loop head, and module-local calls
+that receive gateway values or tainted arguments are evaluated inline
+(depth-bounded, recursion-guarded) sharing the caller's machine state.
+Call sites resolve through the same
+:class:`~repro.staticcheck.inference.PartitionInferencer` the per-site
+rules use, so both passes agree on what every API *is*.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.apitypes import APIType, FrameworkState, api_type_of_state
-from repro.core.statemachine import next_state
+from repro.core.apitypes import FrameworkState
 from repro.staticcheck.callgraph import (
-    GATEWAY_FACTORIES,
-    GATEWAY_PRODUCING_METHODS,
+    BOTTOM,
     CallEvent,
-    FunctionTrace,
+    FunctionWalker,
     ModuleSummary,
-    _attr_key,
-    _constant_str,
+    Taint,
+    WalkStats,
 )
 from repro.staticcheck.inference import ApiVerdict, PartitionInferencer
 
-#: Neutral/unknown sites run in the current state's agent, defaulting to
-#: processing — mirrors ``ResolvedCall.effective_type``.
-_DEFAULT_AGENT = APIType.PROCESSING
-
-#: Container-mutating methods whose argument taints join into the base.
-_CONTAINER_METHODS = frozenset({"append", "add", "insert", "setdefault",
-                                "update"})
-
-
-# ----------------------------------------------------------------------
-# The lattice
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Taint:
-    """One provenance value of the finite join semilattice."""
-
-    agents: FrozenSet[str] = frozenset()
-    tenant: bool = False
-    materialized: bool = False
-    #: The value may carry actual data bytes.  False for pure ObjectRefs
-    #: — monotone by construction: joining a ref into a data value can
-    #: only *keep* it escape-eligible, never hide it.
-    payload: bool = False
-
-    def join(self, other: "Taint") -> "Taint":
-        """Least upper bound (set union / boolean or)."""
-        if self == other:
-            return self
-        return Taint(
-            agents=self.agents | other.agents,
-            tenant=self.tenant or other.tenant,
-            materialized=self.materialized or other.materialized,
-            payload=self.payload or other.payload,
-        )
-
-    def leq(self, other: "Taint") -> bool:
-        """Lattice order: every component of self is below other's."""
-        return (
-            self.agents <= other.agents
-            and self.tenant <= other.tenant
-            and self.materialized <= other.materialized
-            and self.payload <= other.payload
-        )
-
-    @property
-    def is_bottom(self) -> bool:
-        """True for the untainted value (lattice bottom)."""
-        return not (
-            self.agents or self.tenant or self.materialized or self.payload
-        )
-
-
-BOTTOM = Taint()
+__all__ = [
+    "BOTTOM", "AliasWriteHit", "DataflowAnalysis", "DataflowReport",
+    "EscapeHit", "LeakHit", "Taint", "analyze_module",
+]
 
 
 # ----------------------------------------------------------------------
@@ -158,17 +107,6 @@ class AliasWriteHit:
 
 
 @dataclass
-class DataflowStats:
-    """Deterministic work counters (bench + report metadata)."""
-
-    functions: int = 0
-    events: int = 0
-    joins: int = 0
-    inlined_calls: int = 0
-    depth_cutoffs: int = 0
-
-
-@dataclass
 class DataflowReport:
     """Everything the flow pass learned about one module."""
 
@@ -177,33 +115,7 @@ class DataflowReport:
     alias_writes: List[AliasWriteHit] = field(default_factory=list)
     #: Per-function join of returned taints (monotonicity test surface).
     returns: Dict[str, Taint] = field(default_factory=dict)
-    stats: DataflowStats = field(default_factory=DataflowStats)
-
-
-# ----------------------------------------------------------------------
-# Machine state (mirror of the inferencer's replay context)
-# ----------------------------------------------------------------------
-
-
-class _Machine:
-    """Framework state + frozen-tag tracking shared across inlining."""
-
-    def __init__(self) -> None:
-        self.state: FrameworkState = FrameworkState.INITIALIZATION
-        self.tag_state: Dict[str, FrameworkState] = {}
-        self.frozen: Set[str] = set()
-
-    def snapshot(self) -> Tuple[FrameworkState, Dict[str, FrameworkState],
-                                Set[str]]:
-        return (self.state, dict(self.tag_state), set(self.frozen))
-
-    def restore(
-        self,
-        snap: Tuple[FrameworkState, Dict[str, FrameworkState], Set[str]],
-    ) -> None:
-        self.state = snap[0]
-        self.tag_state = dict(snap[1])
-        self.frozen = set(snap[2])
+    stats: WalkStats = field(default_factory=WalkStats)
 
 
 # ----------------------------------------------------------------------
@@ -212,10 +124,7 @@ class _Machine:
 
 
 class DataflowAnalysis:
-    """Run the taint walk over every function of one module summary."""
-
-    #: Inline-evaluation depth bound (matches the inferencer's splice).
-    MAX_DEPTH = 4
+    """Run the flow-pass walk over every function of one module summary."""
 
     def __init__(
         self,
@@ -228,59 +137,17 @@ class DataflowAnalysis:
         #: qualname → {param name → injected taint} (property-test hook).
         self.param_taints = param_taints or {}
         self.report = DataflowReport()
-        self.function_nodes: Dict[str, ast.FunctionDef] = {}
-        self._qualnames: Dict[str, str] = {}
-        self._nodes_by_qualname: Dict[str, ast.AST] = {}
         self._hit_keys: Set[Tuple] = set()
-        if summary.tree is not None:
-            self._collect(summary.tree)
-
-    def _collect(self, tree: ast.Module) -> None:
-        """Mirror the builder's function-node collection (name clashes
-        resolve the same way so both passes analyze the same bodies)."""
-        for statement in tree.body:
-            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self.function_nodes[statement.name] = statement
-                self._qualnames[statement.name] = statement.name
-            elif isinstance(statement, ast.ClassDef):
-                for member in statement.body:
-                    if isinstance(member, (ast.FunctionDef,
-                                           ast.AsyncFunctionDef)):
-                        self.function_nodes.setdefault(member.name, member)
-                        self._qualnames.setdefault(
-                            member.name,
-                            f"{statement.name}.{member.name}",
-                        )
-        for name, node in self.function_nodes.items():
-            self._nodes_by_qualname[self._qualnames[name]] = node
-
-    def qualname_of(self, bare_name: str) -> Optional[str]:
-        return self._qualnames.get(bare_name)
 
     def run(self) -> DataflowReport:
         """Walk every summarized function with a fresh machine."""
         if self.summary.tree is None:
             return self.report
         for qualname, trace in self.summary.functions.items():
-            node: Optional[ast.AST]
-            if qualname == "<module>":
-                node = self.summary.tree
-            else:
-                node = self._nodes_by_qualname.get(qualname)
-            if node is None:
-                continue
-            walker = _TaintWalker(
-                analysis=self,
-                trace=trace,
-                node=node,
-                machine=_Machine(),
-                depth=0,
-                active={qualname},
+            walker = FunctionWalker(
+                self.summary, trace, self,
                 param_taints=self.param_taints.get(qualname),
-                tenant_ctx=trace.tenant_scoped,
             )
-            if qualname == "<module>":
-                walker.local_names.update(self.summary.module_level_names)
             walker.walk()
             self.report.returns[qualname] = walker.returns
             self.report.stats.functions += 1
@@ -289,26 +156,63 @@ class DataflowAnalysis:
         self.report.alias_writes.sort(key=lambda h: (h.line, h.col, h.tag))
         return self.report
 
+    def verdict(
+        self, framework: str, api: str, node: ast.AST
+    ) -> Optional[ApiVerdict]:
+        """The inferencer's verdict on one site (None: not typed)."""
+        verdict = self.inferencer.resolve_event(CallEvent(
+            framework=framework, api=api,
+            line=node.lineno, col=node.col_offset,
+        ))
+        return verdict if isinstance(verdict, ApiVerdict) else None
+
     # -- hit recording (dedup across loop passes and inline frames) ----
 
-    def add_leak(self, hit: LeakHit) -> None:
-        key = ("leak", hit.line, hit.col, hit.value, hit.produced_in,
-               hit.consumed_in, hit.api)
-        if key not in self._hit_keys:
-            self._hit_keys.add(key)
-            self.report.leaks.append(hit)
+    def _first(self, key: Tuple) -> bool:
+        if key in self._hit_keys:
+            return False
+        self._hit_keys.add(key)
+        return True
 
-    def add_escape(self, hit: EscapeHit) -> None:
-        key = ("escape", hit.line, hit.col, hit.target, hit.sink)
-        if key not in self._hit_keys:
-            self._hit_keys.add(key)
-            self.report.escapes.append(hit)
+    def add_leak(
+        self,
+        node: ast.AST,
+        value: str,
+        produced_in: Tuple[str, ...],
+        consumed_in: str,
+        api: str,
+        function: str,
+    ) -> None:
+        line, col = node.lineno, node.col_offset
+        if self._first(("leak", line, col, value, produced_in,
+                        consumed_in, api)):
+            self.report.leaks.append(LeakHit(
+                line, col, value, produced_in, consumed_in, api, function,
+            ))
 
-    def add_alias_write(self, hit: AliasWriteHit) -> None:
-        key = ("alias", hit.line, hit.col, hit.alias, hit.tag)
-        if key not in self._hit_keys:
-            self._hit_keys.add(key)
-            self.report.alias_writes.append(hit)
+    def add_escape(
+        self, node: ast.AST, target: str, sink: str, function: str
+    ) -> None:
+        line, col = node.lineno, node.col_offset
+        if self._first(("escape", line, col, target, sink)):
+            self.report.escapes.append(EscapeHit(
+                line, col, target, sink, function,
+            ))
+
+    def add_alias_write(
+        self,
+        node: ast.AST,
+        alias: str,
+        tag: str,
+        alloc_state: FrameworkState,
+        write_state: FrameworkState,
+        function: str,
+    ) -> None:
+        line, col = node.lineno, node.col_offset
+        if self._first(("alias", line, col, alias, tag)):
+            self.report.alias_writes.append(AliasWriteHit(
+                line, col, alias, tag, alloc_state, write_state, function,
+            ))
 
 
 def analyze_module(
@@ -318,727 +222,3 @@ def analyze_module(
 ) -> DataflowReport:
     """Convenience: run the flow pass over one built module summary."""
     return DataflowAnalysis(summary, inferencer, param_taints).run()
-
-
-# ----------------------------------------------------------------------
-# The walker
-# ----------------------------------------------------------------------
-
-#: Environment snapshot: (taints, shapes, strings, local names).
-_EnvSnap = Tuple[Dict[str, Taint], Dict[str, str], Dict[str, str], Set[str]]
-
-
-class _TaintWalker:
-    """Flow-ordered taint walk of one function (or module) body."""
-
-    def __init__(
-        self,
-        analysis: DataflowAnalysis,
-        trace: FunctionTrace,
-        node: ast.AST,
-        machine: _Machine,
-        depth: int,
-        active: Set[str],
-        param_taints: Optional[Dict[str, Taint]] = None,
-        param_shapes: Optional[Dict[str, str]] = None,
-        param_strings: Optional[Dict[str, str]] = None,
-        tenant_ctx: bool = False,
-    ) -> None:
-        self.analysis = analysis
-        self.summary = analysis.summary
-        self.trace = trace
-        self.node = node
-        self.machine = machine
-        self.depth = depth
-        self.active = active
-        self.tenant_ctx = tenant_ctx
-        self.env: Dict[str, Taint] = {}
-        #: name/attr-key → "gateway" | "call_method" | "materialize_method".
-        self.shapes: Dict[str, str] = {}
-        #: name → string value (local literal bindings; the alias table).
-        self.strings: Dict[str, str] = {}
-        self.local_names: Set[str] = set(trace.params)
-        self.global_names: Set[str] = set()
-        self.returns: Taint = BOTTOM
-        for param in trace.gateway_params:
-            self.shapes[param] = "gateway"
-        if param_shapes:
-            self.shapes.update(param_shapes)
-        if param_taints:
-            for name, taint in param_taints.items():
-                self.env[name] = self.env.get(name, BOTTOM).join(taint)
-        if param_strings:
-            self.strings.update(param_strings)
-
-    # -- environment plumbing ------------------------------------------
-
-    def _snapshot_env(self) -> _EnvSnap:
-        return (dict(self.env), dict(self.shapes), dict(self.strings),
-                set(self.local_names))
-
-    def _restore_env(self, snap: _EnvSnap) -> None:
-        self.env = dict(snap[0])
-        self.shapes = dict(snap[1])
-        self.strings = dict(snap[2])
-        self.local_names = set(snap[3])
-
-    def _join_env(self, other: _EnvSnap) -> None:
-        """Pointwise join with a saved environment (branch merge)."""
-        taints, shapes, strings, locals_ = other
-        for name, taint in taints.items():
-            self.env[name] = self.env.get(name, BOTTOM).join(taint)
-        for name in list(self.env):
-            if name not in taints:
-                pass  # value defined on one path only: keep (may-analysis)
-        # Shapes/strings survive a merge only when both paths agree.
-        self.shapes = {
-            key: value for key, value in self.shapes.items()
-            if shapes.get(key) == value
-        }
-        self.strings = {
-            key: value for key, value in self.strings.items()
-            if strings.get(key) == value
-        }
-        self.local_names |= locals_
-        self.analysis.report.stats.joins += 1
-
-    def _bind(
-        self,
-        name: str,
-        taint: Taint,
-        shape: Optional[str] = None,
-        string: Optional[str] = None,
-    ) -> None:
-        self.local_names.add(name)
-        self.env[name] = taint
-        if shape is not None:
-            self.shapes[name] = shape
-        else:
-            self.shapes.pop(name, None)
-        if string is not None:
-            self.strings[name] = string
-        else:
-            self.strings.pop(name, None)
-
-    def _lookup(self, node: ast.AST) -> Tuple[Taint, Optional[str]]:
-        """Env lookup for names and pure attribute chains (no events)."""
-        if isinstance(node, ast.Name):
-            return (self.env.get(node.id, BOTTOM),
-                    self.shapes.get(node.id))
-        key = _attr_key(node)
-        if key is not None:
-            return (self.env.get(key, BOTTOM), self.shapes.get(key))
-        return (BOTTOM, None)
-
-    def _string_of(self, node: ast.AST) -> Optional[str]:
-        """A string literal, local alias, or module constant."""
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            return node.value
-        if isinstance(node, ast.Name):
-            if node.id in self.strings:
-                return self.strings[node.id]
-            return self.summary.constants.get(node.id)
-        return None
-
-    def _is_shared_base(self, base: str) -> bool:
-        """Mirror of the builder's shared-state test."""
-        if base.startswith("self."):
-            return True
-        root = base.split(".", 1)[0]
-        if root in self.global_names:
-            return True
-        return (
-            root not in self.local_names
-            and root in self.summary.module_level_names
-        )
-
-    @staticmethod
-    def _derive(taints: List[Taint]) -> Taint:
-        """Provenance of a value computed *from* the given inputs.
-
-        Derived values keep agent/tenant/materialized provenance and
-        may carry data bytes (a deref, a repr, an aggregate) even when
-        an input was a pure reference.
-        """
-        joined = BOTTOM
-        for taint in taints:
-            joined = joined.join(taint)
-        if not joined.is_bottom and not joined.payload:
-            joined = replace(joined, payload=True)
-        return joined
-
-    # -- statements ----------------------------------------------------
-
-    def walk(self) -> None:
-        for statement in self.node.body:
-            self._statement(statement)
-
-    def _statement(self, statement: ast.stmt) -> None:
-        if isinstance(statement, ast.Global):
-            self.global_names.update(statement.names)
-        elif isinstance(statement, (ast.Assign, ast.AnnAssign,
-                                    ast.AugAssign)):
-            self._assignment(statement)
-        elif isinstance(statement, ast.Expr):
-            self._eval(statement.value)
-        elif isinstance(statement, ast.Return):
-            if statement.value is not None:
-                taint, _ = self._eval(statement.value)
-                self.returns = self.returns.join(taint)
-        elif isinstance(statement, ast.If):
-            self._eval(statement.test)
-            before = self._snapshot_env()
-            for child in statement.body:
-                self._statement(child)
-            after_body = self._snapshot_env()
-            self._restore_env(before)
-            for child in statement.orelse:
-                self._statement(child)
-            self._join_env(after_body)
-        elif isinstance(statement, (ast.For, ast.AsyncFor)):
-            iter_taint, _ = self._eval(statement.iter)
-            self._assign_target(
-                statement.target, (iter_taint, None), None, statement
-            )
-            self._loop_body(statement.body)
-            for child in statement.orelse:
-                self._statement(child)
-        elif isinstance(statement, ast.While):
-            self._eval(statement.test)
-            self._loop_body(statement.body)
-            for child in statement.orelse:
-                self._statement(child)
-        elif isinstance(statement, (ast.With, ast.AsyncWith)):
-            for item in statement.items:
-                value = self._eval(item.context_expr)
-                if item.optional_vars is not None and isinstance(
-                    item.optional_vars, ast.Name
-                ):
-                    self._bind(item.optional_vars.id, value[0], value[1])
-            for child in statement.body:
-                self._statement(child)
-        elif isinstance(statement, ast.Try):
-            for child in statement.body:
-                self._statement(child)
-            for handler in statement.handlers:
-                for child in handler.body:
-                    self._statement(child)
-            for child in statement.orelse:
-                self._statement(child)
-            for child in statement.finalbody:
-                self._statement(child)
-        # Nested defs/classes, imports, pass/break/continue: no flow.
-
-    def _loop_body(self, body: List[ast.stmt]) -> None:
-        """Walk a loop body twice so back-edge taints reach the head.
-
-        The machine is restored to its pre-loop snapshot before the
-        second pass: transitions replay identically, so per-event agents
-        match pass one and duplicate hits collapse in the dedup set —
-        only genuinely new back-edge flows surface.
-        """
-        pre_env = self._snapshot_env()
-        machine_snap = self.machine.snapshot()
-        for child in body:
-            self._statement(child)
-        self.machine.restore(machine_snap)
-        for child in body:
-            self._statement(child)
-        self._join_env(pre_env)  # the loop may run zero times
-
-    # -- assignments ---------------------------------------------------
-
-    def _assignment(self, statement: ast.stmt) -> None:
-        if isinstance(statement, ast.Assign):
-            value = self._eval(statement.value)
-            string = self._string_of(statement.value)
-            for target in statement.targets:
-                self._assign_target(target, value, string, statement)
-        elif isinstance(statement, ast.AnnAssign):
-            if statement.value is None:
-                return
-            value = self._eval(statement.value)
-            string = self._string_of(statement.value)
-            self._assign_target(statement.target, value, string, statement)
-        elif isinstance(statement, ast.AugAssign):
-            value = self._eval(statement.value)
-            self._assign_target(statement.target, value, None, statement,
-                                augmented=True)
-
-    def _assign_target(
-        self,
-        target: ast.AST,
-        value: Tuple[Taint, Optional[str]],
-        string: Optional[str],
-        statement: ast.stmt,
-        augmented: bool = False,
-    ) -> None:
-        taint, shape = value
-        if isinstance(target, ast.Name):
-            name = target.id
-            shared = (
-                name in self.global_names
-                or (
-                    augmented
-                    and name not in self.local_names
-                    and name in self.summary.module_level_names
-                )
-            )
-            if shared:
-                self._escape_check(name, taint, statement.lineno,
-                                   statement.col_offset)
-            if augmented:
-                taint = self.env.get(name, BOTTOM).join(taint)
-                shape = None
-                string = None
-            self._bind(name, taint, shape, string)
-        elif isinstance(target, ast.Attribute):
-            key = _attr_key(target)
-            if key is not None:
-                self.env[key] = taint
-                if shape is not None:
-                    self.shapes[key] = shape
-                else:
-                    self.shapes.pop(key, None)
-                if key.startswith("self."):
-                    self._escape_check(key, taint, statement.lineno,
-                                       statement.col_offset)
-        elif isinstance(target, ast.Subscript):
-            self._eval(target.slice)
-            base = _attr_key(target.value) or (
-                target.value.id
-                if isinstance(target.value, ast.Name) else None
-            )
-            if base is not None:
-                # Container write: element taint joins into the base.
-                self.env[base] = self.env.get(base, BOTTOM).join(taint)
-                if self._is_shared_base(base):
-                    self._escape_check(f"{base}[...]", taint,
-                                       statement.lineno,
-                                       statement.col_offset)
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                self._assign_target(element, (taint, None), None, statement)
-
-    def _escape_check(
-        self, target: str, taint: Taint, line: int, col: int
-    ) -> None:
-        """Tenant-derived payload data parked in shared state."""
-        if taint.tenant and taint.payload:
-            self.analysis.add_escape(EscapeHit(
-                line=line,
-                col=col,
-                target=target,
-                sink="shared",
-                function=self.trace.qualname,
-            ))
-
-    # -- expressions ---------------------------------------------------
-
-    def _eval(self, node: ast.AST) -> Tuple[Taint, Optional[str]]:
-        if isinstance(node, ast.Call):
-            return self._eval_call(node)
-        if isinstance(node, ast.Attribute):
-            key = _attr_key(node)
-            if key is not None:
-                base_shape = self._lookup(node.value)[1]
-                if base_shape == "gateway":
-                    if node.attr == "call":
-                        return (BOTTOM, "call_method")
-                    if node.attr == "materialize":
-                        return (BOTTOM, "materialize_method")
-                if key in self.env or key in self.shapes:
-                    return (self.env.get(key, BOTTOM), self.shapes.get(key))
-                # x.attr of a tainted x keeps x's provenance.
-                return (self._derive([self._lookup(node.value)[0]]), None)
-            taint, _ = self._eval(node.value)
-            return (self._derive([taint]), None)
-        if isinstance(node, ast.Name):
-            return self._lookup(node)
-        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-            joined = BOTTOM
-            for element in node.elts:
-                joined = joined.join(self._eval(element)[0])
-            return (joined, None)
-        if isinstance(node, ast.Dict):
-            joined = BOTTOM
-            for key in node.keys:
-                if key is not None:
-                    self._eval(key)
-            for value in node.values:
-                joined = joined.join(self._eval(value)[0])
-            return (joined, None)
-        if isinstance(node, ast.BinOp):
-            left, _ = self._eval(node.left)
-            right, _ = self._eval(node.right)
-            return (self._derive([left, right]), None)
-        if isinstance(node, ast.BoolOp):
-            joined = BOTTOM
-            for value in node.values:
-                joined = joined.join(self._eval(value)[0])
-            return (joined, None)
-        if isinstance(node, ast.Compare):
-            self._eval(node.left)
-            for comparator in node.comparators:
-                self._eval(comparator)
-            return (BOTTOM, None)  # a boolean verdict, not the data
-        if isinstance(node, ast.UnaryOp):
-            return (self._eval(node.operand)[0], None)
-        if isinstance(node, ast.IfExp):
-            self._eval(node.test)
-            first = self._eval(node.body)
-            second = self._eval(node.orelse)
-            shape = first[1] if first[1] == second[1] else None
-            return (first[0].join(second[0]), shape)
-        if isinstance(node, ast.JoinedStr):
-            joined = BOTTOM
-            for value in node.values:
-                if isinstance(value, ast.FormattedValue):
-                    joined = joined.join(self._eval(value.value)[0])
-            return (self._derive([joined]), None)
-        if isinstance(node, ast.Starred):
-            return self._eval(node.value)
-        if isinstance(node, ast.Subscript):
-            base, _ = self._eval(node.value)
-            self._eval(node.slice)
-            return (base, None)  # element of a container keeps its taint
-        if isinstance(node, ast.Await):
-            return self._eval(node.value)
-        if isinstance(node, ast.NamedExpr):
-            value = self._eval(node.value)
-            if isinstance(node.target, ast.Name):
-                self._bind(node.target.id, value[0], value[1],
-                           self._string_of(node.value))
-            return value
-        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
-            for generator in node.generators:
-                iter_taint, _ = self._eval(generator.iter)
-                self._assign_target(generator.target, (iter_taint, None),
-                                    None, _fake_stmt(node))
-                for condition in generator.ifs:
-                    self._eval(condition)
-            return (self._eval(node.elt)[0], None)
-        if isinstance(node, ast.DictComp):
-            for generator in node.generators:
-                iter_taint, _ = self._eval(generator.iter)
-                self._assign_target(generator.target, (iter_taint, None),
-                                    None, _fake_stmt(node))
-                for condition in generator.ifs:
-                    self._eval(condition)
-            self._eval(node.key)
-            return (self._eval(node.value)[0], None)
-        return (BOTTOM, None)
-
-    # -- calls ---------------------------------------------------------
-
-    def _eval_args(self, node: ast.Call) -> List[Tuple[Taint, Optional[str]]]:
-        values = [self._eval(arg) for arg in node.args]
-        values.extend(self._eval(keyword.value) for keyword in node.keywords)
-        return values
-
-    def _eval_call(self, node: ast.Call) -> Tuple[Taint, Optional[str]]:
-        func = node.func
-
-        if isinstance(func, ast.Attribute):
-            receiver_shape = self._lookup(func.value)[1]
-            method = func.attr
-
-            if receiver_shape == "gateway":
-                if method == "call":
-                    return self._gateway_call(node)
-                if method == "materialize":
-                    return self._materialize_call(node)
-                if method in ("host_alloc", "host_write", "host_read"):
-                    return self._host_op(node, method)
-            if method in GATEWAY_PRODUCING_METHODS:
-                self._eval_args(node)
-                return (BOTTOM, "gateway")
-            if method in _CONTAINER_METHODS:
-                base = _attr_key(func.value) or (
-                    func.value.id
-                    if isinstance(func.value, ast.Name) else None
-                )
-                joined = BOTTOM
-                for taint, _ in self._eval_args(node):
-                    joined = joined.join(taint)
-                if base is not None:
-                    self.env[base] = self.env.get(base, BOTTOM).join(joined)
-                    if (
-                        self._is_shared_base(base)
-                        and joined.tenant
-                        and joined.payload
-                    ):
-                        self.analysis.add_escape(EscapeHit(
-                            line=node.lineno,
-                            col=node.col_offset,
-                            target=f"{base}.{method}()",
-                            sink="shared",
-                            function=self.trace.qualname,
-                        ))
-                return (BOTTOM, None)
-            # Unknown method: the result derives from receiver + args.
-            receiver_taint, _ = self._eval(func.value)
-            taints = [receiver_taint]
-            taints.extend(t for t, _ in self._eval_args(node))
-            return (self._derive(taints), None)
-
-        if isinstance(func, ast.Name):
-            callee = func.id
-            shape = self.shapes.get(callee)
-            if shape == "call_method":
-                return self._gateway_call(node)
-            if shape == "materialize_method":
-                return self._materialize_call(node)
-            if callee in GATEWAY_FACTORIES:
-                self._eval_args(node)
-                return (BOTTOM, "gateway")
-            if callee == "CallSite":
-                self._eval_args(node)
-                return (BOTTOM, None)  # declarative record, not a call
-            if callee in self.analysis.function_nodes:
-                return self._inline_call(node, callee)
-            taints = [t for t, _ in self._eval_args(node)]
-            return (self._derive(taints), None)
-
-        # Computed callee (subscript, lambda result, ...): evaluate all.
-        self._eval(func)
-        taints = [t for t, _ in self._eval_args(node)]
-        return (self._derive(taints), None)
-
-    def _gateway_call(self, node: ast.Call) -> Tuple[Taint, Optional[str]]:
-        self.analysis.report.stats.events += 1
-        framework = (
-            self._string_of(node.args[0]) if len(node.args) >= 1 else None
-        )
-        api = self._string_of(node.args[1]) if len(node.args) >= 2 else None
-        payload: List[Tuple[str, Taint]] = []
-        for arg in node.args[2:]:
-            taint, _ = self._eval(arg)
-            name = arg.id if isinstance(arg, ast.Name) else "<expression>"
-            payload.append((name, taint))
-        for keyword in node.keywords:
-            taint, _ = self._eval(keyword.value)
-            payload.append((keyword.arg or "<expression>", taint))
-
-        unknown = Taint(tenant=self.tenant_ctx)
-        if framework is None or api is None:
-            return (unknown, None)
-        event = CallEvent(
-            framework=framework, api=api,
-            line=node.lineno, col=node.col_offset,
-        )
-        verdict = self.analysis.inferencer.resolve_event(event)
-        if not isinstance(verdict, ApiVerdict):
-            return (unknown, None)
-
-        # The agent this site executes in (ResolvedCall.effective_type).
-        if verdict.neutral or not verdict.api_type.is_concrete:
-            effective = (
-                api_type_of_state(self.machine.state) or _DEFAULT_AGENT
-            )
-        else:
-            effective = verdict.api_type
-        agent = effective.value
-
-        for name, taint in payload:
-            foreign = taint.agents - {agent}
-            if taint.materialized and foreign:
-                self.analysis.add_leak(LeakHit(
-                    line=node.lineno,
-                    col=node.col_offset,
-                    value=name,
-                    produced_in=tuple(sorted(foreign)),
-                    consumed_in=agent,
-                    api=verdict.qualname,
-                    function=self.trace.qualname,
-                ))
-
-        self._transition(verdict)
-        # The result is an ObjectRef: provenance without payload bytes.
-        return (
-            Taint(agents=frozenset({agent}), tenant=self.tenant_ctx),
-            None,
-        )
-
-    def _transition(self, verdict: ApiVerdict) -> None:
-        """Advance the machine; leaving a state freezes its tags."""
-        new = next_state(self.machine.state, verdict.api_type,
-                         verdict.neutral)
-        if new is None:
-            return
-        leaving = self.machine.state
-        for tag, alloc_state in self.machine.tag_state.items():
-            if (
-                alloc_state is leaving
-                and tag in self.summary.annotated_tags
-            ):
-                self.machine.frozen.add(tag)
-        self.machine.state = new
-
-    def _materialize_call(self, node: ast.Call) -> Tuple[Taint,
-                                                         Optional[str]]:
-        self.analysis.report.stats.events += 1
-        source = BOTTOM
-        for taint, _ in self._eval_args(node):
-            source = source.join(taint)
-        return (
-            Taint(
-                agents=source.agents,
-                tenant=source.tenant or self.tenant_ctx,
-                materialized=True,
-                payload=True,
-            ),
-            None,
-        )
-
-    def _host_op(
-        self, node: ast.Call, method: str
-    ) -> Tuple[Taint, Optional[str]]:
-        self.analysis.report.stats.events += 1
-        op = method[len("host_"):]
-        first = node.args[0] if node.args else None
-        # What the per-site pass saw (literal / module constant) vs what
-        # the alias table can additionally resolve.
-        literal_tag = (
-            _constant_str(first, self.summary.constants)
-            if first is not None else None
-        )
-        tag = literal_tag
-        if tag is None and first is not None:
-            tag = self._string_of(first)
-
-        payload: List[Taint] = []
-        for arg in node.args[1:]:
-            payload.append(self._eval(arg)[0])
-        for keyword in node.keywords:
-            payload.append(self._eval(keyword.value)[0])
-
-        if op in ("alloc", "write"):
-            # Host buffers outlive the request and are host-visible:
-            # tenant-derived payloads escaping into one is a sink.
-            for taint in payload:
-                if taint.tenant and taint.payload:
-                    self.analysis.add_escape(EscapeHit(
-                        line=node.lineno,
-                        col=node.col_offset,
-                        target=f"host buffer '{tag or '<dynamic>'}'",
-                        sink="host",
-                        function=self.trace.qualname,
-                    ))
-
-        if tag is not None:
-            if op == "alloc":
-                self.machine.tag_state[tag] = self.machine.state
-                self.machine.frozen.discard(tag)
-            elif op == "write":
-                if tag in self.machine.frozen and literal_tag is None:
-                    alias = (
-                        first.id if isinstance(first, ast.Name)
-                        else "<expression>"
-                    )
-                    self.analysis.add_alias_write(AliasWriteHit(
-                        line=node.lineno,
-                        col=node.col_offset,
-                        alias=alias,
-                        tag=tag,
-                        alloc_state=self.machine.tag_state.get(
-                            tag, FrameworkState.INITIALIZATION
-                        ),
-                        write_state=self.machine.state,
-                        function=self.trace.qualname,
-                    ))
-                self.machine.tag_state.setdefault(tag, self.machine.state)
-        return (BOTTOM, None)
-
-    def _inline_call(
-        self, node: ast.Call, callee: str
-    ) -> Tuple[Taint, Optional[str]]:
-        qualname = self.analysis.qualname_of(callee)
-        callee_node = self.analysis.function_nodes.get(callee)
-        callee_trace = (
-            self.summary.functions.get(qualname)
-            if qualname is not None else None
-        )
-        arg_values = [self._eval(arg) for arg in node.args]
-        keyword_values = [
-            (keyword.arg, self._eval(keyword.value))
-            for keyword in node.keywords
-        ]
-        joined = self._derive(
-            [taint for taint, _ in arg_values]
-            + [taint for _, (taint, _) in keyword_values]
-        )
-        carries_flow = any(
-            shape == "gateway" for _, shape in arg_values
-        ) or any(
-            shape == "gateway" for _, (_, shape) in keyword_values
-        ) or not joined.is_bottom
-        if (
-            callee_trace is None
-            or callee_node is None
-            or qualname in self.active
-            or not carries_flow
-        ):
-            return (joined, None)
-        if self.depth >= DataflowAnalysis.MAX_DEPTH:
-            self.analysis.report.stats.depth_cutoffs += 1
-            return (joined, None)
-
-        parameters = [
-            argument.arg
-            for argument in (
-                callee_node.args.posonlyargs
-                + callee_node.args.args
-                + callee_node.args.kwonlyargs
-            )
-        ]
-        param_taints: Dict[str, Taint] = {}
-        param_shapes: Dict[str, str] = {}
-        param_strings: Dict[str, str] = {}
-        for position, (taint, shape) in enumerate(arg_values):
-            if position >= len(parameters):
-                break
-            name = parameters[position]
-            param_taints[name] = taint
-            if shape is not None:
-                param_shapes[name] = shape
-            string = self._string_of(node.args[position])
-            if string is not None:
-                param_strings[name] = string
-        for (keyword_name, (taint, shape)), keyword in zip(
-            keyword_values, node.keywords
-        ):
-            if keyword_name is None or keyword_name not in parameters:
-                continue
-            param_taints[keyword_name] = taint
-            if shape is not None:
-                param_shapes[keyword_name] = shape
-            string = self._string_of(keyword.value)
-            if string is not None:
-                param_strings[keyword_name] = string
-
-        self.active.add(qualname)
-        walker = _TaintWalker(
-            analysis=self.analysis,
-            trace=callee_trace,
-            node=callee_node,
-            machine=self.machine,
-            depth=self.depth + 1,
-            active=self.active,
-            param_taints=param_taints,
-            param_shapes=param_shapes,
-            param_strings=param_strings,
-            tenant_ctx=self.tenant_ctx or callee_trace.tenant_scoped,
-        )
-        walker.walk()
-        self.active.discard(qualname)
-        self.analysis.report.stats.inlined_calls += 1
-        return (joined.join(walker.returns), None)
-
-
-def _fake_stmt(node: ast.AST) -> ast.stmt:
-    """Wrap an expression node so _assign_target can read a location."""
-    statement = ast.Pass()
-    statement.lineno = getattr(node, "lineno", 1)
-    statement.col_offset = getattr(node, "col_offset", 0)
-    return statement

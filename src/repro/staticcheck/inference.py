@@ -38,12 +38,12 @@ from repro.core.hybrid import categorize_call_site
 from repro.core.statemachine import next_state
 from repro.errors import ReproError, UncategorizableAPI
 from repro.staticcheck.callgraph import (
+    MAX_INLINE_DEPTH,
     CallEvent,
     FunctionTrace,
     HostOpEvent,
     InlineCallEvent,
     LocalSpec,
-    MaterializeEvent,
     ModuleSummary,
     SharedStoreEvent,
     TraceEvent,
@@ -136,7 +136,7 @@ class PartitionInferencer:
     """Resolve and replay every function trace of one module summary."""
 
     #: Inline-splice depth bound (recursion / helper chains).
-    MAX_DEPTH = 4
+    MAX_DEPTH = MAX_INLINE_DEPTH
 
     def __init__(self, summary: ModuleSummary) -> None:
         self.summary = summary
@@ -369,6 +369,4 @@ class PartitionInferencer:
                     tag_state.setdefault(event.tag, state)
             elif isinstance(event, SharedStoreEvent):
                 report.shared_stores.append(event)
-            elif isinstance(event, MaterializeEvent):
-                pass  # value tracking already happened in the builder
         return report

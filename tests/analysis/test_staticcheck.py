@@ -305,3 +305,98 @@ def test_rule_ids_are_stable():
         "tenant-ref-leak", "cross-partition-leak", "tenant-taint-escape",
         "frozen-alias-write", "over-privileged-pool",
     )
+
+
+# -- the walker's behaviour, pinned -------------------------------------
+
+GOLDEN = os.path.join(
+    REPO, "tests", "fixtures", "golden", "check_fixtures_examples.json"
+)
+
+
+def test_check_json_matches_golden_file(capsys, monkeypatch):
+    """Exact messages, lines and columns over the fixtures and examples.
+
+    Regenerate with ``PYTHONPATH=src python -m repro check --format json
+    --strict-pools tests/fixtures/staticcheck/ examples/`` from the repo
+    root, and only for a change that means to move a finding.
+    """
+    from repro.cli import main
+
+    monkeypatch.chdir(REPO)
+    code = main(["check", "--format", "json", "--strict-pools",
+                 "tests/fixtures/staticcheck/", "examples/"])
+    with open(GOLDEN, "r", encoding="utf-8") as handle:
+        assert capsys.readouterr().out == handle.read()
+    assert code == 1
+
+
+def steps_of(source, function):
+    from repro.staticcheck.callgraph import CallGraphBuilder
+
+    built = CallGraphBuilder("walker.py", source).build()
+    reports = PartitionInferencer(built).infer()
+    return [s.verdict.qualname for s in reports[function].steps]
+
+
+def test_gateway_bound_on_one_branch_reaches_later_calls():
+    source = (
+        "def main(kernel, fast, path):\n"
+        "    if fast:\n"
+        "        gw = FreePart(kernel=kernel).deploy()\n"
+        "    image = gw.call('opencv', 'imread', path)\n"
+        "    gw.call('opencv', 'imwrite', '/out.png', image)\n"
+    )
+    assert steps_of(source, "main") == ["cv2.imread", "cv2.imwrite"]
+
+
+def test_gateway_call_inside_a_comprehension_is_a_step():
+    source = (
+        "def main(gateway, paths):\n"
+        "    return [gateway.call('opencv', 'imread', p) for p in paths]\n"
+    )
+    assert steps_of(source, "main") == ["cv2.imread"]
+
+
+def test_gateway_call_as_a_method_receiver_is_a_step():
+    source = (
+        "def main(gateway, path):\n"
+        "    return gateway.call('opencv', 'imread', path).copy()\n"
+    )
+    assert steps_of(source, "main") == ["cv2.imread"]
+
+
+def test_loop_body_call_is_traced_once():
+    from repro.staticcheck.callgraph import CallEvent, CallGraphBuilder
+    from repro.staticcheck.dataflow import analyze_module
+
+    source = (
+        "def main(gateway, paths):\n"
+        "    for p in paths:\n"
+        "        gateway.call('opencv', 'imread', p)\n"
+    )
+    built = CallGraphBuilder("loop.py", source).build()
+    # The flow pass walks the body twice; the trace must not grow.
+    analyze_module(built, PartitionInferencer(built))
+    events = built.functions["main"].events
+    assert [(e.api, e.line) for e in events if isinstance(e, CallEvent)] == [
+        ("imread", 3)
+    ]
+
+
+def test_gateway_flows_through_positional_and_keyword_only_params():
+    source = (
+        "def load(g, /, path):\n"
+        "    return g.call('opencv', 'imread', path)\n"
+        "\n"
+        "def load_kw(path, *, g):\n"
+        "    return g.call('opencv', 'imread', path)\n"
+        "\n"
+        "def main(gateway, p):\n"
+        "    a = load(gateway, p)\n"
+        "    load_kw(p, g=gateway)\n"
+        "    gateway.call('opencv', 'imwrite', '/out.png', a)\n"
+    )
+    assert steps_of(source, "main") == [
+        "cv2.imread", "cv2.imread", "cv2.imwrite"
+    ]

@@ -174,3 +174,25 @@ class TestClusterGateway:
 
         with pytest.raises(ClusterError):
             ClusterGateway(ClusterKernel(nodes=2), placement=bad)
+
+
+def test_cluster_import_does_not_load_the_linter():
+    """Placement names ``AgentPrivilege`` in annotations only."""
+    import subprocess
+    import sys
+
+    probe = (
+        "import sys\n"
+        "import repro.cluster.serve, repro.cluster.bench\n"
+        "print(sorted(m for m in sys.modules"
+        " if m.startswith('repro.staticcheck')))\n"
+    )
+    src = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.dirname(__file__))), "src"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, check=True,
+        capture_output=True, text=True,
+    ).stdout
+    assert out.strip() == "[]"
