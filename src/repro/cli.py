@@ -234,12 +234,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     import json
 
     from repro.bench.tables import render_table
-    from repro.serve.loadbench import (
-        BUDGET_NS,
-        canonical_profile,
-        run_cluster_profile,
-        run_profile,
-    )
+    from repro.serve.loadbench import BUDGET_NS, canonical_profile, run_profile
     from repro.serve.loadgen import PROFILE_NAMES, generate_schedule
 
     if args.profile not in PROFILE_NAMES:
@@ -284,19 +279,12 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         payload = {"params": profile.to_dict(), **schedule.to_dict()}
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
-    if args.cluster:
-        result = run_cluster_profile(
-            args.profile, seed=args.seed, nodes=args.nodes,
-            elastic=not args.fixed, fault_rate=args.fault_rate,
-            schedule=schedule,
-            pool_size=args.min_pool, max_pool=args.max_pool,
-        )
-    else:
-        result = run_profile(
-            args.profile, seed=args.seed, elastic=not args.fixed,
-            fault_rate=args.fault_rate, schedule=schedule,
-            pool_size=args.min_pool, max_pool=args.max_pool,
-        )
+    result = run_profile(
+        args.profile, seed=args.seed, elastic=not args.fixed,
+        fault_rate=args.fault_rate, schedule=schedule,
+        pool_size=args.min_pool, max_pool=args.max_pool,
+        nodes=args.nodes if args.cluster else 1,
+    )
     if args.json:
         print(json.dumps(result, indent=2, sort_keys=True))
         return 0
@@ -545,74 +533,33 @@ def _cmd_report(args: argparse.Namespace) -> int:
         )
 
     extra = None
-    if args.target == "serve-bench":
-        server = _trace_serve_target(args)
-        kernel = server.kernel
-        nodes = [("node0", kernel.tracer, kernel.clock.now_ns)]
-        events = list(server.events)
-        series = kernel.series
-        extra = {"overload": _overload_extra([("node0", server)])}
-        mode = "serve"
-    elif args.target == "cluster-bench":
-        server = _report_cluster_target(args)
-        cluster = server.cluster
-        nodes = [
-            (f"node{node.index}", node.kernel.tracer,
-             node.kernel.clock.now_ns)
-            for node in cluster.nodes
-        ]
-        events = [
-            event
-            for node_server in server.servers.values()
-            for event in node_server.events
-        ]
+    if args.target in ("serve-bench", "cluster-bench", "chaos"):
+        # The chaos report's body is a clean traced baseline of the chaos
+        # target; the faulted sweep's per-schedule SLO verdicts ride in
+        # `extra`.
+        if args.target == "cluster-bench" or (
+            args.target == "chaos" and args.chaos_target == "cluster"
+        ):
+            front = _report_cluster_target(args)
+        else:
+            front = _trace_serve_target(args)
         from repro.obs.timeseries import TimeSeriesRegistry
 
+        servers = front.nodes()
+        labels = [f"node{index}" for index in range(len(servers))]
+        nodes = [
+            (label, server.kernel.tracer, server.kernel.clock.now_ns)
+            for label, server in zip(labels, servers)
+        ]
+        events = [event for server in servers for event in server.events]
         series = TimeSeriesRegistry.merged(
-            node.kernel.series for node in cluster.nodes
+            server.kernel.series for server in servers
         )
-        extra = {"overload": _overload_extra(
-            (f"node{index}", node_server)
-            for index, node_server in sorted(server.servers.items())
-        )}
-        mode = "cluster"
-    elif args.target == "chaos":
-        # Clean traced baseline of the chaos target for the report body;
-        # the faulted sweep's per-schedule SLO verdicts ride in `extra`.
-        if args.chaos_target == "serve-bench":
-            server = _trace_serve_target(args)
-            kernel = server.kernel
-            nodes = [("node0", kernel.tracer, kernel.clock.now_ns)]
-            events = list(server.events)
-            series = kernel.series
-            overload = _overload_extra([("node0", server)])
-        else:
-            server = _report_cluster_target(args)
-            cluster = server.cluster
-            nodes = [
-                (f"node{node.index}", node.kernel.tracer,
-                 node.kernel.clock.now_ns)
-                for node in cluster.nodes
-            ]
-            events = [
-                event
-                for node_server in server.servers.values()
-                for event in node_server.events
-            ]
-            from repro.obs.timeseries import TimeSeriesRegistry
-
-            series = TimeSeriesRegistry.merged(
-                node.kernel.series for node in cluster.nodes
-            )
-            overload = _overload_extra(
-                (f"node{index}", node_server)
-                for index, node_server in sorted(server.servers.items())
-            )
-        extra = {
-            "chaos": _report_chaos_extra(args),
-            "overload": overload,
-        }
-        mode = "chaos"
+        extra = {"overload": _overload_extra(zip(labels, servers))}
+        if args.target == "chaos":
+            extra["chaos"] = _report_chaos_extra(args)
+        mode = {"serve-bench": "serve", "cluster-bench": "cluster",
+                "chaos": "chaos"}[args.target]
     elif (args.target.isdigit()
           or args.target in ("drone", "drone-tracker")):
         kernel = _trace_app_target(args)

@@ -69,7 +69,6 @@ class ClusterServer:
         self._durable: Dict[str, Any] = {}
         self._tenant_node: Dict[str, int] = {}
         self._tenant_shard: Dict[str, int] = {}
-        self.responses: List[ServeResponse] = []
         self.submitted = 0
         self.resubmissions = 0
         self.shards_replaced = 0
@@ -121,6 +120,19 @@ class ClusterServer:
         self._tenant_node[tenant_id] = node_index
         return node_index
 
+    def home(self, tenant_id: str) -> PipelineServer:
+        """The server of the tenant's home node."""
+        return self.servers[self.route(tenant_id)]
+
+    def nodes(self) -> List[PipelineServer]:
+        """Every node's server, in node order (dead nodes included)."""
+        return [self.servers[index] for index in sorted(self.servers)]
+
+    def advance_to(self, at_ns: int) -> None:
+        """Idle every living node's clock forward; a dead one stopped."""
+        for node in self.cluster.living():
+            self.servers[node.index].advance_to(at_ns)
+
     # ------------------------------------------------------------------
     # Intake
     # ------------------------------------------------------------------
@@ -162,7 +174,6 @@ class ClusterServer:
             victim = self.cluster.maybe_fail_node()
             if victim is not None:
                 self._handle_node_failure(victim)
-        self.responses.extend(served)
         return served
 
     def drain(self) -> List[ServeResponse]:
@@ -227,8 +238,12 @@ class ClusterServer:
             makespan_seconds = max(
                 makespan_seconds, node_stats["makespan_seconds"]
             )
-        ok = sum(1 for response in self.responses if response.ok)
-        failed = len(self.responses) - ok
+        responses = [
+            response for server in self.nodes()
+            for response in server.responses
+        ]
+        ok = sum(1 for response in responses if response.ok)
+        failed = len(responses) - ok
         # A resubmission is the same client request re-placed on a new
         # node, so goodput is measured against unique client requests:
         # 1.0 means every admitted request eventually got an ok answer.

@@ -20,7 +20,14 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List
 
-from repro.obs.export import NODE_PID_STRIDE, RollupRow, mechanism_rollup
+from repro.obs.export import (
+    NODE_PID_STRIDE,
+    RollupRow,
+    mechanism_rollup,
+    merge_rollups,
+    span_event,
+    track_event,
+)
 
 from repro.cluster.kernel import ClusterKernel
 
@@ -49,36 +56,16 @@ def cluster_chrome_trace(cluster: ClusterKernel) -> Dict[str, Any]:
         spans = tracer.closed_spans()
         for pid in sorted({span.pid for span in spans}):
             name = tracer.track_names.get(pid, f"pid {pid}")
-            events.append({
-                "name": "process_name",
-                "ph": "M",
-                "ts": 0,
-                "pid": cluster_pid(node.index, pid),
-                "tid": cluster_pid(node.index, pid),
-                "args": {"name": f"node{node.index}:{name}"},
-            })
+            events.append(track_event(
+                cluster_pid(node.index, pid), f"node{node.index}:{name}"
+            ))
         records.extend((span, node.index) for span in spans)
     for span, node_index in sorted(
         records, key=lambda pair: (pair[0].start_ns, pair[1], pair[0].span_id)
     ):
-        args = {key: span.attrs[key] for key in sorted(span.attrs)}
-        if span.out_of_band:
-            args["out_of_band"] = True
-        args["node"] = node_index
-        event: Dict[str, Any] = {
-            "name": span.name,
-            "cat": span.category,
-            "ph": "i" if span.kind == "instant" else "X",
-            "ts": span.start_ns / 1000,
-            "pid": cluster_pid(node_index, span.pid),
-            "tid": cluster_pid(node_index, span.pid),
-            "args": args,
-        }
-        if span.kind == "instant":
-            event["s"] = "t"
-        else:
-            event["dur"] = span.duration_ns / 1000
-        events.append(event)
+        events.append(span_event(
+            span, cluster_pid(node_index, span.pid), node=node_index
+        ))
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
@@ -94,36 +81,14 @@ def cluster_rollup(cluster: ClusterKernel) -> List[RollupRow]:
 
     Each node's rollup partitions that node's clock exactly; the merged
     table partitions the *sum* of node clocks (total machine-time, not
-    wall time — nodes overlap).  The ``inter_node`` category collects
-    the send/receive halves of every cross-node transfer.
+    wall time — nodes overlap).  An untraced node's whole clock is
+    ``untraced``.  The ``inter_node`` category collects the
+    send/receive halves of every cross-node transfer.
     """
-    per_category: Dict[str, List[int]] = {}
-    untraced_ns = 0
-    total_ns = 0
-    for node in cluster.nodes:
-        tracer = node.kernel.tracer
-        if not tracer.enabled:
-            untraced_ns += node.kernel.clock.now_ns
-            total_ns += node.kernel.clock.now_ns
-            continue
-        node_total = node.kernel.clock.now_ns
-        total_ns += node_total
-        for row in mechanism_rollup(tracer, node_total):
-            if row.category == "untraced":
-                untraced_ns += row.self_ns
-                continue
-            bucket = per_category.setdefault(row.category, [0, 0])
-            bucket[0] += row.spans
-            bucket[1] += row.self_ns
-
-    def row(category: str, spans: int, self_ns: int) -> RollupRow:
-        percent = 100.0 * self_ns / total_ns if total_ns else 0.0
-        return RollupRow(category, spans, self_ns, percent)
-
-    rows = [
-        row(category, spans, self_ns)
-        for category, (spans, self_ns) in per_category.items()
-    ]
-    rows.sort(key=lambda r: (-r.self_ns, r.category))
-    rows.append(row("untraced", 0, untraced_ns))
-    return rows
+    return merge_rollups(
+        (
+            mechanism_rollup(node.kernel.tracer, node.kernel.clock.now_ns)
+            for node in cluster.nodes
+        ),
+        sum(node.kernel.clock.now_ns for node in cluster.nodes),
+    )

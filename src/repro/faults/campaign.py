@@ -13,6 +13,9 @@ of the same target:
     success produced exactly the baseline's outputs.  Partial output is
     only acceptable on a clean failure — whole-run, or item-level losses
     the run itself accounted for (crashes survived, failed responses).
+    An open-loop baseline sheds load, so a faulted run may write a file
+    the baseline lacks — only where the baseline lost that request and
+    only with the baseline's output for an identical input.
 ``frozen``
     No write onto a frozen (temporal read-only) page ever completed —
     fault injection must not weaken the paper's protection.
@@ -32,8 +35,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.faults.injector import FaultInjector
@@ -101,6 +105,13 @@ class RunOutcome:
     scale_ups: int = 0
     #: Brownout refusals (``loadgen`` target only; 0 elsewhere).
     shed_requests: int = 0
+    #: ``loadgen`` target only (empty elsewhere): the schedule's output
+    #: paths the run never wrote (every ok answer writes its output, so
+    #: these are its shed, rejected and failed requests) and, per output
+    #: path, the digest of that request's input.  A faulted run may
+    #: serve a request its baseline lost.
+    lost_outputs: FrozenSet[str] = frozenset()
+    input_digests: Dict[str, str] = field(default_factory=dict)
 
 
 @dataclass
@@ -261,45 +272,48 @@ def _make_kernel(plan: Optional[FaultPlan]):
 
     kernel = SimKernel()
     kernel.enable_tracing()
-    injector = FaultInjector(plan) if plan is not None else None
-    if injector is not None:
-        kernel.inject_faults(injector)
-    return kernel, injector
+    if plan is not None:
+        kernel.inject_faults(FaultInjector(plan))
+    return kernel
 
 
 def _outcome(
-    kernel,
-    injector: Optional[FaultInjector],
+    kernels,
     plan: Optional[FaultPlan],
     ok: bool,
     failed_clean: bool,
     error: str,
     outputs: Dict[str, str],
     stale_refs: int = 0,
-    restarts: int = 0,
     retries: int = 0,
-    losses_accounted: int = 0,
-    request_events: Tuple = (),
+    **facts: Any,
 ) -> RunOutcome:
-    injected = injector.injected if injector is not None else []
+    """Fold a run over its machines (one, or every node of a cluster).
+
+    ``facts`` fills :class:`RunOutcome`'s optional fields.
+    """
+    injected = [
+        fault for kernel in kernels for fault in kernel.faults.injected
+    ]
+    by_kind = Counter(fault.kind.value for fault in injected)
     return RunOutcome(
         ok=ok,
         failed_clean=failed_clean,
         error=error,
         outputs=outputs,
-        frozen_writes=_frozen_writes(kernel),
+        frozen_writes=sum(_frozen_writes(kernel) for kernel in kernels),
         stale_refs=stale_refs,
-        fault_ids=tuple(sorted(f.fault_id for f in injected)),
-        observed_fault_ids=_observed_fault_ids(kernel.tracer),
-        injected_by_kind=(
-            injector.by_kind() if injector is not None else {}
-        ),
+        fault_ids=tuple(sorted(fault.fault_id for fault in injected)),
+        observed_fault_ids=tuple(sorted(
+            fault_id for kernel in kernels
+            for fault_id in _observed_fault_ids(kernel.tracer)
+        )),
+        injected_by_kind=dict(sorted(by_kind.items())),
         decisions=plan.decisions if plan is not None else 0,
-        virtual_ns=kernel.clock.now_ns,
-        restarts=kernel.restarted_processes,
+        virtual_ns=max(kernel.clock.now_ns for kernel in kernels),
+        restarts=sum(kernel.restarted_processes for kernel in kernels),
         retries=retries,
-        losses_accounted=losses_accounted,
-        request_events=request_events,
+        **facts,
     )
 
 
@@ -317,18 +331,17 @@ def _run_app(target: str, settings: ChaosSettings,
         from repro.apps.suite import make_app
 
         app = make_app(int(target))
-    kernel, injector = _make_kernel(plan)
+    kernel = _make_kernel(plan)
     config = _chaos_config(annotations=tuple(app.annotations))
     gateway = build_gateway("freepart", kernel, app=app, config=config)
     workload = Workload(items=settings.items, image_size=settings.image_size)
     report = execute_app(app, gateway, workload)
     return _outcome(
-        kernel, injector, plan,
+        [kernel], plan,
         ok=not report.failed,
         failed_clean=report.failed,
         error=report.error,
         outputs=fingerprint_outputs(kernel),
-        restarts=report.restarts,
         retries=gateway.retransmits,
         losses_accounted=(
             report.result.crashes_survived if report.result else 0
@@ -341,7 +354,7 @@ def _run_cve(target: str, settings: ChaosSettings,
     """One protected CVE replay (the attack must stay prevented)."""
     from repro.attacks.scenarios import run_attack
 
-    kernel, injector = _make_kernel(plan)
+    kernel = _make_kernel(plan)
     config = _chaos_config()
     try:
         result = run_attack(
@@ -351,7 +364,7 @@ def _run_cve(target: str, settings: ChaosSettings,
         # Recovery machinery gave up (restart budget, retransmit cap):
         # the experiment aborted cleanly before the verdict.
         return _outcome(
-            kernel, injector, plan,
+            [kernel], plan,
             ok=False, failed_clean=True,
             error=f"{type(exc).__name__}: {exc}",
             outputs=fingerprint_outputs(kernel),
@@ -363,15 +376,54 @@ def _run_cve(target: str, settings: ChaosSettings,
                  "host_crashed", "code_rewritten"):
         outputs[f"goal:{goal}"] = str(getattr(result, goal))
     return _outcome(
-        kernel, injector, plan,
+        [kernel], plan,
         ok=result.delivered,
         failed_clean=not result.delivered,
         error="" if result.delivered else "exploit aborted before arming",
         outputs=outputs,
-        restarts=result.agent_crashes,
         # CVE apps absorb crashes per item (crashes_survived); a crash
         # observed during the replay accounts for missing output files.
         losses_accounted=result.agent_crashes,
+    )
+
+
+def _serving_outcome(front, plan: Optional[FaultPlan],
+                     **facts: Any) -> RunOutcome:
+    """Fold every node behind a serving front door, then shut it down.
+
+    Outputs, frozen-write counts, stale refs, observed fault ids and
+    request events aggregate over all nodes (one for a single server).
+    """
+    servers = front.nodes()
+    outputs: Dict[str, str] = {}
+    for server in servers:
+        outputs.update(fingerprint_outputs(server.kernel))
+    outcome = _outcome(
+        [server.kernel for server in servers], plan, outputs=outputs,
+        stale_refs=sum(
+            len(server.registry.stale_keys(server.kernel.processes()))
+            for server in servers
+        ),
+        request_events=tuple(sorted(
+            event for server in servers for event in server.events
+        )),
+        **facts,
+    )
+    front.shutdown()
+    return outcome
+
+
+def _drained_outcome(front, plan: Optional[FaultPlan]) -> RunOutcome:
+    """Serve everything queued on a closed-loop target and fold the run."""
+    responses = front.drain()
+    failed = [r for r in responses if not r.ok]
+    return _serving_outcome(
+        front, plan,
+        ok=not failed,
+        failed_clean=bool(failed),
+        error=failed[0].error if failed else "",
+        retries=sum(r.retries for r in responses),
+        losses_accounted=len(failed),
     )
 
 
@@ -381,31 +433,15 @@ def _run_serve(settings: ChaosSettings,
     from repro.serve.bench import load_requests
     from repro.serve.server import PipelineServer
 
-    kernel, injector = _make_kernel(plan)
     server = PipelineServer(
-        kernel=kernel,
+        kernel=_make_kernel(plan),
         config=_chaos_config(),
         pool_size=2,
         batching=True,
         max_retries=CHAOS_RPC_RETRIES,
     )
     load_requests(server, 2, settings.items, settings.image_size)
-    responses = server.drain()
-    stale = server.registry.stale_keys(kernel.processes())
-    failed = [r for r in responses if not r.ok]
-    outcome = _outcome(
-        kernel, injector, plan,
-        ok=not failed,
-        failed_clean=bool(failed),
-        error=failed[0].error if failed else "",
-        outputs=fingerprint_outputs(kernel),
-        stale_refs=len(stale),
-        retries=sum(r.retries for r in responses),
-        losses_accounted=len(failed),
-        request_events=tuple(sorted(server.events)),
-    )
-    server.shutdown()
-    return outcome
+    return _drained_outcome(server, plan)
 
 
 def _run_loadgen(settings: ChaosSettings,
@@ -415,17 +451,19 @@ def _run_loadgen(settings: ChaosSettings,
     The canonical schedule of ``settings.profile`` (same for every
     schedule in the campaign — only the fault plan varies) drives a
     server with the autoscaler and brownout controller armed.  Brownout
-    sheds and failed responses are accounted losses: the chaos output
-    invariant tolerates their missing files, never different ones.
+    sheds, admission rejections and failed responses are accounted
+    losses: the chaos output invariant tolerates their missing files,
+    and a file the baseline lost only when it equals the baseline's
+    output for an identical input.
     """
     from repro.serve.loadbench import (
         CONTROL_BUDGET_NS, canonical_schedule, elastic_config,
     )
     from repro.serve.autoscale import control_slo
-    from repro.serve.loadgen import run_open_loop
+    from repro.serve.loadgen import arrival_paths, run_open_loop
     from repro.serve.server import PipelineServer
 
-    kernel, injector = _make_kernel(plan)
+    kernel = _make_kernel(plan)
     server = PipelineServer(
         kernel=kernel,
         config=_chaos_config(),
@@ -440,27 +478,29 @@ def _run_loadgen(settings: ChaosSettings,
     server.enable_brownout()
     schedule = canonical_schedule(settings.profile, seed=settings.seed)
     result = run_open_loop(server, schedule)
-    stale = server.registry.stale_keys(kernel.processes())
-    outcome = _outcome(
-        kernel, injector, plan,
+    input_digests: Dict[str, str] = {}
+    for sequence, arrival in enumerate(schedule.arrivals, start=1):
+        path, out = arrival_paths(sequence, arrival)
+        input_digests[out] = _payload_digest(kernel.fs.read_file(path))
+    return _serving_outcome(
+        server, plan,
         ok=result.served_failed == 0,
         failed_clean=result.served_failed > 0,
         error=(
             f"{result.served_failed} of {result.offered} requests failed"
             if result.served_failed else ""
         ),
-        outputs=fingerprint_outputs(kernel),
-        stale_refs=len(stale),
         retries=sum(r.retries for r in server.responses),
         losses_accounted=(
             result.served_failed + result.shed + result.rejected
         ),
-        request_events=tuple(sorted(server.events)),
+        lost_outputs=frozenset(
+            out for out in input_digests if not kernel.fs.exists(out)
+        ),
+        input_digests=input_digests,
+        scale_ups=server.autoscaler.scale_ups,
+        shed_requests=result.shed,
     )
-    outcome.scale_ups = server.autoscaler.scale_ups
-    outcome.shed_requests = result.shed
-    server.shutdown()
-    return outcome
 
 
 def _run_cluster(settings: ChaosSettings,
@@ -470,9 +510,7 @@ def _run_cluster(settings: ChaosSettings,
     Arms the plan across every node (shared RNG, shared fault-id
     counter), so besides the single-machine faults the drain loop's
     node-failure hook can take whole nodes down; the server re-places
-    the dead node's shards and requests on the survivors.  Outputs,
-    frozen-write counts, stale refs, and observed fault ids aggregate
-    over all nodes.
+    the dead node's shards and requests on the survivors.
     """
     from repro.cluster.bench import load_sharded_requests
     from repro.cluster.kernel import ClusterKernel
@@ -493,52 +531,7 @@ def _run_cluster(settings: ChaosSettings,
     load_sharded_requests(
         server, 2 * nodes, settings.items, settings.image_size
     )
-    responses = server.drain()
-    failed = [r for r in responses if not r.ok]
-    outputs: Dict[str, str] = {}
-    frozen = 0
-    stale = 0
-    restarts = 0
-    observed: List[int] = []
-    for node in cluster.nodes:
-        outputs.update(fingerprint_outputs(node.kernel))
-        frozen += _frozen_writes(node.kernel)
-        restarts += node.kernel.restarted_processes
-        observed.extend(_observed_fault_ids(node.kernel.tracer))
-        stale += len(server.servers[node.index].registry.stale_keys(
-            node.kernel.processes()
-        ))
-    injected = [
-        fault
-        for injector in cluster.injectors.values()
-        for fault in injector.injected
-    ]
-    by_kind: Dict[str, int] = {}
-    for fault in injected:
-        by_kind[fault.kind.value] = by_kind.get(fault.kind.value, 0) + 1
-    outcome = RunOutcome(
-        ok=not failed,
-        failed_clean=bool(failed),
-        error=failed[0].error if failed else "",
-        outputs=outputs,
-        frozen_writes=frozen,
-        stale_refs=stale,
-        fault_ids=tuple(sorted(f.fault_id for f in injected)),
-        observed_fault_ids=tuple(sorted(observed)),
-        injected_by_kind=dict(sorted(by_kind.items())),
-        decisions=plan.decisions if plan is not None else 0,
-        virtual_ns=cluster.makespan_ns,
-        restarts=restarts,
-        retries=sum(r.retries for r in responses),
-        losses_accounted=len(failed),
-        request_events=tuple(sorted(
-            event
-            for node_server in server.servers.values()
-            for event in node_server.events
-        )),
-    )
-    server.shutdown()
-    return outcome
+    return _drained_outcome(server, plan)
 
 
 def run_target(target: str, settings: ChaosSettings,
@@ -565,11 +558,30 @@ def run_target(target: str, settings: ChaosSettings,
 # ----------------------------------------------------------------------
 
 
+def _output_ok(baseline: RunOutcome, faulted: RunOutcome, path: str,
+               digest: str) -> bool:
+    """Whether one faulted output file agrees with the baseline.
+
+    A file the baseline also wrote must be byte-identical.  A file the
+    baseline lacks is only acceptable where the baseline lost that very
+    request (shed, rejected or failed it) and the file equals what the
+    baseline wrote for an identical input.
+    """
+    if path in baseline.outputs:
+        return baseline.outputs[path] == digest
+    source = faulted.input_digests.get(path)
+    return path in baseline.lost_outputs and any(
+        baseline.outputs.get(other) == digest
+        for other, other_source in baseline.input_digests.items()
+        if other_source == source
+    )
+
+
 def check_invariants(baseline: RunOutcome,
                      faulted: RunOutcome) -> Dict[str, bool]:
     """The four chaos invariants for one schedule."""
     subset_ok = all(
-        baseline.outputs.get(path) == digest
+        _output_ok(baseline, faulted, path, digest)
         for path, digest in faulted.outputs.items()
     )
     return {

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.faults.plan import FaultKind, NoFaultPlan
 
@@ -44,6 +44,7 @@ class NullInjector:
     """Zero-cost default: hot paths check ``enabled`` and move on."""
 
     enabled = False
+    injected: Tuple = ()
 
     def attach(self, kernel: Any) -> None:
         pass

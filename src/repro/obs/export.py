@@ -20,18 +20,21 @@ remainder partition the run's end-to-end virtual time exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.obs.tracer import Span
 
 __all__ = [
     "NODE_PID_STRIDE",
+    "track_event",
+    "span_event",
     "to_chrome_trace",
     "validate_chrome_trace",
     "validate_merged_trace",
     "validate_rollup_rows",
     "render_tree",
     "mechanism_rollup",
+    "merge_rollups",
     "render_rollup",
     "RollupRow",
     "RuntimeTouches",
@@ -55,37 +58,50 @@ def _sorted_args(span: Span) -> Dict[str, Any]:
     return args
 
 
+def track_event(pid: int, name: str) -> Dict[str, Any]:
+    """The ``process_name`` metadata row that labels one trace row."""
+    return {
+        "name": "process_name",
+        "ph": "M",
+        "ts": 0,
+        "pid": pid,
+        "tid": pid,
+        "args": {"name": name},
+    }
+
+
+def span_event(span: Span, pid: int, **args: Any) -> Dict[str, Any]:
+    """One span as a complete ("X") or instant ("i") trace event.
+
+    ``args`` are appended after the span's sorted attributes.
+    """
+    event: Dict[str, Any] = {
+        "name": span.name,
+        "cat": span.category,
+        "ph": "i" if span.kind == "instant" else "X",
+        "ts": span.start_ns / 1000,
+        "pid": pid,
+        "tid": pid,
+        "args": {**_sorted_args(span), **args},
+    }
+    if span.kind == "instant":
+        event["s"] = "t"  # thread-scoped instant
+    else:
+        event["dur"] = span.duration_ns / 1000
+    return event
+
+
 def to_chrome_trace(tracer: Any) -> Dict[str, Any]:
     """Render a tracer's spans as a Chrome trace-event JSON payload."""
     spans = tracer.closed_spans()
-    events: List[Dict[str, Any]] = []
-    pids = sorted({span.pid for span in spans})
-    for pid in pids:
-        events.append({
-            "name": "process_name",
-            "ph": "M",
-            "ts": 0,
-            "pid": pid,
-            "tid": pid,
-            "args": {"name": tracer.track_names.get(pid, f"pid {pid}")},
-        })
+    events: List[Dict[str, Any]] = [
+        track_event(pid, tracer.track_names.get(pid, f"pid {pid}"))
+        for pid in sorted({span.pid for span in spans})
+    ]
     # Chrome requires complete events sorted by timestamp; ties broken by
     # span id so re-runs serialize identically.
     for span in sorted(spans, key=lambda s: (s.start_ns, s.span_id)):
-        event: Dict[str, Any] = {
-            "name": span.name,
-            "cat": span.category,
-            "ph": "i" if span.kind == "instant" else "X",
-            "ts": span.start_ns / 1000,
-            "pid": span.pid,
-            "tid": span.pid,
-            "args": _sorted_args(span),
-        }
-        if span.kind == "instant":
-            event["s"] = "t"  # thread-scoped instant
-        else:
-            event["dur"] = span.duration_ns / 1000
-        events.append(event)
+        events.append(span_event(span, span.pid))
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
@@ -296,6 +312,40 @@ def mechanism_rollup(tracer: Any, total_ns: int) -> List[RollupRow]:
     rows.sort(key=lambda r: (-r.self_ns, r.category))
     rows.append(row("untraced", 0, total_ns - roots_ns))
     return rows
+
+
+def merge_rollups(
+    tables: Iterable[List[RollupRow]], total_ns: int
+) -> List[RollupRow]:
+    """Sum per-machine rollup tables into one.
+
+    Each category's spans and self time add up across tables; percents
+    are of ``total_ns`` (the sum of the machines' clocks — nodes
+    overlap, so this is machine time, not wall time).  ``untraced``
+    stays the single final row.
+    """
+    per_category: Dict[str, List[int]] = {}
+    untraced_ns = 0
+    for rows in tables:
+        for row in rows:
+            if row.category == "untraced":
+                untraced_ns += row.self_ns
+                continue
+            bucket = per_category.setdefault(row.category, [0, 0])
+            bucket[0] += row.spans
+            bucket[1] += row.self_ns
+
+    def row(category: str, spans: int, self_ns: int) -> RollupRow:
+        percent = 100.0 * self_ns / total_ns if total_ns else 0.0
+        return RollupRow(category, spans, self_ns, percent)
+
+    merged = [
+        row(category, spans, self_ns)
+        for category, (spans, self_ns) in per_category.items()
+    ]
+    merged.sort(key=lambda r: (-r.self_ns, r.category))
+    merged.append(row("untraced", 0, untraced_ns))
+    return merged
 
 
 def render_rollup(tracer: Any, total_ns: int) -> str:

@@ -33,7 +33,7 @@ from repro.obs.critical_path import (
     extract_critical_path,
     reconcile_attribution,
 )
-from repro.obs.export import RollupRow
+from repro.obs.export import RollupRow, merge_rollups
 from repro.obs.slo import DEFAULT_SLOS, RequestEvent, SLOSpec, evaluate_slos
 from repro.obs.timeseries import TimeSeriesRegistry
 
@@ -82,39 +82,6 @@ def top_slowest(
         })
     rows.sort(key=lambda row: (-row["max_latency_ns"], row[dimension]))
     return rows[:k]
-
-
-def _merge_rollups(
-    per_node: Sequence[Tuple[str, List[RollupRow]]], total_ns: int
-) -> List[Dict[str, Any]]:
-    """Sum verified per-node rollup rows into one cluster-wide table."""
-    categories: Dict[str, List[int]] = {}
-    untraced_ns = 0
-    for _, rows in per_node:
-        for row in rows:
-            if row.category == "untraced":
-                untraced_ns += row.self_ns
-                continue
-            bucket = categories.setdefault(row.category, [0, 0])
-            bucket[0] += row.spans
-            bucket[1] += row.self_ns
-
-    def entry(category: str, spans: int, self_ns: int) -> Dict[str, Any]:
-        percent = 100.0 * self_ns / total_ns if total_ns else 0.0
-        return {
-            "category": category,
-            "spans": spans,
-            "self_ns": self_ns,
-            "percent": round(percent, 6),
-        }
-
-    merged = [
-        entry(category, spans, self_ns)
-        for category, (spans, self_ns) in categories.items()
-    ]
-    merged.sort(key=lambda row: (-row["self_ns"], row["category"]))
-    merged.append(entry("untraced", 0, untraced_ns))
-    return merged
 
 
 def build_report(
@@ -201,7 +168,17 @@ def build_report(
             },
             "nodes": node_sections,
         },
-        "rollup": _merge_rollups(verified, total_ns),
+        "rollup": [
+            {
+                "category": row.category,
+                "spans": row.spans,
+                "self_ns": row.self_ns,
+                "percent": round(row.percent, 6),
+            }
+            for row in merge_rollups(
+                (rows for _, rows in verified), total_ns
+            )
+        ],
         "top_slowest": {
             "tenants": top_slowest(ordered_events, "tenant"),
             "nodes": top_slowest(ordered_events, "node"),

@@ -13,7 +13,8 @@ amortizes those costs across many tenants and requests:
   ("the previous call's result") that batching resolves agent-locally;
 * :mod:`~repro.serve.loadgen` — seeded open-loop traffic (diurnal /
   burst / flash profiles, Zipf tenant popularity, slow clients) and the
-  drivers that replay it in virtual time;
+  one driver that replays it against a server or a cluster in virtual
+  time;
 * :mod:`~repro.serve.autoscale` — the SLO-burn-driven pool autoscaler
   and the brownout (priority-shedding) controller;
 * :mod:`~repro.serve.loadbench` — the fixed-vs-elastic comparison the

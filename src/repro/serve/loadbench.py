@@ -54,7 +54,6 @@ __all__ = [
     "canonical_schedule",
     "elastic_config",
     "run_profile",
-    "run_cluster_profile",
     "run_loadgen_benchmark",
 ]
 
@@ -121,40 +120,62 @@ def _make_server(
     elastic: bool,
     pool_size: int = FIXED_POOL,
     max_pool: int = MAX_POOL,
+    nodes: int = 1,
 ):
+    """One server (``nodes == 1``) or a sharded cluster front door.
+
+    Tenants hash across a cluster's nodes (no manifest needed for
+    synthetic traffic), and when ``elastic`` every node runs its own
+    autoscaler and brownout controller — elasticity is a per-machine
+    decision, exactly as a real per-machine agent pool would scale.
+    """
     from repro.core.runtime import FreePartConfig
-    from repro.serve.server import PipelineServer
-    from repro.sim.kernel import SimKernel
+    from repro.faults.plan import FaultPlan, FaultRates
 
-    kernel = SimKernel()
-    if fault_rate > 0:
-        from repro.faults.injector import FaultInjector
-        from repro.faults.plan import FaultPlan, FaultRates
-
-        kernel.enable_tracing()
-        kernel.inject_faults(
-            FaultInjector(FaultPlan(seed, FaultRates.scaled(fault_rate)))
-        )
-    server = PipelineServer(
-        kernel=kernel,
+    faulted = fault_rate > 0
+    server_args = dict(
         config=FreePartConfig(
             rpc_retries=2, max_restarts_per_agent=8
-        ) if fault_rate > 0 else FreePartConfig(),
+        ) if faulted else FreePartConfig(),
         pool_size=pool_size,
         batching=True,
         queue_capacity=512,
-        max_retries=2 if fault_rate > 0 else 1,
+        max_retries=2 if faulted else 1,
     )
+    if nodes == 1:
+        from repro.faults.injector import FaultInjector
+        from repro.serve.server import PipelineServer
+        from repro.sim.kernel import SimKernel
+
+        kernel = SimKernel()
+        if faulted:
+            kernel.enable_tracing()
+            kernel.inject_faults(
+                FaultInjector(FaultPlan(seed, FaultRates.scaled(fault_rate)))
+            )
+        front = PipelineServer(kernel=kernel, **server_args)
+    else:
+        from repro.cluster.kernel import ClusterKernel
+        from repro.cluster.serve import ClusterServer
+
+        cluster = ClusterKernel(nodes=nodes)
+        if faulted:
+            cluster.enable_tracing()
+            cluster.inject_faults(
+                FaultPlan(seed, FaultRates.scaled(fault_rate))
+            )
+        front = ClusterServer(cluster=cluster, **server_args)
     if elastic:
         # The autoscaler burns against the tight control budget (act
         # early); the brownout is the last-resort tier and only sheds
         # once the *judged* budget itself is burning.
-        server.enable_autoscale(
-            elastic_config(pool_size, max_pool),
-            spec=control_slo(CONTROL_BUDGET_NS),
-        )
-        server.enable_brownout(spec=control_slo(BUDGET_NS))
-    return server
+        for server in front.nodes():
+            server.enable_autoscale(
+                elastic_config(pool_size, max_pool),
+                spec=control_slo(CONTROL_BUDGET_NS),
+            )
+            server.enable_brownout(spec=control_slo(BUDGET_NS))
+    return front
 
 
 def run_profile(
@@ -165,111 +186,24 @@ def run_profile(
     schedule: Optional[ArrivalSchedule] = None,
     pool_size: int = FIXED_POOL,
     max_pool: int = MAX_POOL,
+    nodes: int = 1,
 ) -> Dict[str, Any]:
     """One open-loop replay; returns the run's flattened facts."""
     from repro.obs.slo import evaluate_slos
 
     if schedule is None:
         schedule = canonical_schedule(name, seed=seed)
-    server = _make_server(fault_rate, seed, elastic, pool_size, max_pool)
-    result: LoadgenResult = run_open_loop(server, schedule)
-    slo_results = evaluate_slos(server.events)
-    alerts = sum(len(r.alerts) for r in slo_results)
-    stats = server.stats()
+    front = _make_server(
+        fault_rate, seed, elastic, pool_size, max_pool, nodes
+    )
+    result: LoadgenResult = run_open_loop(front, schedule)
+    servers = front.nodes()
+    alerts = sum(len(r.alerts) for r in evaluate_slos(
+        [event for server in servers for event in server.events]
+    ))
     out: Dict[str, Any] = {
         "profile": name,
         "seed": seed,
-        "elastic": elastic,
-        "fault_rate": fault_rate,
-        "schedule_digest": result.schedule_digest,
-        "offered": result.offered,
-        "admitted": result.admitted,
-        "rejected": result.rejected,
-        "shed": result.shed,
-        "served_ok": result.served_ok,
-        "served_failed": result.served_failed,
-        "goodput": round(result.goodput(BUDGET_NS), 9),
-        "p99_latency_ms": round(result.p99_latency_ns() / 1e6, 4),
-        "slo_alerts": alerts,
-        "send_backoff_retries": stats["send_backoff_retries"],
-        "pool_size": stats["pool_size"],
-        "sheds_by_priority": dict(sorted(
-            result.sheds_by_priority.items()
-        )),
-    }
-    if elastic:
-        out["scale_ups"] = server.autoscaler.scale_ups
-        out["scale_downs"] = server.autoscaler.scale_downs
-        out["burning_cells"] = server.autoscaler.monitor.burning_cells
-        out["brownout_floor"] = server.brownout.floor
-        out["scale_events"] = [
-            event.to_dict() for event in server.autoscaler.events
-        ]
-    server.shutdown()
-    return out
-
-
-def run_cluster_profile(
-    name: str,
-    seed: int = SEED,
-    nodes: int = 3,
-    elastic: bool = True,
-    fault_rate: float = 0.0,
-    schedule: Optional[ArrivalSchedule] = None,
-    pool_size: int = FIXED_POOL,
-    max_pool: int = MAX_POOL,
-) -> Dict[str, Any]:
-    """One open-loop replay against a sharded multi-node cluster.
-
-    Tenants hash across nodes (no manifest needed for synthetic
-    traffic); each node runs its own autoscaler and brownout controller
-    when ``elastic`` — elasticity is a per-node decision, exactly as a
-    real per-machine agent pool would scale.
-    """
-    from repro.cluster.kernel import ClusterKernel
-    from repro.cluster.serve import ClusterServer
-    from repro.core.runtime import FreePartConfig
-    from repro.obs.slo import evaluate_slos
-    from repro.serve.loadgen import run_open_loop_cluster
-
-    if schedule is None:
-        schedule = canonical_schedule(name, seed=seed)
-    cluster = ClusterKernel(nodes=nodes)
-    if fault_rate > 0:
-        from repro.faults.plan import FaultPlan, FaultRates
-
-        cluster.enable_tracing()
-        cluster.inject_faults(
-            FaultPlan(seed, FaultRates.scaled(fault_rate))
-        )
-    server = ClusterServer(
-        cluster=cluster,
-        config=FreePartConfig(
-            rpc_retries=2, max_restarts_per_agent=8
-        ) if fault_rate > 0 else FreePartConfig(),
-        pool_size=pool_size,
-        batching=True,
-        queue_capacity=512,
-        max_retries=2 if fault_rate > 0 else 1,
-    )
-    if elastic:
-        for node_server in server.servers.values():
-            node_server.enable_autoscale(
-                elastic_config(pool_size, max_pool),
-                spec=control_slo(CONTROL_BUDGET_NS),
-            )
-            node_server.enable_brownout(spec=control_slo(BUDGET_NS))
-    result: LoadgenResult = run_open_loop_cluster(server, schedule)
-    events = sorted(
-        event
-        for node_server in server.servers.values()
-        for event in node_server.events
-    )
-    alerts = sum(len(r.alerts) for r in evaluate_slos(events))
-    out: Dict[str, Any] = {
-        "profile": name,
-        "seed": seed,
-        "nodes": nodes,
         "elastic": elastic,
         "fault_rate": fault_rate,
         "schedule_digest": result.schedule_digest,
@@ -285,27 +219,42 @@ def run_cluster_profile(
         "sheds_by_priority": dict(sorted(
             result.sheds_by_priority.items()
         )),
-        "per_node": {
-            f"node{index}": {
-                "pool_size": node_server.stats()["pool_size"],
-                "requests": len(node_server.events),
+    }
+    if nodes == 1:
+        server = servers[0]
+        stats = server.stats()
+        out["send_backoff_retries"] = stats["send_backoff_retries"]
+        out["pool_size"] = stats["pool_size"]
+        if elastic:
+            out["scale_ups"] = server.autoscaler.scale_ups
+            out["scale_downs"] = server.autoscaler.scale_downs
+            out["burning_cells"] = server.autoscaler.monitor.burning_cells
+            out["brownout_floor"] = server.brownout.floor
+            out["scale_events"] = [
+                event.to_dict() for event in server.autoscaler.events
+            ]
+    else:
+        out["nodes"] = nodes
+        out["per_node"] = {
+            server.node_label: {
+                "pool_size": server.stats()["pool_size"],
+                "requests": len(server.events),
                 "scale_ups": (
-                    node_server.autoscaler.scale_ups
-                    if node_server.autoscaler is not None else 0
+                    server.autoscaler.scale_ups
+                    if server.autoscaler is not None else 0
                 ),
                 "shed": (
-                    node_server.brownout.shed_requests
-                    if node_server.brownout is not None else 0
+                    server.brownout.shed_requests
+                    if server.brownout is not None else 0
                 ),
             }
-            for index, node_server in sorted(server.servers.items())
-        },
-    }
-    if elastic:
-        out["scale_ups"] = sum(
-            node["scale_ups"] for node in out["per_node"].values()
-        )
-    server.shutdown()
+            for server in servers
+        }
+        if elastic:
+            out["scale_ups"] = sum(
+                node["scale_ups"] for node in out["per_node"].values()
+            )
+    front.shutdown()
     return out
 
 

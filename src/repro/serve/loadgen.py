@@ -18,10 +18,10 @@ serving layer in virtual time:
   curve into an :class:`ArrivalSchedule`: a sorted, sha256-digestable
   list of :class:`Arrival`\\ s.  Same seed + profile ⇒ byte-identical
   schedule;
-* :func:`run_open_loop` / :func:`run_open_loop_cluster` — drive a
+* :func:`run_open_loop` — drive a
   :class:`~repro.serve.server.PipelineServer` or
   :class:`~repro.cluster.serve.ClusterServer` open-loop: the virtual
-  clock jumps to the next arrival when idle, due arrivals are admitted
+  clocks jump to the next arrival when idle, due arrivals are admitted
   (or rejected/shed — the *client* remembers, even when the server never
   saw the request), and one request is dispatched per step.
 
@@ -52,6 +52,7 @@ __all__ = [
     "merge_schedules",
     "profile_by_name",
     "LoadgenResult",
+    "arrival_paths",
     "run_open_loop",
     "run_open_loop_cluster",
 ]
@@ -416,6 +417,22 @@ def _payload(image_size: int):
     return np.zeros((image_size, image_size))
 
 
+def arrival_paths(sequence: int, arrival: Arrival) -> Tuple[str, str]:
+    """Input and output paths of the ``sequence``-th arrival (1-based)."""
+    return (
+        f"/data/{arrival.tenant}/in-{sequence}.png",
+        f"/out/{arrival.tenant}/out-{sequence}.png",
+    )
+
+
+def _count(result: LoadgenResult, responses) -> None:
+    for response in responses:
+        if response.ok:
+            result.served_ok += 1
+        else:
+            result.served_failed += 1
+
+
 def _refusal(arrival: Arrival, node: str) -> RequestEvent:
     """The client-side failure event for a refused arrival."""
     return RequestEvent(
@@ -429,41 +446,35 @@ def run_open_loop(
     schedule: ArrivalSchedule,
     deadline_ns: Optional[int] = None,
 ) -> LoadgenResult:
-    """Replay a schedule against one :class:`PipelineServer` open-loop.
+    """Replay a schedule open-loop against a serving front door.
 
-    Arrivals are admitted *one at a time, in schedule order*, each
-    dispatched immediately (the request's ``enqueued_at_ns`` is rewound
-    to the true arrival time, so latency is client-perceived).  Open-loop
-    queueing is modelled entirely by the server's
-    :class:`~repro.serve.metrics.ServingTimeline`: when arrivals outpace
-    lane capacity the earliest-free-lane replay charges every request
-    its wait — the admission queue is deliberately kept shallow, because
-    its drain rate follows the *serial* drive clock (a different
-    timebase from the lane replay) and deep fair-share rotation there
-    would reorder dispatch against arrival order and corrupt the
-    latency model.  Everything is a pure function of (server
-    configuration, schedule), so re-runs are byte-identical.
+    ``server`` is a :class:`~repro.serve.server.PipelineServer` or a
+    :class:`~repro.cluster.serve.ClusterServer`.  Arrivals are admitted
+    *one at a time, in schedule order*: the living nodes' clocks jump to
+    the arrival, the input lands on the tenant's home node, and each
+    admitted request (its ``enqueued_at_ns`` rewound to the arrival, so
+    latency is client-perceived) is followed by exactly one ``step()``
+    — a cluster consults its node-failure hook between dispatches, so
+    traffic and failures interleave.  Open-loop queueing is modelled by
+    each node's :class:`~repro.serve.metrics.ServingTimeline`; the
+    admission queue is deliberately kept shallow, because its drain
+    rate follows the *serial* drive clock (a different timebase from the
+    lane replay) and deep fair-share rotation there would reorder
+    dispatch against arrival order and corrupt the latency model.  The
+    client stream is the refusals plus every node's request events.
     """
-    from collections import deque
-
     from repro.serve.bench import standard_pipeline
 
-    clock = server.kernel.clock
-    pending = deque(schedule.arrivals)
     result = LoadgenResult(
         schedule_digest=schedule.digest(),
         offered=len(schedule.arrivals),
         admitted=0, rejected=0, shed=0, served_ok=0, served_failed=0,
     )
-    sequence = 0
-    while pending:
-        arrival = pending.popleft()
-        if clock.now_ns < arrival.at_ns:
-            clock.advance(arrival.at_ns - clock.now_ns)
-        sequence += 1
-        path = f"/data/{arrival.tenant}/in-{sequence}.png"
-        out = f"/out/{arrival.tenant}/out-{sequence}.png"
-        server.kernel.fs.write_file(path, _payload(arrival.image_size))
+    for sequence, arrival in enumerate(schedule.arrivals, start=1):
+        server.advance_to(arrival.at_ns)
+        home = server.home(arrival.tenant)
+        path, out = arrival_paths(sequence, arrival)
+        home.kernel.fs.write_file(path, _payload(arrival.image_size))
         try:
             request = server.submit(
                 arrival.tenant,
@@ -480,144 +491,24 @@ def run_open_loop(
             result.sheds_by_priority[name] = (
                 result.sheds_by_priority.get(name, 0) + 1
             )
-            result.client_events.append(
-                _refusal(arrival, server.node_label)
-            )
+            result.client_events.append(_refusal(arrival, home.node_label))
             continue
         except AdmissionRejected:
             result.rejected += 1
-            result.client_events.append(
-                _refusal(arrival, server.node_label)
-            )
+            result.client_events.append(_refusal(arrival, home.node_label))
             continue
         # Latency is measured from the client's send time, not from
         # the instant the serial drive loop got around to admitting.
         request.enqueued_at_ns = arrival.at_ns
         result.admitted += 1
-        response = server.serve_one()
-        if response is None:
-            continue
-        if response.ok:
-            result.served_ok += 1
-        else:
-            result.served_failed += 1
-        if response.timed_out:
-            # Timed-out requests never reach the serving timeline; the
-            # client still waited from its own send time until now.
-            at_ns = clock.now_ns
-            latency_ns = clock.now_ns - arrival.at_ns
-        else:
-            # The server's _finish just appended the authoritative event
-            # (timeline finish time + lane-modelled latency); mirror it.
-            at_ns = server.events[-1].at_ns if server.events else clock.now_ns
-            latency_ns = response.latency_ns
-        result.client_events.append(RequestEvent(
-            at_ns=at_ns,
-            node=server.node_label,
-            tenant=response.tenant_id,
-            latency_ns=latency_ns,
-            ok=response.ok,
-        ))
-    # Anything still queued (e.g. admitted behind a breaker shed) drains
-    # at the end so the client always hears back.
-    for response in server.drain():
-        if response.ok:
-            result.served_ok += 1
-            at_ns = server.events[-1].at_ns if server.events else clock.now_ns
-            result.client_events.append(RequestEvent(
-                at_ns=at_ns, node=server.node_label,
-                tenant=response.tenant_id,
-                latency_ns=response.latency_ns, ok=True,
-            ))
-        else:
-            result.served_failed += 1
-            result.client_events.append(RequestEvent(
-                at_ns=clock.now_ns, node=server.node_label,
-                tenant=response.tenant_id,
-                latency_ns=response.latency_ns, ok=False,
-            ))
+        _count(result, server.step())
+    # Anything still queued drains at the end so the client always
+    # hears back.
+    _count(result, server.drain())
+    for node in server.nodes():
+        result.client_events.extend(node.events)
     return result
 
 
-def run_open_loop_cluster(
-    server,
-    schedule: ArrivalSchedule,
-    deadline_ns: Optional[int] = None,
-) -> LoadgenResult:
-    """Replay a schedule against a :class:`ClusterServer` open-loop.
-
-    Arrivals route through the sticky front door one at a time in
-    schedule order, each followed by one :meth:`ClusterServer.step`
-    (at most one dispatch per living node, consulting the node-failure
-    hook between dispatches — traffic and failures interleave).  As in
-    :func:`run_open_loop`, queueing is modelled by each node's serving
-    timeline, not by admission-queue depth.
-    """
-    from collections import deque
-
-    from repro.serve.bench import standard_pipeline
-
-    cluster = server.cluster
-    pending = deque(schedule.arrivals)
-    result = LoadgenResult(
-        schedule_digest=schedule.digest(),
-        offered=len(schedule.arrivals),
-        admitted=0, rejected=0, shed=0, served_ok=0, served_failed=0,
-    )
-    sequence = 0
-
-    def collect(responses) -> None:
-        for response in responses:
-            if response.ok:
-                result.served_ok += 1
-            else:
-                result.served_failed += 1
-
-    while pending:
-        arrival = pending.popleft()
-        for node in cluster.living():
-            if node.kernel.clock.now_ns < arrival.at_ns:
-                node.kernel.clock.advance(
-                    arrival.at_ns - node.kernel.clock.now_ns
-                )
-        sequence += 1
-        node_index = server.route(arrival.tenant)
-        node = cluster.node(node_index)
-        path = f"/data/{arrival.tenant}/in-{sequence}.png"
-        out = f"/out/{arrival.tenant}/out-{sequence}.png"
-        node.kernel.fs.write_file(path, _payload(arrival.image_size))
-        try:
-            request = server.submit(
-                arrival.tenant,
-                standard_pipeline(path, out),
-                deadline_ns=(
-                    arrival.at_ns + deadline_ns
-                    if deadline_ns is not None else None
-                ),
-                priority=arrival.priority,
-            )
-        except BrownoutShed:
-            result.shed += 1
-            name = PRIORITY_NAMES[arrival.priority]
-            result.sheds_by_priority[name] = (
-                result.sheds_by_priority.get(name, 0) + 1
-            )
-            result.client_events.append(
-                _refusal(arrival, f"node{node_index}")
-            )
-            continue
-        except AdmissionRejected:
-            result.rejected += 1
-            result.client_events.append(
-                _refusal(arrival, f"node{node_index}")
-            )
-            continue
-        request.enqueued_at_ns = arrival.at_ns
-        result.admitted += 1
-        collect(server.step())
-    collect(server.drain())
-    # The client stream mirrors each node's authoritative event list
-    # (timeline finish times and lane-modelled latencies).
-    for node_server in server.servers.values():
-        result.client_events.extend(node_server.events)
-    return result
+#: A cluster is driven the same way; the name stays for callers.
+run_open_loop_cluster = run_open_loop

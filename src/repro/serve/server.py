@@ -32,7 +32,9 @@ from repro.errors import (
     AdmissionRejected,
     AgentUnavailable,
     BrownoutShed,
+    CircuitOpen,
     FrameworkCrash,
+    ReproError,
     RequestTimeout,
     TenantIsolationError,
 )
@@ -120,8 +122,9 @@ class PipelineServer:
         #: and time-series points; the cluster front door sets it to the
         #: owning node's name, single-machine servers leave it empty.
         self.node_label = ""
-        #: Per-request SLO facts (one per finished dispatch), the input
-        #: stream for ``repro.obs.slo`` evaluation and run reports.
+        #: Per-request SLO facts (one per dispatched request, queue
+        #: timeouts included), the input stream for ``repro.obs.slo``
+        #: evaluation, the control loops and run reports.
         self.events: List[RequestEvent] = []
         self.batch_stats = BatchingStats()
         self.timeline = ServingTimeline(lanes=pool_size)
@@ -262,6 +265,29 @@ class PipelineServer:
         return actual
 
     # ------------------------------------------------------------------
+    # Front door (the view a ClusterServer also offers)
+    # ------------------------------------------------------------------
+
+    def nodes(self) -> List["PipelineServer"]:
+        """The servers behind this front door: just this one."""
+        return [self]
+
+    def home(self, tenant_id: str) -> "PipelineServer":
+        """The server a tenant's requests land on: this one."""
+        return self
+
+    def advance_to(self, at_ns: int) -> None:
+        """Idle the clock forward to ``at_ns`` (never backwards)."""
+        clock = self.kernel.clock
+        if clock.now_ns < at_ns:
+            clock.advance(at_ns - clock.now_ns)
+
+    def step(self) -> List[ServeResponse]:
+        """Dispatch at most one queued request; return what it produced."""
+        response = self.serve_one()
+        return [] if response is None else [response]
+
+    # ------------------------------------------------------------------
     # Dispatch loop
     # ------------------------------------------------------------------
 
@@ -278,10 +304,9 @@ class PipelineServer:
     def serve_one(self) -> Optional[ServeResponse]:
         """Dispatch exactly one queued request (None when idle).
 
-        The cluster's round-robin drain interleaves nodes one request at
-        a time — and checks the node-failure fault hook between
-        dispatches — so it needs a single-step entry point rather than
-        the run-to-empty :meth:`drain`.
+        :meth:`step` and the cluster's round-robin drain (which checks
+        the node-failure fault hook between dispatches) both step through
+        here rather than the run-to-empty :meth:`drain`.
         """
         request = self.queue.next_request()
         if request is None:
@@ -314,7 +339,12 @@ class PipelineServer:
     def _dispatch_request(self, request: ServeRequest) -> ServeResponse:
         tenant = self.tenants[request.tenant_id]
         if request.timed_out:
+            # The client waited from its send time until now; the
+            # request never reaches the serving timeline.
+            now_ns = self.kernel.clock.now_ns
             tenant.requests_failed += 1
+            self._record(request.tenant_id, now_ns,
+                         now_ns - request.enqueued_at_ns, ok=False)
             return ServeResponse(
                 request_id=request.request_id,
                 tenant_id=request.tenant_id,
@@ -331,7 +361,6 @@ class PipelineServer:
         while True:
             shed = self._acquire_breakers(request, breaker_labels, retries)
             if shed is not None:
-                tenant.requests_failed += 1
                 tenant.requests_degraded += 1
                 self.degraded_responses += 1
                 return shed
@@ -345,10 +374,8 @@ class PipelineServer:
                 # the probe slots go back unused.
                 for label in breaker_labels:
                     self.breakers[label].release_probe()
-                tenant.requests_failed += 1
                 return self._finish(
-                    request, self.kernel.clock.now_ns, retries,
-                    ok=False, error=f"{type(exc).__name__}: {exc}",
+                    request, self.kernel.clock.now_ns, retries, failure=exc
                 )
             agents = {index: member.agent for index, member in leased.items()}
             gateway = ServeGateway(
@@ -363,50 +390,28 @@ class PipelineServer:
                 batch_stats=self.batch_stats,
             )
             started_ns = self.kernel.clock.now_ns
+            values, failure = None, None
             try:
                 values = gateway.call_many(list(request.calls))
-            except FrameworkCrash as exc:
+            except ReproError as exc:  # the request failed, not the server
+                failure = exc
+            crashed = isinstance(failure, FrameworkCrash)
+            self.send_backoff_retries += gateway.send_backoff_retries
+            self.pools.restore_set(leased)
+            self._settle_breakers(
+                breaker_labels,
+                crashed=gateway.last_crash_partition if crashed else None,
+            )
+            if crashed and retries < self.max_retries:
                 # The pool repaired the agent in place (restart); retry
                 # the whole request — at-least-once, like the one-shot
                 # runtime's post-restart re-execution.
-                self.send_backoff_retries += gateway.send_backoff_retries
-                self.pools.restore_set(leased)
-                self._settle_breakers(
-                    breaker_labels, crashed=gateway.last_crash_partition
-                )
-                if retries < self.max_retries:
-                    retries += 1
-                    continue
-                tenant.requests_failed += 1
-                return self._finish(
-                    request, started_ns, retries,
-                    ok=False, error=f"{type(exc).__name__}: {exc}",
-                )
-            except TenantIsolationError as exc:
-                self.send_backoff_retries += gateway.send_backoff_retries
-                self.pools.restore_set(leased)
-                self._settle_breakers(breaker_labels, crashed=None)
+                retries += 1
+                continue
+            if isinstance(failure, TenantIsolationError):
                 tenant.isolation_violations += 1
-                tenant.requests_failed += 1
-                return self._finish(
-                    request, started_ns, retries,
-                    ok=False, error=f"{type(exc).__name__}: {exc}",
-                )
-            except Exception as exc:  # application-level failure
-                self.send_backoff_retries += gateway.send_backoff_retries
-                self.pools.restore_set(leased)
-                self._settle_breakers(breaker_labels, crashed=None)
-                tenant.requests_failed += 1
-                return self._finish(
-                    request, started_ns, retries,
-                    ok=False, error=f"{type(exc).__name__}: {exc}",
-                )
-            self.send_backoff_retries += gateway.send_backoff_retries
-            self.pools.restore_set(leased)
-            self._settle_breakers(breaker_labels, crashed=None)
-            tenant.requests_completed += 1
             return self._finish(
-                request, started_ns, retries, ok=True, values=values
+                request, started_ns, retries, values=values, failure=failure
             )
 
     # ------------------------------------------------------------------
@@ -424,7 +429,7 @@ class PipelineServer:
         for call in request.calls:
             try:
                 qualname = get_api(call.framework, call.name).spec.qualname
-            except Exception:
+            except ReproError:
                 continue
             if qualname not in self.categorization:
                 continue
@@ -457,12 +462,10 @@ class PipelineServer:
             for earlier in granted:
                 earlier.release_probe()
             breaker.record_shed()
-            started_ns = self.kernel.clock.now_ns
             response = self._finish(
-                request, started_ns, retries,
-                ok=False,
-                error=(
-                    f"CircuitOpen: partition {label!r} is shedding load "
+                request, self.kernel.clock.now_ns, retries,
+                failure=CircuitOpen(
+                    f"partition {label!r} is shedding load "
                     "(degraded response, no agent dispatched)"
                 ),
             )
@@ -496,28 +499,36 @@ class PipelineServer:
         request: ServeRequest,
         started_ns: int,
         retries: int,
-        ok: bool,
         values: Optional[List[Any]] = None,
-        error: str = "",
+        failure: Optional[ReproError] = None,
     ) -> ServeResponse:
+        """Place a dispatched request on the timeline and answer it."""
         service_ns = self.kernel.clock.now_ns - started_ns
         timing = self.timeline.observe(
             request.request_id, request.tenant_id,
             arrival_ns=request.enqueued_at_ns, service_ns=service_ns,
         )
-        event = RequestEvent(
-            at_ns=timing.finish_ns,
-            node=self.node_label,
-            tenant=request.tenant_id,
-            latency_ns=timing.latency_ns,
-            ok=ok,
+        # The queue checks deadlines on the drive clock, but the client
+        # hears back at the timeline's finish time: an answer later than
+        # its deadline is a timeout, not a success.
+        late = (
+            failure is None and request.deadline_ns is not None
+            and timing.finish_ns > request.deadline_ns
         )
-        self.events.append(event)
-        # Close the control loops on the same stream the reports read.
-        if self.autoscaler is not None:
-            self.autoscaler.on_request(event)
-        if self.brownout is not None:
-            self.brownout.observe(event)
+        if late:
+            values, failure = None, RequestTimeout(
+                f"deadline {request.deadline_ns} ns passed before the "
+                f"answer at {timing.finish_ns} ns"
+            )
+        ok = failure is None
+        tenant = self.tenants[request.tenant_id]
+        if ok:
+            tenant.requests_completed += 1
+        else:
+            tenant.requests_failed += 1
+        self._record(
+            request.tenant_id, timing.finish_ns, timing.latency_ns, ok
+        )
         labels = {"tenant": request.tenant_id}
         if self.node_label:
             labels["node"] = self.node_label
@@ -533,11 +544,26 @@ class PipelineServer:
             tenant_id=request.tenant_id,
             ok=ok,
             values=values,
-            error=error,
+            error="" if ok else f"{type(failure).__name__}: {failure}",
+            timed_out=late,
             retries=retries,
             service_ns=service_ns,
             latency_ns=timing.latency_ns,
         )
+
+    def _record(
+        self, tenant_id: str, at_ns: int, latency_ns: int, ok: bool
+    ) -> None:
+        """Append one request event and close the control loops on it."""
+        event = RequestEvent(
+            at_ns=at_ns, node=self.node_label, tenant=tenant_id,
+            latency_ns=latency_ns, ok=ok,
+        )
+        self.events.append(event)
+        if self.autoscaler is not None:
+            self.autoscaler.on_request(event)
+        if self.brownout is not None:
+            self.brownout.observe(event)
 
     # ------------------------------------------------------------------
     # Reporting / teardown
@@ -660,7 +686,7 @@ class NaiveServer:
         ok, error, values = True, "", None
         try:
             values = gateway.call_many(request.calls)
-        except Exception as exc:
+        except ReproError as exc:
             ok, error = False, f"{type(exc).__name__}: {exc}"
         finally:
             gateway.shutdown()

@@ -31,3 +31,21 @@ def test_artifact_matches_its_pinned_digest(command, tmp_path, capsys):
     assert main([*command, "--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED[command]
+
+
+#: ``repro loadgen`` prints its JSON to stdout; these pin that text.
+PINNED_STDOUT = {
+    ("loadgen", "--profile", "burst", "--fault-rate", "0.01", "--json"):
+        "51a90396f3134e3bffbd1ceab6ecfba6efaec6862a6dfef5f50f80791c0814c5",
+    ("loadgen", "--profile", "burst", "--cluster", "--nodes", "3",
+     "--json"):
+        "8e603df49a6ff1583358354550350a7b325721b6f0dcd5c2146532d95715f9ab",
+}
+
+
+@pytest.mark.parametrize("command", PINNED_STDOUT, ids="-".join)
+def test_printed_artifact_matches_its_pinned_digest(command, capsys):
+    assert main(list(command)) == 0
+    printed = capsys.readouterr().out
+    assert hashlib.sha256(printed.encode()).hexdigest() == \
+        PINNED_STDOUT[command]
