@@ -21,9 +21,10 @@ import numpy as np
 
 from repro.core.apitypes import APIType
 from repro.core.gateway import ApiGateway
+from repro.core.rpc import RemoteHandle
 from repro.core.runtime import RunReport
 from repro.errors import FrameworkCrash
-from repro.frameworks.base import DataObject
+from repro.frameworks.base import DataObject, Mat, Model
 from repro.sim.kernel import SimKernel
 
 
@@ -203,8 +204,6 @@ class PipelineApp(Application):
         if workload.keys:
             kernel.gui.queue_keys(workload.keys)
         # Host the remote content the hub/get_file loaders pull.
-        from repro.frameworks.base import Model
-
         network = kernel.devices.network
         network.host_content(
             "https://model-zoo.example/resnet.pt",
@@ -253,11 +252,7 @@ class PipelineApp(Application):
         result: AppResult,
     ) -> None:
         value = self._dispatch(gateway, site, state, item, site_index)
-        carryable = (
-            self._is_data(value)
-            and not self._is_model(value)
-            and 0 < self._size_of(value) <= MAX_CARRIED_BYTES
-        )
+        carryable = self._carryable(value)
         if site.argspec in (
             ArgSpec.SOURCE_PATH, ArgSpec.SOURCE_DIR,
             ArgSpec.SOURCE_CAMERA, ArgSpec.SOURCE_NONE,
@@ -346,30 +341,27 @@ class PipelineApp(Application):
     def _seed_value(self, gateway: ApiGateway) -> Any:
         """A starting data object for schedules that process before loading."""
         rng = np.random.default_rng(self.spec.sample_id)
-        from repro.frameworks.base import Mat
-
         return Mat(rng.normal(size=(16, 16)))
 
     @staticmethod
-    def _is_data(value: Any) -> bool:
-        from repro.core.rpc import RemoteHandle
-
-        return isinstance(value, (DataObject, RemoteHandle, np.ndarray))
-
-    @staticmethod
-    def _size_of(value: Any) -> int:
-        from repro.core.rpc import RemoteHandle
-
+    def _carryable(value: Any) -> bool:
+        """Whether a result can become the current data: a data object
+        (or a handle to one), not a model, of 1..MAX_CARRIED_BYTES."""
         if isinstance(value, RemoteHandle):
-            return value.payload_bytes
-        return int(getattr(value, "nbytes", 0))
+            if value.ref.kind == "model":
+                return False
+            nbytes = value.ref.payload_bytes
+        elif isinstance(value, (DataObject, np.ndarray)):
+            if isinstance(value, Model):
+                return False
+            nbytes = int(value.nbytes)
+        else:
+            return False
+        return 0 < nbytes <= MAX_CARRIED_BYTES
 
     @staticmethod
     def _is_model(value: Any) -> bool:
         """Model objects feed detectors, not the image pipeline."""
-        from repro.core.rpc import RemoteHandle
-        from repro.frameworks.base import Model
-
         if isinstance(value, Model):
             return True
         return isinstance(value, RemoteHandle) and value.ref.kind == "model"

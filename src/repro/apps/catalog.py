@@ -268,8 +268,10 @@ def build_schedule(spec: AppSpec) -> List[CallSite]:
         if counts.unique == 0:
             continue
         candidates = _mandatory_entries(spec, api_type)
+        seen = {(c[0], c[1]) for c in candidates}
         for entry in repertoire(frameworks, api_type):
-            if all((entry[0], entry[1]) != (c[0], c[1]) for c in candidates):
+            if (entry[0], entry[1]) not in seen:
+                seen.add((entry[0], entry[1]))
                 candidates.append(entry)
         if len(candidates) < counts.unique:
             raise ValueError(

@@ -48,7 +48,7 @@ from repro.frameworks.base import (
 from repro.sim.filters import FilterSpec
 from repro.sim.ipc import ChannelPair
 from repro.sim.kernel import SimKernel
-from repro.sim.process import SimProcess
+from repro.sim.process import ProcessState, SimProcess
 
 #: How many stateful-API invocations pass between two checkpoints.
 CHECKPOINT_INTERVAL = 16
@@ -284,6 +284,16 @@ class AgentProcess:
                 self.stats.torn_checkpoints_detected += 1
         return None
 
+    def stop(self) -> None:
+        """Stop the agent for good: close its channels, exit its process
+        (which releases its memory) and drop the cached replies and
+        resident copies that would keep results alive."""
+        self.channel.close()
+        if self.process.alive:
+            self.process.exit()
+        self._reply_cache.clear()
+        self._resident.clear()
+
     def require_alive(self) -> None:
         """Raise AgentUnavailable if the process crashed."""
         if not self.process.alive:
@@ -317,7 +327,8 @@ class AgentProcess:
         ldc: bool,
     ) -> Tuple[RpcResponse, Any]:
         """Run a request; also return the un-wrapped result for chaining."""
-        self.require_alive()
+        if self.process.state is not ProcessState.RUNNING:
+            self.require_alive()
         faults = self.kernel.faults
         crash_point = (
             faults.rpc_crash_point(self, request) if faults.enabled else None
@@ -334,17 +345,18 @@ class AgentProcess:
             return cached
         self.sequence.record_execution(request.seq)
         self.stats.requests += 1
-        args = tuple(
-            self._materialize(value, resolve_ref, request.state_label)
-            for value in request.args
-        )
-        kwargs = {
-            key: self._materialize(value, resolve_ref, request.state_label)
-            for key, value in request.kwargs
-        }
-        self.ctx.state_label = request.state_label
+        label = request.state_label
+        materialize = self._materialize
+        args = [
+            materialize(value, resolve_ref, label) for value in request.args
+        ]
+        kwargs = {}
+        for key, value in request.kwargs:
+            kwargs[key] = materialize(value, resolve_ref, label)
+        self.ctx.state_label = label
         result = self.ctx.invoke(api, *args, **kwargs)
-        self._track_statefulness(api)
+        if api.spec.stateful is StatefulKind.DATA_STATE:
+            self._track_statefulness(api)
         if crash_point is FaultKind.CRASH_AFTER_EXECUTE:
             # State applied, reply never produced: the retransmitted
             # request re-executes from the checkpoint after restart.
@@ -486,8 +498,8 @@ class AgentProcess:
         return self.store.fetch(ref)
 
     def _track_statefulness(self, api: FrameworkAPI) -> None:
-        if api.spec.stateful is not StatefulKind.DATA_STATE:
-            return
+        """Count one stateful-API call; checkpoint every
+        CHECKPOINT_INTERVAL of them."""
         self.stats.stateful_calls += 1
         key = api.spec.qualname
         self._checkpoint[key] = self._checkpoint.get(key, 0) + 1

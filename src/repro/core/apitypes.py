@@ -53,19 +53,25 @@ class FrameworkState(enum.Enum):
     @classmethod
     def for_api_type(cls, api_type: APIType) -> "FrameworkState":
         """The state entered when an API of ``api_type`` is invoked."""
-        mapping = {
-            APIType.LOADING: cls.LOADING,
-            APIType.PROCESSING: cls.PROCESSING,
-            APIType.VISUALIZING: cls.VISUALIZING,
-            APIType.STORING: cls.STORING,
-        }
         try:
-            return mapping[api_type]
+            return STATE_OF_TYPE[api_type]
         except KeyError:
             raise ValueError(
                 f"{api_type} does not map to a framework state; neutral APIs "
                 "run in the current state"
             ) from None
+
+
+#: The state each concrete API type moves the framework into.
+STATE_OF_TYPE = {
+    APIType.LOADING: FrameworkState.LOADING,
+    APIType.PROCESSING: FrameworkState.PROCESSING,
+    APIType.VISUALIZING: FrameworkState.VISUALIZING,
+    APIType.STORING: FrameworkState.STORING,
+}
+
+#: The inverse: the API type whose calls a state stands for.
+_TYPE_OF_STATE = {state: kind for kind, state in STATE_OF_TYPE.items()}
 
 
 def state_label(state: FrameworkState) -> str:
@@ -75,10 +81,4 @@ def state_label(state: FrameworkState) -> str:
 
 def api_type_of_state(state: FrameworkState) -> Optional[APIType]:
     """Inverse of :meth:`FrameworkState.for_api_type` (None for init)."""
-    mapping = {
-        FrameworkState.LOADING: APIType.LOADING,
-        FrameworkState.PROCESSING: APIType.PROCESSING,
-        FrameworkState.VISUALIZING: APIType.VISUALIZING,
-        FrameworkState.STORING: APIType.STORING,
-    }
-    return mapping.get(state)
+    return _TYPE_OF_STATE.get(state)

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import StaleObjectRef
+from repro.sim.memory import payload_nbytes
+from repro.sim.process import ProcessState
 
 #: Simulated wire size of a reference (pid + buffer id + metadata).
 REF_WIRE_BYTES = 64
@@ -30,10 +32,8 @@ class ObjectRef:
     payload_bytes: int
     kind: str = "object"
 
-    @property
-    def nbytes(self) -> int:
-        """Wire size: a reference carries no data (LDC's whole point)."""
-        return REF_WIRE_BYTES
+    #: Wire size: a reference carries no data (LDC's whole point).
+    nbytes = REF_WIRE_BYTES
 
 
 class RemoteHandle:
@@ -47,12 +47,10 @@ class RemoteHandle:
 
     __slots__ = ("ref",)
 
+    nbytes = REF_WIRE_BYTES
+
     def __init__(self, ref: ObjectRef) -> None:
         self.ref = ref
-
-    @property
-    def nbytes(self) -> int:
-        return REF_WIRE_BYTES
 
     @property
     def payload_bytes(self) -> int:
@@ -80,13 +78,11 @@ class RpcRequest:
         cached = getattr(self, "_nbytes", None)
         if cached is not None:
             return cached
-        from repro.sim.memory import payload_nbytes
-
-        total = 96  # header: seq + ids + state
+        total = REQUEST_HEADER_BYTES  # seq + ids + state
         for value in self.args:
-            total += payload_nbytes(value, frozen=True)
+            total += payload_nbytes(value)
         for _, value in self.kwargs:
-            total += payload_nbytes(value, frozen=True)
+            total += payload_nbytes(value)
         # Requests are frozen, so the size never changes: cache it for
         # the retransmit/reply-cache paths that re-frame the same object.
         object.__setattr__(self, "_nbytes", total)
@@ -106,9 +102,7 @@ class RpcResponse:
         cached = getattr(self, "_nbytes", None)
         if cached is not None:
             return cached
-        from repro.sim.memory import payload_nbytes
-
-        total = 64 + payload_nbytes(self.value, frozen=True)
+        total = RESPONSE_HEADER_BYTES + payload_nbytes(self.value)
         object.__setattr__(self, "_nbytes", total)
         return total
 
@@ -279,16 +273,16 @@ class ObjectStore:
 
     def register(self, payload: Any, state_label: str, tag: str = "") -> ObjectRef:
         """Allocate the payload in the owning process and hand out a ref."""
-        from repro.sim.memory import payload_nbytes
-
-        buffer = self.process.memory.alloc_object(
-            payload, tag=tag or "rpc-object", origin_state=state_label
+        nbytes = payload_nbytes(payload)
+        buffer = self.process.memory.alloc(
+            nbytes, tag=tag or "rpc-object", payload=payload,
+            origin_state=state_label,
         )
         return ObjectRef(
             owner_pid=self.process.pid,
             owner_generation=self.process.generation,
             buffer_id=buffer.buffer_id,
-            payload_bytes=payload_nbytes(payload),
+            payload_bytes=nbytes,
             kind=getattr(payload, "kind", type(payload).__name__),
         )
 
@@ -302,6 +296,10 @@ class ObjectStore:
             raise StaleObjectRef(
                 f"ref generation {ref.owner_generation} predates restart "
                 f"(current generation {self.process.generation})"
+            )
+        if self.process.state is ProcessState.EXITED:
+            raise StaleObjectRef(
+                f"ref owner pid {ref.owner_pid} has exited; its memory is gone"
             )
         tracer = getattr(self.process, "tracer", None)
         if tracer is not None and tracer.enabled:

@@ -378,7 +378,7 @@ class FreePartGateway(ApiGateway):
     def _ensure_agent(self, partition) -> AgentProcess:
         """The partition's agent, restarted first if it crashed."""
         agent = self.agents[partition.index]
-        if not agent.alive:
+        if not agent.process.alive:
             if not self.config.restart_agents:
                 raise AgentUnavailable(
                     f"agent {partition.label!r} crashed and restart is disabled"
@@ -487,29 +487,27 @@ class FreePartGateway(ApiGateway):
         """One at-least-once request/response exchange over the agent's
         ring buffers.
 
-        A dropped request or reply is detected (the queue stays empty
-        after the send) and the request is retransmitted with the same
-        payload — the agent's reply cache turns re-deliveries into
-        duplicates instead of double-executions.  Duplicated messages
-        are drained and executed individually, exercising the dedup
-        path.  Gives up with :class:`RpcError` after
-        MAX_RPC_RETRANSMITS retransmissions.
+        A dropped request or reply is detected (draining the queue after
+        the send finds nothing) and the request is retransmitted with
+        the same payload — the agent's reply cache turns re-deliveries
+        into duplicates instead of double-executions.  Every drained
+        delivery is executed, duplicates included, exercising the dedup
+        path; the last reply drained wins.  Gives up with
+        :class:`RpcError` after MAX_RPC_RETRANSMITS retransmissions.
         """
-        channel = agent.channel
+        requests, replies = agent.channel.request, agent.channel.response
         attempts = 0
         while True:
             # Discard in-flight leftovers from an aborted earlier attempt
             # (a restarted agent's ring buffers start empty).  No-op on
             # the fault-free path.
-            while channel.request.pending:
-                channel.request.receive()
-            while channel.response.pending:
-                channel.response.receive()
+            requests.drain()
+            replies.drain()
             self._send_with_backoff(
-                channel.request, self.host.pid, request_kind, payload,
-                framed=framed,
+                requests, self.host.pid, request_kind, payload, framed=framed,
             )
-            if not channel.request.pending:
+            deliveries = requests.drain()
+            if not deliveries:
                 # Request lost in flight: retransmit.
                 attempts += 1
                 self.retransmits += 1
@@ -519,17 +517,16 @@ class FreePartGateway(ApiGateway):
                         f"{attempts} times; giving up"
                     )
                 continue
-            response = None
-            while channel.request.pending:
-                channel.request.receive()
+            for _ in deliveries:
                 # Each delivery (duplicates included) reaches the agent;
                 # the reply cache makes re-execution a cache hit.
                 response = execute()
             self._send_with_backoff(
-                channel.response, agent.process.pid, response_kind, response,
+                replies, agent.process.pid, response_kind, response,
                 framed=framed,
             )
-            if not channel.response.pending:
+            delivered = replies.drain()
+            if not delivered:
                 # Reply lost in flight: retransmit the request; the
                 # agent answers from its reply cache without re-applying
                 # stateful effects.
@@ -541,10 +538,7 @@ class FreePartGateway(ApiGateway):
                         f"{attempts} times; giving up"
                     )
                 continue
-            delivered = None
-            while channel.response.pending:
-                delivered = channel.response.receive()
-            return delivered.payload
+            return delivered[-1].payload
 
     def _finish_value(self, agent: AgentProcess, spec, value: Any) -> Any:
         """Post-process one response value back into the host's view."""
@@ -567,12 +561,20 @@ class FreePartGateway(ApiGateway):
         args: tuple,
         kwargs: dict,
     ) -> RpcRequest:
-        wrap = self._wrap_outbound if self.config.ldc else (lambda v: v)
+        if not self.config.ldc:
+            pairs = tuple(kwargs.items())
+        else:
+            wrap = self._wrap_outbound
+            args = tuple(map(wrap, args))
+            pairs = (
+                tuple([(key, wrap(value)) for key, value in kwargs.items()])
+                if kwargs else ()
+            )
         return RpcRequest(
             seq=agent.sequence.next_seq(),
             api_qualname=qualname,
-            args=tuple(wrap(value) for value in args),
-            kwargs=tuple((key, wrap(value)) for key, value in kwargs.items()),
+            args=args,
+            kwargs=pairs,
             state_label=self.machine.state_label,
         )
 
@@ -703,7 +705,8 @@ class FreePartGateway(ApiGateway):
     # ------------------------------------------------------------------
 
     def shutdown(self) -> None:
-        """Close channels and exit all agent processes.
+        """Stop every agent: channels closed, processes exited, memory
+        released.
 
         Gateways running over *leased* pool agents leave them alone — the
         pool owns their lifecycle and will reuse them for other tenants.
@@ -711,9 +714,7 @@ class FreePartGateway(ApiGateway):
         if not self.owns_agents:
             return
         for agent in self.agents.values():
-            agent.channel.close()
-            if agent.process.alive:
-                agent.process.exit()
+            agent.stop()
 
     def agent_stats(self) -> Dict[str, Any]:
         """Per-agent statistics keyed by partition label."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.apitypes import APIType, FrameworkState
+from repro.core.apitypes import STATE_OF_TYPE, APIType, FrameworkState
 from repro.obs.tracer import NULL_TRACER
 from repro.sim.memory import Permission
 from repro.sim.process import SimProcess
@@ -48,9 +48,9 @@ def next_state(
     :meth:`TemporalStateMachine.observe_call` and the static verifier's
     :func:`simulate_transitions` both consult it.
     """
-    if neutral or not api_type.is_concrete:
+    if neutral:
         return None
-    new_state = FrameworkState.for_api_type(api_type)
+    new_state = STATE_OF_TYPE.get(api_type)  # None for NEUTRAL
     return None if new_state is state else new_state
 
 
@@ -115,13 +115,15 @@ class TemporalStateMachine:
         #: annotation; framework objects in agent processes are covered
         #: by the built-in definitions and always protected).
         self.annotated_tags = frozenset(annotated_tags)
-        self.state = FrameworkState.INITIALIZATION
         self.transitions: List[Transition] = []
         self.protected_total = 0
+        self._enter(FrameworkState.INITIALIZATION)
 
-    @property
-    def state_label(self) -> str:
-        return self.state.value
+    def _enter(self, state: FrameworkState) -> None:
+        self.state = state
+        #: The state's origin label, kept beside it: every request
+        #: carries it, so it is read once per call.
+        self.state_label = state.value
 
     def observe_call(self, api_type: APIType, neutral: bool = False) -> Optional[Transition]:
         """Update the state for one framework API invocation.
@@ -133,7 +135,7 @@ class TemporalStateMachine:
         if new_state is None:
             return None
         previous = self.state
-        self.state = new_state
+        self._enter(new_state)
         tracer = self.tracer
         clock_ns = 0
         protected = 0
@@ -175,13 +177,15 @@ class TemporalStateMachine:
                 if host_process and buffer.tag not in self.annotated_tags:
                     continue  # unannotated host variables stay writable
                 if process.memory.is_writable(buffer.buffer_id):
-                    process.memory.protect_buffer(buffer.buffer_id, Permission.ro())
+                    process.memory.protect_buffer(
+                        buffer.buffer_id, Permission.READ
+                    )
                     protected += 1
         self.protected_total += protected
         return protected
 
     def reset(self) -> None:
-        self.state = FrameworkState.INITIALIZATION
+        self._enter(FrameworkState.INITIALIZATION)
         self.transitions.clear()
         self.protected_total = 0
 

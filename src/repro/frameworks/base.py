@@ -300,23 +300,25 @@ class ExecutionContext:
     def _invoke_body(
         self, api: FrameworkAPI, spec: APISpec, args: tuple, kwargs: dict
     ) -> Any:
-        self._charge_compute(spec, args, kwargs)
-        self._first_execution_syscalls(spec)
-        for value in list(args) + list(kwargs.values()):
+        # One walk over the arguments: the data objects' bytes set the
+        # compute charge, and the crafted inputs (never data objects)
+        # go to the exploit guard once the API has initialised.
+        arg_bytes = 0
+        crafted = []
+        for value in (args + tuple(kwargs.values()) if kwargs else args):
+            if isinstance(value, (DataObject, np.ndarray)):
+                arg_bytes += value.nbytes
+            elif is_crafted(value):
+                crafted.append(value)
+        if self.charge_costs:
+            self.kernel.clock.advance(
+                spec.base_cost_ns + int(spec.cost_ns_per_byte * arg_bytes)
+            )
+        if spec.qualname not in self._init_seen:
+            self._first_execution_syscalls(spec)
+        for value in crafted:
             self.guard(value)
         return api.impl(self, *args, **kwargs)
-
-    def _charge_compute(self, spec: APISpec, args: tuple, kwargs: dict) -> None:
-        if not self.charge_costs:
-            return
-        arg_bytes = sum(
-            payload_nbytes(v)
-            for v in list(args) + list(kwargs.values())
-            if is_data_object(v)
-        )
-        self.kernel.clock.advance(
-            spec.base_cost_ns + int(spec.cost_ns_per_byte * arg_bytes)
-        )
 
     def _first_execution_syscalls(self, spec: APISpec) -> None:
         """Issue the init-only syscalls on an API's first run here.
@@ -327,8 +329,6 @@ class ExecutionContext:
         is what lets the runtime close the init grace phase after the
         agent's first request.
         """
-        if spec.qualname in self._init_seen:
-            return
         self._init_seen.add(spec.qualname)
         already_done = set(self.process.syscalls_used())
         for name in spec.init_syscalls:
@@ -515,9 +515,10 @@ class ExecutionContext:
         """Record a memory-to-memory computation: W(MEM, R(MEM))."""
         if nbytes:
             self.syscall("brk")
-        self.record_flow(
-            write(Storage.MEM, Storage.MEM, label=label, nbytes=nbytes)
-        )
+        if self.tracer is not None:  # the flow only matters to the tracer
+            self.tracer.record_flow(
+                write(Storage.MEM, Storage.MEM, label=label, nbytes=nbytes)
+            )
 
 
 # ----------------------------------------------------------------------

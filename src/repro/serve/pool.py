@@ -242,9 +242,7 @@ class PoolSet:
                 break
             for pool, member in doomed:
                 pool.members.remove(member)
-                member.agent.channel.close()
-                if member.agent.process.alive:
-                    member.agent.process.exit()
+                member.agent.stop()
             self.size -= 1
             self.shrunk += 1
         return self.size
@@ -289,9 +287,7 @@ class PoolSet:
         )
 
     def shutdown(self) -> None:
-        """Exit every pooled agent and close its channels."""
+        """Stop every pooled agent."""
         for pool in self.pools.values():
             for member in pool.members:
-                member.agent.channel.close()
-                if member.agent.process.alive:
-                    member.agent.process.exit()
+                member.agent.stop()

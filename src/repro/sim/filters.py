@@ -20,15 +20,19 @@ from dataclasses import dataclass, field
 from typing import FrozenSet, Iterable, Optional, Set, Tuple
 
 from repro.errors import FilterSealed, SyscallDenied
-from repro.sim.syscalls import lookup
+from repro.sim.syscalls import SYSCALL_TABLE, lookup
 
 
-@dataclass
+@dataclass(frozen=True)
 class FilterDecision:
     """Outcome of evaluating one syscall against a filter."""
 
     allowed: bool
     reason: str = ""
+
+
+#: The one "allowed" decision every permitted syscall shares.
+ALLOWED = FilterDecision(True)
 
 
 class SyscallFilter:
@@ -143,7 +147,7 @@ class SyscallFilter:
         path: Optional[str] = None,
     ) -> FilterDecision:
         """Evaluate a syscall without recording a denial."""
-        entry = lookup(name)
+        entry = SYSCALL_TABLE.get(name) or lookup(name)  # lookup raises
         if name in self._allowed:
             permitted = True
         elif name in self._init_only and self._init_phase:
@@ -165,7 +169,7 @@ class SyscallFilter:
                 return FilterDecision(
                     False, f"path {path!r} not designated for {name}"
                 )
-        return FilterDecision(True)
+        return ALLOWED
 
     # ------------------------------------------------------------------
     # Enforcement
@@ -187,8 +191,6 @@ class SyscallFilter:
 
 def permissive_filter() -> SyscallFilter:
     """A filter that allows every known syscall (host/unprotected runs)."""
-    from repro.sim.syscalls import SYSCALL_TABLE
-
     return SyscallFilter(allowed=SYSCALL_TABLE.keys())
 
 

@@ -358,6 +358,14 @@ class Channel:
         self._queued_bytes -= message.nbytes
         return message
 
+    def drain(self) -> List[Message]:
+        """Dequeue every pending message, oldest first (none when the
+        channel is closed)."""
+        messages = list(self._queue)
+        self._queue.clear()
+        self._queued_bytes = 0
+        return messages
+
     def try_receive(self) -> Optional[Message]:
         if self._closed or not self._queue:
             return None

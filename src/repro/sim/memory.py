@@ -59,9 +59,10 @@ def page_of(address: int) -> int:
 
 def pages_spanned(address: int, size: int) -> range:
     """Return the range of page indices covered by ``[address, address+size)``."""
+    first = address // PAGE_SIZE
     if size <= 0:
-        return range(page_of(address), page_of(address))
-    return range(page_of(address), page_of(address + size - 1) + 1)
+        return range(first, first)
+    return range(first, (address + size - 1) // PAGE_SIZE + 1)
 
 
 @dataclass
@@ -123,70 +124,36 @@ class Buffer:
         return self.address <= address < self.end
 
 
-#: Memoized sizes for payloads declared immutable by their sender
-#: (``payload_nbytes(..., frozen=True)``).  Keyed weakly so entries die
-#: with their payloads; non-weakref-able payloads are simply recomputed.
-_frozen_nbytes = None  # weakref.WeakKeyDictionary, populated lazily
-
-
-def payload_nbytes(payload: Any, frozen: bool = False) -> int:
-    """Best-effort simulated size of an arbitrary payload object.
-
-    ``frozen=True`` declares the payload immutable for the rest of its
-    life (RPC messages in flight, reply-cache entries, retransmit
-    payloads) and memoizes the computed size, so resending the same
-    message never re-walks its argument tree.
-    """
+def payload_nbytes(payload: Any) -> int:
+    """Best-effort simulated size of an arbitrary payload object."""
     if payload is None:
         return 0
-    if frozen:
-        cached = _frozen_size_of(payload)
-        if cached is not None:
-            return cached
     nbytes = getattr(payload, "nbytes", None)
     if nbytes is not None:
-        size = int(nbytes)
-    elif isinstance(payload, (bytes, bytearray, memoryview)):
-        size = len(payload)
-    elif isinstance(payload, str):
-        size = len(payload.encode("utf-8"))
-    elif isinstance(payload, (int, float, bool)):
-        size = 8
-    elif isinstance(payload, (list, tuple, set, frozenset)):
-        size = 16 + sum(payload_nbytes(item, frozen) for item in payload)
-    elif isinstance(payload, dict):
-        size = 16 + sum(
-            payload_nbytes(k, frozen) + payload_nbytes(v, frozen)
-            for k, v in payload.items()
+        return int(nbytes)
+    if isinstance(payload, (bytes, bytearray, memoryview)):
+        return len(payload)
+    if isinstance(payload, str):
+        return len(payload.encode("utf-8"))
+    if isinstance(payload, (int, float, bool)):
+        return 8
+    if isinstance(payload, (list, tuple, set, frozenset)):
+        return 16 + sum(payload_nbytes(item) for item in payload)
+    if isinstance(payload, dict):
+        return 16 + sum(
+            payload_nbytes(k) + payload_nbytes(v) for k, v in payload.items()
         )
-    else:
-        size = 64
-    if frozen:
-        _memoize_frozen_size(payload, size)
-    return size
+    return 64
 
 
-def _frozen_cache() -> dict:
-    global _frozen_nbytes
-    if _frozen_nbytes is None:
-        import weakref
-
-        _frozen_nbytes = weakref.WeakKeyDictionary()
-    return _frozen_nbytes
-
-
-def _frozen_size_of(payload: Any) -> Optional[int]:
-    try:
-        return _frozen_cache().get(payload)
-    except TypeError:  # unhashable payload: not cacheable
-        return None
-
-
-def _memoize_frozen_size(payload: Any, size: int) -> None:
-    try:
-        _frozen_cache()[payload] = size
-    except TypeError:  # unhashable or non-weakref-able payload
-        pass
+def _retire(buffer: Buffer) -> None:
+    """Mark an unmapped buffer freed: drop its payload and its mapping
+    of a shared segment."""
+    if buffer.segment is not None:
+        buffer.segment.mappings -= 1
+        buffer.segment = None
+    buffer.freed = True
+    buffer.payload = None
 
 
 class PageTable:
@@ -421,13 +388,17 @@ class AddressSpace:
         """Unmap a buffer; later accesses through it fault."""
         buffer = self.get_buffer(buffer_id)
         self._pages.clear(pages_spanned(buffer.address, buffer.nbytes))
-        if buffer.segment is not None:
-            buffer.segment.mappings -= 1
-            buffer.segment = None
-        buffer.freed = True
-        buffer.payload = None
+        _retire(buffer)
         del self._buffers[buffer_id]
         self._unfrozen.get(buffer.origin_state, {}).pop(buffer_id, None)
+
+    def release(self) -> None:
+        """Unmap every buffer in one pass (the process exited)."""
+        for buffer in self._buffers.values():
+            _retire(buffer)
+        self._buffers.clear()
+        self._unfrozen.clear()
+        self._pages = PageTable()
 
     # ------------------------------------------------------------------
     # Lookup

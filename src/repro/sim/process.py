@@ -87,8 +87,11 @@ class SimProcess:
             )
 
     def exit(self) -> None:
+        """Exit cleanly and release the whole address space.  A crashed
+        process keeps its memory."""
         if self.state is ProcessState.RUNNING:
             self.state = ProcessState.EXITED
+            self.memory.release()
 
     # ------------------------------------------------------------------
     # Syscall entry
@@ -107,7 +110,8 @@ class SimProcess:
         :class:`SyscallDenied` so the caller — typically an exploit payload
         or a hooked framework API — observes the failure.
         """
-        self.require_alive()
+        if self.state is not ProcessState.RUNNING:
+            self.require_alive()
         cost = self.clock.cost_model
         tracer = self.tracer
         # Hot (~42k calls/suite pass): a guard costs less than a no-op span.

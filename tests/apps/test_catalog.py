@@ -99,3 +99,24 @@ def test_totals_distributed_round_robin():
         if site.api_type is APIType.PROCESSING:
             counts[site.api] = counts.get(site.api, 0) + 1
     assert sorted(counts.values()) == [3, 4]
+
+
+def test_suite_schedules_are_pinned():
+    # The 23 Table 6 apps' schedules, digested site by site in order
+    # (recorded before build_schedule's dedupe moved to a set).
+    import hashlib
+
+    from repro.apps.suite import SAMPLE_IDS, get_spec
+
+    digest = hashlib.sha256()
+    for sample_id in SAMPLE_IDS:
+        for site in build_schedule(get_spec(sample_id)):
+            digest.update(
+                f"{sample_id}|{site.framework}|{site.api}|"
+                f"{site.argspec.value}|{site.api_type.value}|"
+                f"{site.loop}|{site.repeat}\n".encode()
+            )
+    assert len(SAMPLE_IDS) == 23
+    assert digest.hexdigest() == (
+        "012c969a6df22c5330be12b84b06b11383327e5e728e089c83428dbe2221f721"
+    )

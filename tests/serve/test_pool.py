@@ -94,3 +94,29 @@ def test_shutdown_exits_all_members(poolset):
     for pool in poolset.pools.values():
         for member in pool.members:
             assert not member.agent.process.alive
+
+
+def test_scale_down_releases_the_retired_members_memory(
+    image_pipeline, seed_inputs
+):
+    from repro.serve import PipelineServer
+
+    server = PipelineServer(pool_size=2)
+    paths = seed_inputs(server, tenants=1, requests=2)
+    for r in range(2):
+        server.submit("tenant-0", image_pipeline(paths[(0, r)], f"/out/{r}"))
+    assert all(response.ok for response in server.drain())
+    retired = [
+        member.agent
+        for pool in server.pools.pools.values()
+        for member in pool.members
+        if member.slot == 1
+    ]
+    assert any(list(agent.process.memory.buffers()) for agent in retired)
+    assert server.scale_to(1) == 1
+    for agent in retired:
+        assert not agent.process.alive
+        assert list(agent.process.memory.buffers()) == []
+        assert not agent._reply_cache
+        assert not agent._resident
+    server.shutdown()
