@@ -1,23 +1,24 @@
 """AST call-graph extraction for host programs, and the one walker.
 
-The builder parses one module at a time and recovers, per function, the
-linear sequence of *events* the partition verifier replays: framework
-API call sites, host-variable operations, shared-state stores and calls
-into module-local helpers.  Resolution follows values the way PyCG's
-assignment graph does (stdlib ``ast`` only), restricted to the patterns
-host pipelines actually use:
+The builder parses one module at a time and recovers its functions, the
+module-level facts (constants, in-file specs, annotated tags) and, per
+function, the parameters that receive gateway values.  The flow walk
+then records each function's partition plan: framework API call sites,
+host-variable operations and shared-state stores, in flow order.
+Resolution follows values the way PyCG's assignment graph does (stdlib
+``ast`` only), restricted to the patterns host pipelines actually use:
 
 * gateway values — parameters named like a gateway, results of
   ``FreePart().deploy(...)`` / ``NativeGateway(...)`` /
   ``gateway.for_thread(...)``, aliases through locals and ``self``
   attributes;
 * bound-method aliases (``call = gateway.call``);
-* string arguments through module-level constants
-  (``FW = "opencv"; gateway.call(FW, ...)``);
+* string arguments through module-level constants and local aliases
+  (``FW = "opencv"; api = "imread"; gateway.call(FW, api, ...)``);
 * one level of intra-module interprocedural flow: a module function
   receiving a gateway argument is analyzed with that parameter treated
-  as a gateway, and its trace is spliced into the caller's at the call
-  site (fixpoint over the module's call edges).
+  as a gateway (fixpoint over the module's call edges), and the flow
+  walk evaluates it inline at the call site.
 
 Anything beyond that — dynamically computed API names, gateways stored
 in containers, cross-module helpers — is skipped rather than guessed
@@ -29,9 +30,10 @@ in one of two roles.  Each expression evaluates to a pair: a
 :class:`ValueKind` *shape*, which the builder tracks, and a
 :class:`Taint`, which the flow pass
 (:mod:`~repro.staticcheck.dataflow`) tracks.  With no analysis attached
-the walker records the trace events above; with one attached it
-resolves sites, advances the framework state machine, evaluates
-module-local calls inline and reports the flow hits.
+the walker only collects gateway edges; with one attached it resolves
+sites, advances the one framework state machine
+(:class:`~repro.staticcheck.inference._Machine`), which records the
+plan, evaluates module-local calls inline and reports the flow hits.
 """
 
 from __future__ import annotations
@@ -41,15 +43,14 @@ import enum
 from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set,
-    Tuple, Union,
+    Tuple,
 )
 
-from repro.core.apitypes import APIType, FrameworkState, api_type_of_state
-from repro.core.statemachine import next_state
+from repro.core.apitypes import APIType
 
 if TYPE_CHECKING:
     from repro.staticcheck.dataflow import DataflowAnalysis
-    from repro.staticcheck.inference import ApiVerdict
+    from repro.staticcheck.inference import ResolvedCall, _Machine
 
 #: Parameter names treated as gateway values without any dataflow proof.
 GATEWAY_PARAM_NAMES = frozenset({"gateway", "gw"})
@@ -73,13 +74,8 @@ _CONTAINER_METHODS = frozenset({"append", "add", "insert", "setdefault",
 
 _HOST_OPS = frozenset({"host_alloc", "host_write", "host_read"})
 
-#: Depth bound of module-local call inlining, shared by the flow pass's
-#: inline evaluation and the inferencer's trace splice.
+#: Depth bound of the flow walk's module-local call inlining.
 MAX_INLINE_DEPTH = 4
-
-#: Neutral/unknown sites run in the current state's agent, defaulting to
-#: processing — mirrors ``ResolvedCall.effective_type``.
-_DEFAULT_AGENT = APIType.PROCESSING
 
 
 class ValueKind(enum.Enum):
@@ -176,7 +172,7 @@ class WalkStats:
 
 
 # ----------------------------------------------------------------------
-# Trace events
+# Plan records
 # ----------------------------------------------------------------------
 
 
@@ -199,16 +195,6 @@ class CallEvent:
 
 
 @dataclass
-class HostOpEvent:
-    """A host-variable operation through the gateway (alloc/write/read)."""
-
-    op: str  # "alloc" | "write" | "read"
-    tag: str
-    line: int
-    col: int
-
-
-@dataclass
 class SharedStoreEvent:
     """A value stored into state that outlives the current function call.
 
@@ -221,18 +207,6 @@ class SharedStoreEvent:
     value_kind: ValueKind
     line: int
     col: int
-
-
-@dataclass
-class InlineCallEvent:
-    """A call to a module-local function that receives a gateway value."""
-
-    callee: str
-    line: int
-    col: int
-
-
-TraceEvent = Union[CallEvent, HostOpEvent, SharedStoreEvent, InlineCallEvent]
 
 
 # ----------------------------------------------------------------------
@@ -264,7 +238,6 @@ class FunctionTrace:
     params: Tuple[str, ...]
     gateway_params: Set[str] = field(default_factory=set)
     tenant_scoped: bool = False
-    events: List[TraceEvent] = field(default_factory=list)
     #: The walked body: the ``def`` node, or the module for ``<module>``.
     node: Optional[ast.AST] = field(default=None, repr=False, compare=False)
 
@@ -525,38 +498,6 @@ def _collect_definitions(tree: ast.Module, summary: ModuleSummary) -> None:
 # ----------------------------------------------------------------------
 
 
-class _Machine:
-    """Framework state + frozen-tag tracking, shared across inlining."""
-
-    def __init__(self) -> None:
-        self.state: FrameworkState = FrameworkState.INITIALIZATION
-        self.tag_state: Dict[str, FrameworkState] = {}
-        self.frozen: Set[str] = set()
-
-    def snapshot(self) -> Tuple[FrameworkState, Dict[str, FrameworkState],
-                                Set[str]]:
-        return (self.state, dict(self.tag_state), set(self.frozen))
-
-    def restore(
-        self,
-        snap: Tuple[FrameworkState, Dict[str, FrameworkState], Set[str]],
-    ) -> None:
-        self.state = snap[0]
-        self.tag_state = dict(snap[1])
-        self.frozen = set(snap[2])
-
-    def advance(self, verdict: "ApiVerdict", annotated: Set[str]) -> None:
-        """Take a resolved site's transition; leaving a state freezes the
-        annotated tags defined during it."""
-        new = next_state(self.state, verdict.api_type, verdict.neutral)
-        if new is None:
-            return
-        for tag, alloc_state in self.tag_state.items():
-            if alloc_state is self.state and tag in annotated:
-                self.frozen.add(tag)
-        self.state = new
-
-
 #: Environment snapshot: (taints, shapes, strings, local names).
 _EnvSnap = Tuple[Dict[str, Taint], Dict[str, ValueKind], Dict[str, str],
                  Set[str]]
@@ -567,14 +508,12 @@ class FunctionWalker:
 
     The role is keyed on whether an analysis is attached:
 
-    * builder (no analysis): record trace events on ``trace`` and walk
-      each loop body once;
-    * flow pass: resolve sites through the analysis's inferencer,
-      advance the framework state machine, report hits, evaluate
-      module-local calls inline and walk each loop body twice.
-
-    The builder also collects gateway edges ``(callee, positions,
-    keywords)`` in :attr:`edges` and applies them after the walk.
+    * builder (no analysis): collect gateway edges ``(callee, positions,
+      keywords)`` in :attr:`edges`, which the builder applies after the
+      walk, and walk each loop body once;
+    * flow pass: resolve sites through the analysis's inferencer and
+      place them on ``machine``, which records the plan; report hits,
+      evaluate module-local calls inline and walk each loop body twice.
     """
 
     def __init__(
@@ -582,7 +521,7 @@ class FunctionWalker:
         summary: ModuleSummary,
         trace: FunctionTrace,
         analysis: Optional["DataflowAnalysis"] = None,
-        machine: Optional[_Machine] = None,
+        machine: Optional["_Machine"] = None,
         depth: int = 0,
         active: Optional[Set[str]] = None,
         param_taints: Optional[Dict[str, Taint]] = None,
@@ -596,7 +535,7 @@ class FunctionWalker:
         self.stats = (
             analysis.report.stats if analysis is not None else WalkStats()
         )
-        self.machine = machine or _Machine()
+        self.machine = machine
         self.depth = depth
         self.active = active if active is not None else {trace.qualname}
         self.tenant_ctx = tenant_ctx or trace.tenant_scoped
@@ -613,6 +552,9 @@ class FunctionWalker:
         self.global_names: Set[str] = set()
         self.returns: Taint = BOTTOM
         self.edges: List[Tuple[str, List[int], List[str]]] = []
+        #: Builder role: the walk met a site, host op, shared store or
+        #: gateway edge (what the flow walk records or follows).
+        self.met = False
 
     # -- environment plumbing ------------------------------------------
 
@@ -666,7 +608,7 @@ class FunctionWalker:
             self.strings[name] = string
 
     def _lookup(self, node: ast.AST) -> Pair:
-        """Env lookup for names and pure attribute chains (no events)."""
+        """Env lookup for names and attribute chains (evaluates nothing)."""
         key = node.id if isinstance(node, ast.Name) else _attr_key(node)
         if key is None:
             return _PLAIN
@@ -752,25 +694,29 @@ class FunctionWalker:
         # Nested defs/classes, imports, pass/break/continue: no flow.
 
     def _loop_body(self, body: List[ast.stmt]) -> None:
-        """Walk a loop body: once to trace it, twice in the flow pass.
+        """Walk a loop body: once in the builder, twice in the flow pass.
 
         The flow pass walks it a second time so back-edge taints reach
         the head.  The machine is restored to its pre-loop snapshot
-        before the second pass: transitions replay identically, so
-        per-event agents match pass one and duplicate hits collapse in
-        the dedup set — only genuinely new back-edge flows surface.
+        before the second pass and records nothing during it:
+        transitions replay identically, so per-site agents match pass
+        one, the plan holds each site once, and duplicate hits collapse
+        in the dedup set — only genuinely new back-edge flows surface.
         """
         if self.analysis is None:
             for child in body:
                 self._statement(child)
             return
         pre_env = self._snapshot_env()
-        machine_snap = self.machine.snapshot()
+        machine = self.machine
+        machine_snap = machine.snapshot()
         for child in body:
             self._statement(child)
-        self.machine.restore(machine_snap)
+        machine.restore(machine_snap)
+        plan, machine.plan = machine.plan, None
         for child in body:
             self._statement(child)
+        machine.plan = plan
         self._join_env(pre_env)  # the loop may run zero times
 
     # -- assignments ---------------------------------------------------
@@ -845,18 +791,20 @@ class FunctionWalker:
     ) -> None:
         """A value parked in state that outlives the call.
 
-        The builder records the shape (None: nothing worth recording);
-        the flow pass reports tenant-derived payload data as an escape.
+        The plan records the shape (None: nothing worth recording); the
+        flow pass reports tenant-derived payload data as an escape.
         """
         if self.analysis is None:
-            if shape is not None:
-                self.trace.events.append(SharedStoreEvent(
-                    target=target,
-                    value_kind=shape,
-                    line=where.lineno,
-                    col=where.col_offset,
-                ))
-        elif taint.tenant and taint.payload:
+            self.met = self.met or shape is not None
+            return
+        if shape is not None:
+            self.machine.store(SharedStoreEvent(
+                target=target,
+                value_kind=shape,
+                line=where.lineno,
+                col=where.col_offset,
+            ))
+        if taint.tenant and taint.payload:
             self.analysis.add_escape(
                 where, target, "shared", self.trace.qualname
             )
@@ -1040,52 +988,35 @@ class FunctionWalker:
             for keyword in node.keywords
         )
         if self.analysis is None:
-            # Trace events name a site through literals and module
-            # constants only; local aliases are the flow pass's.
-            constants = self.summary.constants
-            framework = _constant_str(args[0], constants) if args else None
-            api = _constant_str(args[1], constants) if len(args) > 1 else None
-            if framework is not None and api is not None:
-                self.trace.events.append(CallEvent(
-                    framework=framework,
-                    api=api,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    materialized_args=tuple(
-                        name for name, (shape, _) in payload
-                        if shape is ValueKind.MATERIALIZED
-                    ),
-                ))
+            self.met = True
             return (ValueKind.HANDLE, BOTTOM)
 
         self.stats.events += 1
         framework = self._string_of(args[0]) if args else None
         api = self._string_of(args[1]) if len(args) > 1 else None
-        verdict = (
-            self.analysis.verdict(framework, api, node)
-            if framework is not None and api is not None else None
-        )
-        if verdict is None:
+        step = None
+        if framework is not None and api is not None:
+            step = self._place(CallEvent(
+                framework=framework,
+                api=api,
+                line=node.lineno,
+                col=node.col_offset,
+                materialized_args=tuple(
+                    name for name, (shape, _) in payload
+                    if shape is ValueKind.MATERIALIZED
+                ),
+            ))
+        if step is None:
             return (ValueKind.HANDLE, Taint(tenant=self.tenant_ctx))
 
-        # The agent this site executes in (ResolvedCall.effective_type).
-        if verdict.neutral or not verdict.api_type.is_concrete:
-            effective = (
-                api_type_of_state(self.machine.state) or _DEFAULT_AGENT
-            )
-        else:
-            effective = verdict.api_type
-        agent = effective.value
-
+        agent = step.agent
         for name, (_, taint) in payload:
             foreign = taint.agents - {agent}
             if taint.materialized and foreign:
                 self.analysis.add_leak(
                     node, name, tuple(sorted(foreign)), agent,
-                    verdict.qualname, self.trace.qualname,
+                    step.verdict.qualname, self.trace.qualname,
                 )
-
-        self.machine.advance(verdict, self.summary.annotated_tags)
         # The result is an ObjectRef: provenance without payload bytes.
         return (
             ValueKind.HANDLE,
@@ -1108,25 +1039,28 @@ class FunctionWalker:
             ),
         )
 
+    def _place(self, event: CallEvent) -> Optional["ResolvedCall"]:
+        """Resolve a site and take its transition on the machine."""
+        return self.machine.place(
+            event, self.analysis.inferencer.resolve_event(event)
+        )
+
     def _host_op(self, node: ast.Call, op: str) -> Pair:
         """``gateway.host_alloc/write/read(tag, ...)``."""
         values = self._eval_args(node)
+        if self.analysis is None:
+            self.met = True
+            return _PLAIN
+
+        self.stats.events += 1
         first = node.args[0] if node.args else None
-        # What the per-site pass sees (literal / module constant) vs what
-        # the alias table can additionally resolve.
+        # A tag named by a literal or module constant is the plan's
+        # frozen-write evidence; one reached through a local alias is
+        # the flow pass's frozen-alias-write.
         literal_tag = (
             _constant_str(first, self.summary.constants)
             if first is not None else None
         )
-        if self.analysis is None:
-            if literal_tag is not None:
-                self.trace.events.append(HostOpEvent(
-                    op=op, tag=literal_tag,
-                    line=node.lineno, col=node.col_offset,
-                ))
-            return _PLAIN
-
-        self.stats.events += 1
         tag = literal_tag
         if tag is None and first is not None:
             tag = self._string_of(first)
@@ -1140,30 +1074,32 @@ class FunctionWalker:
                         self.trace.qualname,
                     )
 
-        machine = self.machine
-        if tag is not None:
-            if op == "alloc":
-                machine.tag_state[tag] = machine.state
-                machine.frozen.discard(tag)
-            elif op == "write":
-                if tag in machine.frozen and literal_tag is None:
-                    self.analysis.add_alias_write(
-                        node,
-                        first.id if isinstance(first, ast.Name)
-                        else "<expression>",
-                        tag,
-                        machine.tag_state.get(
-                            tag, FrameworkState.INITIALIZATION
-                        ),
-                        machine.state,
-                        self.trace.qualname,
-                    )
-                machine.tag_state.setdefault(tag, machine.state)
+        if tag is None:
+            return _PLAIN
+        if op == "alloc":
+            self.machine.alloc(tag)
+        elif op == "write":
+            hit = self.machine.write(
+                tag, node.lineno, node.col_offset, literal_tag is not None
+            )
+            if hit is not None and literal_tag is None:
+                self.analysis.add_alias_write(
+                    node,
+                    first.id if isinstance(first, ast.Name)
+                    else "<expression>",
+                    tag,
+                    hit.alloc_state,
+                    hit.write_state,
+                    self.trace.qualname,
+                )
         return _PLAIN
 
     def _declared_site(self, node: ast.Call) -> Pair:
-        """A ``CallSite(framework, api, ...)`` data record."""
+        """A ``CallSite(framework, api, ...)`` data record: a typed site
+        the program dispatches elsewhere, placed where it is written."""
         if self.analysis is None:
+            self.met = True
+        else:
             fields: Dict[str, ast.AST] = {}
             positional = ("framework", "api", "argspec", "api_type")
             for position, arg in enumerate(node.args[: len(positional)]):
@@ -1171,17 +1107,13 @@ class FunctionWalker:
             for keyword in node.keywords:
                 if keyword.arg:
                     fields[keyword.arg] = keyword.value
-            constants = self.summary.constants
             framework = (
-                _constant_str(fields["framework"], constants)
+                self._string_of(fields["framework"])
                 if "framework" in fields else None
             )
-            api = (
-                _constant_str(fields["api"], constants)
-                if "api" in fields else None
-            )
+            api = self._string_of(fields["api"]) if "api" in fields else None
             if framework is not None and api is not None:
-                self.trace.events.append(CallEvent(
+                self._place(CallEvent(
                     framework=framework,
                     api=api,
                     line=node.lineno,
@@ -1211,9 +1143,7 @@ class FunctionWalker:
             ]
             if positions or keywords:
                 self.edges.append((callee, positions, keywords))
-                self.trace.events.append(InlineCallEvent(
-                    callee=callee, line=node.lineno, col=node.col_offset,
-                ))
+                self.met = True
             return _PLAIN
         return self._inline_call(node, callee, values)
 
@@ -1327,14 +1257,15 @@ class CallGraphBuilder:
         )
         return len(marked) != before
 
-    def _walk(self, trace: FunctionTrace) -> bool:
-        """Walk one trace; True when its gateway edges marked new params."""
+    def _walk(self, trace: FunctionTrace) -> Tuple[bool, bool]:
+        """Walk one trace: (its gateway edges marked new params, the walk
+        met a site, host op, shared store or gateway edge)."""
         walker = FunctionWalker(self.summary, trace)
         walker.walk()
         changed = False
         for edge in walker.edges:
             changed = self.record_gateway_edge(*edge) or changed
-        return changed
+        return changed, walker.met
 
     def build(self) -> ModuleSummary:
         """Parse, prepass, and analyze every function to a fixpoint."""
@@ -1351,8 +1282,8 @@ class CallGraphBuilder:
         module_trace = FunctionTrace(
             qualname="<module>", line=1, params=(), node=tree
         )
-        self._walk(module_trace)
-        if module_trace.events:
+        _, met = self._walk(module_trace)
+        if met:
             summary.functions["<module>"] = module_trace
         # A builder walk reads no other function's trace, so a function
         # is walked again only when its gateway parameters grew.  Each
@@ -1370,7 +1301,7 @@ class CallGraphBuilder:
                     and previous.gateway_params == trace.gateway_params
                 ):
                     continue
-                changed = self._walk(trace) or changed
+                changed = self._walk(trace)[0] or changed
                 summary.functions[qualname] = trace
             if not changed:
                 break

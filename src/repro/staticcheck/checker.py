@@ -2,10 +2,11 @@
 
 ``run_check`` is the library entry point behind ``repro check``: it
 expands the given paths to ``.py`` files, builds each file's call-graph
-summary, infers its partition plan, runs every rule, applies
-``# repro: ignore`` suppressions, and returns one aggregated
-:class:`CheckResult` whose :attr:`~CheckResult.exit_code` implements the
-CLI contract (0 clean or warnings only, 1 on error findings).
+summary, walks it once for its partition plan and flow hits, runs every
+rule, applies ``# repro: ignore`` suppressions, and returns one
+aggregated :class:`CheckResult` whose :attr:`~CheckResult.exit_code`
+implements the CLI contract (0 clean or warnings only, 1 on error
+findings).
 """
 
 from __future__ import annotations
@@ -125,20 +126,15 @@ def _check_source(
             {},
         )
     inferencer = PartitionInferencer(summary)
-    reports = inferencer.infer()
-    try:
-        dataflow = DataflowAnalysis(summary, inferencer).run()
-    except RecursionError:
-        # Pathologically deep ASTs: fall back to the per-site rules
-        # rather than crashing the whole check run.
-        dataflow = None
-    privileges = collect_privileges(reports)
+    # One walk per function yields both its plan and its flow hits.
+    dataflow = DataflowAnalysis(summary, inferencer).run()
+    privileges = collect_privileges(dataflow.plans)
     context = RuleContext(
         path=path,
         summary=summary,
-        reports=reports,
-        unused_specs=inferencer.unused_specs(),
+        reports=dataflow.plans,
         dataflow=dataflow,
+        unused_specs=inferencer.unused_specs(),
         privileges=privileges,
         strict_pools=strict_pools,
     )
@@ -146,8 +142,8 @@ def _check_source(
     seen: Set[Tuple[str, int, int, str]] = set()
     for rule in (rules if rules is not None else ALL_RULES):
         for finding in rule.check(context):
-            # Inline splicing can surface the same event from both the
-            # helper's own report and its caller's; report each source
+            # Inline evaluation can surface the same site from both the
+            # helper's own plan and its caller's; report each source
             # location once per rule.
             key = (finding.rule, finding.line, finding.col, finding.message)
             if key in seen:

@@ -1,13 +1,14 @@
 """Interprocedural partition-provenance taint analysis (the flow pass).
 
-The per-site rules in :mod:`~repro.staticcheck.rules` replay one state
-machine over one function's call sequence; they cannot see a *value*
-that is produced in one partition and consumed in another, nor a frozen
-tag reached through a local alias.  This pass re-walks the module AST
-(the tree cached on :class:`~repro.staticcheck.callgraph.ModuleSummary`)
-with :class:`~repro.staticcheck.callgraph.FunctionWalker`, the walker
-the builder uses, attached to a :class:`DataflowAnalysis`, and answers
-exactly those questions.
+This pass re-walks the module AST (the tree cached on
+:class:`~repro.staticcheck.callgraph.ModuleSummary`) with
+:class:`~repro.staticcheck.callgraph.FunctionWalker`, the walker the
+builder uses, attached to a :class:`DataflowAnalysis`.  The one walk per
+function records that function's partition plan (the
+:class:`~repro.staticcheck.inference.FunctionReport` the per-site rules
+in :mod:`~repro.staticcheck.rules` read) and tracks what a per-site rule
+cannot see: a *value* produced in one partition and consumed in
+another, and a frozen tag reached through a local alias.
 
 Every expression gets a :class:`Taint` drawn from a finite join
 semilattice:
@@ -35,10 +36,9 @@ Three hit families come out of the walk, one per new rule:
 Propagation is a may-analysis: branches join, loop bodies are walked
 twice so back-edge flows reach the loop head, and module-local calls
 that receive gateway values or tainted arguments are evaluated inline
-(depth-bounded, recursion-guarded) sharing the caller's machine state.
-Call sites resolve through the same
-:class:`~repro.staticcheck.inference.PartitionInferencer` the per-site
-rules use, so both passes agree on what every API *is*.
+(depth-bounded, recursion-guarded) sharing the caller's machine, so a
+helper's sites land in the caller's plan.  Call sites resolve through
+one :class:`~repro.staticcheck.inference.PartitionInferencer`.
 """
 
 from __future__ import annotations
@@ -50,13 +50,16 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.core.apitypes import FrameworkState
 from repro.staticcheck.callgraph import (
     BOTTOM,
-    CallEvent,
     FunctionWalker,
     ModuleSummary,
     Taint,
     WalkStats,
 )
-from repro.staticcheck.inference import ApiVerdict, PartitionInferencer
+from repro.staticcheck.inference import (
+    FunctionReport,
+    PartitionInferencer,
+    _Machine,
+)
 
 __all__ = [
     "BOTTOM", "AliasWriteHit", "DataflowAnalysis", "DataflowReport",
@@ -113,6 +116,8 @@ class DataflowReport:
     leaks: List[LeakHit] = field(default_factory=list)
     escapes: List[EscapeHit] = field(default_factory=list)
     alias_writes: List[AliasWriteHit] = field(default_factory=list)
+    #: Per-function partition plan, recorded by the same walk.
+    plans: Dict[str, FunctionReport] = field(default_factory=dict)
     #: Per-function join of returned taints (monotonicity test surface).
     returns: Dict[str, Taint] = field(default_factory=dict)
     stats: WalkStats = field(default_factory=WalkStats)
@@ -144,27 +149,20 @@ class DataflowAnalysis:
         if self.summary.tree is None:
             return self.report
         for qualname, trace in self.summary.functions.items():
+            plan = FunctionReport(trace=trace)
             walker = FunctionWalker(
                 self.summary, trace, self,
+                machine=_Machine(plan, self.summary.annotated_tags),
                 param_taints=self.param_taints.get(qualname),
             )
             walker.walk()
+            self.report.plans[qualname] = plan
             self.report.returns[qualname] = walker.returns
             self.report.stats.functions += 1
         self.report.leaks.sort(key=lambda h: (h.line, h.col, h.value))
         self.report.escapes.sort(key=lambda h: (h.line, h.col, h.target))
         self.report.alias_writes.sort(key=lambda h: (h.line, h.col, h.tag))
         return self.report
-
-    def verdict(
-        self, framework: str, api: str, node: ast.AST
-    ) -> Optional[ApiVerdict]:
-        """The inferencer's verdict on one site (None: not typed)."""
-        verdict = self.inferencer.resolve_event(CallEvent(
-            framework=framework, api=api,
-            line=node.lineno, col=node.col_offset,
-        ))
-        return verdict if isinstance(verdict, ApiVerdict) else None
 
     # -- hit recording (dedup across loop passes and inline frames) ----
 

@@ -1,13 +1,14 @@
-"""Partition-plan inference over a module's extracted call graph.
+"""Site resolution and the partition plan of each function.
 
-For every function the :mod:`~repro.staticcheck.callgraph` builder
-summarized, the inferencer resolves each framework call site to an
+:class:`PartitionInferencer` resolves each framework call site to an
 :class:`~repro.core.apitypes.APIType` — through the same hybrid
-categorizer the runtime's offline phase uses — and replays the predicted
-framework state machine over the call sequence.  The result is, per
-function, the *partition plan the runtime would enforce*: which agent
-each site executes in, where the state transitions fall, and which
-annotated host variables are frozen at each point.  The rule classes in
+categorizer the runtime's offline phase uses.  :class:`_Machine` is the
+one replay of the predicted framework state machine: the flow walk
+(:class:`~repro.staticcheck.callgraph.FunctionWalker`) advances it at
+every resolved site and host operation, and it records, per function,
+the *partition plan the runtime would enforce*: which agent each site
+executes in, where the state transitions fall, and which annotated host
+variables are frozen at each point.  The rule classes in
 :mod:`~repro.staticcheck.rules` read these reports; nothing here decides
 severity or formats findings.
 
@@ -31,22 +32,18 @@ registers two specs from a loop).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import AbstractSet, Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.apitypes import APIType, FrameworkState, api_type_of_state
 from repro.core.hybrid import categorize_call_site
 from repro.core.statemachine import next_state
 from repro.errors import ReproError, UncategorizableAPI
 from repro.staticcheck.callgraph import (
-    MAX_INLINE_DEPTH,
     CallEvent,
     FunctionTrace,
-    HostOpEvent,
-    InlineCallEvent,
     LocalSpec,
     ModuleSummary,
     SharedStoreEvent,
-    TraceEvent,
 )
 
 #: Agents only exist for the four concrete types; neutral calls run in
@@ -65,6 +62,32 @@ class ApiVerdict:
     method: str  # "static" | "dynamic" | "declared"
     syscalls: Tuple[str, ...]
     init_syscalls: Tuple[str, ...]
+
+    @classmethod
+    def of_entry(cls, entry) -> "ApiVerdict":
+        """The verdict of a hybrid-categorizer catalog entry."""
+        return cls(
+            qualname=entry.qualname,
+            api_type=entry.api_type,
+            neutral=entry.neutral,
+            method=entry.method,
+            syscalls=entry.syscalls,
+            init_syscalls=entry.init_syscalls,
+        )
+
+    @classmethod
+    def declared(
+        cls, framework: str, api: str, api_type: APIType
+    ) -> "ApiVerdict":
+        """A site's declared type, for an API the registry cannot type."""
+        return cls(
+            qualname=f"{framework}.{api}",
+            api_type=api_type,
+            neutral=not api_type.is_concrete,
+            method="declared",
+            syscalls=(),
+            init_syscalls=(),
+        )
 
 
 @dataclass(frozen=True)
@@ -104,7 +127,8 @@ class ResolvedCall:
 class FrozenWriteHit:
     """A host write to a tag already frozen by a phase transition."""
 
-    event: HostOpEvent
+    line: int
+    col: int
     tag: str
     alloc_state: FrameworkState
     write_state: FrameworkState
@@ -120,23 +144,116 @@ class FunctionReport:
     frozen_writes: List[FrozenWriteHit] = field(default_factory=list)
     shared_stores: List[SharedStoreEvent] = field(default_factory=list)
 
-    @property
-    def final_state(self) -> FrameworkState:
-        """The framework state after the last resolved call."""
-        if self.steps:
-            return self.steps[-1].state_after
-        return FrameworkState.INITIALIZATION
-
     def agents_used(self) -> Set[str]:
         """Every agent partition this function's plan touches."""
         return {step.agent for step in self.steps}
 
 
-class PartitionInferencer:
-    """Resolve and replay every function trace of one module summary."""
+#: Machine snapshot: (state, tag → definition state, frozen tags).
+_MachineSnap = Tuple[FrameworkState, Dict[str, FrameworkState], Set[str]]
 
-    #: Inline-splice depth bound (recursion / helper chains).
-    MAX_DEPTH = MAX_INLINE_DEPTH
+
+class _Machine:
+    """The one replay of the framework state machine (Fig. 3).
+
+    It holds the framework state and the state each host tag's buffer
+    was defined in, and records the partition plan of the function
+    whose walk owns it.  Inline frames share their caller's machine, so
+    a helper's sites land in the caller's plan at the call's position.
+    With no plan (a loop body's second walk, a declarative schedule) it
+    records nothing.
+    """
+
+    def __init__(
+        self,
+        plan: Optional[FunctionReport] = None,
+        annotated: AbstractSet[str] = frozenset(),
+    ) -> None:
+        self.plan = plan
+        self.annotated = annotated
+        self.state = FrameworkState.INITIALIZATION
+        self.tag_state: Dict[str, FrameworkState] = {}
+        self.frozen: Set[str] = set()
+
+    def snapshot(self) -> _MachineSnap:
+        return (self.state, dict(self.tag_state), set(self.frozen))
+
+    def restore(self, snap: _MachineSnap) -> None:
+        self.state = snap[0]
+        self.tag_state = dict(snap[1])
+        self.frozen = set(snap[2])
+
+    def place(
+        self,
+        event: CallEvent,
+        verdict: Union[ApiVerdict, ResolutionFailure, None],
+    ) -> Optional[ResolvedCall]:
+        """Place one resolved site; None when it cannot be typed.
+
+        A typed site takes its transition and becomes a step; leaving a
+        state freezes every annotated tag whose buffer was defined
+        during it (the runtime's ``_protect_state(previous)``).  A
+        failure is recorded as one; ``None`` (an API the module's
+        computed specs hide) is skipped.
+        """
+        if not isinstance(verdict, ApiVerdict):
+            if verdict is not None and self.plan is not None:
+                self.plan.failures.append(verdict)
+            return None
+        before = self.state
+        after = next_state(before, verdict.api_type, verdict.neutral)
+        if after is not None:
+            for tag, alloc_state in self.tag_state.items():
+                if alloc_state is before and tag in self.annotated:
+                    self.frozen.add(tag)
+            self.state = after
+        step = ResolvedCall(
+            event=event,
+            verdict=verdict,
+            state_before=before,
+            state_after=self.state,
+        )
+        if self.plan is not None:
+            self.plan.steps.append(step)
+        return step
+
+    def alloc(self, tag: str) -> None:
+        """``host_alloc`` binds the tag to a *fresh* writable buffer in
+        the current state (re-allocation is the sanctioned way to update
+        data across phases)."""
+        self.tag_state[tag] = self.state
+        self.frozen.discard(tag)
+
+    def write(
+        self, tag: str, line: int, col: int, literal: bool
+    ) -> Optional[FrozenWriteHit]:
+        """``host_write``: the hit when the tag's buffer is frozen.
+
+        A hit on a tag named by a literal goes into the plan (the
+        ``frozen-write`` rule); an aliased one is the flow pass's.
+        """
+        hit = None
+        if tag in self.frozen:
+            hit = FrozenWriteHit(
+                line=line,
+                col=col,
+                tag=tag,
+                alloc_state=self.tag_state[tag],
+                write_state=self.state,
+            )
+            if literal and self.plan is not None:
+                self.plan.frozen_writes.append(hit)
+        self.tag_state.setdefault(tag, self.state)
+        return hit
+
+    def store(self, event: SharedStoreEvent) -> None:
+        """Record a value parked in state that outlives the call."""
+        if self.plan is not None:
+            self.plan.shared_stores.append(event)
+
+
+class PartitionInferencer:
+    """Resolve the call sites of one module summary."""
 
     def __init__(self, summary: ModuleSummary) -> None:
         self.summary = summary
@@ -144,40 +261,25 @@ class PartitionInferencer:
             Tuple[str, str],
             Union[ApiVerdict, Tuple[str, str], None],
         ] = {}
-        #: bare name → qualname for inline-splice lookup.
-        self._by_name: Dict[str, str] = {}
-        for qualname in summary.functions:
-            bare = qualname.rsplit(".", 1)[-1]
-            self._by_name.setdefault(bare, qualname)
         self._called_keys: Set[Tuple[str, str]] = set()
 
     # -- public API ----------------------------------------------------
 
     def infer(self) -> Dict[str, FunctionReport]:
-        """Produce a :class:`FunctionReport` per summarized function."""
-        reports: Dict[str, FunctionReport] = {}
-        for qualname, trace in self.summary.functions.items():
-            reports[qualname] = self._infer_function(trace)
-        return reports
+        """A :class:`FunctionReport` per summarized function, each
+        recorded by one flow walk of that function."""
+        from repro.staticcheck.dataflow import DataflowAnalysis
 
-    def resolve_event(
-        self, event: CallEvent
-    ) -> Union[ApiVerdict, ResolutionFailure, None]:
-        """Public resolution entry point for the dataflow pass.
-
-        Both passes must agree on what a call site *is* — same registry,
-        same in-file specs, same declared fallbacks — so the taint
-        analysis resolves through the inferencer instead of duplicating
-        the lookup order.
-        """
-        return self._resolve(event)
+        return DataflowAnalysis(self.summary, self).run().plans
 
     def unused_specs(self) -> List[LocalSpec]:
         """In-file API specs never referenced by any call site.
 
         Only meaningful for modules that *have* call sites — a library
         module that declares specs for other modules to call is not a
-        dead-API finding.  Call after :meth:`infer`.
+        dead-API finding.  Call after :meth:`infer` (or a
+        :class:`~repro.staticcheck.dataflow.DataflowAnalysis` run with
+        this inferencer).
         """
         if not self._called_keys:
             return []
@@ -187,12 +289,14 @@ class PartitionInferencer:
             if key not in self._called_keys
         ]
 
-    # -- resolution ----------------------------------------------------
-
-    def _resolve(
+    def resolve_event(
         self, event: CallEvent
     ) -> Union[ApiVerdict, ResolutionFailure, None]:
-        """Type one call site; ``None`` means "skip, cannot be checked"."""
+        """Type one call site; ``None`` means "skip, cannot be checked".
+
+        Every site the flow walk meets resolves here — same registry,
+        same in-file specs, same declared fallbacks.
+        """
         key = (event.framework, event.api)
         self._called_keys.add(key)
         cached = self._verdicts.get(key, "miss")
@@ -208,14 +312,7 @@ class PartitionInferencer:
         outcome: Union[ApiVerdict, Tuple[str, str], None]
         try:
             entry = categorize_call_site(event.framework, event.api)
-            outcome = ApiVerdict(
-                qualname=entry.qualname,
-                api_type=entry.api_type,
-                neutral=entry.neutral,
-                method=entry.method,
-                syscalls=entry.syscalls,
-                init_syscalls=entry.init_syscalls,
-            )
+            outcome = ApiVerdict.of_entry(entry)
         except UncategorizableAPI as exc:
             outcome = ("uncategorizable", str(exc))
         except ReproError as exc:
@@ -231,6 +328,8 @@ class PartitionInferencer:
         if fallback is not None:
             return fallback
         return ResolutionFailure(event=event, kind=kind, message=message)
+
+    # -- resolution ----------------------------------------------------
 
     def _resolve_locally(
         self, event: CallEvent, key: Tuple[str, str], registry_error: str
@@ -276,97 +375,7 @@ class PartitionInferencer:
         if verdict is not None:
             return verdict
         if event.declared_only and event.declared_type is not None:
-            return ApiVerdict(
-                qualname=f"{event.framework}.{event.api}",
-                api_type=event.declared_type,
-                neutral=not event.declared_type.is_concrete,
-                method="declared",
-                syscalls=(),
-                init_syscalls=(),
+            return ApiVerdict.declared(
+                event.framework, event.api, event.declared_type
             )
         return None
-
-    # -- trace flattening ----------------------------------------------
-
-    def _flatten(
-        self, trace: FunctionTrace, depth: int, active: Set[str]
-    ) -> List[TraceEvent]:
-        """Trace events with module-local gateway calls spliced inline."""
-        events: List[TraceEvent] = []
-        for event in trace.events:
-            if isinstance(event, InlineCallEvent):
-                qualname = self._by_name.get(event.callee)
-                if (
-                    qualname is None
-                    or qualname in active
-                    or depth >= self.MAX_DEPTH
-                ):
-                    continue
-                callee = self.summary.functions.get(qualname)
-                if callee is None:
-                    continue
-                active.add(qualname)
-                events.extend(self._flatten(callee, depth + 1, active))
-                active.discard(qualname)
-            else:
-                events.append(event)
-        return events
-
-    # -- replay --------------------------------------------------------
-
-    def _infer_function(self, trace: FunctionTrace) -> FunctionReport:
-        report = FunctionReport(trace=trace)
-        state = FrameworkState.INITIALIZATION
-        tag_state: Dict[str, FrameworkState] = {}
-        frozen: Set[str] = set()
-
-        for event in self._flatten(trace, 0, {trace.qualname}):
-            if isinstance(event, CallEvent):
-                resolved = self._resolve(event)
-                if resolved is None:
-                    continue
-                if isinstance(resolved, ResolutionFailure):
-                    report.failures.append(resolved)
-                    continue
-                new_state = next_state(
-                    state, resolved.api_type, resolved.neutral
-                )
-                after = new_state if new_state is not None else state
-                if new_state is not None:
-                    # Leaving `state` freezes every annotated tag whose
-                    # buffer was defined during it (Fig. 3 / the
-                    # runtime's ``_protect_state(previous)``).
-                    for tag, alloc_state in tag_state.items():
-                        if (
-                            alloc_state is state
-                            and tag in self.summary.annotated_tags
-                        ):
-                            frozen.add(tag)
-                report.steps.append(ResolvedCall(
-                    event=event,
-                    verdict=resolved,
-                    state_before=state,
-                    state_after=after,
-                ))
-                state = after
-            elif isinstance(event, HostOpEvent):
-                if event.op == "alloc":
-                    # host_alloc binds the tag to a *fresh* writable
-                    # buffer in the current state (re-allocation is the
-                    # sanctioned way to update data across phases).
-                    tag_state[event.tag] = state
-                    frozen.discard(event.tag)
-                elif event.op == "write":
-                    if event.tag in frozen:
-                        report.frozen_writes.append(FrozenWriteHit(
-                            event=event,
-                            tag=event.tag,
-                            alloc_state=tag_state.get(
-                                event.tag, FrameworkState.INITIALIZATION
-                            ),
-                            write_state=state,
-                        ))
-                    tag_state.setdefault(event.tag, state)
-            elif isinstance(event, SharedStoreEvent):
-                report.shared_stores.append(event)
-        return report

@@ -30,14 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.core.apitypes import APIType, FrameworkState, api_type_of_state
+from repro.core.apitypes import APIType
 from repro.core.hybrid import categorize_call_site
 from repro.core.policy import DESIGNATED_FDS
-from repro.core.statemachine import next_state
 from repro.errors import ReproError
 from repro.frameworks.syscall_pools import INIT_ONLY_SYSCALLS, pool_for
 from repro.sim.filters import FilterSpec
-from repro.staticcheck.inference import ApiVerdict, FunctionReport
+from repro.staticcheck.callgraph import CallEvent
+from repro.staticcheck.inference import ApiVerdict, FunctionReport, _Machine
 
 #: Neutral sites run in the current state's agent (processing default).
 _DEFAULT_AGENT = APIType.PROCESSING
@@ -215,17 +215,30 @@ class ResolvedSite:
 
 def _resolve_api(
     framework: str, api: str, declared: Optional[APIType]
-) -> Optional[Tuple[str, APIType, bool, Tuple[str, ...], Tuple[str, ...]]]:
-    """(qualname, type, neutral, syscalls, init) via the hybrid registry."""
+) -> Optional[ApiVerdict]:
+    """One schedule site's verdict via the hybrid registry, falling back
+    to its declared type."""
     try:
-        entry = categorize_call_site(framework, api)
-        return (entry.qualname, entry.api_type, entry.neutral,
-                entry.syscalls, entry.init_syscalls)
+        return ApiVerdict.of_entry(categorize_call_site(framework, api))
     except ReproError:
         if declared is not None:
-            return (f"{framework}.{api}", declared,
-                    not declared.is_concrete, (), ())
+            return ApiVerdict.declared(framework, api, declared)
         return None
+
+
+def _site(
+    framework: str, api: str, verdict: ApiVerdict, agent: str
+) -> ResolvedSite:
+    """One schedule site, placed in ``agent``."""
+    return ResolvedSite(
+        framework=framework,
+        api=api,
+        qualname=verdict.qualname,
+        api_type=verdict.api_type,
+        agent=agent,
+        syscalls=tuple(verdict.syscalls),
+        init_syscalls=tuple(verdict.init_syscalls),
+    )
 
 
 def resolved_schedule(app) -> List[ResolvedSite]:
@@ -239,34 +252,18 @@ def resolved_schedule(app) -> List[ResolvedSite]:
     """
     from repro.apps.base import ArgSpec
 
-    state = FrameworkState.INITIALIZATION
+    machine = _Machine()
     resolved: List[ResolvedSite] = []
     seen_capture = False
     seen_classifier = False
 
     def visit(framework: str, api: str,
               declared: Optional[APIType]) -> None:
-        nonlocal state
-        identity = _resolve_api(framework, api, declared)
-        if identity is None:
+        verdict = _resolve_api(framework, api, declared)
+        if verdict is None:
             return
-        qualname, api_type, neutral, syscalls, init = identity
-        if neutral or not api_type.is_concrete:
-            effective = api_type_of_state(state) or _DEFAULT_AGENT
-        else:
-            effective = api_type
-        resolved.append(ResolvedSite(
-            framework=framework,
-            api=api,
-            qualname=qualname,
-            api_type=api_type,
-            agent=effective.value,
-            syscalls=tuple(syscalls),
-            init_syscalls=tuple(init),
-        ))
-        new = next_state(state, api_type, neutral)
-        if new is not None:
-            state = new
+        step = machine.place(CallEvent(framework, api, 0, 0), verdict)
+        resolved.append(_site(framework, api, verdict, step.agent))
 
     for site in app.schedule:
         if site.argspec is ArgSpec.SOURCE_CAMERA and not seen_capture:
@@ -310,20 +307,14 @@ def privileges_for_app(
     for site in resolved_schedule(app):
         absorb(site)
     for framework, api in extra_apis:
-        identity = _resolve_api(framework, api, None)
-        if identity is None:
+        verdict = _resolve_api(framework, api, None)
+        if verdict is None:
             continue
-        qualname, api_type, neutral, syscalls, init = identity
-        effective = api_type if api_type.is_concrete else _DEFAULT_AGENT
-        absorb(ResolvedSite(
-            framework=framework,
-            api=api,
-            qualname=qualname,
-            api_type=api_type,
-            agent=effective.value,
-            syscalls=tuple(syscalls),
-            init_syscalls=tuple(init),
-        ))
+        effective = (
+            verdict.api_type if verdict.api_type.is_concrete
+            else _DEFAULT_AGENT
+        )
+        absorb(_site(framework, api, verdict, effective.value))
     return privileges
 
 

@@ -29,10 +29,11 @@ class RuleContext:
 
     path: str
     summary: ModuleSummary
+    #: Per-function partition plans (the same walk as ``dataflow``).
     reports: Dict[str, FunctionReport]
+    #: The interprocedural flow pass's hits.
+    dataflow: DataflowReport
     unused_specs: List[LocalSpec] = field(default_factory=list)
-    #: The interprocedural flow pass (None only if construction failed).
-    dataflow: Optional[DataflowReport] = None
     #: Per-agent minimal privilege sets inferred from the plans.
     privileges: Dict[str, AgentPrivilege] = field(default_factory=dict)
     #: Opt-in gate for the advisory over-privileged-pool findings.
@@ -87,7 +88,7 @@ class FrozenWriteRule(Rule):
         for qualname, report in context.reports.items():
             for hit in report.frozen_writes:
                 yield self.finding(
-                    context, hit.event.line, hit.event.col,
+                    context, hit.line, hit.col,
                     f"host_write to '{hit.tag}' would fault: the buffer "
                     f"was defined during {hit.alloc_state.value} and is "
                     f"read-only once the framework moved on (write "
@@ -310,8 +311,6 @@ class CrossPartitionLeakRule(Rule):
     description = "agent-produced value crosses into another partition"
 
     def check(self, context: RuleContext) -> Iterator[Finding]:
-        if context.dataflow is None:
-            return
         # Direct materialized args are already the per-site
         # wrong-partition-deref rule's evidence; the flow rule owns the
         # indirect paths that rule cannot see (aliases, containers,
@@ -349,8 +348,6 @@ class TenantTaintEscapeRule(Rule):
     description = "tenant-derived data reaches a shared or host sink"
 
     def check(self, context: RuleContext) -> Iterator[Finding]:
-        if context.dataflow is None:
-            return
         for hit in context.dataflow.escapes:
             if hit.sink == "host":
                 yield self.finding(
@@ -384,8 +381,6 @@ class FrozenAliasWriteRule(Rule):
     description = "aliased host_write targets a frozen tag"
 
     def check(self, context: RuleContext) -> Iterator[Finding]:
-        if context.dataflow is None:
-            return
         for hit in context.dataflow.alias_writes:
             yield self.finding(
                 context, hit.line, hit.col,

@@ -367,21 +367,43 @@ def test_gateway_call_as_a_method_receiver_is_a_step():
 
 
 def test_loop_body_call_is_traced_once():
-    from repro.staticcheck.callgraph import CallEvent, CallGraphBuilder
-    from repro.staticcheck.dataflow import analyze_module
-
     source = (
         "def main(gateway, paths):\n"
         "    for p in paths:\n"
         "        gateway.call('opencv', 'imread', p)\n"
     )
-    built = CallGraphBuilder("loop.py", source).build()
-    # The flow pass walks the body twice; the trace must not grow.
-    analyze_module(built, PartitionInferencer(built))
-    events = built.functions["main"].events
-    assert [(e.api, e.line) for e in events if isinstance(e, CallEvent)] == [
-        ("imread", 3)
-    ]
+    # The flow walk visits the body twice; the plan records it once.
+    assert steps_of(source, "main") == ["cv2.imread"]
+
+
+def test_alias_named_site_freezes_the_state_it_leaves():
+    # The runtime faults on this write: `load` names imread, leaving
+    # initialization freezes `s`.
+    source = (
+        "from repro.sim.memory import MemoryLayout\n"
+        "\n"
+        "ANNOTATIONS = (MemoryLayout(name='s', tag='s', nbytes=64),)\n"
+        "\n"
+        "def pipeline(gateway, path):\n"
+        "    gateway.host_alloc('s', [0.0])\n"
+        "    load = 'imread'\n"
+        "    image = gateway.call('opencv', load, path)\n"
+        "    gateway.host_write('s', [1.0])\n"
+        "    return image\n"
+    )
+    findings, _ = check_source("alias_freeze.py", source)
+    assert [(f.rule, f.line) for f in findings] == [("frozen-write", 9)]
+
+
+def test_alias_named_store_before_load_is_a_phase_order_error():
+    source = (
+        "def pipeline(gateway, path, out):\n"
+        "    api = 'imwrite'\n"
+        "    gateway.call('opencv', api, out, None)\n"
+        "    return gateway.call('opencv', 'imread', path)\n"
+    )
+    findings, _ = check_source("alias_order.py", source)
+    assert [(f.rule, f.line) for f in findings] == [("phase-order", 3)]
 
 
 def test_gateway_flows_through_positional_and_keyword_only_params():
