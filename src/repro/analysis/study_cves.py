@@ -189,13 +189,3 @@ def counts_by_api_type(corpus: List[StudyCve]) -> Dict[APIType, int]:
     for cve in corpus:
         counts[cve.api_type] += 1
     return counts
-
-
-def distinct_vulnerable_apis(
-    corpus: List[StudyCve],
-) -> Dict[Tuple[str, APIType], int]:
-    """Distinct vulnerable APIs per (framework, type)."""
-    seen: Dict[Tuple[str, APIType], set] = {}
-    for cve in corpus:
-        seen.setdefault((cve.framework, cve.api_type), set()).add(cve.api_name)
-    return {key: len(apis) for key, apis in seen.items()}

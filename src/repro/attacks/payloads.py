@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.attacks.cves import get as get_cve
 from repro.attacks.exploits import Exploit, ExploitOutcome
-from repro.frameworks.base import ExecutionContext, Model
+from repro.frameworks.base import ExecutionContext
 from repro.sim.memory import payload_nbytes
 
 
@@ -72,26 +72,3 @@ def crafted_image(cve_id: str, exploit: Exploit, seed: int = 99,
     get_cve(cve_id)  # validate the id
     return CraftedInput(cve_id=cve_id, exploit=exploit,
                         cover=benign_image(seed=seed, size=size))
-
-
-def crafted_model(cve_id: str, exploit: Exploit, seed: int = 77) -> CraftedInput:
-    """A malicious serialized model (torch.load / load_model vector)."""
-    get_cve(cve_id)
-    rng = np.random.default_rng(seed)
-    cover = Model({"layer": rng.normal(size=(4, 4))}, architecture="trojaned")
-    return CraftedInput(cve_id=cve_id, exploit=exploit, cover=cover)
-
-
-def crafted_tensor(cve_id: str, exploit: Exploit, seed: int = 66,
-                   size: int = 8) -> CraftedInput:
-    """A malicious in-memory tensor for data-processing CVEs."""
-    get_cve(cve_id)
-    rng = np.random.default_rng(seed)
-    return CraftedInput(cve_id=cve_id, exploit=exploit,
-                        cover=rng.normal(size=(size, size)))
-
-
-def plant_malicious_file(kernel, path: str, crafted: CraftedInput) -> CraftedInput:
-    """Write a crafted input into the simulated filesystem at ``path``."""
-    kernel.fs.write_file(path, crafted)
-    return crafted

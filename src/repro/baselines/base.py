@@ -73,9 +73,6 @@ class Partitioned(ApiGateway):
             )
         return process
 
-    def worker_processes(self) -> List[SimProcess]:
-        return list(self._workers.values())
-
     @property
     def process_count(self) -> int:
         return 1 + len(self._workers)

@@ -17,7 +17,7 @@ any evaluated program.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.apitypes import APIType
 from repro.core.dataflow import Flow, categorize_flows, reduce_file_copies
@@ -72,11 +72,6 @@ class DynamicAnalyzer:
             category=categorize_flows(reduced),
             error=error,
         )
-
-    def analyze_many(
-        self, apis: Sequence[FrameworkAPI]
-    ) -> Dict[str, DynamicResult]:
-        return {api.spec.qualname: self.analyze(api) for api in apis}
 
 
 @dataclass

@@ -413,11 +413,13 @@ class FreePartGateway(ApiGateway):
                 agent_pid=agent.process.pid,
             )
 
-        request = self._build_request(agent, spec.qualname, args, kwargs)
+        request = self._build_request(
+            agent, spec.qualname, args, kwargs, self.machine.state_label
+        )
 
         def execute() -> Any:
             if not self.config.ldc:
-                self._eager_copy_args(agent, args)
+                self._eager_copy_args(agent, request)
             return agent.execute(
                 api, request, self._resolve_ref, ldc=self.config.ldc
             )
@@ -560,7 +562,13 @@ class FreePartGateway(ApiGateway):
         qualname: str,
         args: tuple,
         kwargs: dict,
+        state_label: str,
     ) -> RpcRequest:
+        """One API call's request, stamped with the state it was routed in.
+
+        With LDC, data arguments cross as references; without it they
+        ride by value (and :meth:`_eager_copy_args` copies them).
+        """
         if not self.config.ldc:
             pairs = tuple(kwargs.items())
         else:
@@ -575,7 +583,7 @@ class FreePartGateway(ApiGateway):
             api_qualname=qualname,
             args=args,
             kwargs=pairs,
-            state_label=self.machine.state_label,
+            state_label=state_label,
         )
 
     def _wrap_outbound(self, value: Any) -> Any:
@@ -596,14 +604,17 @@ class FreePartGateway(ApiGateway):
             return ref
         return value
 
-    def _eager_copy_args(self, agent: AgentProcess, args: tuple) -> None:
-        """Non-LDC mode: physically copy object arguments into the agent."""
-        for value in args:
+    def _eager_copy_args(
+        self, agent: AgentProcess, request: RpcRequest
+    ) -> None:
+        """Non-LDC mode: physically copy a request's object arguments
+        into the agent, defined in the state the call was routed in."""
+        for value in request.args:
             if isinstance(value, DataObject):
                 self.kernel.transfer(
                     self.host, agent.process, value,
                     tag="eager-arg",
-                    origin_state=self.machine.state_label,
+                    origin_state=request.state_label,
                     lazy=False, count_message=False,
                 )
 
@@ -715,13 +726,6 @@ class FreePartGateway(ApiGateway):
             return
         for agent in self.agents.values():
             agent.stop()
-
-    def agent_stats(self) -> Dict[str, Any]:
-        """Per-agent statistics keyed by partition label."""
-        return {
-            agent.partition.label: agent.stats
-            for agent in self.agents.values()
-        }
 
     def total_restarts(self) -> int:
         """Agent restarts performed so far."""

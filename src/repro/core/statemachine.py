@@ -64,11 +64,6 @@ class SimulatedStep:
     state_before: FrameworkState
     state_after: FrameworkState
 
-    @property
-    def transitioned(self) -> bool:
-        """True when this call changed the framework state."""
-        return self.state_before is not self.state_after
-
 
 def simulate_transitions(
     calls: Sequence[Tuple[APIType, bool]],

@@ -15,7 +15,7 @@ the hybrid driver.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from repro.core.apitypes import APIType
 from repro.core.dataflow import Flow, Storage, categorize_flows
@@ -182,9 +182,3 @@ class StaticAnalyzer:
             return Flow(source=Storage.MEM, dest=statement.storage,
                         label=statement.label)
         return None
-
-
-def analyze_specs(specs: Sequence[APISpec]) -> List[StaticResult]:
-    """Run the static analyzer over a batch of API specs."""
-    analyzer = StaticAnalyzer()
-    return [analyzer.analyze(spec) for spec in specs]

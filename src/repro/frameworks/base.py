@@ -463,20 +463,6 @@ class ExecutionContext:
         )
         return payload
 
-    def net_send(self, destination: str, payload: Any) -> None:
-        """Send to the network: W(DEV, R(MEM))."""
-        network = self.kernel.devices.network
-        if not network.is_connected(self.process.pid):
-            self.syscall("socket")
-            self.syscall("connect", fd=network.fd)
-            network.connect(self.process.pid, destination=destination)
-        self.syscall("sendto", fd=network.fd, nbytes=payload_nbytes(payload))
-        network.send(self.process.pid, destination, payload)
-        self.record_flow(
-            write(Storage.DEV, Storage.MEM, label="network",
-                  nbytes=payload_nbytes(payload))
-        )
-
     def gui_show(self, window: str, image: Any) -> None:
         """Display an image: W(GUI, R(MEM))."""
         gui = self.kernel.gui

@@ -144,6 +144,16 @@ class SLOSpec:
             return event.latency_ns <= self.threshold_ns
         return event.ok and event.latency_ns <= self.threshold_ns
 
+    def burning(self, requests: int, errors: int, threshold: float) -> bool:
+        """The burn verdict of one window cell: it saw an error, and its
+        error rate spends the budget at least ``threshold`` times faster
+        than the period allows.  Report alerts and the autoscaler's
+        scale-up signal both read it."""
+        return (
+            errors > 0
+            and (errors / requests) / self.error_budget >= threshold
+        )
+
     def to_dict(self) -> Dict[str, Any]:
         return {
             "name": self.name,
@@ -288,7 +298,7 @@ def _evaluate_window(
         requests, errors = cells[index]
         error_rate = errors / requests
         burn_rate = error_rate / budget
-        fired = errors > 0 and burn_rate >= threshold
+        fired = spec.burning(requests, errors, threshold)
         cell = WindowCell(
             window=window.name,
             start_ns=index * window.window_ns,

@@ -173,6 +173,3 @@ class AdmissionQueue:
     def pending_for(self, tenant_id: str) -> int:
         queue = self._queues.get(tenant_id)
         return len(queue) if queue is not None else 0
-
-    def tenants_waiting(self) -> List[str]:
-        return list(self._queues)

@@ -98,12 +98,9 @@ class BurnMonitor:
         return verdict
 
     def _close(self) -> bool:
-        burning = False
-        if self._requests and self._errors:
-            burn_rate = (
-                self._errors / self._requests
-            ) / self.spec.error_budget
-            burning = burn_rate >= self.threshold
+        burning = self.spec.burning(
+            self._requests, self._errors, self.threshold
+        )
         self.cells_closed += 1
         if burning:
             self.burning_cells += 1

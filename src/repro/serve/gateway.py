@@ -154,31 +154,27 @@ class ServeGateway(FreePartGateway):
                     chains += 1
                     continue
                 chained_args.append(self._resolve_prev(value, index, results))
-            kwargs = tuple(
-                (key, self._resolve_prev(value, index, results))
+            kwargs = {
+                key: self._resolve_prev(value, index, results)
                 for key, value in call.kwargs
-            )
+            }
             self._check_args(tuple(
                 v for v in chained_args if not isinstance(v, BatchChain)
-            ), dict(kwargs))
-            requests.append(RpcRequest(
-                seq=agent.sequence.next_seq(),
-                api_qualname=apis[index].spec.qualname,
-                args=tuple(
-                    value if isinstance(value, BatchChain)
-                    else self._wrap_outbound(value)
-                    for value in chained_args
-                ),
-                kwargs=tuple(
-                    (key, self._wrap_outbound(value)) for key, value in kwargs
-                ),
-                state_label=labels[index],
+            ), kwargs)
+            # A BatchChain placeholder is neither data nor a handle, so
+            # the builder passes it through untouched.
+            requests.append(self._build_request(
+                agent, apis[index].spec.qualname, tuple(chained_args),
+                kwargs, labels[index],
             ))
             group_apis.append(apis[index])
 
         batch = RpcBatchRequest(requests=tuple(requests))
 
         def execute():
+            if not self.config.ldc:
+                for request in requests:
+                    self._eager_copy_args(agent, request)
             return agent.execute_batch(
                 group_apis, batch, self._resolve_ref, ldc=self.config.ldc
             )

@@ -18,7 +18,7 @@ the paper's isolation guarantee under sharing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.core.rpc import ObjectRef, RemoteHandle
 from repro.errors import TenantIsolationError
@@ -62,9 +62,6 @@ class TenantRegistry:
         self._owners[ref_key(ref)] = tenant_id
         self.minted += 1
         return ref
-
-    def owner_of(self, ref: ObjectRef) -> Optional[str]:
-        return self._owners.get(ref_key(ref))
 
     def check(self, tenant_id: str, ref: ObjectRef) -> None:
         """Raise unless ``tenant_id`` owns the ref.

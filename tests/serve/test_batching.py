@@ -160,3 +160,22 @@ def test_batching_is_faster(image_pipeline):
     batched_server, batched = _serve_one(True, image_pipeline)
     plain_server, plain = _serve_one(False, image_pipeline)
     assert batched.service_ns < plain.service_ns
+
+
+@pytest.mark.parametrize("batching", [True, False])
+def test_server_without_ldc_makes_no_lazy_copies(batching):
+    """``FreePartConfig(ldc=False)`` holds on both crossings: every
+    argument rides by value and is copied eagerly, batched or not."""
+    from repro.core.runtime import FreePartConfig
+    from repro.serve.bench import load_requests
+
+    server = PipelineServer(
+        config=FreePartConfig(ldc=False), pool_size=1, batching=batching
+    )
+    load_requests(server, 2, 2, 8)
+    assert all(response.ok for response in server.drain())
+    ipc = server.kernel.ipc
+    assert ipc.lazy_copies == 0
+    # Batching chains blur -> threshold inside the agent, which saves
+    # one argument copy per request.
+    assert ipc.nonlazy_copies == (20 if batching else 24)
