@@ -21,7 +21,7 @@ from __future__ import annotations
 import ast
 import copy
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.errors import AnalysisError
 

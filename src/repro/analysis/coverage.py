@@ -7,7 +7,6 @@ evaluated application uses is covered by the dynamic analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.core.dynamic_analysis import CoverageReport, coverage_report

@@ -12,7 +12,7 @@ number in Table 3 and whose stage sequences exhibit the Fig. 6 patterns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.analysis.study_cves import VULNERABLE_API_POOLS

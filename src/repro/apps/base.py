@@ -14,8 +14,8 @@ loop execute once per workload item; initialization sites execute once.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from repro.core.apitypes import APIType
 from repro.core.gateway import ApiGateway
 from repro.core.rpc import RemoteHandle
 from repro.core.runtime import RunReport
-from repro.errors import FrameworkCrash
 from repro.frameworks.base import DataObject, Mat, Model
 from repro.sim.kernel import SimKernel
 

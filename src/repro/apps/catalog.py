@@ -10,7 +10,7 @@ Table 5 has its delivery path.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.attacks.cves import cves_for_sample
 from repro.core.apitypes import APIType

@@ -18,7 +18,7 @@ Two attacks from the paper are reproduced against it:
 
 from __future__ import annotations
 
-from typing import Any, List
+from typing import List
 
 import numpy as np
 

@@ -9,10 +9,6 @@ on 'q'.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
-
-import numpy as np
-
 from repro.apps.base import Application, AppResult, AppSpec, ArgSpec, CallSite, TypeCounts, Workload
 from repro.core.apitypes import APIType
 from repro.core.gateway import ApiGateway

@@ -14,7 +14,7 @@ Two cells of the published table are ambiguous in the text (rows 10 and
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.apps.base import Application, AppSpec, PipelineApp, TypeCounts
 from repro.apps.catalog import build_schedule

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.apps.base import Application, ArgSpec, Workload, execute_app
+from repro.apps.base import Application, Workload, execute_app
 from repro.apps.suite import make_app, used_api_objects
 from repro.attacks.cves import CveRecord, VulnType, get as get_cve
 from repro.attacks.exploits import (
@@ -28,12 +28,10 @@ from repro.attacks.exploits import (
     ExfiltrationExploit,
     Exploit,
     ExploitOutcome,
-    ForkBombExploit,
     MemoryCorruptionExploit,
 )
-from repro.attacks.payloads import CraftedInput, benign_image, crafted_image
+from repro.attacks.payloads import CraftedInput, benign_image
 from repro.baselines import TECHNIQUES
-from repro.core.apitypes import APIType
 from repro.core.gateway import ApiGateway, NativeGateway
 from repro.core.runtime import FreePart, FreePartConfig
 from repro.errors import FrameworkCrash, ProcessCrashed, ReproError

@@ -11,9 +11,8 @@ the traffic Table 9 compares.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from repro.core.apitypes import APIType
 from repro.core.gateway import ApiGateway, CallRecord
 from repro.errors import (
     FrameworkCrash,
@@ -25,7 +24,6 @@ from repro.frameworks.base import DataObject, ExecutionContext, FrameworkAPI
 from repro.sim.filters import SyscallFilter, permissive_filter
 from repro.sim.ipc import ChannelPair
 from repro.sim.kernel import SimKernel
-from repro.sim.memory import Buffer
 from repro.sim.process import SimProcess
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.baselines.base import Partitioned, TechniqueInfo
-from repro.core.apitypes import APIType
 from repro.frameworks.base import FrameworkAPI
 from repro.sim.memory import Buffer
 

@@ -10,7 +10,7 @@ from.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 from repro.baselines.base import Partitioned, TechniqueInfo
 from repro.frameworks.base import FrameworkAPI

@@ -9,13 +9,11 @@ and compromised API code keeps every ambient privilege.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from repro.baselines.base import TechniqueInfo
 from repro.core.gateway import NativeGateway
-from repro.sim.kernel import SimKernel
 from repro.sim.memory import Buffer, Permission
-from repro.sim.process import SimProcess
 
 
 class MemoryBasedIsolation(NativeGateway):

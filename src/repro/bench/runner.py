@@ -10,11 +10,11 @@ harness's real wall time for regression tracking).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 from repro.apps.base import Application, Workload, execute_app
-from repro.apps.suite import SAMPLE_IDS, make_app, used_api_objects
+from repro.apps.suite import SAMPLE_IDS, make_app
 from repro.attacks.scenarios import build_gateway
 from repro.core.runtime import FreePartConfig, RunReport
 from repro.sim.kernel import SimKernel

@@ -6,7 +6,7 @@ these helpers keep the formatting uniform and dependency-free.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Sequence
+from typing import Any, Dict, Iterable, Sequence
 
 
 def render_table(

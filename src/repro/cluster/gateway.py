@@ -16,7 +16,7 @@ what the placement-affinity tests assert against.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.gateway import PREV, ApiCall
 from repro.core.hybrid import HybridAnalyzer

@@ -27,7 +27,7 @@ import hashlib
 import json
 import posixpath
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 
 def stable_hash(text: str) -> int:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.partitioner import Partition
@@ -37,7 +37,7 @@ from repro.core.rpc import (
     RpcResponse,
     SequenceTracker,
 )
-from repro.errors import AgentUnavailable, ProcessCrashed, StaleObjectRef
+from repro.errors import AgentUnavailable, ProcessCrashed
 from repro.faults.plan import FaultKind
 from repro.frameworks.base import (
     DataObject,
@@ -48,6 +48,7 @@ from repro.frameworks.base import (
 from repro.sim.filters import FilterSpec
 from repro.sim.ipc import ChannelPair
 from repro.sim.kernel import SimKernel
+from repro.sim.memory import Buffer
 from repro.sim.process import ProcessState, SimProcess
 
 #: How many stateful-API invocations pass between two checkpoints.
@@ -167,15 +168,15 @@ class AgentProcess:
         #: newest-to-oldest past torn records (Appendix A.2.4).
         self._checkpoints: List[CheckpointRecord] = []
         self._checkpoint_generations = itertools.count(1)
-        #: Reply cache for duplicate suppression: seq -> (response, raw
-        #: result).  Dies with the process — a restarted agent re-executes
-        #: retried requests from its checkpoint (at-least-once).
-        self._reply_cache: "OrderedDict[int, Tuple[RpcResponse, Any]]" = (
-            OrderedDict()
-        )
-        #: Foreign objects already copied into this process: the lazy copy
-        #: happens once per object, later dereferences are local reads.
-        self._resident: Dict[Tuple[int, int, int], Any] = {}
+        #: Reply cache for duplicate suppression: seq -> response.  It
+        #: holds no raw results, which would keep released objects alive.
+        #: Dies with the process — a restarted agent re-executes retried
+        #: requests from its checkpoint (at-least-once).
+        self._reply_cache: "OrderedDict[int, RpcResponse]" = OrderedDict()
+        #: Foreign objects already copied into this process, by the
+        #: buffer holding the copy: the lazy copy happens once per
+        #: object, later dereferences are local reads.
+        self._resident: Dict[Tuple[int, int, int], Buffer] = {}
         self.process = self._spawn()
         self.store = ObjectStore(self.process)
         self.ctx = ExecutionContext(kernel, self.process)
@@ -342,7 +343,13 @@ class AgentProcess:
             # applied twice — exactly-once *effect* for live agents.
             self.sequence.record_duplicate(request.seq)
             self.stats.deduped_requests += 1
-            return cached
+            raw = cached.value
+            if isinstance(raw, ObjectRef):
+                # Duplicates arrive within one round trip, before the
+                # host can drop the handle, so the object is still here.
+                # Read the buffer itself: a fetch would trace a deref.
+                raw = self.process.memory.get_buffer(raw.buffer_id).payload
+            return cached, raw
         self.sequence.record_execution(request.seq)
         self.stats.requests += 1
         label = request.state_label
@@ -368,15 +375,15 @@ class AgentProcess:
             response = RpcResponse(seq=request.seq, value=ref)
         else:
             response = RpcResponse(seq=request.seq, value=result)
-        self._cache_reply(request.seq, response, result)
+        self._cache_reply(request.seq, response)
         if crash_point is FaultKind.CRASH_MID_REPLY:
             # Reply produced (and cached) but the process dies before it
             # reaches the ring buffer.
             self._injected_crash(crash_point, request)
         return response, result
 
-    def _cache_reply(self, seq: int, response: RpcResponse, raw: Any) -> None:
-        self._reply_cache[seq] = (response, raw)
+    def _cache_reply(self, seq: int, response: RpcResponse) -> None:
+        self._reply_cache[seq] = response
         while len(self._reply_cache) > REPLY_CACHE_SIZE:
             self._reply_cache.popitem(last=False)
 
@@ -475,12 +482,13 @@ class AgentProcess:
             # Already resident: the reference chain collapsed to zero copies.
             return self.store.fetch(value)
         key = (value.owner_pid, value.owner_generation, value.buffer_id)
-        if key in self._resident:
+        resident = self._resident.get(key)
+        if resident is not None:
             # Copied on an earlier dereference; now a local read.
-            return self._resident[key]
+            return resident.payload
         payload = resolve_ref(value)
         source = self.kernel.process(value.owner_pid)
-        self.kernel.transfer(
+        self._resident[key] = self.kernel.transfer(
             source,
             self.process,
             payload,
@@ -490,7 +498,6 @@ class AgentProcess:
             count_message=False,
             zero_copy=self.zero_copy,
         )
-        self._resident[key] = payload
         return payload
 
     def fetch_local(self, ref: ObjectRef) -> Any:

@@ -16,8 +16,8 @@ any evaluated program.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from repro.core.apitypes import APIType
 from repro.core.dataflow import Flow, categorize_flows, reduce_file_copies

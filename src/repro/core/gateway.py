@@ -27,7 +27,7 @@ from repro.core.apitypes import APIType
 from repro.frameworks.base import DataObject, ExecutionContext, FrameworkAPI
 from repro.frameworks.registry import get_api
 from repro.sim.kernel import SimKernel
-from repro.sim.memory import Buffer, MemoryLayout
+from repro.sim.memory import Buffer
 from repro.sim.process import SimProcess
 
 #: Pseudo-framework for tracing annotations.  ``gateway.call("obs",

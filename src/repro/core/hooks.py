@@ -18,7 +18,7 @@ redirected to the right agent process.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List
+from typing import Any, Dict, List
 
 from repro.core.gateway import ApiGateway
 from repro.errors import ReproError

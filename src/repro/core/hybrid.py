@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.apitypes import APIType
 from repro.core.dynamic_analysis import DynamicAnalyzer, DynamicResult
-from repro.core.static_analysis import StaticAnalyzer, StaticResult
+from repro.core.static_analysis import StaticAnalyzer
 from repro.errors import UncategorizableAPI
 from repro.frameworks.base import FrameworkAPI, StatefulKind
 

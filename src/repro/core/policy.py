@@ -18,7 +18,7 @@ agent partition:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.core.apitypes import APIType
 from repro.core.hybrid import CategorizedAPI, Categorization

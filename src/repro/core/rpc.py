@@ -11,7 +11,7 @@ use, copying directly from the owning process.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import StaleObjectRef
@@ -43,14 +43,37 @@ class RemoteHandle:
     resolves them back to :class:`ObjectRef` values.  Dereferencing the
     data in the host requires an explicit ``gateway.materialize`` (which
     is what makes host-side dereferences rare and the lazy fraction high).
+
+    A handle a gateway made reports its death: when the host drops the
+    last reference to it, its ref joins that gateway's release list, and
+    the gateway releases the object at its next call.  CPython finalizes
+    a handle as soon as its last reference goes, so the order repeats
+    from run to run.
     """
 
-    __slots__ = ("ref",)
+    __slots__ = ("ref", "_releases")
 
     nbytes = REF_WIRE_BYTES
 
-    def __init__(self, ref: ObjectRef) -> None:
+    def __init__(
+        self, ref: ObjectRef, releases: Optional[List[ObjectRef]] = None
+    ) -> None:
         self.ref = ref
+        #: The making gateway's release list.  The handle holds the
+        #: list, not the gateway, so it never keeps a gateway alive.
+        self._releases = releases
+
+    def __del__(self) -> None:
+        if self._releases is not None:
+            self._releases.append(self.ref)
+
+    # Handles never change, so a copy is the handle itself: a second
+    # object would release the same ref a second time.
+    def __copy__(self) -> "RemoteHandle":
+        return self
+
+    def __deepcopy__(self, memo: Dict[int, Any]) -> "RemoteHandle":
+        return self
 
     @property
     def payload_bytes(self) -> int:
@@ -287,7 +310,13 @@ class ObjectStore:
         )
 
     def fetch(self, ref: ObjectRef) -> Any:
-        """Read a locally owned object (no copy)."""
+        """Read a locally owned object (no copy).
+
+        Only a running owner serves its objects: an exited one released
+        its memory, and a crashed one keeps it for inspection but never
+        restores it.  An object released once the host held no handle to
+        it is stale too.
+        """
         if ref.owner_pid != self.process.pid:
             raise StaleObjectRef(
                 f"ref owned by pid {ref.owner_pid}, store is pid {self.process.pid}"
@@ -297,13 +326,20 @@ class ObjectStore:
                 f"ref generation {ref.owner_generation} predates restart "
                 f"(current generation {self.process.generation})"
             )
-        if self.process.state is ProcessState.EXITED:
+        if self.process.state is not ProcessState.RUNNING:
             raise StaleObjectRef(
-                f"ref owner pid {ref.owner_pid} has exited; its memory is gone"
+                f"ref owner pid {ref.owner_pid} has "
+                f"{self.process.state.value}; its objects are gone"
+            )
+        payload = self.process.memory.load_live(ref.buffer_id)
+        if payload is None:
+            raise StaleObjectRef(
+                f"buffer {ref.buffer_id} of pid {ref.owner_pid} was released "
+                "once the host held no handle to it"
             )
         tracer = getattr(self.process, "tracer", None)
         if tracer is not None and tracer.enabled:
             tracer.instant("ldc_deref", category="copy",
                            pid=self.process.pid, buffer_id=ref.buffer_id,
                            kind=ref.kind, bytes=ref.payload_bytes)
-        return self.process.memory.load(ref.buffer_id)
+        return payload

@@ -14,11 +14,11 @@ path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.agent import AgentProcess
-from repro.core.apitypes import APIType, FrameworkState, api_type_of_state
+from repro.core.apitypes import APIType, api_type_of_state
 from repro.core.gateway import OBS_FRAMEWORK, ApiGateway, CallRecord
 from repro.core.hybrid import Categorization, HybridAnalyzer
 from repro.core.partitioner import (
@@ -27,7 +27,7 @@ from repro.core.partitioner import (
     split_processing_plan,
     sub_partition_plan,
 )
-from repro.core.policy import filter_spec_for_partition, filter_specs_for_plan
+from repro.core.policy import filter_spec_for_partition
 from repro.core.rpc import ObjectRef, ObjectStore, RemoteHandle, RpcRequest
 from repro.core.statemachine import TemporalStateMachine
 from repro.errors import (
@@ -46,7 +46,7 @@ from repro.frameworks.registry import iter_apis
 from repro.sim.filters import FilterSpec
 from repro.sim.kernel import SimKernel
 from repro.sim.memory import Buffer, MemoryLayout
-from repro.sim.process import SimProcess
+from repro.sim.process import ProcessState, SimProcess
 
 #: Backoff schedule for transient :class:`ChannelFull` on a send: first
 #: retry after SEND_BACKOFF_BASE_NS, doubling up to the cap, at most
@@ -248,6 +248,9 @@ class FreePartGateway(ApiGateway):
         self.last_crash_partition: Optional[str] = None
         self.host_store = ObjectStore(host)
         self._host_refs: Dict[int, ObjectRef] = {}
+        #: Refs of the handles this gateway made that the host dropped
+        #: since the last call, in the order they died.
+        self._released: List[ObjectRef] = []
         self.dispatch_stats = DispatchStats()
         #: Call-site dispatch cache: (framework, name) -> (api, entry).
         #: Flushed whenever the state machine's transition count moves.
@@ -401,6 +404,8 @@ class FreePartGateway(ApiGateway):
     def _dispatch_api(
         self, framework: str, name: str, args: tuple, kwargs: dict
     ) -> Any:
+        if self._released:
+            self._release_dropped()
         api, partition = self._route(framework, name)
         spec = api.spec
         agent = self._ensure_agent(partition)
@@ -542,10 +547,35 @@ class FreePartGateway(ApiGateway):
                 continue
             return delivered[-1].payload
 
+    def _release_dropped(self) -> None:
+        """Release the object behind every handle the host dropped, in
+        the order the handles died.
+
+        The owner releases its buffer, and every other agent drops its
+        lazy copy.  A crashed or restarted owner has nothing left to
+        release.  No release costs virtual time.
+        """
+        released = self._released
+        agents = self.agents.values()
+        for ref in released:  # a handle dying meanwhile joins this pass
+            key = (ref.owner_pid, ref.owner_generation, ref.buffer_id)
+            for agent in agents:
+                process = agent.process
+                if process.state is not ProcessState.RUNNING:
+                    continue
+                if process.pid == ref.owner_pid:
+                    if process.generation == ref.owner_generation:
+                        process.memory.release_buffer(ref.buffer_id)
+                    continue
+                copy = agent._resident.pop(key, None)
+                if copy is not None:
+                    process.memory.release_buffer(copy.buffer_id)
+        released.clear()
+
     def _finish_value(self, agent: AgentProcess, spec, value: Any) -> Any:
         """Post-process one response value back into the host's view."""
         if isinstance(value, ObjectRef):
-            return RemoteHandle(value)
+            return RemoteHandle(value, self._released)
         if not self.config.ldc and isinstance(value, DataObject):
             # Eager mode: the result is copied back into the host program.
             self.kernel.transfer(

@@ -12,8 +12,8 @@ calls it issues are not subject to the agents' seccomp filters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.apitypes import STATE_OF_TYPE, APIType, FrameworkState
 from repro.obs.tracer import NULL_TRACER
@@ -160,7 +160,9 @@ class TemporalStateMachine:
         """Make every buffer defined during ``state`` read-only.
 
         Visits only the buffers no freeze has reached yet, not every
-        buffer ever defined in ``state``.
+        buffer ever defined in ``state``.  A buffer whose object was
+        released while it waited here is protected like the rest, then
+        unmapped.
         """
         protected = 0
         label = state.value
@@ -168,14 +170,15 @@ class TemporalStateMachine:
             if not process.alive:
                 continue
             host_process = process.role == "host"
-            for buffer in process.memory.unfrozen_in_state(label):
+            memory = process.memory
+            for buffer in memory.unfrozen_in_state(label):
                 if host_process and buffer.tag not in self.annotated_tags:
                     continue  # unannotated host variables stay writable
-                if process.memory.is_writable(buffer.buffer_id):
-                    process.memory.protect_buffer(
-                        buffer.buffer_id, Permission.READ
-                    )
+                if memory.is_writable(buffer.buffer_id):
+                    memory.protect_buffer(buffer.buffer_id, Permission.READ)
                     protected += 1
+                if buffer.released:
+                    memory.free(buffer.buffer_id)
         self.protected_total += protected
         return protected
 

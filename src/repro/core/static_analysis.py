@@ -14,7 +14,7 @@ the hybrid driver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 from repro.core.apitypes import APIType

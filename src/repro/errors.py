@@ -164,8 +164,9 @@ class StaleObjectRef(RuntimeSupportError):
     """A lazy-data-copy reference points at a buffer that no longer exists.
 
     Happens when the owning agent crashed before the reference was
-    dereferenced and state restoration was disabled (Section 6 of the
-    paper: crashed-process state is intentionally not restored).
+    dereferenced (Section 6 of the paper: crashed-process state is
+    intentionally not restored), or when the owner released the object
+    because the host no longer held a handle to it.
     """
 
 

@@ -10,7 +10,7 @@ and ``joblib`` functions carry the file flows.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 import numpy as np
 

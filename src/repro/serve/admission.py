@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional
+from typing import Deque, List, Optional
 
 from repro.errors import AdmissionRejected
 from repro.sim.clock import VirtualClock

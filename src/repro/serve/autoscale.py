@@ -33,7 +33,7 @@ byte-identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.obs.slo import FAST_WINDOW, BurnWindow, RequestEvent, SLOSpec

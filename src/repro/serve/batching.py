@@ -17,8 +17,8 @@ the IPC boundary at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 from repro.core.gateway import PREV, ApiCall
 

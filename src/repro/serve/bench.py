@@ -11,7 +11,7 @@ clock.  Both the ``repro serve-bench`` CLI subcommand and
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence
 
 import numpy as np
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import AdmissionRejected, BrownoutShed
 from repro.obs.slo import RequestEvent

@@ -16,7 +16,7 @@ in-flight work is untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.agent import AgentProcess

@@ -23,13 +23,12 @@ serving-throughput benchmark measures the pools against.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.gateway import ApiCall
 from repro.core.runtime import FreePart, FreePartConfig
 from repro.errors import (
-    AdmissionRejected,
     AgentUnavailable,
     BrownoutShed,
     CircuitOpen,

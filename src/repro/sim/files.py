@@ -10,8 +10,8 @@ and records an access log that the dynamic analysis consumes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, Iterator, List
 
 from repro.errors import FileNotFoundInSim
 from repro.sim.memory import payload_nbytes

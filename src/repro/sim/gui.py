@@ -16,7 +16,7 @@ Models the pieces the paper cares about:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.errors import GuiError

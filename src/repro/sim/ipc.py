@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional
 
 from repro.errors import AccountingError, ChannelClosed, ChannelFull

@@ -18,7 +18,6 @@ runtime builds on:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.errors import ProcessNotFound
@@ -37,7 +36,7 @@ from repro.sim.memory import (
     SharedSegment,
     payload_nbytes,
 )
-from repro.sim.process import ProcessState, SimProcess
+from repro.sim.process import SimProcess
 
 #: Smallest payload worth remapping instead of copying (4 pages): below
 #: this the page-table updates cost more than the byte copy they avoid,

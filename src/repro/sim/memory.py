@@ -103,6 +103,9 @@ class Buffer:
     ``segment`` marks a zero-copy mapping: the buffer's pages belong to
     a :class:`SharedSegment` and the first write must pay the
     copy-on-write downgrade before it lands.
+
+    ``released`` marks a buffer whose object its owner let go of: the
+    payload is gone.  ``freed`` marks one whose pages are unmapped too.
     """
 
     buffer_id: int
@@ -114,6 +117,7 @@ class Buffer:
     origin_state: str = "initialization"
     freed: bool = False
     segment: Optional[SharedSegment] = None
+    released: bool = False
 
     @property
     def end(self) -> int:
@@ -147,12 +151,12 @@ def payload_nbytes(payload: Any) -> int:
 
 
 def _retire(buffer: Buffer) -> None:
-    """Mark an unmapped buffer freed: drop its payload and its mapping
-    of a shared segment."""
+    """Mark a buffer released: drop its payload and its mapping of a
+    shared segment."""
     if buffer.segment is not None:
         buffer.segment.mappings -= 1
         buffer.segment = None
-    buffer.freed = True
+    buffer.released = True
     buffer.payload = None
 
 
@@ -242,8 +246,16 @@ class PageTable:
 
     def clear(self, pages: range) -> None:
         """Unmap ``pages``."""
-        if pages.start < pages.stop:
-            self._carve(pages.start, pages.stop, [])
+        start, stop = pages.start, pages.stop
+        if start >= stop:
+            return
+        starts = self._starts
+        i = bisect_left(starts, start)
+        if i < len(starts) and starts[i] == start and self._stops[i] == stop:
+            # Exactly one run: every free of an unsplit buffer.
+            del starts[i], self._stops[i], self._bits[i]
+            return
+        self._carve(start, stop, [])
 
     def _carve(self, start: int, stop: int,
                middle: List[Tuple[int, int, int]]) -> None:
@@ -386,16 +398,42 @@ class AddressSpace:
 
     def free(self, buffer_id: int) -> None:
         """Unmap a buffer; later accesses through it fault."""
-        buffer = self.get_buffer(buffer_id)
-        self._pages.clear(pages_spanned(buffer.address, buffer.nbytes))
-        _retire(buffer)
-        del self._buffers[buffer_id]
+        buffer = self._buffers.pop(buffer_id, None)
+        if buffer is None:
+            raise SegmentationFault(
+                self.pid, 0, "free", f"buffer {buffer_id} is not mapped"
+            )
+        # pages_spanned, inline: every released result is unmapped
+        # here, and the per-call frame budget counts each call.
+        address = buffer.address
+        self._pages.clear(range(
+            address // PAGE_SIZE, (address + buffer.nbytes - 1) // PAGE_SIZE + 1
+        ))
+        if not buffer.released:
+            _retire(buffer)
+        buffer.freed = True
         self._unfrozen.get(buffer.origin_state, {}).pop(buffer_id, None)
+
+    def release_buffer(self, buffer_id: int) -> None:
+        """The owner let go of a buffer's object.
+
+        A buffer the freeze scan's index still holds keeps its pages:
+        its payload is dropped, and its state's next freeze protects it
+        like any other buffer of that state and then unmaps it.  So a
+        release never changes what a freeze protects or charges.  Any
+        other buffer is unmapped at once.
+        """
+        buffer = self._buffers[buffer_id]
+        if buffer_id in self._unfrozen.get(buffer.origin_state, ()):
+            _retire(buffer)
+        else:
+            self.free(buffer_id)
 
     def release(self) -> None:
         """Unmap every buffer in one pass (the process exited)."""
         for buffer in self._buffers.values():
             _retire(buffer)
+            buffer.freed = True
         self._buffers.clear()
         self._unfrozen.clear()
         self._pages = PageTable()
@@ -541,6 +579,15 @@ class AddressSpace:
     def load(self, buffer_id: int) -> Any:
         """Read a buffer's payload (checks READ permission)."""
         buffer = self.get_buffer(buffer_id)
+        self.check(buffer.address, buffer.nbytes, Permission.READ)
+        return buffer.payload
+
+    def load_live(self, buffer_id: int) -> Any:
+        """Read a payload like :meth:`load`, or None once the buffer is
+        released or unmapped: an object store's stale ref, not a fault."""
+        buffer = self._buffers.get(buffer_id)
+        if buffer is None or buffer.released:
+            return None
         self.check(buffer.address, buffer.nbytes, Permission.READ)
         return buffer.payload
 

@@ -10,7 +10,7 @@ entry, and a seccomp denial kills the process exactly like
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, List, Optional
 
 from repro.errors import ProcessCrashed, SyscallDenied

@@ -27,7 +27,7 @@ placed work in is a parity violation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Set, Tuple
+from typing import Any, Dict, Iterable, List, Set
 
 from repro.frameworks.syscall_pools import INIT_ONLY_SYSCALLS
 from repro.obs.export import trace_runtime_touches

@@ -9,7 +9,7 @@ filters, marked sheets for OMRChecker.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List
 
 import numpy as np
 

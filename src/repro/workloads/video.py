@@ -7,7 +7,7 @@ EyeLike, FaceTracker) behave deterministically.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 

@@ -1,16 +1,23 @@
 """Model-based test of the freeze scan over one simulated address space.
 
 Random programs of allocations, zero-copy mappings of shared segments,
-frees, protection changes, resizing stores and state freezes run against
-one :class:`AddressSpace`.  Page permissions are checked against a
-reference model kept per buffer, and every freeze must protect exactly
-what a full rescan would: the buffers of the state whose pages all grant
-WRITE, in allocation order.  A store through a shared mapping pays the
-copy-on-write downgrade once, and only after the permission check.
+frees, releases, protection changes, resizing stores and state freezes
+run against one :class:`AddressSpace`.  Page permissions and the freeze
+index are checked against a reference model kept per buffer, and every
+freeze must protect exactly what a full rescan would: the buffers of the
+state whose pages all grant WRITE, in allocation order, released ones
+included.  A store through a shared mapping pays the copy-on-write
+downgrade once, and only after the permission check.
+
+A release drops the buffer's payload.  A buffer the index still holds
+keeps its pages until its state's next freeze has probed (and maybe
+protected) it, and is unmapped right after; any other buffer is
+unmapped at once.  No ``free`` or ``store`` is drawn on a released
+buffer: nothing holds its object any more.
 """
 
 import itertools
-from typing import Dict, List
+from typing import Dict, List, Set, Tuple
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -53,9 +60,37 @@ class FreezeScanMachine(RuleBasedStateMachine):
         #: Every segment ever mapped, mapped or not.
         self.segments: List[SharedSegment] = []
         self._segment_ids = itertools.count(1)
+        #: Each mapped buffer's origin state.
+        self.origin: Dict[int, str] = {}
+        #: The buffers the freeze index must hold: mapped ones no
+        #: read-only protection has reached since they last gained WRITE.
+        self.indexed: Set[int] = set()
+        #: Released buffers that still keep their pages.
+        self.released: Set[int] = set()
+        #: Unmapped buffers: id -> (first page address, page count).
+        self.unmapped: Dict[int, Tuple[int, int]] = {}
 
     def _pick(self, data) -> int:
         return data.draw(st.sampled_from(sorted(self.pages)))
+
+    def _pick_live(self, data) -> int:
+        return data.draw(st.sampled_from(sorted(set(self.pages)
+                                                - self.released)))
+
+    def _has_live(self) -> bool:
+        return len(self.pages) > len(self.released)
+
+    def _map(self, buffer, npages: int, state) -> None:
+        self.pages[buffer.buffer_id] = [Permission.rw()] * npages
+        self.origin[buffer.buffer_id] = state.value
+        self.indexed.add(buffer.buffer_id)
+
+    def _forget(self, buffer_id: int) -> None:
+        """The model's side of an unmap."""
+        address = self.space.get_buffer(buffer_id).address
+        self.unmapped[buffer_id] = (address, len(self.pages.pop(buffer_id)))
+        self.indexed.discard(buffer_id)
+        self.released.discard(buffer_id)
 
     def _store(self, buffer_id: int, nbytes: int) -> None:
         """Grow or shrink a buffer; a frozen page refuses the store."""
@@ -98,7 +133,7 @@ class FreezeScanMachine(RuleBasedStateMachine):
     @rule(state=st.sampled_from(STATES), nbytes=SIZES)
     def alloc(self, state, nbytes):
         buffer = self.space.alloc(nbytes, origin_state=state.value)
-        self.pages[buffer.buffer_id] = [Permission.rw()] * _npages(nbytes)
+        self._map(buffer, _npages(nbytes), state)
 
     @rule(data=st.data(), state=st.sampled_from(STATES), nbytes=SIZES)
     def map_shared(self, data, state, nbytes):
@@ -114,20 +149,43 @@ class FreezeScanMachine(RuleBasedStateMachine):
         assert segment.mappings == mappings + 1
         assert buffer.segment is segment
         assert buffer.payload is segment.payload
-        self.pages[buffer.buffer_id] = [Permission.rw()] * _npages(
-            segment.nbytes)
+        self._map(buffer, _npages(segment.nbytes), state)
         self.shared[buffer.buffer_id] = segment
 
-    @precondition(lambda self: self.pages)
+    @precondition(lambda self: self._has_live())
     @rule(data=st.data())
     def free(self, data):
-        buffer_id = self._pick(data)
+        buffer_id = self._pick_live(data)
         segment = self.shared.pop(buffer_id, None)
         mappings = segment.mappings if segment is not None else 0
+        self._forget(buffer_id)
         self.space.free(buffer_id)
-        del self.pages[buffer_id]
         if segment is not None:
             assert segment.mappings == mappings - 1
+
+    @precondition(lambda self: self._has_live())
+    @rule(data=st.data())
+    def release(self, data):
+        buffer_id = self._pick_live(data)
+        space = self.space
+        buffer = space.get_buffer(buffer_id)
+        segment = self.shared.pop(buffer_id, None)
+        mappings = segment.mappings if segment is not None else 0
+        clock_ns = self.process.clock.now_ns
+        mprotects = space.mprotect_calls
+        if buffer_id in self.indexed:
+            self.released.add(buffer_id)  # keeps its pages for the freeze
+        else:
+            self._forget(buffer_id)
+        space.release_buffer(buffer_id)
+        assert buffer.released and buffer.payload is None
+        assert buffer.segment is None
+        assert buffer.freed == (buffer_id in self.unmapped)
+        if segment is not None:
+            assert segment.mappings == mappings - 1
+        # A release costs no virtual time and no mprotect.
+        assert self.process.clock.now_ns == clock_ns
+        assert space.mprotect_calls == mprotects
 
     @precondition(lambda self: self.pages)
     @rule(data=st.data(), writable=st.booleans())
@@ -136,6 +194,10 @@ class FreezeScanMachine(RuleBasedStateMachine):
         permission = Permission.rw() if writable else Permission.ro()
         self.space.protect_buffer(buffer_id, permission)
         self.pages[buffer_id] = [permission] * len(self.pages[buffer_id])
+        if writable:
+            self.indexed.add(buffer_id)
+        else:
+            self.indexed.discard(buffer_id)
 
     @precondition(lambda self: self.pages)
     @rule(data=st.data(), first=st.integers(0, 3), count=st.integers(1, 6),
@@ -154,11 +216,13 @@ class FreezeScanMachine(RuleBasedStateMachine):
             return
         self.space.mprotect(address, count * PAGE_SIZE, permission)
         model[first:first + count] = [permission] * count
+        if permission & Permission.WRITE:
+            self.indexed.add(buffer_id)  # back in the index
 
-    @precondition(lambda self: self.pages)
+    @precondition(lambda self: self._has_live())
     @rule(data=st.data(), nbytes=SIZES)
     def store(self, data, nbytes):
-        self._store(self._pick(data), nbytes)
+        self._store(self._pick_live(data), nbytes)
 
     @precondition(lambda self: self.shared)
     @rule(data=st.data(), nbytes=SIZES)
@@ -170,6 +234,10 @@ class FreezeScanMachine(RuleBasedStateMachine):
         space = self.space
         expected = [b.buffer_id for b in space.buffers_in_state(state.value)
                     if space.is_writable(b.buffer_id)]
+        # The released buffers the scan visits: indexed, of this state.
+        doomed = {b: space.get_buffer(b)
+                  for b in sorted(self.released & self.indexed)
+                  if self.origin[b] == state.value}
         protected: List[int] = []
         original = space.protect_buffer
 
@@ -188,6 +256,14 @@ class FreezeScanMachine(RuleBasedStateMachine):
         assert space.write_denials == denials
         for buffer_id in protected:
             self.pages[buffer_id] = [Permission.ro()] * len(self.pages[buffer_id])
+            self.indexed.discard(buffer_id)
+        # ...and the released ones it visited are unmapped right after.
+        for buffer_id, buffer in doomed.items():
+            assert buffer.freed
+            self.unmapped[buffer_id] = (buffer.address,
+                                        len(self.pages.pop(buffer_id)))
+            self.indexed.discard(buffer_id)
+            self.released.discard(buffer_id)
 
     # -- invariants ----------------------------------------------------
 
@@ -220,6 +296,33 @@ class FreezeScanMachine(RuleBasedStateMachine):
         )
         for (start, size), (next_start, _) in zip(spans, spans[1:]):
             assert start + size < next_start  # a guard page in between
+
+    @invariant()
+    def index_matches_the_model(self):
+        for state in STATES:
+            indexed = [b.buffer_id
+                       for b in self.space.unfrozen_in_state(state.value)]
+            assert indexed == sorted(b for b in self.indexed
+                                     if self.origin[b] == state.value)
+
+    @invariant()
+    def released_buffers_keep_their_pages_not_their_payload(self):
+        for buffer_id in self.pages:
+            buffer = self.space.get_buffer(buffer_id)
+            assert not buffer.freed
+            assert buffer.released == (buffer_id in self.released)
+            if buffer.released:
+                assert buffer.payload is None and buffer.segment is None
+
+    @invariant()
+    def unmapped_buffers_stay_unmapped(self):
+        for buffer_id, (address, npages) in self.unmapped.items():
+            with pytest.raises(SegmentationFault):
+                self.space.get_buffer(buffer_id)
+            assert not self.space.is_writable(buffer_id)
+            for page in range(npages):
+                assert (self.space.permission_of(address + page * PAGE_SIZE)
+                        == Permission.NONE)
 
     @invariant()
     def index_covers_every_writable_buffer_in_order(self):
