@@ -93,7 +93,7 @@ AUDIO.add(
 def main() -> None:
     # Offline: categorize the custom APIs from their behaviour.
     categorization = HybridAnalyzer().categorize_framework(AUDIO)
-    print("hybrid analysis verdicts:")
+    print(f"hybrid analysis verdicts, accuracy {categorization.accuracy()}:")
     for entry in categorization.entries.values():
         print(f"  {entry.qualname:<20} -> {entry.api_type.value:<16} "
               f"(via {entry.method})")

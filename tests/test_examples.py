@@ -1,7 +1,9 @@
 """Every example script runs cleanly end to end."""
 
+import os
 import pathlib
 import runpy
+import subprocess
 import sys
 
 import pytest
@@ -36,3 +38,17 @@ def test_omr_grading_shows_protection_contrast(capsys):
     out = capsys.readouterr().out
     assert "template corrupted: True" in out    # unprotected
     assert "template corrupted: False" in out   # FreePart
+
+
+def test_custom_framework_is_categorized_statically():
+    # A subprocess: the script registers ``miniaudio`` in the global
+    # framework registry, which must not leak into other tests.
+    result = subprocess.run(
+        [sys.executable, str(EXAMPLES_DIR / "custom_framework.py")],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    verdicts = [line for line in result.stdout.splitlines() if "->" in line]
+    assert len(verdicts) == 4
+    assert all(line.endswith("(via static)") for line in verdicts)
+    assert "accuracy 1.0" in result.stdout
