@@ -13,7 +13,6 @@ Run:  python examples/custom_framework.py
 import numpy as np
 
 from repro.core.apitypes import APIType
-from repro.core.dataflow import load_flow, process_flow, store_flow
 from repro.core.hybrid import HybridAnalyzer
 from repro.core.runtime import FreePart
 from repro.frameworks.base import APISpec, Framework, Tensor
@@ -41,7 +40,6 @@ def _load_wav(ctx, path):
 AUDIO.add(
     APISpec(name="load_wav", framework="miniaudio",
             qualname="audio.load_wav", ground_truth=APIType.LOADING,
-            flows=(load_flow(),),
             syscalls=("openat", "fstat", "read", "close", "brk", "lseek"),
             example_args=_path_example, doc="Decode a WAV file."),
     _load_wav,
@@ -66,7 +64,7 @@ for name, impl in (("lowpass", _lowpass), ("normalize", _normalize)):
     AUDIO.add(
         APISpec(name=name, framework="miniaudio",
                 qualname=f"audio.{name}", ground_truth=APIType.PROCESSING,
-                flows=(process_flow(),), syscalls=("brk",),
+                syscalls=("brk",),
                 example_args=_wave_example, doc=f"{name} filter"),
         impl,
     )
@@ -80,7 +78,6 @@ def _write_wav(ctx, path, wave):
 AUDIO.add(
     APISpec(name="write_wav", framework="miniaudio",
             qualname="audio.write_wav", ground_truth=APIType.STORING,
-            flows=(store_flow(),),
             syscalls=("openat", "write", "close", "brk"),
             example_args=lambda ctx: (
                 ("/audio/out.wav", Tensor(np.zeros(8))), {}

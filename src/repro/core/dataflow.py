@@ -62,25 +62,9 @@ def write(dest: Storage, source: Storage, label: str = "", nbytes: int = 0) -> F
     return Flow(source=source, dest=dest, label=label, nbytes=nbytes)
 
 
-# Shorthand constructors for the patterns of Fig. 9.
-def load_flow(label: str = "", source: Storage = Storage.FILE) -> Flow:
-    """W(MEM, R(FILE|DEV)) — the data-loading pattern."""
-    return write(Storage.MEM, source, label=label)
-
-
 def process_flow(label: str = "") -> Flow:
     """W(MEM, R(MEM)) — the data-processing pattern."""
     return write(Storage.MEM, Storage.MEM, label=label)
-
-
-def store_flow(label: str = "", dest: Storage = Storage.FILE) -> Flow:
-    """W(FILE|DEV, R(MEM)) — the storing pattern."""
-    return write(dest, Storage.MEM, label=label)
-
-
-def visualize_flow(label: str = "") -> Flow:
-    """W(GUI, R(MEM)) — the most common visualizing pattern."""
-    return write(Storage.GUI, Storage.MEM, label=label)
 
 
 def reduce_file_copies(flows: Sequence[Flow]) -> List[Flow]:

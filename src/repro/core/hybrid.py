@@ -1,10 +1,11 @@
 """Hybrid API categorization (Section 4.2): static first, dynamic fallback.
 
-The driver runs the static analyzer over every API; wherever the static
-walk is incomplete (indirect calls) or inconclusive, the dynamic tracer
-resolves the category.  The result also carries each API's syscall
-profile (declared steady-state + init-only syscalls, verified against the
-dynamic trace) — the input to the syscall-restriction policy.
+The driver walks every API's implementation; wherever the static walk is
+incomplete (``ctx`` goes where it cannot follow) or inconclusive, the
+dynamic tracer resolves the category.  The result also carries each
+API's syscall profile (declared steady-state + init-only syscalls) — the
+input to the syscall-restriction policy.  Every syscall the walk reaches,
+and every syscall the trace saw where the tracer ran, must be declared.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.apitypes import APIType
-from repro.core.dynamic_analysis import DynamicAnalyzer, DynamicResult
+from repro.core.dynamic_analysis import DynamicAnalyzer
 from repro.core.static_analysis import StaticAnalyzer
-from repro.errors import UncategorizableAPI
+from repro.errors import AnalysisError, UncategorizableAPI
 from repro.frameworks.base import FrameworkAPI, StatefulKind
 
 
@@ -91,15 +92,24 @@ class HybridAnalyzer:
 
     def categorize_api(self, api: FrameworkAPI) -> CategorizedAPI:
         spec = api.spec
-        static_result = self.static.analyze(spec)
+        static_result = self.static.analyze(api)
         method = "static"
         category = static_result.category
-        dynamic_result: Optional[DynamicResult] = None
-        if static_result.needs_dynamic:
+        reached = list(static_result.syscalls)
+        if category is None:
             dynamic_result = self.dynamic.analyze(api)
+            reached += dynamic_result.syscalls
             if dynamic_result.covered and dynamic_result.category is not None:
                 category = dynamic_result.category
                 method = "dynamic"
+        declared = spec.syscalls + spec.init_syscalls
+        missing = [name for name in dict.fromkeys(reached)
+                   if name not in declared]
+        if missing:
+            raise AnalysisError(
+                f"{spec.qualname} issues syscalls its allowlist does not "
+                f"declare: {', '.join(missing)}"
+            )
         if category is None:
             raise UncategorizableAPI(
                 f"{spec.qualname}: static walk "

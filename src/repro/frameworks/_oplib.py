@@ -16,7 +16,6 @@ from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple, Typ
 import numpy as np
 
 from repro.core.apitypes import APIType
-from repro.core.dataflow import process_flow
 from repro.frameworks.base import (
     APISpec,
     DataObject,
@@ -265,7 +264,6 @@ def register_tensor_ops(
                 framework=framework.name,
                 qualname=f"{prefix}.{name}",
                 ground_truth=APIType.PROCESSING,
-                flows=(process_flow(),),
                 syscalls=PROCESSING_SYSCALLS,
                 stateful=StatefulKind.STATELESS,
                 base_cost_ns=base_cost_ns,

@@ -1,12 +1,14 @@
 """Framework API model.
 
 The mini-frameworks (``minicv``, ``minitorch``, ``minitf``, ``minicaffe``,
-``miniutil``) declare their APIs as :class:`APISpec` records bound to real
-(numpy-backed) implementations.  An API executes inside an
+``minisklearn``, ``miniutil``) bind real (numpy-backed) implementations
+to :class:`APISpec` records.  A spec declares what the runtime needs to
+know up front (ground truth, allowlists, costs); what an API does with
+data is read from its implementation.  An API executes inside an
 :class:`ExecutionContext` tied to one simulated process: every I/O helper
 issues the corresponding syscalls through that process (so seccomp filters
 apply) and records the resulting data flows (so the dynamic analysis can
-observe them).
+observe them).  The static analysis reads the same helper bodies.
 
 Vulnerabilities are modelled faithfully to the threat model: a vulnerable
 API that receives a *crafted input* (an object exposing ``cve_id`` and
@@ -172,12 +174,10 @@ class APISpec:
     framework: str                 # "opencv" | "pytorch" | "tensorflow" | "caffe" | ...
     qualname: str                  # e.g. "cv2.imread"
     ground_truth: APIType          # the type a perfect analysis finds
-    flows: Tuple[Flow, ...] = ()   # declared data-flow pattern (Fig. 8)
     syscalls: Tuple[str, ...] = () # syscalls needed on every execution
     init_syscalls: Tuple[str, ...] = ()  # needed only on first execution
     stateful: StatefulKind = StatefulKind.STATELESS
     neutral: bool = False          # type-neutral utility API (Section 4.2)
-    static_opaque: bool = False    # flows hidden behind indirect calls
     base_cost_ns: int = 20_000     # virtual compute cost per call
     cost_ns_per_byte: float = 0.05 # virtual compute cost per payload byte
     vulnerabilities: Tuple[str, ...] = ()  # CVE ids exploitable through it

@@ -13,7 +13,6 @@ from typing import Any, Dict, Optional, Tuple
 import numpy as np
 
 from repro.core.apitypes import APIType
-from repro.core.dataflow import Storage, load_flow, process_flow, store_flow
 from repro.frameworks._oplib import (
     NN_OPS,
     PROCESSING_SYSCALLS,
@@ -79,7 +78,6 @@ def _register(
     name: str,
     impl,
     api_type: APIType,
-    flows: tuple,
     syscalls: tuple,
     qualname: Optional[str] = None,
     stateful: StatefulKind = StatefulKind.STATELESS,
@@ -92,7 +90,6 @@ def _register(
         framework="caffe",
         qualname=qualname or f"caffe.{name}",
         ground_truth=api_type,
-        flows=flows,
         syscalls=syscalls,
         stateful=stateful,
         base_cost_ns=base_cost_ns,
@@ -117,7 +114,6 @@ def _proto_loader(name: str, path_default: str) -> None:
 
     _register(
         name, impl, APIType.LOADING,
-        flows=(load_flow(source=Storage.FILE),),
         syscalls=_FILE_LOAD_SYSCALLS,
         base_cost_ns=90_000,
         example=example,
@@ -150,7 +146,6 @@ def _net_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "Net", _net, APIType.LOADING,
-    flows=(load_flow(source=Storage.FILE),),
     syscalls=_FILE_LOAD_SYSCALLS,
     base_cost_ns=200_000,
     example=_net_example,
@@ -181,7 +176,6 @@ def _forward_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "Forward", _forward, APIType.PROCESSING,
-    flows=(process_flow(),),
     syscalls=PROCESSING_SYSCALLS,
     base_cost_ns=200_000,
     example=_forward_example,
@@ -199,7 +193,6 @@ def _backward(ctx: ExecutionContext, net: Model, blob: Any) -> Blob:
 
 _register(
     "Backward", _backward, APIType.PROCESSING,
-    flows=(process_flow(),),
     syscalls=PROCESSING_SYSCALLS,
     stateful=StatefulKind.DATA_STATE,
     base_cost_ns=250_000,
@@ -230,7 +223,6 @@ def _copy_layers_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "CopyTrainedLayersFrom", _copy_trained_layers, APIType.PROCESSING,
-    flows=(process_flow(),),
     syscalls=PROCESSING_SYSCALLS,
     base_cost_ns=120_000,
     example=_copy_layers_example,
@@ -247,7 +239,6 @@ def _solver_step(ctx: ExecutionContext, net: Model, blob: Any) -> float:
 
 _register(
     "Solver_step", _solver_step, APIType.PROCESSING,
-    flows=(process_flow(),),
     syscalls=PROCESSING_SYSCALLS,
     qualname="caffe.Solver.step",
     stateful=StatefulKind.DATA_STATE,
@@ -270,7 +261,6 @@ def _blobs_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "Net_blobs", _blobs, APIType.PROCESSING,
-    flows=(process_flow(),),
     syscalls=PROCESSING_SYSCALLS,
     qualname="caffe.Net.blobs",
     example=_blobs_example,
@@ -293,7 +283,6 @@ def _hdf5_save_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "hdf5_save_string", _hdf5_save_string, APIType.STORING,
-    flows=(store_flow(),),
     syscalls=_STORE_SYSCALLS,
     example=_hdf5_save_example,
     doc="Write a string attribute into an HDF5 file.",
@@ -315,7 +304,6 @@ def _write_proto_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "WriteProtoToTextFile", _write_proto, APIType.STORING,
-    flows=(store_flow(),),
     syscalls=_STORE_SYSCALLS,
     example=_write_proto_example,
     doc="Serialize a proto message as text.",
@@ -336,7 +324,6 @@ def _snapshot_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "Snapshot", _snapshot, APIType.STORING,
-    flows=(store_flow(),),
     syscalls=_STORE_SYSCALLS,
     qualname="caffe.Solver.snapshot",
     stateful=StatefulKind.DATA_STATE,

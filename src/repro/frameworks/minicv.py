@@ -19,14 +19,7 @@ import numpy as np
 from scipy import ndimage
 
 from repro.core.apitypes import APIType
-from repro.core.dataflow import (
-    load_flow,
-    process_flow,
-    read,
-    store_flow,
-    visualize_flow,
-    Storage,
-)
+from repro.core.dataflow import Storage, write
 from repro.frameworks.base import (
     APISpec,
     DataObject,
@@ -130,7 +123,6 @@ def _register(
     name: str,
     impl: Callable[..., Any],
     api_type: APIType,
-    flows: tuple,
     syscalls: tuple,
     init_syscalls: tuple = (),
     neutral: bool = False,
@@ -145,7 +137,6 @@ def _register(
         framework="opencv",
         qualname=f"cv2.{name}",
         ground_truth=api_type,
-        flows=flows,
         syscalls=syscalls,
         init_syscalls=init_syscalls,
         neutral=neutral,
@@ -181,7 +172,6 @@ def _mat_op(
         name,
         impl,
         APIType.PROCESSING,
-        flows=(process_flow(),),
         syscalls=_PROC_SYSCALLS,
         neutral=neutral,
         base_cost_ns=base_cost_ns,
@@ -202,7 +192,6 @@ def _imread(ctx: ExecutionContext, path: str) -> Mat:
 
 _register(
     "imread", _imread, APIType.LOADING,
-    flows=(load_flow(source=Storage.FILE),),
     syscalls=_FILE_LOAD_SYSCALLS,
     base_cost_ns=60_000,
     example=_path_example,
@@ -218,7 +207,6 @@ def _imreadmulti(ctx: ExecutionContext, path: str) -> List[Mat]:
 
 _register(
     "imreadmulti", _imreadmulti, APIType.LOADING,
-    flows=(load_flow(source=Storage.FILE),),
     syscalls=_FILE_LOAD_SYSCALLS,
     base_cost_ns=80_000,
     example=_path_example,
@@ -235,7 +223,6 @@ def _cvLoad(ctx: ExecutionContext, path: str) -> Any:
 
 _register(
     "cvLoad", _cvLoad, APIType.LOADING,
-    flows=(load_flow(source=Storage.FILE),),
     syscalls=_FILE_LOAD_SYSCALLS,
     base_cost_ns=50_000,
     example=_path_example,
@@ -255,7 +242,6 @@ def _flow_path_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "readOpticalFlow", _readOpticalFlow, APIType.LOADING,
-    flows=(load_flow(source=Storage.FILE),),
     syscalls=_FILE_LOAD_SYSCALLS,
     example=_flow_path_example,
     doc="Read a .flo optical-flow file.",
@@ -278,7 +264,7 @@ def _VideoCapture(ctx: ExecutionContext, source: Any = 0) -> VideoCaptureHandle:
     ctx.syscall("ioctl", fd=ctx.kernel.devices.camera.fd)
     ctx.syscall("mmap")
     ctx.kernel.devices.camera.open()
-    ctx.record_flow(load_flow(source=Storage.DEV, label="camera"))
+    ctx.record_flow(write(Storage.MEM, Storage.DEV, label="camera"))
     return VideoCaptureHandle(source)
 
 
@@ -288,7 +274,6 @@ def _capture_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "VideoCapture", _VideoCapture, APIType.LOADING,
-    flows=(load_flow(source=Storage.DEV),),
     syscalls=("openat", "ioctl", "mmap", "brk"),
     base_cost_ns=100_000,
     example=_capture_example,
@@ -314,7 +299,6 @@ def _capture_read_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "VideoCapture_read", _VideoCapture_read, APIType.LOADING,
-    flows=(load_flow(source=Storage.DEV),),
     syscalls=_CAMERA_SYSCALLS,
     base_cost_ns=40_000,
     example=_capture_read_example,
@@ -329,7 +313,6 @@ def _VideoCapture_grab(ctx: ExecutionContext, capture: VideoCaptureHandle) -> bo
 
 _register(
     "VideoCapture_grab", _VideoCapture_grab, APIType.LOADING,
-    flows=(load_flow(source=Storage.DEV),),
     syscalls=_CAMERA_SYSCALLS,
     base_cost_ns=15_000,
     example=_capture_read_example,
@@ -348,7 +331,6 @@ def _xml_path_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "FileStorage_read", _FileStorage_read, APIType.LOADING,
-    flows=(load_flow(source=Storage.FILE),),
     syscalls=_FILE_LOAD_SYSCALLS,
     example=_xml_path_example,
     doc="Read a persisted YAML/XML structure.",
@@ -371,7 +353,6 @@ def _classifier_load_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "CascadeClassifier_load", _CascadeClassifier_load, APIType.LOADING,
-    flows=(load_flow(source=Storage.FILE),),
     syscalls=_FILE_LOAD_SYSCALLS,
     base_cost_ns=70_000,
     example=_classifier_load_example,
@@ -395,7 +376,6 @@ def _classifier_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "CascadeClassifier", _CascadeClassifier, APIType.PROCESSING,
-    flows=(process_flow(),),
     syscalls=_PROC_SYSCALLS,
     example=_classifier_example,
     doc="Construct an (empty) cascade classifier object.",
@@ -439,7 +419,6 @@ def _detect_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "CascadeClassifier_detectMultiScale", _detectMultiScale, APIType.PROCESSING,
-    flows=(process_flow(),),
     syscalls=_PROC_SYSCALLS,
     base_cost_ns=120_000,
     cost_ns_per_byte=0.15,
@@ -473,7 +452,6 @@ def _findContours(ctx: ExecutionContext, image: Any) -> List[np.ndarray]:
 
 _mat_registered_specially = _register(
     "findContours", _findContours, APIType.PROCESSING,
-    flows=(process_flow(),),
     syscalls=_PROC_SYSCALLS,
     base_cost_ns=90_000,
     example=_mat_example,
@@ -498,7 +476,6 @@ def _template_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "matchTemplate", _matchTemplate, APIType.PROCESSING,
-    flows=(process_flow(),),
     syscalls=_PROC_SYSCALLS,
     base_cost_ns=150_000,
     cost_ns_per_byte=0.2,
@@ -529,7 +506,6 @@ def _kmeans_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "kmeans", _kmeans, APIType.PROCESSING,
-    flows=(process_flow(),),
     syscalls=_PROC_SYSCALLS,
     base_cost_ns=100_000,
     example=_kmeans_example,
@@ -910,7 +886,6 @@ def _namedWindow(ctx: ExecutionContext, name: str) -> None:
 
 _register(
     "namedWindow", _namedWindow, APIType.VISUALIZING,
-    flows=(visualize_flow(),),
     syscalls=_GUI_SYSCALLS,
     init_syscalls=_GUI_INIT_SYSCALLS,
     stateful=StatefulKind.GUI_STATE,
@@ -926,7 +901,6 @@ def _imshow(ctx: ExecutionContext, name: str, image: Any) -> None:
 
 _register(
     "imshow", _imshow, APIType.VISUALIZING,
-    flows=(visualize_flow(),),
     syscalls=_GUI_SYSCALLS,
     init_syscalls=_GUI_INIT_SYSCALLS,
     stateful=StatefulKind.GUI_STATE,
@@ -948,7 +922,6 @@ def _move_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "moveWindow", _moveWindow, APIType.VISUALIZING,
-    flows=(visualize_flow(),),
     syscalls=_GUI_SYSCALLS,
     init_syscalls=_GUI_INIT_SYSCALLS,
     stateful=StatefulKind.GUI_STATE,
@@ -964,7 +937,6 @@ def _resizeWindow(ctx: ExecutionContext, name: str, w: int = 64, h: int = 64) ->
 
 _register(
     "resizeWindow", _resizeWindow, APIType.VISUALIZING,
-    flows=(visualize_flow(),),
     syscalls=_GUI_SYSCALLS,
     init_syscalls=_GUI_INIT_SYSCALLS,
     stateful=StatefulKind.GUI_STATE,
@@ -984,7 +956,6 @@ def _title_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "setWindowTitle", _setWindowTitle, APIType.VISUALIZING,
-    flows=(visualize_flow(),),
     syscalls=_GUI_SYSCALLS,
     init_syscalls=_GUI_INIT_SYSCALLS,
     stateful=StatefulKind.GUI_STATE,
@@ -1000,7 +971,6 @@ def _destroyWindow(ctx: ExecutionContext, name: str) -> None:
 
 _register(
     "destroyWindow", _destroyWindow, APIType.VISUALIZING,
-    flows=(visualize_flow(),),
     syscalls=_GUI_SYSCALLS,
     init_syscalls=_GUI_INIT_SYSCALLS,
     stateful=StatefulKind.GUI_STATE,
@@ -1016,7 +986,6 @@ def _destroyAllWindows(ctx: ExecutionContext) -> int:
 
 _register(
     "destroyAllWindows", _destroyAllWindows, APIType.VISUALIZING,
-    flows=(visualize_flow(),),
     syscalls=_GUI_SYSCALLS,
     init_syscalls=_GUI_INIT_SYSCALLS,
     stateful=StatefulKind.GUI_STATE,
@@ -1032,7 +1001,6 @@ def _pollKey(ctx: ExecutionContext) -> str:
 
 _register(
     "pollKey", _pollKey, APIType.VISUALIZING,
-    flows=(read(Storage.GUI),),
     syscalls=_GUI_SYSCALLS,
     init_syscalls=_GUI_INIT_SYSCALLS,
     base_cost_ns=8_000,
@@ -1048,7 +1016,6 @@ def _waitKey(ctx: ExecutionContext, delay: int = 0) -> str:
 
 _register(
     "waitKey", _waitKey, APIType.VISUALIZING,
-    flows=(read(Storage.GUI),),
     syscalls=_GUI_SYSCALLS,
     init_syscalls=_GUI_INIT_SYSCALLS,
     base_cost_ns=8_000,
@@ -1064,7 +1031,6 @@ def _getMouseWheelDelta(ctx: ExecutionContext) -> int:
 
 _register(
     "getMouseWheelDelta", _getMouseWheelDelta, APIType.VISUALIZING,
-    flows=(read(Storage.GUI),),
     syscalls=_GUI_SYSCALLS,
     init_syscalls=_GUI_INIT_SYSCALLS,
     base_cost_ns=5_000,
@@ -1083,7 +1049,6 @@ def _selectROI(ctx: ExecutionContext, name: str, image: Any) -> Tuple[int, int, 
 
 _register(
     "selectROI", _selectROI, APIType.VISUALIZING,
-    flows=(visualize_flow(), read(Storage.GUI)),
     syscalls=_GUI_SYSCALLS,
     init_syscalls=_GUI_INIT_SYSCALLS,
     example=_window_example,
@@ -1104,7 +1069,6 @@ def _imwrite(ctx: ExecutionContext, path: str, image: Any) -> bool:
 
 _register(
     "imwrite", _imwrite, APIType.STORING,
-    flows=(store_flow(),),
     syscalls=_STORE_SYSCALLS,
     base_cost_ns=60_000,
     example=_store_example,
@@ -1124,7 +1088,6 @@ def _store_multi_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "imwritemulti", _imwritemulti, APIType.STORING,
-    flows=(store_flow(),),
     syscalls=_STORE_SYSCALLS,
     base_cost_ns=90_000,
     example=_store_multi_example,
@@ -1153,7 +1116,6 @@ def _writer_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "VideoWriter", _VideoWriter, APIType.STORING,
-    flows=(store_flow(),),
     syscalls=_STORE_SYSCALLS,
     stateful=StatefulKind.DATA_STATE,
     example=_writer_example,
@@ -1175,7 +1137,6 @@ def _writer_write_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "VideoWriter_write", _VideoWriter_write, APIType.STORING,
-    flows=(store_flow(),),
     syscalls=_STORE_SYSCALLS,
     stateful=StatefulKind.DATA_STATE,
     base_cost_ns=45_000,
@@ -1196,7 +1157,6 @@ def _flow_store_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "writeOpticalFlow", _writeOpticalFlow, APIType.STORING,
-    flows=(store_flow(),),
     syscalls=_STORE_SYSCALLS,
     example=_flow_store_example,
     doc="Write a .flo optical-flow file.",

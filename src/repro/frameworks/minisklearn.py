@@ -15,7 +15,6 @@ from typing import Any, Optional, Tuple
 import numpy as np
 
 from repro.core.apitypes import APIType
-from repro.core.dataflow import Storage, load_flow, process_flow, store_flow
 from repro.frameworks.base import (
     APISpec,
     ExecutionContext,
@@ -62,7 +61,6 @@ def _register(
     name: str,
     impl,
     api_type: APIType,
-    flows: tuple,
     syscalls: tuple,
     qualname: Optional[str] = None,
     stateful: StatefulKind = StatefulKind.STATELESS,
@@ -75,7 +73,6 @@ def _register(
         framework="sklearn",
         qualname=qualname or f"sklearn.{name}",
         ground_truth=api_type,
-        flows=flows,
         syscalls=syscalls,
         stateful=stateful,
         base_cost_ns=base_cost_ns,
@@ -108,7 +105,6 @@ def _dataset_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "datasets_load_files", _load_dataset, APIType.LOADING,
-    flows=(load_flow(source=Storage.FILE),),
     syscalls=_FILE_LOAD_SYSCALLS,
     qualname="sklearn.datasets.load_files",
     base_cost_ns=90_000,
@@ -118,7 +114,6 @@ _register(
 
 _register(
     "datasets_fetch_openml", _load_dataset, APIType.LOADING,
-    flows=(load_flow(source=Storage.FILE),),
     syscalls=_FILE_LOAD_SYSCALLS,
     qualname="sklearn.datasets.fetch_openml",
     base_cost_ns=150_000,
@@ -142,7 +137,6 @@ def _model_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "joblib_load", _joblib_load, APIType.LOADING,
-    flows=(load_flow(source=Storage.FILE),),
     syscalls=_FILE_LOAD_SYSCALLS,
     qualname="joblib.load",
     base_cost_ns=100_000,
@@ -170,7 +164,6 @@ def _processing(name: str, fn, qualname: Optional[str] = None,
 
     _register(
         name, impl, APIType.PROCESSING,
-        flows=(process_flow(),),
         syscalls=_PROC_SYSCALLS,
         qualname=qualname,
         stateful=stateful,
@@ -285,7 +278,6 @@ def _predict_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "predict", _predict_impl, APIType.PROCESSING,
-    flows=(process_flow(),),
     syscalls=_PROC_SYSCALLS,
     qualname="sklearn.base.ClassifierMixin.predict",
     base_cost_ns=60_000,
@@ -313,7 +305,6 @@ def _dump_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "joblib_dump", _joblib_dump, APIType.STORING,
-    flows=(store_flow(),),
     syscalls=_STORE_SYSCALLS,
     qualname="joblib.dump",
     base_cost_ns=100_000,
@@ -329,7 +320,6 @@ def _export_text(ctx: ExecutionContext, obj: Any, path: str) -> None:
 
 _register(
     "export_report", _export_text, APIType.STORING,
-    flows=(store_flow(),),
     syscalls=_STORE_SYSCALLS,
     qualname="sklearn.metrics.classification_report_to_file",
     example=lambda ctx: ((sample_matrix(36), "/out/sklearn/report.txt"), {}),

@@ -14,7 +14,6 @@ from typing import Any, Dict, Optional, Tuple
 import numpy as np
 
 from repro.core.apitypes import APIType
-from repro.core.dataflow import Storage, load_flow, process_flow, store_flow
 from repro.frameworks._oplib import (
     BINARY_OPS,
     NN_OPS,
@@ -89,11 +88,9 @@ def _register(
     name: str,
     impl,
     api_type: APIType,
-    flows: tuple,
     syscalls: tuple,
     qualname: Optional[str] = None,
     stateful: StatefulKind = StatefulKind.STATELESS,
-    static_opaque: bool = False,
     base_cost_ns: int = 40_000,
     example=None,
     doc: str = "",
@@ -103,10 +100,8 @@ def _register(
         framework="tensorflow",
         qualname=qualname or f"tf.{name}",
         ground_truth=api_type,
-        flows=flows,
         syscalls=syscalls,
         stateful=stateful,
-        static_opaque=static_opaque,
         base_cost_ns=base_cost_ns,
         example_args=example,
         doc=doc,
@@ -119,10 +114,18 @@ def _register(
 # ----------------------------------------------------------------------
 
 
+def _retrieve_through_cache(ctx: ExecutionContext, url: str, cache: str) -> Any:
+    payload = ctx.guard(ctx.download(url))
+    return ctx.stage_via_tempfile(payload, label=cache)
+
+
+#: keras picks its URL opener by scheme at run time.
+_OPENERS = {"http": _retrieve_through_cache, "https": _retrieve_through_cache}
+
+
 def _get_file(ctx: ExecutionContext, url: str = _DATASET_URL) -> Any:
     """Download → cache file → read back (the Fig. 8 reduction example)."""
-    payload = ctx.guard(ctx.download(url))
-    return ctx.stage_via_tempfile(payload, label="keras-cache")
+    return _OPENERS[url.partition(":")[0]](ctx, url, "keras-cache")
 
 
 def _url_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
@@ -132,10 +135,8 @@ def _url_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "utils_get_file", _get_file, APIType.LOADING,
-    flows=(load_flow(source=Storage.DEV),),
     syscalls=_NET_LOAD_SYSCALLS,
     qualname="tf.keras.utils.get_file",
-    static_opaque=True,
     base_cost_ns=200_000,
     example=_url_example,
     doc="Download a dataset through a local cache file.",
@@ -156,7 +157,6 @@ def _dir_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "image_dataset_from_directory", _image_dataset_from_directory, APIType.LOADING,
-    flows=(load_flow(source=Storage.FILE),),
     syscalls=_FILE_LOAD_SYSCALLS,
     qualname="tf.keras.preprocessing.image_dataset_from_directory",
     base_cost_ns=150_000,
@@ -180,7 +180,6 @@ def _model_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "keras_models_load_model", _load_model, APIType.LOADING,
-    flows=(load_flow(source=Storage.FILE),),
     syscalls=_FILE_LOAD_SYSCALLS,
     qualname="tf.keras.models.load_model",
     base_cost_ns=180_000,
@@ -196,7 +195,6 @@ def _tfrecord_dataset(ctx: ExecutionContext, path: str = _SAMPLE_MODEL_PATH) -> 
 
 _register(
     "data_TFRecordDataset", _tfrecord_dataset, APIType.LOADING,
-    flows=(load_flow(source=Storage.FILE),),
     syscalls=_FILE_LOAD_SYSCALLS,
     qualname="tf.data.TFRecordDataset",
     base_cost_ns=100_000,
@@ -211,7 +209,6 @@ def _train_load_checkpoint(ctx: ExecutionContext, path: str = _SAMPLE_MODEL_PATH
 
 _register(
     "train_load_checkpoint", _train_load_checkpoint, APIType.LOADING,
-    flows=(load_flow(source=Storage.FILE),),
     syscalls=_FILE_LOAD_SYSCALLS,
     qualname="tf.train.load_checkpoint",
     base_cost_ns=120_000,
@@ -240,7 +237,6 @@ def _simple_processing(name: str, fn, qualname: Optional[str] = None,
 
     _register(
         name, impl, APIType.PROCESSING,
-        flows=(process_flow(),),
         syscalls=PROCESSING_SYSCALLS,
         qualname=qualname,
         stateful=stateful,
@@ -297,7 +293,6 @@ def _estimator_train(ctx: ExecutionContext, batch: Any) -> Dict[str, float]:
 
 _register(
     "estimator_DNNClassifier_train", _estimator_train, APIType.PROCESSING,
-    flows=(process_flow(),),
     syscalls=PROCESSING_SYSCALLS,
     qualname="tf.estimator.DNNClassifier.train",
     stateful=StatefulKind.DATA_STATE,
@@ -334,7 +329,6 @@ def _save_weights_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "Model_save_weights", _save_weights, APIType.STORING,
-    flows=(store_flow(),),
     syscalls=_STORE_SYSCALLS,
     qualname="tf.keras.Model.save_weights",
     base_cost_ns=150_000,
@@ -354,7 +348,6 @@ def _save_img_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "preprocessing_image_save_img", _save_img, APIType.STORING,
-    flows=(store_flow(),),
     syscalls=_STORE_SYSCALLS,
     qualname="tf.keras.preprocessing.image.save_img",
     base_cost_ns=80_000,
@@ -377,7 +370,6 @@ def _checkpoint_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "train_Checkpoint_save", _checkpoint_save, APIType.STORING,
-    flows=(store_flow(),),
     syscalls=_STORE_SYSCALLS,
     qualname="tf.train.Checkpoint.save",
     stateful=StatefulKind.DATA_STATE,

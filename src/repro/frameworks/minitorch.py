@@ -13,7 +13,6 @@ from typing import Any, Dict, Optional, Tuple
 import numpy as np
 
 from repro.core.apitypes import APIType
-from repro.core.dataflow import Storage, load_flow, process_flow, store_flow
 from repro.frameworks._oplib import (
     BINARY_OPS,
     NN_OPS,
@@ -97,12 +96,10 @@ def _register(
     name: str,
     impl,
     api_type: APIType,
-    flows: tuple,
     syscalls: tuple,
     qualname: Optional[str] = None,
     init_syscalls: tuple = (),
     stateful: StatefulKind = StatefulKind.STATELESS,
-    static_opaque: bool = False,
     base_cost_ns: int = 40_000,
     example=None,
     doc: str = "",
@@ -112,11 +109,9 @@ def _register(
         framework="pytorch",
         qualname=qualname or f"torch.{name}",
         ground_truth=api_type,
-        flows=flows,
         syscalls=syscalls,
         init_syscalls=init_syscalls,
         stateful=stateful,
-        static_opaque=static_opaque,
         base_cost_ns=base_cost_ns,
         example_args=example,
         doc=doc,
@@ -144,7 +139,6 @@ def _model_path_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "load", _load, APIType.LOADING,
-    flows=(load_flow(source=Storage.FILE),),
     syscalls=_FILE_LOAD_SYSCALLS,
     base_cost_ns=120_000,
     example=_model_path_example,
@@ -152,10 +146,17 @@ _register(
 )
 
 
-def _hub_load(ctx: ExecutionContext, url: str = _MODEL_ZOO_URL) -> Any:
+def _fetch_through_cache(ctx: ExecutionContext, url: str, cache: str) -> Any:
     payload = ctx.guard(ctx.download(url))
-    staged = ctx.stage_via_tempfile(payload, label="hub-cache")
-    return staged
+    return ctx.stage_via_tempfile(payload, label=cache)
+
+
+#: torch.hub picks its fetcher by URL scheme at run time.
+_FETCHERS = {"http": _fetch_through_cache, "https": _fetch_through_cache}
+
+
+def _hub_load(ctx: ExecutionContext, url: str = _MODEL_ZOO_URL) -> Any:
+    return _FETCHERS[url.partition(":")[0]](ctx, url, "hub-cache")
 
 
 def _url_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
@@ -165,10 +166,8 @@ def _url_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "hub_load", _hub_load, APIType.LOADING,
-    flows=(load_flow(source=Storage.DEV),),
     syscalls=_NET_LOAD_SYSCALLS,
     qualname="torch.hub.load",
-    static_opaque=True,
     base_cost_ns=200_000,
     example=_url_example,
     doc="Download a model from a hub URL through a cache file.",
@@ -176,10 +175,8 @@ _register(
 
 _register(
     "model_zoo_load_url", _hub_load, APIType.LOADING,
-    flows=(load_flow(source=Storage.DEV),),
     syscalls=_NET_LOAD_SYSCALLS,
     qualname="torch.utils.model_zoo.load_url",
-    static_opaque=True,
     base_cost_ns=200_000,
     example=_url_example,
     doc="Download weights from the model zoo through a cache file.",
@@ -198,7 +195,6 @@ def _dataset_loader(name: str, qualname: str) -> None:
 
     _register(
         name, impl, APIType.LOADING,
-        flows=(load_flow(source=Storage.FILE),),
         syscalls=_FILE_LOAD_SYSCALLS,
         qualname=qualname,
         base_cost_ns=150_000,
@@ -230,7 +226,6 @@ def _dataloader_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "DataLoader", _data_loader, APIType.LOADING,
-    flows=(load_flow(source=Storage.FILE),),
     syscalls=_FILE_LOAD_SYSCALLS,
     qualname="torch.utils.data.DataLoader",
     base_cost_ns=60_000,
@@ -259,7 +254,6 @@ def _simple_processing(name: str, fn, qualname: Optional[str] = None,
 
     _register(
         name, impl, APIType.PROCESSING,
-        flows=(process_flow(),),
         syscalls=PROCESSING_SYSCALLS,
         qualname=qualname,
         stateful=stateful,
@@ -343,7 +337,6 @@ def _state_dict_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "load_state_dict", _load_state_dict, APIType.PROCESSING,
-    flows=(process_flow(),),
     syscalls=PROCESSING_SYSCALLS,
     qualname="torch.nn.Module.load_state_dict",
     stateful=StatefulKind.DATA_STATE,
@@ -377,7 +370,6 @@ def _save_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "save", _save, APIType.STORING,
-    flows=(store_flow(),),
     syscalls=_STORE_SYSCALLS,
     base_cost_ns=120_000,
     example=_save_example,
@@ -396,7 +388,6 @@ def _writer_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "SummaryWriter", _summary_writer, APIType.STORING,
-    flows=(store_flow(),),
     syscalls=_STORE_SYSCALLS,
     qualname="torch.utils.tensorboard.writer.SummaryWriter",
     stateful=StatefulKind.DATA_STATE,
@@ -416,7 +407,6 @@ def _add_scalar_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "SummaryWriter_add_scalar", _add_scalar, APIType.STORING,
-    flows=(store_flow(),),
     syscalls=_STORE_SYSCALLS,
     qualname="torch.utils.tensorboard.writer.SummaryWriter.add_scalar",
     stateful=StatefulKind.DATA_STATE,
@@ -440,7 +430,6 @@ def _onnx_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "onnx_export", _onnx_export, APIType.STORING,
-    flows=(store_flow(),),
     syscalls=_STORE_SYSCALLS,
     qualname="torch.onnx.export",
     base_cost_ns=150_000,

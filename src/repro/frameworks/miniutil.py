@@ -1,8 +1,9 @@
 """miniutil — small companion frameworks the evaluated apps also use.
 
 pandas / json / matplotlib (the Table 2 footnote: these need the hybrid
-analysis because their flows hide behind indirect calls), a numpy I/O
-surface, Pillow (whose CVE-2020-10378 drives the MComix3 case study), and
+analysis because their flows hide behind indirect calls: a parser-engine
+table, a codec hook and a plotting backend, each picked at run time), a
+numpy I/O surface, Pillow (whose CVE-2020-10378 drives the MComix3 case study), and
 a minimal GTK (the ``Gtk::RecentManager`` state the MComix3 attack wants
 to leak).
 """
@@ -14,14 +15,6 @@ from typing import Any, Dict, List, Tuple
 import numpy as np
 
 from repro.core.apitypes import APIType
-from repro.core.dataflow import (
-    Storage,
-    load_flow,
-    process_flow,
-    read,
-    store_flow,
-    visualize_flow,
-)
 from repro.frameworks.base import (
     APISpec,
     ExecutionContext,
@@ -70,12 +63,10 @@ def _add(
     name: str,
     impl,
     api_type: APIType,
-    flows: tuple,
     syscalls: tuple,
     qualname: str,
     init_syscalls: tuple = (),
     stateful: StatefulKind = StatefulKind.STATELESS,
-    static_opaque: bool = False,
     base_cost_ns: int = 30_000,
     example=None,
     doc: str = "",
@@ -85,11 +76,9 @@ def _add(
         framework=framework.name,
         qualname=qualname,
         ground_truth=api_type,
-        flows=flows,
         syscalls=syscalls,
         init_syscalls=init_syscalls,
         stateful=stateful,
-        static_opaque=static_opaque,
         base_cost_ns=base_cost_ns,
         example_args=example,
         doc=doc,
@@ -102,8 +91,25 @@ def _add(
 # ----------------------------------------------------------------------
 
 
+class _PythonEngine:
+    """A pandas engine: tables are parsed, built and written through it."""
+
+    def read(self, ctx: ExecutionContext, path: str) -> Any:
+        return ctx.read_file(path)
+
+    def build(self, ctx: ExecutionContext, nbytes: int) -> None:
+        ctx.mem_compute(nbytes=nbytes)
+
+    def write(self, ctx: ExecutionContext, path: str, rows: List[list]) -> None:
+        ctx.write_file(path, rows)
+
+
+#: pandas looks its engine up by name at run time.
+_ENGINES = {"python": _PythonEngine()}
+
+
 def _read_csv(ctx: ExecutionContext, path: str) -> List[list]:
-    payload = ctx.guard(ctx.read_file(path))
+    payload = ctx.guard(_ENGINES["python"].read(ctx, path))
     return [list(row) for row in payload]
 
 
@@ -114,10 +120,8 @@ def _csv_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _add(
     PANDAS, "read_csv", _read_csv, APIType.LOADING,
-    flows=(load_flow(source=Storage.FILE),),
     syscalls=_FILE_LOAD_SYSCALLS,
     qualname="pd.read_csv",
-    static_opaque=True,
     example=_csv_example,
     doc="Parse a CSV file (flows behind indirect parser dispatch).",
 )
@@ -125,16 +129,14 @@ _add(
 
 def _dataframe(ctx: ExecutionContext, rows: Any) -> List[list]:
     rows = ctx.guard(rows)
-    ctx.mem_compute(nbytes=64)
+    _ENGINES["python"].build(ctx, 64)
     return [list(r) for r in rows]
 
 
 _add(
     PANDAS, "DataFrame", _dataframe, APIType.PROCESSING,
-    flows=(process_flow(),),
     syscalls=_PROC_SYSCALLS,
     qualname="pd.DataFrame",
-    static_opaque=True,
     example=lambda ctx: (([["a", 1.0]],), {}),
     doc="Build a table in memory.",
 )
@@ -142,15 +144,13 @@ _add(
 
 def _to_csv(ctx: ExecutionContext, rows: Any, path: str) -> None:
     rows = ctx.guard(rows)
-    ctx.write_file(path, [list(r) for r in rows])
+    _ENGINES["python"].write(ctx, path, [list(r) for r in rows])
 
 
 _add(
     PANDAS, "to_csv", _to_csv, APIType.STORING,
-    flows=(store_flow(),),
     syscalls=_STORE_SYSCALLS,
     qualname="pd.DataFrame.to_csv",
-    static_opaque=True,
     example=lambda ctx: (([["a", 1.0]], "/out/util/out.csv"), {}),
     doc="Write a table to a CSV file.",
 )
@@ -161,8 +161,24 @@ _add(
 # ----------------------------------------------------------------------
 
 
+class _JSONCodec:
+    """json's default codec; ``cls=`` hooks in another one at run time."""
+
+    def load(self, ctx: ExecutionContext, path: str) -> Any:
+        return ctx.read_file(path)
+
+    def dump(self, ctx: ExecutionContext, obj: Any, path: str) -> None:
+        ctx.write_file(path, obj)
+
+    def decode(self, ctx: ExecutionContext, text: str) -> None:
+        ctx.mem_compute(nbytes=len(str(text)))
+
+
+_CODEC = _JSONCodec()
+
+
 def _json_load(ctx: ExecutionContext, path: str) -> Any:
-    return ctx.guard(ctx.read_file(path))
+    return ctx.guard(_CODEC.load(ctx, path))
 
 
 def _json_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
@@ -172,41 +188,35 @@ def _json_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _add(
     JSONLIB, "load", _json_load, APIType.LOADING,
-    flows=(load_flow(source=Storage.FILE),),
     syscalls=_FILE_LOAD_SYSCALLS,
     qualname="json.load",
-    static_opaque=True,
     example=_json_example,
     doc="Parse a JSON file (recursive-descent: opaque to static analysis).",
 )
 
 
 def _json_dump(ctx: ExecutionContext, obj: Any, path: str) -> None:
-    ctx.write_file(path, ctx.guard(obj))
+    _CODEC.dump(ctx, ctx.guard(obj), path)
 
 
 _add(
     JSONLIB, "dump", _json_dump, APIType.STORING,
-    flows=(store_flow(),),
     syscalls=_STORE_SYSCALLS,
     qualname="json.dump",
-    static_opaque=True,
     example=lambda ctx: (({"k": 1}, "/out/util/out.json"), {}),
     doc="Serialize an object to a JSON file.",
 )
 
 
 def _json_loads(ctx: ExecutionContext, text: str) -> Any:
-    ctx.mem_compute(nbytes=len(str(text)))
+    _CODEC.decode(ctx, text)
     return {"parsed": str(ctx.guard(text))}
 
 
 _add(
     JSONLIB, "loads", _json_loads, APIType.PROCESSING,
-    flows=(process_flow(),),
     syscalls=_PROC_SYSCALLS,
     qualname="json.loads",
-    static_opaque=True,
     example=lambda ctx: (('{"k": 1}',), {}),
     doc="Parse a JSON string already in memory.",
 )
@@ -219,12 +229,30 @@ _add(
 _FIGURE_STATE: Dict[str, Any] = {}
 
 
+class _AggBackend:
+    """A pyplot backend: pyplot draws, shows and saves through it."""
+
+    def draw(self, ctx: ExecutionContext, nbytes: int) -> None:
+        ctx.mem_compute(nbytes=nbytes)
+
+    def show(self, ctx: ExecutionContext, pixels: np.ndarray) -> None:
+        ctx.gui_show("matplotlib-figure", pixels)
+
+    def print_figure(self, ctx: ExecutionContext, path: str,
+                     pixels: np.ndarray) -> None:
+        ctx.write_file(path, pixels)
+
+
+#: The active backend, switched at run time (``matplotlib.use``).
+_BACKEND = _AggBackend()
+
+
 def _plt_plot(ctx: ExecutionContext, values: Any) -> Dict[str, Any]:
     values = ctx.guard(values)
     series = np.atleast_1d(np.asarray(
         values.data if hasattr(values, "data") else values, dtype=np.float64
     ))
-    ctx.mem_compute(nbytes=int(series.nbytes))
+    _BACKEND.draw(ctx, int(series.nbytes))
     figure = {"series": series.copy()}
     _FIGURE_STATE["current"] = figure
     return figure
@@ -232,10 +260,8 @@ def _plt_plot(ctx: ExecutionContext, values: Any) -> Dict[str, Any]:
 
 _add(
     MATPLOTLIB, "plot", _plt_plot, APIType.PROCESSING,
-    flows=(process_flow(),),
     syscalls=_PROC_SYSCALLS,
     qualname="plt.plot",
-    static_opaque=True,
     stateful=StatefulKind.GUI_STATE,
     example=lambda ctx: ((np.arange(8, dtype=np.float64),), {}),
     doc="Draw a line into the in-memory figure.",
@@ -244,16 +270,14 @@ _add(
 
 def _plt_show(ctx: ExecutionContext) -> None:
     figure = _FIGURE_STATE.get("current", {"series": np.zeros(1)})
-    ctx.gui_show("matplotlib-figure", np.asarray(figure["series"]).copy())
+    _BACKEND.show(ctx, np.asarray(figure["series"]).copy())
 
 
 _add(
     MATPLOTLIB, "show", _plt_show, APIType.VISUALIZING,
-    flows=(visualize_flow(),),
     syscalls=_GUI_SYSCALLS,
     init_syscalls=_GUI_INIT_SYSCALLS,
     qualname="plt.show",
-    static_opaque=True,
     stateful=StatefulKind.GUI_STATE,
     example=lambda ctx: ((), {}),
     doc="Display the current figure.",
@@ -262,15 +286,13 @@ _add(
 
 def _plt_savefig(ctx: ExecutionContext, path: str) -> None:
     figure = _FIGURE_STATE.get("current", {"series": np.zeros(1)})
-    ctx.write_file(path, np.asarray(figure["series"]).copy())
+    _BACKEND.print_figure(ctx, path, np.asarray(figure["series"]).copy())
 
 
 _add(
     MATPLOTLIB, "savefig", _plt_savefig, APIType.STORING,
-    flows=(store_flow(),),
     syscalls=_STORE_SYSCALLS,
     qualname="plt.savefig",
-    static_opaque=True,
     stateful=StatefulKind.GUI_STATE,
     example=lambda ctx: (("/out/util/figure.png",), {}),
     doc="Render the current figure to a file.",
@@ -294,7 +316,6 @@ def _npy_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _add(
     NUMPYLIB, "load", _np_load, APIType.LOADING,
-    flows=(load_flow(source=Storage.FILE),),
     syscalls=_FILE_LOAD_SYSCALLS,
     qualname="np.load",
     example=_npy_example,
@@ -303,7 +324,6 @@ _add(
 
 _add(
     NUMPYLIB, "fromfile", _np_load, APIType.LOADING,
-    flows=(load_flow(source=Storage.FILE),),
     syscalls=_FILE_LOAD_SYSCALLS,
     qualname="np.fromfile",
     example=_npy_example,
@@ -320,7 +340,6 @@ def _np_save(ctx: ExecutionContext, path: str, array: Any) -> None:
 
 _add(
     NUMPYLIB, "save", _np_save, APIType.STORING,
-    flows=(store_flow(),),
     syscalls=_STORE_SYSCALLS,
     qualname="np.save",
     example=lambda ctx: (("/out/util/out.npy", np.ones((3, 3))), {}),
@@ -339,7 +358,6 @@ def _np_einsum(ctx: ExecutionContext, array: Any) -> Mat:
 
 _add(
     NUMPYLIB, "einsum", _np_einsum, APIType.PROCESSING,
-    flows=(process_flow(),),
     syscalls=_PROC_SYSCALLS,
     qualname="np.einsum",
     example=lambda ctx: ((np.ones((3, 3)),), {}),
@@ -367,7 +385,6 @@ def _img_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _add(
     PILLOW, "Image_open", _image_open, APIType.LOADING,
-    flows=(load_flow(source=Storage.FILE),),
     syscalls=_FILE_LOAD_SYSCALLS,
     qualname="PIL.Image.open",
     base_cost_ns=60_000,
@@ -387,7 +404,6 @@ def _image_resize(ctx: ExecutionContext, image: Any, factor: float = 0.5) -> Mat
 
 _add(
     PILLOW, "Image_resize", _image_resize, APIType.PROCESSING,
-    flows=(process_flow(),),
     syscalls=_PROC_SYSCALLS,
     qualname="PIL.Image.resize",
     example=lambda ctx: ((Mat(np.ones((8, 8))),), {}),
@@ -404,7 +420,6 @@ def _image_save(ctx: ExecutionContext, image: Any, path: str) -> None:
 
 _add(
     PILLOW, "Image_save", _image_save, APIType.STORING,
-    flows=(store_flow(),),
     syscalls=_STORE_SYSCALLS,
     qualname="PIL.Image.save",
     example=lambda ctx: ((Mat(np.ones((4, 4))), "/out/util/photo-out.png"), {}),
@@ -421,7 +436,6 @@ def _image_show(ctx: ExecutionContext, image: Any) -> None:
 
 _add(
     PILLOW, "Image_show", _image_show, APIType.VISUALIZING,
-    flows=(visualize_flow(),),
     syscalls=_GUI_SYSCALLS,
     init_syscalls=_GUI_INIT_SYSCALLS,
     qualname="PIL.Image.show",
@@ -442,7 +456,6 @@ def _recent_manager_add(ctx: ExecutionContext, path: str) -> None:
 
 _add(
     GTK, "RecentManager_add_item", _recent_manager_add, APIType.VISUALIZING,
-    flows=(visualize_flow(label="recent-files"),),
     syscalls=_GUI_SYSCALLS,
     init_syscalls=_GUI_INIT_SYSCALLS,
     qualname="Gtk.RecentManager.add_item",
@@ -459,7 +472,6 @@ def _recent_manager_get_items(ctx: ExecutionContext) -> List[str]:
 
 _add(
     GTK, "RecentManager_get_items", _recent_manager_get_items, APIType.VISUALIZING,
-    flows=(read(Storage.GUI, label="recent-files"),),
     syscalls=_GUI_SYSCALLS,
     init_syscalls=_GUI_INIT_SYSCALLS,
     qualname="Gtk.RecentManager.get_items",
@@ -478,7 +490,6 @@ def _gtk_window_show(ctx: ExecutionContext, image: Any) -> None:
 
 _add(
     GTK, "Window_show", _gtk_window_show, APIType.VISUALIZING,
-    flows=(visualize_flow(),),
     syscalls=_GUI_SYSCALLS,
     init_syscalls=_GUI_INIT_SYSCALLS,
     qualname="Gtk.Window.show",

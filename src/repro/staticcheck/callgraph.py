@@ -223,7 +223,6 @@ class LocalSpec:
     qualname: str
     api_type: Optional[APIType]
     neutral: bool
-    static_opaque: bool
     syscalls: Tuple[str, ...]
     init_syscalls: Tuple[str, ...]
     line: int
@@ -438,15 +437,11 @@ def _collect_api_spec(
         _api_type_literal(fields["ground_truth"])
         if "ground_truth" in fields else None
     )
-    neutral = False
-    opaque = False
-    for flag_name, default in (("neutral", False), ("static_opaque", False)):
-        value = fields.get(flag_name)
-        if isinstance(value, ast.Constant) and isinstance(value.value, bool):
-            if flag_name == "neutral":
-                neutral = value.value
-            else:
-                opaque = value.value
+    flag = fields.get("neutral")
+    neutral = (
+        isinstance(flag, ast.Constant) and isinstance(flag.value, bool)
+        and flag.value
+    )
     syscalls = (
         _constant_str_tuple(fields.get("syscalls", ast.Tuple(elts=[])),
                             constants) or ()
@@ -461,7 +456,6 @@ def _collect_api_spec(
         qualname=qualname or f"{framework}.{name}",
         api_type=api_type,
         neutral=neutral,
-        static_opaque=opaque,
         syscalls=syscalls,
         init_syscalls=init_syscalls,
         line=node.lineno,

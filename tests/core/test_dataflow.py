@@ -8,14 +8,15 @@ from repro.core.dataflow import (
     FlowTrace,
     Storage,
     categorize_flows,
-    load_flow,
     process_flow,
     read,
     reduce_file_copies,
-    store_flow,
-    visualize_flow,
     write,
 )
+
+LOAD = write(Storage.MEM, Storage.FILE)
+STORE = write(Storage.FILE, Storage.MEM)
+VISUALIZE = write(Storage.GUI, Storage.MEM)
 
 
 class TestConstructors:
@@ -29,29 +30,26 @@ class TestConstructors:
         assert "[x]" in str(write(Storage.MEM, Storage.FILE, label="x"))
 
     def test_shorthand(self):
-        assert load_flow().source is Storage.FILE
-        assert load_flow(source=Storage.DEV).source is Storage.DEV
-        assert process_flow().dest is Storage.MEM
-        assert store_flow().dest is Storage.FILE
-        assert visualize_flow().dest is Storage.GUI
+        assert process_flow() == write(Storage.MEM, Storage.MEM)
+        assert process_flow(label="x").label == "x"
 
 
 class TestCategorization:
     def test_loading_from_file(self):
-        assert categorize_flows([load_flow()]) is APIType.LOADING
+        assert categorize_flows([LOAD]) is APIType.LOADING
 
     def test_loading_from_device(self):
-        assert categorize_flows([load_flow(source=Storage.DEV)]) is APIType.LOADING
+        assert categorize_flows([write(Storage.MEM, Storage.DEV)]) is APIType.LOADING
 
     def test_pure_processing(self):
         assert categorize_flows([process_flow(), process_flow()]) is APIType.PROCESSING
 
     def test_storing(self):
-        assert categorize_flows([store_flow()]) is APIType.STORING
-        assert categorize_flows([store_flow(dest=Storage.DEV)]) is APIType.STORING
+        assert categorize_flows([STORE]) is APIType.STORING
+        assert categorize_flows([write(Storage.DEV, Storage.MEM)]) is APIType.STORING
 
     def test_visualizing_patterns(self):
-        assert categorize_flows([visualize_flow()]) is APIType.VISUALIZING
+        assert categorize_flows([VISUALIZE]) is APIType.VISUALIZING
         assert categorize_flows([read(Storage.GUI)]) is APIType.VISUALIZING
         assert categorize_flows(
             [write(Storage.MEM, Storage.GUI)]
@@ -59,18 +57,18 @@ class TestCategorization:
 
     def test_gui_takes_precedence_over_memory_flows(self):
         assert categorize_flows(
-            [process_flow(), visualize_flow()]
+            [process_flow(), VISUALIZE]
         ) is APIType.VISUALIZING
 
     def test_loading_takes_precedence_over_processing(self):
         assert categorize_flows(
-            [process_flow(), load_flow()]
+            [process_flow(), LOAD]
         ) is APIType.LOADING
 
     def test_loading_beats_storing_when_both(self):
         # An API that reads input AND stores output (rare) is a loader
         # under the paper's rule order.
-        assert categorize_flows([load_flow(), store_flow()]) is APIType.LOADING
+        assert categorize_flows([LOAD, STORE]) is APIType.LOADING
 
     def test_empty_is_uncategorizable(self):
         assert categorize_flows([]) is None
@@ -91,7 +89,7 @@ class TestFileCopyReduction:
         assert categorize_flows(flows) is APIType.LOADING
 
     def test_unlabelled_file_flows_not_reduced(self):
-        flows = [store_flow(), load_flow()]
+        flows = [STORE, LOAD]
         assert reduce_file_copies(flows) == flows
 
     def test_mismatched_labels_not_reduced(self):
@@ -127,7 +125,7 @@ class TestFileCopyReduction:
 class TestFlowTrace:
     def test_record_and_categorize(self):
         trace = FlowTrace()
-        trace.record(load_flow())
+        trace.record(LOAD)
         trace.extend([process_flow()])
         assert trace.categorize() is APIType.LOADING
 
@@ -135,7 +133,7 @@ class TestFlowTrace:
         trace = FlowTrace()
         trace.record(process_flow(label="x"))
         trace.record(process_flow(label="x"))
-        trace.record(load_flow())
+        trace.record(LOAD)
         distinct = trace.distinct()
         assert len(distinct) == 2
         assert distinct[0].label == "x"

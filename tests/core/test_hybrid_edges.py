@@ -16,22 +16,29 @@ from repro.core.hybrid import (
     categorize_call_site,
     clear_call_site_cache,
 )
+from repro.core.static_analysis import summarize
 from repro.errors import ReproError, UncategorizableAPI
 from repro.frameworks.base import APISpec, FrameworkAPI
 from repro.frameworks.registry import get_framework
 
+#: Hooks chosen at run time: the static walk cannot name them.
+_HOOKS = [lambda ctx: None]
+
+
+def _hooked(ctx):
+    return _HOOKS[0](ctx)
+
 
 def opaque_api(name, example_args=None):
-    """A static-opaque API of a throwaway framework."""
+    """A throwaway-framework API whose flows hide behind a hook."""
     spec = APISpec(
         name=name,
         framework="testfw",
         qualname=f"testfw.{name}",
         ground_truth=APIType.PROCESSING,
-        static_opaque=True,
         example_args=example_args,
     )
-    return FrameworkAPI(spec, lambda ctx: None)
+    return FrameworkAPI(spec, _hooked)
 
 
 class CountingDynamic(DynamicAnalyzer):
@@ -63,7 +70,7 @@ def test_opaque_with_uninformative_trace_raises_with_qualname():
 
 def test_opaque_with_real_test_case_reports_dynamic_method():
     api = get_framework("pytorch").get("hub_load")
-    assert api.spec.static_opaque
+    assert not summarize(api.impl).complete
     counting = CountingDynamic()
     entry = HybridAnalyzer(dynamic=counting).categorize_api(api)
     assert entry.method == "dynamic"

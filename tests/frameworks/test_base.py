@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.apitypes import APIType
-from repro.core.dataflow import Storage, process_flow
+from repro.core.dataflow import Storage
 from repro.errors import ReproError
 from repro.frameworks.base import (
     APISpec,
@@ -37,8 +37,7 @@ def ctx(kernel):
 def make_spec(**overrides):
     defaults = dict(
         name="op", framework="testfw", qualname="testfw.op",
-        ground_truth=APIType.PROCESSING, flows=(process_flow(),),
-        syscalls=("brk",),
+        ground_truth=APIType.PROCESSING, syscalls=("brk",),
     )
     defaults.update(overrides)
     return APISpec(**defaults)
