@@ -4,7 +4,8 @@ A :class:`ServeGateway` is a :class:`~repro.core.runtime.FreePartGateway`
 with three serving-specific behaviours layered on:
 
 * it runs over **leased pool agents** instead of spawning its own (and
-  therefore never tears them down — the pool owns their lifecycle);
+  therefore never tears them down — the pool owns their lifecycle), and
+  resolves a presented handle in whichever pool member owns it;
 * every ObjectRef crossing the tenant boundary is **namespaced**: refs a
   request produces are minted under its tenant, refs a request presents
   are checked, and a pooled agent's crash evicts the dead generation's
@@ -42,6 +43,7 @@ from repro.errors import (
 )
 from repro.frameworks.base import DataObject
 from repro.serve.batching import PREV, BatchingStats, plan_batches
+from repro.serve.pool import PoolSet
 from repro.serve.tenancy import Tenant, TenantRegistry
 from repro.sim.kernel import SimKernel
 
@@ -58,6 +60,7 @@ class ServeGateway(FreePartGateway):
         config: FreePartConfig,
         agents: Dict[int, AgentProcess],
         registry: TenantRegistry,
+        pools: PoolSet,
         batching: bool = True,
         max_batch_calls: int = 16,
         batch_stats: Optional[BatchingStats] = None,
@@ -65,6 +68,7 @@ class ServeGateway(FreePartGateway):
         super().__init__(
             kernel, tenant.host, plan, categorization, config, agents=agents
         )
+        self.pools = pools
         self.tenant = tenant
         self.registry = registry
         self.batching = batching
@@ -98,6 +102,18 @@ class ServeGateway(FreePartGateway):
     def call(self, framework: str, name: str, *args: Any, **kwargs: Any) -> Any:
         self._check_args(args, kwargs)
         return self._mint(super().call(framework, name, *args, **kwargs))
+
+    def _resolve_ref(self, ref: ObjectRef) -> Any:
+        # A handle an earlier response returned may live in a pool
+        # member this request did not lease.  ``_check_args`` has
+        # already rejected another tenant's handle.
+        for pool in self.pools.pools.values():
+            for member in pool.members:
+                process = member.agent.process
+                if (process.pid == ref.owner_pid
+                        and process.generation == ref.owner_generation):
+                    return member.agent.fetch_local(ref)
+        return super()._resolve_ref(ref)
 
     def _handle_agent_crash(self, agent, qualname, exc) -> None:
         dead_pid = agent.process.pid

@@ -385,6 +385,7 @@ class PipelineServer:
                 config=self.config,
                 agents=agents,
                 registry=self.registry,
+                pools=self.pools,
                 batching=self.batching,
                 batch_stats=self.batch_stats,
             )

@@ -65,12 +65,17 @@ def test_a_duplicated_batch_still_resolves_its_chain(seed_inputs):
     assert (outputs[0] == outputs[1]).all()
 
 
-@pytest.mark.parametrize("batching", [True, False])
+@pytest.mark.parametrize("batching, pool_size", [
+    pytest.param(True, 1, id="True"),
+    pytest.param(False, 1, id="False"),
+    pytest.param(True, 2, id="True-pool2"),
+    pytest.param(False, 2, id="False-pool2"),
+])
 def test_a_responses_handle_resolves_in_the_next_request(
-        seed_inputs, batching):
-    # One member per pool: a request resolves refs only among the
-    # members it leased, so the owner must be leased again.
-    server = PipelineServer(pool_size=1, batching=batching)
+        seed_inputs, batching, pool_size):
+    # With two members per pool, later requests lease the other member
+    # too: the handle resolves wherever its owner is.
+    server = PipelineServer(pool_size=pool_size, batching=batching)
     paths = seed_inputs(server, tenants=1, requests=1)
     server.submit("tenant-a", [
         ApiCall("opencv", "imread", (paths[(0, 0)],)),
