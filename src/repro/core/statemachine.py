@@ -13,7 +13,7 @@ calls it issues are not subject to the agents' seccomp filters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.core.apitypes import STATE_OF_TYPE, APIType, FrameworkState
 from repro.obs.tracer import NULL_TRACER
@@ -44,52 +44,14 @@ def next_state(
 
     Returns ``None`` when the call does not transition: neutral APIs run
     in the current state, and calls of the current state's own type stay
-    put.  This is the single source of truth for the Fig. 3 semantics;
-    :meth:`TemporalStateMachine.observe_call` and the static verifier's
-    :func:`simulate_transitions` both consult it.
+    put.  This is the single source of truth for the Fig. 3 semantics:
+    :meth:`TemporalStateMachine.observe_call` consults it, and so does
+    the static verifier's flow walk.
     """
     if neutral:
         return None
     new_state = STATE_OF_TYPE.get(api_type)  # None for NEUTRAL
     return None if new_state is state else new_state
-
-
-@dataclass(frozen=True)
-class SimulatedStep:
-    """One step of a replayed call trace (no enforcement performed)."""
-
-    index: int
-    api_type: APIType
-    neutral: bool
-    state_before: FrameworkState
-    state_after: FrameworkState
-
-
-def simulate_transitions(
-    calls: Sequence[Tuple[APIType, bool]],
-    initial: FrameworkState = FrameworkState.INITIALIZATION,
-) -> List[SimulatedStep]:
-    """Replay ``(api_type, neutral)`` observations through the state machine.
-
-    A pure function over the Fig. 3 semantics: no processes are touched
-    and no permissions change.  The static policy verifier uses this to
-    predict the state trace of a host program's call sites ahead of any
-    deployment; tests use it to cross-check the enforcing machine.
-    """
-    steps: List[SimulatedStep] = []
-    state = initial
-    for index, (api_type, neutral) in enumerate(calls):
-        new_state = next_state(state, api_type, neutral)
-        after = new_state if new_state is not None else state
-        steps.append(SimulatedStep(
-            index=index,
-            api_type=api_type,
-            neutral=neutral,
-            state_before=state,
-            state_after=after,
-        ))
-        state = after
-    return steps
 
 
 class TemporalStateMachine:
@@ -143,8 +105,7 @@ class TemporalStateMachine:
                            current=new_state.value)
             with tracer.span("freeze", category="state", pid=first.pid,
                              state=previous.value) as span:
-                if self.enforce:
-                    protected = self._protect_state(previous)
+                protected = self._protect_state(previous)
                 span.annotate(protected_buffers=protected)
             clock_ns = first.clock.now_ns
         transition = Transition(
@@ -157,7 +118,8 @@ class TemporalStateMachine:
         return transition
 
     def _protect_state(self, state: FrameworkState) -> int:
-        """Make every buffer defined during ``state`` read-only.
+        """Make every buffer defined during ``state`` read-only, when
+        enforcing, and unmap the released ones either way.
 
         Visits only the buffers no freeze has reached yet, not every
         buffer ever defined in ``state``.  A buffer whose object was
@@ -174,7 +136,7 @@ class TemporalStateMachine:
             for buffer in memory.unfrozen_in_state(label):
                 if host_process and buffer.tag not in self.annotated_tags:
                     continue  # unannotated host variables stay writable
-                if memory.is_writable(buffer.buffer_id):
+                if self.enforce and memory.is_writable(buffer.buffer_id):
                     memory.protect_buffer(buffer.buffer_id, Permission.READ)
                     protected += 1
                 if buffer.released:

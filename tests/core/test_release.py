@@ -17,7 +17,7 @@ import pytest
 from repro.apps.base import Workload, execute_app
 from repro.apps.suite import make_app
 from repro.attacks.scenarios import build_gateway
-from repro.core.apitypes import APIType
+from repro.core.apitypes import APIType, FrameworkState
 from repro.core.runtime import FreePart, FreePartConfig
 from repro.errors import StaleObjectRef
 from repro.sim.kernel import SimKernel
@@ -110,6 +110,22 @@ def test_dropping_a_result_moves_no_virtual_number_and_unmaps_it():
 
     kept, dropped = run(drop=False), run(drop=True)
     assert dropped == kept
+
+
+@pytest.mark.parametrize("enforce", [True, False])
+def test_leaving_a_state_unmaps_what_it_released(enforce):
+    kernel, gateway = deploy(enforce_permissions=enforce)
+    h = gateway.call("opencv", "imread", "/in.png")
+    for _ in range(100):
+        h = gateway.call("opencv", "GaussianBlur", h)
+    gateway.call("opencv", "imwrite", "/out.png", h)
+    processing = FrameworkState.PROCESSING.value
+    left = [
+        b for agent in gateway.agents.values()
+        for b in agent.process.memory.buffers()
+        if b.released and b.origin_state == processing
+    ]
+    assert left == []
 
 
 def test_a_ref_kept_after_its_handle_died_is_stale():
