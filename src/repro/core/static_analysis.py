@@ -170,8 +170,8 @@ class _Walker(ast.NodeVisitor):
         """A ``Storage`` member or a string; any other value is symbolic."""
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             return node.value
-        if self.names.get(getattr(getattr(node, "value", None), "id", None)) \
-                is Storage and isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute) and self.names.get(
+                getattr(node.value, "id", None)) is Storage:
             return Storage.__members__.get(node.attr, SYMBOLIC_LABEL)
         return SYMBOLIC_LABEL
 
