@@ -5,9 +5,9 @@ in this reproduction, the vulnerability class, the API type the
 vulnerable function belongs to (hence which agent process confines it),
 and the evaluation sample ids (Table 6 numbering) affected by it.
 
-The registry is pure data: the frameworks package applies it to the API
-specs at import time (``repro.frameworks.registry``), and the attack
-scenarios construct exploits from it.
+The registry is pure data: the frameworks' spec builder
+(``repro.frameworks._oplib.declare``) attaches each API's records as it
+declares the API, and the attack scenarios construct exploits from it.
 """
 
 from __future__ import annotations

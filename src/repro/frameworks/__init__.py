@@ -1,7 +1,8 @@
 """Mini data-processing frameworks (OpenCV/PyTorch/TensorFlow/Caffe + utils).
 
 Import :mod:`repro.frameworks.registry` (or use the re-exports below) to
-get the frameworks with CVEs wired onto their vulnerable APIs.
+get every framework by name.  Each built-in API is declared with its
+final spec: costs scaled and CVEs attached.
 """
 
 from repro.frameworks.base import (

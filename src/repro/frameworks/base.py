@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import copy as _copy
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
@@ -187,10 +187,6 @@ class APISpec:
     @property
     def has_test_case(self) -> bool:
         return self.example_args is not None
-
-    def with_vulnerabilities(self, *cve_ids: str) -> "APISpec":
-        """A copy of this spec carrying the given CVE ids."""
-        return replace(self, vulnerabilities=tuple(cve_ids))
 
 
 class FrameworkAPI:
@@ -570,8 +566,3 @@ class Framework:
     def vulnerable_apis(self) -> List[FrameworkAPI]:
         """APIs carrying at least one CVE."""
         return [a for a in self if a.spec.vulnerabilities]
-
-    def replace_spec(self, name: str, spec: APISpec) -> None:
-        """Swap the spec of a registered API (used to attach CVEs)."""
-        api = self.get(name)
-        self._apis[name] = FrameworkAPI(spec, api.impl)

@@ -8,20 +8,23 @@ APIs.  A subset of the shared operator library is registered under the
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from functools import partial
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
 from repro.core.apitypes import APIType
 from repro.frameworks._oplib import (
+    FILE_LOAD_SYSCALLS,
     NN_OPS,
     PROCESSING_SYSCALLS,
+    STORE_SYSCALLS,
     UNARY_OPS,
     as_array,
+    declare,
     register_tensor_ops,
 )
 from repro.frameworks.base import (
-    APISpec,
     Blob,
     ExecutionContext,
     Framework,
@@ -30,9 +33,6 @@ from repro.frameworks.base import (
 )
 
 CAFFE = Framework("caffe", version="1.0")
-
-_FILE_LOAD_SYSCALLS = ("openat", "fstat", "read", "close", "brk", "lseek")
-_STORE_SYSCALLS = ("openat", "write", "close", "brk")
 
 _SAMPLE_PROTO_PATH = "/testdata/caffe/net.prototxt"
 _SAMPLE_WEIGHTS_PATH = "/testdata/caffe/net.caffemodel"
@@ -74,29 +74,7 @@ register_tensor_ops(
 )
 
 
-def _register(
-    name: str,
-    impl,
-    api_type: APIType,
-    syscalls: tuple,
-    qualname: Optional[str] = None,
-    stateful: StatefulKind = StatefulKind.STATELESS,
-    base_cost_ns: int = 40_000,
-    example=None,
-    doc: str = "",
-) -> None:
-    spec = APISpec(
-        name=name,
-        framework="caffe",
-        qualname=qualname or f"caffe.{name}",
-        ground_truth=api_type,
-        syscalls=syscalls,
-        stateful=stateful,
-        base_cost_ns=base_cost_ns,
-        example_args=example,
-        doc=doc,
-    )
-    CAFFE.add(spec, impl)
+_register = partial(declare, CAFFE, prefix="caffe", base_cost_ns=40_000)
 
 
 # ----------------------------------------------------------------------
@@ -114,7 +92,7 @@ def _proto_loader(name: str, path_default: str) -> None:
 
     _register(
         name, impl, APIType.LOADING,
-        syscalls=_FILE_LOAD_SYSCALLS,
+        syscalls=FILE_LOAD_SYSCALLS,
         base_cost_ns=90_000,
         example=example,
         doc=f"caffe.{name}: parse a persisted structure from disk.",
@@ -146,7 +124,7 @@ def _net_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "Net", _net, APIType.LOADING,
-    syscalls=_FILE_LOAD_SYSCALLS,
+    syscalls=FILE_LOAD_SYSCALLS,
     base_cost_ns=200_000,
     example=_net_example,
     doc="Construct a net from a prototxt + caffemodel pair.",
@@ -283,7 +261,7 @@ def _hdf5_save_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "hdf5_save_string", _hdf5_save_string, APIType.STORING,
-    syscalls=_STORE_SYSCALLS,
+    syscalls=STORE_SYSCALLS,
     example=_hdf5_save_example,
     doc="Write a string attribute into an HDF5 file.",
 )
@@ -304,7 +282,7 @@ def _write_proto_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "WriteProtoToTextFile", _write_proto, APIType.STORING,
-    syscalls=_STORE_SYSCALLS,
+    syscalls=STORE_SYSCALLS,
     example=_write_proto_example,
     doc="Serialize a proto message as text.",
 )
@@ -324,7 +302,7 @@ def _snapshot_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "Snapshot", _snapshot, APIType.STORING,
-    syscalls=_STORE_SYSCALLS,
+    syscalls=STORE_SYSCALLS,
     qualname="caffe.Solver.snapshot",
     stateful=StatefulKind.DATA_STATE,
     base_cost_ns=150_000,

@@ -13,6 +13,7 @@ API naming follows OpenCV (``imread``, ``GaussianBlur``,
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -20,8 +21,17 @@ from scipy import ndimage
 
 from repro.core.apitypes import APIType
 from repro.core.dataflow import Storage, write
+from repro.frameworks._oplib import (
+    FILE_LOAD_SYSCALLS,
+    GUI_INIT_SYSCALLS,
+    GUI_SYSCALLS,
+    PROCESSING_SYSCALLS,
+    STORE_SYSCALLS,
+    as_array,
+    declare,
+    declare_operator,
+)
 from repro.frameworks.base import (
-    APISpec,
     DataObject,
     ExecutionContext,
     Frame,
@@ -33,20 +43,8 @@ from repro.frameworks.base import (
 
 OPENCV = Framework("opencv", version="4.1")
 
-# Syscall sets actually issued by the implementation helpers.
-_FILE_LOAD_SYSCALLS = ("openat", "fstat", "read", "close", "brk", "lseek")
+#: A camera read (``ExecutionContext.camera_frame``).
 _CAMERA_SYSCALLS = ("openat", "ioctl", "select", "brk")
-_PROC_SYSCALLS = ("brk",)
-_GUI_SYSCALLS = ("sendto", "futex", "select", "brk")
-_GUI_INIT_SYSCALLS = ("connect", "mprotect")
-_STORE_SYSCALLS = ("openat", "write", "close", "brk")
-
-
-def as_array(value: Any) -> np.ndarray:
-    """Coerce a Mat/DataObject/array-like to an ndarray."""
-    if isinstance(value, DataObject):
-        value = value.data
-    return np.asarray(value)
 
 
 def _float(value: Any) -> np.ndarray:
@@ -119,65 +117,9 @@ def _no_arg_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 # ----------------------------------------------------------------------
 
 
-def _register(
-    name: str,
-    impl: Callable[..., Any],
-    api_type: APIType,
-    syscalls: tuple,
-    init_syscalls: tuple = (),
-    neutral: bool = False,
-    stateful: StatefulKind = StatefulKind.STATELESS,
-    base_cost_ns: int = 30_000,
-    cost_ns_per_byte: float = 0.05,
-    example: Optional[Callable] = None,
-    doc: str = "",
-) -> None:
-    spec = APISpec(
-        name=name,
-        framework="opencv",
-        qualname=f"cv2.{name}",
-        ground_truth=api_type,
-        syscalls=syscalls,
-        init_syscalls=init_syscalls,
-        neutral=neutral,
-        stateful=stateful,
-        base_cost_ns=base_cost_ns,
-        cost_ns_per_byte=cost_ns_per_byte,
-        example_args=example,
-        doc=doc or f"cv2.{name}",
-    )
-    OPENCV.add(spec, impl)
-
-
-def _mat_op(
-    name: str,
-    fn: Callable[..., Any],
-    neutral: bool = False,
-    base_cost_ns: int = 30_000,
-    example: Optional[Callable] = _mat_example,
-    doc: str = "",
-) -> None:
-    """Register a memory-to-memory Mat operator."""
-
-    def impl(ctx: ExecutionContext, *args: Any, **kwargs: Any) -> Any:
-        values = [ctx.guard(a) for a in args]
-        result = fn(*values, **kwargs)
-        nbytes = int(getattr(result, "nbytes", 8))
-        ctx.mem_compute(nbytes=nbytes)
-        if isinstance(result, np.ndarray):
-            return Mat(result)
-        return result
-
-    _register(
-        name,
-        impl,
-        APIType.PROCESSING,
-        syscalls=_PROC_SYSCALLS,
-        neutral=neutral,
-        base_cost_ns=base_cost_ns,
-        example=example,
-        doc=doc,
-    )
+_register = partial(declare, OPENCV, prefix="cv2", base_cost_ns=30_000)
+#: A memory-to-memory Mat operator.
+_mat_op = partial(declare_operator, _register, Mat, example=_mat_example)
 
 
 # ----------------------------------------------------------------------
@@ -192,7 +134,7 @@ def _imread(ctx: ExecutionContext, path: str) -> Mat:
 
 _register(
     "imread", _imread, APIType.LOADING,
-    syscalls=_FILE_LOAD_SYSCALLS,
+    syscalls=FILE_LOAD_SYSCALLS,
     base_cost_ns=60_000,
     example=_path_example,
     doc="Decode an image file into a Mat.",
@@ -207,7 +149,7 @@ def _imreadmulti(ctx: ExecutionContext, path: str) -> List[Mat]:
 
 _register(
     "imreadmulti", _imreadmulti, APIType.LOADING,
-    syscalls=_FILE_LOAD_SYSCALLS,
+    syscalls=FILE_LOAD_SYSCALLS,
     base_cost_ns=80_000,
     example=_path_example,
     doc="Decode a multi-page image file.",
@@ -223,7 +165,7 @@ def _cvLoad(ctx: ExecutionContext, path: str) -> Any:
 
 _register(
     "cvLoad", _cvLoad, APIType.LOADING,
-    syscalls=_FILE_LOAD_SYSCALLS,
+    syscalls=FILE_LOAD_SYSCALLS,
     base_cost_ns=50_000,
     example=_path_example,
     doc="Legacy loader for images and persisted structures.",
@@ -242,7 +184,7 @@ def _flow_path_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "readOpticalFlow", _readOpticalFlow, APIType.LOADING,
-    syscalls=_FILE_LOAD_SYSCALLS,
+    syscalls=FILE_LOAD_SYSCALLS,
     example=_flow_path_example,
     doc="Read a .flo optical-flow file.",
 )
@@ -331,7 +273,7 @@ def _xml_path_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "FileStorage_read", _FileStorage_read, APIType.LOADING,
-    syscalls=_FILE_LOAD_SYSCALLS,
+    syscalls=FILE_LOAD_SYSCALLS,
     example=_xml_path_example,
     doc="Read a persisted YAML/XML structure.",
 )
@@ -353,7 +295,7 @@ def _classifier_load_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "CascadeClassifier_load", _CascadeClassifier_load, APIType.LOADING,
-    syscalls=_FILE_LOAD_SYSCALLS,
+    syscalls=FILE_LOAD_SYSCALLS,
     base_cost_ns=70_000,
     example=_classifier_load_example,
     doc="Load cascade parameters from an XML file.",
@@ -376,7 +318,7 @@ def _classifier_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "CascadeClassifier", _CascadeClassifier, APIType.PROCESSING,
-    syscalls=_PROC_SYSCALLS,
+    syscalls=PROCESSING_SYSCALLS,
     example=_classifier_example,
     doc="Construct an (empty) cascade classifier object.",
 )
@@ -419,7 +361,7 @@ def _detect_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "CascadeClassifier_detectMultiScale", _detectMultiScale, APIType.PROCESSING,
-    syscalls=_PROC_SYSCALLS,
+    syscalls=PROCESSING_SYSCALLS,
     base_cost_ns=120_000,
     cost_ns_per_byte=0.15,
     example=_detect_example,
@@ -450,9 +392,9 @@ def _findContours(ctx: ExecutionContext, image: Any) -> List[np.ndarray]:
     return contours
 
 
-_mat_registered_specially = _register(
+_register(
     "findContours", _findContours, APIType.PROCESSING,
-    syscalls=_PROC_SYSCALLS,
+    syscalls=PROCESSING_SYSCALLS,
     base_cost_ns=90_000,
     example=_mat_example,
     doc="Find contours of thresholded regions (rectangular approximation).",
@@ -476,7 +418,7 @@ def _template_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "matchTemplate", _matchTemplate, APIType.PROCESSING,
-    syscalls=_PROC_SYSCALLS,
+    syscalls=PROCESSING_SYSCALLS,
     base_cost_ns=150_000,
     cost_ns_per_byte=0.2,
     example=_template_example,
@@ -506,7 +448,7 @@ def _kmeans_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "kmeans", _kmeans, APIType.PROCESSING,
-    syscalls=_PROC_SYSCALLS,
+    syscalls=PROCESSING_SYSCALLS,
     base_cost_ns=100_000,
     example=_kmeans_example,
     doc="Lloyd's k-means on flattened pixel intensities.",
@@ -855,10 +797,10 @@ for _name, _fn in _SIMPLE_MAT_OPS.items():
         _example = _no_arg_example
     else:
         _example = _mat_example
-    _mat_op(_name, _fn, example=_example)
+    _mat_op(_name, _fn, example=_example, doc=f"cv2.{_name}")
 
 for _name in sorted(_UNCOVERED):
-    _mat_op(_name, _no_cover_op(_name), example=None)
+    _mat_op(_name, _no_cover_op(_name), example=None, doc=f"cv2.{_name}")
 
 # Type-neutral utility APIs (Section 4.2): memory-to-memory helpers that
 # are used adjacent to every other type; their partition placement follows
@@ -886,8 +828,8 @@ def _namedWindow(ctx: ExecutionContext, name: str) -> None:
 
 _register(
     "namedWindow", _namedWindow, APIType.VISUALIZING,
-    syscalls=_GUI_SYSCALLS,
-    init_syscalls=_GUI_INIT_SYSCALLS,
+    syscalls=GUI_SYSCALLS,
+    init_syscalls=GUI_INIT_SYSCALLS,
     stateful=StatefulKind.GUI_STATE,
     example=_name_only_example,
     doc="Create a named window.",
@@ -901,8 +843,8 @@ def _imshow(ctx: ExecutionContext, name: str, image: Any) -> None:
 
 _register(
     "imshow", _imshow, APIType.VISUALIZING,
-    syscalls=_GUI_SYSCALLS,
-    init_syscalls=_GUI_INIT_SYSCALLS,
+    syscalls=GUI_SYSCALLS,
+    init_syscalls=GUI_INIT_SYSCALLS,
     stateful=StatefulKind.GUI_STATE,
     base_cost_ns=50_000,
     example=_window_example,
@@ -922,8 +864,8 @@ def _move_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "moveWindow", _moveWindow, APIType.VISUALIZING,
-    syscalls=_GUI_SYSCALLS,
-    init_syscalls=_GUI_INIT_SYSCALLS,
+    syscalls=GUI_SYSCALLS,
+    init_syscalls=GUI_INIT_SYSCALLS,
     stateful=StatefulKind.GUI_STATE,
     example=_move_example,
     doc="Move a window.",
@@ -937,8 +879,8 @@ def _resizeWindow(ctx: ExecutionContext, name: str, w: int = 64, h: int = 64) ->
 
 _register(
     "resizeWindow", _resizeWindow, APIType.VISUALIZING,
-    syscalls=_GUI_SYSCALLS,
-    init_syscalls=_GUI_INIT_SYSCALLS,
+    syscalls=GUI_SYSCALLS,
+    init_syscalls=GUI_INIT_SYSCALLS,
     stateful=StatefulKind.GUI_STATE,
     example=_move_example,
     doc="Resize a window.",
@@ -956,8 +898,8 @@ def _title_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "setWindowTitle", _setWindowTitle, APIType.VISUALIZING,
-    syscalls=_GUI_SYSCALLS,
-    init_syscalls=_GUI_INIT_SYSCALLS,
+    syscalls=GUI_SYSCALLS,
+    init_syscalls=GUI_INIT_SYSCALLS,
     stateful=StatefulKind.GUI_STATE,
     example=_title_example,
     doc="Set a window's title.",
@@ -971,8 +913,8 @@ def _destroyWindow(ctx: ExecutionContext, name: str) -> None:
 
 _register(
     "destroyWindow", _destroyWindow, APIType.VISUALIZING,
-    syscalls=_GUI_SYSCALLS,
-    init_syscalls=_GUI_INIT_SYSCALLS,
+    syscalls=GUI_SYSCALLS,
+    init_syscalls=GUI_INIT_SYSCALLS,
     stateful=StatefulKind.GUI_STATE,
     example=_name_only_example,
     doc="Destroy one window.",
@@ -986,8 +928,8 @@ def _destroyAllWindows(ctx: ExecutionContext) -> int:
 
 _register(
     "destroyAllWindows", _destroyAllWindows, APIType.VISUALIZING,
-    syscalls=_GUI_SYSCALLS,
-    init_syscalls=_GUI_INIT_SYSCALLS,
+    syscalls=GUI_SYSCALLS,
+    init_syscalls=GUI_INIT_SYSCALLS,
     stateful=StatefulKind.GUI_STATE,
     example=_no_arg_example,
     doc="Destroy every window.",
@@ -1001,8 +943,8 @@ def _pollKey(ctx: ExecutionContext) -> str:
 
 _register(
     "pollKey", _pollKey, APIType.VISUALIZING,
-    syscalls=_GUI_SYSCALLS,
-    init_syscalls=_GUI_INIT_SYSCALLS,
+    syscalls=GUI_SYSCALLS,
+    init_syscalls=GUI_INIT_SYSCALLS,
     base_cost_ns=8_000,
     example=_no_arg_example,
     doc="Poll for a pressed key.",
@@ -1016,8 +958,8 @@ def _waitKey(ctx: ExecutionContext, delay: int = 0) -> str:
 
 _register(
     "waitKey", _waitKey, APIType.VISUALIZING,
-    syscalls=_GUI_SYSCALLS,
-    init_syscalls=_GUI_INIT_SYSCALLS,
+    syscalls=GUI_SYSCALLS,
+    init_syscalls=GUI_INIT_SYSCALLS,
     base_cost_ns=8_000,
     example=_no_arg_example,
     doc="Wait for a pressed key.",
@@ -1031,8 +973,8 @@ def _getMouseWheelDelta(ctx: ExecutionContext) -> int:
 
 _register(
     "getMouseWheelDelta", _getMouseWheelDelta, APIType.VISUALIZING,
-    syscalls=_GUI_SYSCALLS,
-    init_syscalls=_GUI_INIT_SYSCALLS,
+    syscalls=GUI_SYSCALLS,
+    init_syscalls=GUI_INIT_SYSCALLS,
     base_cost_ns=5_000,
     example=_no_arg_example,
     doc="Read the mouse-wheel delta.",
@@ -1049,8 +991,8 @@ def _selectROI(ctx: ExecutionContext, name: str, image: Any) -> Tuple[int, int, 
 
 _register(
     "selectROI", _selectROI, APIType.VISUALIZING,
-    syscalls=_GUI_SYSCALLS,
-    init_syscalls=_GUI_INIT_SYSCALLS,
+    syscalls=GUI_SYSCALLS,
+    init_syscalls=GUI_INIT_SYSCALLS,
     example=_window_example,
     doc="Interactively select a region of interest.",
 )
@@ -1069,7 +1011,7 @@ def _imwrite(ctx: ExecutionContext, path: str, image: Any) -> bool:
 
 _register(
     "imwrite", _imwrite, APIType.STORING,
-    syscalls=_STORE_SYSCALLS,
+    syscalls=STORE_SYSCALLS,
     base_cost_ns=60_000,
     example=_store_example,
     doc="Encode and write an image file.",
@@ -1088,7 +1030,7 @@ def _store_multi_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "imwritemulti", _imwritemulti, APIType.STORING,
-    syscalls=_STORE_SYSCALLS,
+    syscalls=STORE_SYSCALLS,
     base_cost_ns=90_000,
     example=_store_multi_example,
     doc="Write a multi-page image file.",
@@ -1116,7 +1058,7 @@ def _writer_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "VideoWriter", _VideoWriter, APIType.STORING,
-    syscalls=_STORE_SYSCALLS,
+    syscalls=STORE_SYSCALLS,
     stateful=StatefulKind.DATA_STATE,
     example=_writer_example,
     doc="Open a video file for writing.",
@@ -1137,7 +1079,7 @@ def _writer_write_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "VideoWriter_write", _VideoWriter_write, APIType.STORING,
-    syscalls=_STORE_SYSCALLS,
+    syscalls=STORE_SYSCALLS,
     stateful=StatefulKind.DATA_STATE,
     base_cost_ns=45_000,
     example=_writer_write_example,
@@ -1157,7 +1099,7 @@ def _flow_store_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "writeOpticalFlow", _writeOpticalFlow, APIType.STORING,
-    syscalls=_STORE_SYSCALLS,
+    syscalls=STORE_SYSCALLS,
     example=_flow_store_example,
     doc="Write a .flo optical-flow file.",
 )

@@ -10,13 +10,20 @@ and ``joblib`` functions carry the file flows.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from functools import partial
+from typing import Any, Tuple
 
 import numpy as np
 
 from repro.core.apitypes import APIType
+from repro.frameworks._oplib import (
+    FILE_LOAD_SYSCALLS,
+    PROCESSING_SYSCALLS,
+    STORE_SYSCALLS,
+    declare,
+    declare_operator,
+)
 from repro.frameworks.base import (
-    APISpec,
     ExecutionContext,
     Framework,
     Model,
@@ -25,10 +32,6 @@ from repro.frameworks.base import (
 )
 
 SKLEARN = Framework("sklearn", version="0.24")
-
-_FILE_LOAD_SYSCALLS = ("openat", "fstat", "read", "close", "brk", "lseek")
-_STORE_SYSCALLS = ("openat", "write", "close", "brk")
-_PROC_SYSCALLS = ("brk",)
 
 _SAMPLE_DATASET_PATH = "/testdata/sklearn/iris.csv"
 _SAMPLE_MODEL_PATH = "/testdata/sklearn/model.joblib"
@@ -57,29 +60,7 @@ def _matrix_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
     return ((sample_matrix(),), {})
 
 
-def _register(
-    name: str,
-    impl,
-    api_type: APIType,
-    syscalls: tuple,
-    qualname: Optional[str] = None,
-    stateful: StatefulKind = StatefulKind.STATELESS,
-    base_cost_ns: int = 30_000,
-    example=None,
-    doc: str = "",
-) -> None:
-    spec = APISpec(
-        name=name,
-        framework="sklearn",
-        qualname=qualname or f"sklearn.{name}",
-        ground_truth=api_type,
-        syscalls=syscalls,
-        stateful=stateful,
-        base_cost_ns=base_cost_ns,
-        example_args=example,
-        doc=doc,
-    )
-    SKLEARN.add(spec, impl)
+_register = partial(declare, SKLEARN, prefix="sklearn", base_cost_ns=30_000)
 
 
 def _as_matrix(value: Any) -> np.ndarray:
@@ -105,7 +86,7 @@ def _dataset_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "datasets_load_files", _load_dataset, APIType.LOADING,
-    syscalls=_FILE_LOAD_SYSCALLS,
+    syscalls=FILE_LOAD_SYSCALLS,
     qualname="sklearn.datasets.load_files",
     base_cost_ns=90_000,
     example=_dataset_example,
@@ -114,7 +95,7 @@ _register(
 
 _register(
     "datasets_fetch_openml", _load_dataset, APIType.LOADING,
-    syscalls=_FILE_LOAD_SYSCALLS,
+    syscalls=FILE_LOAD_SYSCALLS,
     qualname="sklearn.datasets.fetch_openml",
     base_cost_ns=150_000,
     example=_dataset_example,
@@ -137,7 +118,7 @@ def _model_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "joblib_load", _joblib_load, APIType.LOADING,
-    syscalls=_FILE_LOAD_SYSCALLS,
+    syscalls=FILE_LOAD_SYSCALLS,
     qualname="joblib.load",
     base_cost_ns=100_000,
     example=_model_example,
@@ -150,27 +131,9 @@ _register(
 # ----------------------------------------------------------------------
 
 
-def _processing(name: str, fn, qualname: Optional[str] = None,
-                stateful: StatefulKind = StatefulKind.STATELESS,
-                base_cost_ns: int = 40_000, example=_matrix_example,
-                doc: str = "") -> None:
-    def impl(ctx: ExecutionContext, *args: Any, **kwargs: Any) -> Any:
-        values = [ctx.guard(a) for a in args]
-        result = fn(*values, **kwargs)
-        ctx.mem_compute(nbytes=int(getattr(result, "nbytes", 8)))
-        if isinstance(result, np.ndarray):
-            return Tensor(result)
-        return result
-
-    _register(
-        name, impl, APIType.PROCESSING,
-        syscalls=_PROC_SYSCALLS,
-        qualname=qualname,
-        stateful=stateful,
-        base_cost_ns=base_cost_ns,
-        example=example,
-        doc=doc,
-    )
+_processing = partial(
+    declare_operator, _register, Tensor, base_cost_ns=40_000, example=_matrix_example,
+)
 
 
 def _standardize(x: Any) -> np.ndarray:
@@ -278,7 +241,7 @@ def _predict_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "predict", _predict_impl, APIType.PROCESSING,
-    syscalls=_PROC_SYSCALLS,
+    syscalls=PROCESSING_SYSCALLS,
     qualname="sklearn.base.ClassifierMixin.predict",
     base_cost_ns=60_000,
     example=_predict_example,
@@ -305,7 +268,7 @@ def _dump_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "joblib_dump", _joblib_dump, APIType.STORING,
-    syscalls=_STORE_SYSCALLS,
+    syscalls=STORE_SYSCALLS,
     qualname="joblib.dump",
     base_cost_ns=100_000,
     example=_dump_example,
@@ -320,7 +283,7 @@ def _export_text(ctx: ExecutionContext, obj: Any, path: str) -> None:
 
 _register(
     "export_report", _export_text, APIType.STORING,
-    syscalls=_STORE_SYSCALLS,
+    syscalls=STORE_SYSCALLS,
     qualname="sklearn.metrics.classification_report_to_file",
     example=lambda ctx: ((sample_matrix(36), "/out/sklearn/report.txt"), {}),
     doc="Write a classification report to disk.",

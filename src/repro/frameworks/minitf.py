@@ -9,23 +9,28 @@ API), and storing (weights/images).  TensorFlow has no visualizing APIs.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from functools import partial
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
 from repro.core.apitypes import APIType
 from repro.frameworks._oplib import (
     BINARY_OPS,
+    FILE_LOAD_SYSCALLS,
+    NET_LOAD_SYSCALLS,
     NN_OPS,
     PROCESSING_SYSCALLS,
     REDUCTION_OPS,
     SHAPE_OPS,
+    STORE_SYSCALLS,
     UNARY_OPS,
     as_array,
+    declare,
+    declare_operator,
     register_tensor_ops,
 )
 from repro.frameworks.base import (
-    APISpec,
     ExecutionContext,
     Framework,
     Model,
@@ -34,10 +39,6 @@ from repro.frameworks.base import (
 )
 
 TENSORFLOW = Framework("tensorflow", version="2.4")
-
-_FILE_LOAD_SYSCALLS = ("openat", "fstat", "read", "close", "brk", "lseek")
-_NET_LOAD_SYSCALLS = ("socket", "connect", "recvfrom", "memfd_create", "read", "close", "brk")
-_STORE_SYSCALLS = ("openat", "write", "close", "brk")
 
 _SAMPLE_DATASET_DIR = "/testdata/tensorflow/images"
 _SAMPLE_MODEL_PATH = "/testdata/tensorflow/saved_model"
@@ -84,29 +85,7 @@ register_tensor_ops(
 )
 
 
-def _register(
-    name: str,
-    impl,
-    api_type: APIType,
-    syscalls: tuple,
-    qualname: Optional[str] = None,
-    stateful: StatefulKind = StatefulKind.STATELESS,
-    base_cost_ns: int = 40_000,
-    example=None,
-    doc: str = "",
-) -> None:
-    spec = APISpec(
-        name=name,
-        framework="tensorflow",
-        qualname=qualname or f"tf.{name}",
-        ground_truth=api_type,
-        syscalls=syscalls,
-        stateful=stateful,
-        base_cost_ns=base_cost_ns,
-        example_args=example,
-        doc=doc,
-    )
-    TENSORFLOW.add(spec, impl)
+_register = partial(declare, TENSORFLOW, prefix="tf", base_cost_ns=40_000)
 
 
 # ----------------------------------------------------------------------
@@ -135,7 +114,7 @@ def _url_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "utils_get_file", _get_file, APIType.LOADING,
-    syscalls=_NET_LOAD_SYSCALLS,
+    syscalls=NET_LOAD_SYSCALLS,
     qualname="tf.keras.utils.get_file",
     base_cost_ns=200_000,
     example=_url_example,
@@ -157,7 +136,7 @@ def _dir_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "image_dataset_from_directory", _image_dataset_from_directory, APIType.LOADING,
-    syscalls=_FILE_LOAD_SYSCALLS,
+    syscalls=FILE_LOAD_SYSCALLS,
     qualname="tf.keras.preprocessing.image_dataset_from_directory",
     base_cost_ns=150_000,
     example=_dir_example,
@@ -180,7 +159,7 @@ def _model_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "keras_models_load_model", _load_model, APIType.LOADING,
-    syscalls=_FILE_LOAD_SYSCALLS,
+    syscalls=FILE_LOAD_SYSCALLS,
     qualname="tf.keras.models.load_model",
     base_cost_ns=180_000,
     example=_model_example,
@@ -195,7 +174,7 @@ def _tfrecord_dataset(ctx: ExecutionContext, path: str = _SAMPLE_MODEL_PATH) -> 
 
 _register(
     "data_TFRecordDataset", _tfrecord_dataset, APIType.LOADING,
-    syscalls=_FILE_LOAD_SYSCALLS,
+    syscalls=FILE_LOAD_SYSCALLS,
     qualname="tf.data.TFRecordDataset",
     base_cost_ns=100_000,
     example=_model_example,
@@ -209,7 +188,7 @@ def _train_load_checkpoint(ctx: ExecutionContext, path: str = _SAMPLE_MODEL_PATH
 
 _register(
     "train_load_checkpoint", _train_load_checkpoint, APIType.LOADING,
-    syscalls=_FILE_LOAD_SYSCALLS,
+    syscalls=FILE_LOAD_SYSCALLS,
     qualname="tf.train.load_checkpoint",
     base_cost_ns=120_000,
     example=_model_example,
@@ -222,28 +201,9 @@ _register(
 # ----------------------------------------------------------------------
 
 
-def _simple_processing(name: str, fn, qualname: Optional[str] = None,
-                       stateful: StatefulKind = StatefulKind.STATELESS,
-                       base_cost_ns: int = 25_000, example=_tensor_example,
-                       doc: str = "") -> None:
-    def impl(ctx: ExecutionContext, *args: Any, **kwargs: Any) -> Any:
-        values = [ctx.guard(a) for a in args]
-        result = fn(*values, **kwargs)
-        nbytes = int(getattr(result, "nbytes", 8))
-        ctx.mem_compute(nbytes=nbytes)
-        if isinstance(result, np.ndarray):
-            return Tensor(result)
-        return result
-
-    _register(
-        name, impl, APIType.PROCESSING,
-        syscalls=PROCESSING_SYSCALLS,
-        qualname=qualname,
-        stateful=stateful,
-        base_cost_ns=base_cost_ns,
-        example=example,
-        doc=doc,
-    )
+_simple_processing = partial(
+    declare_operator, _register, Tensor, base_cost_ns=25_000, example=_tensor_example,
+)
 
 
 _simple_processing("convert_to_tensor",
@@ -329,7 +289,7 @@ def _save_weights_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "Model_save_weights", _save_weights, APIType.STORING,
-    syscalls=_STORE_SYSCALLS,
+    syscalls=STORE_SYSCALLS,
     qualname="tf.keras.Model.save_weights",
     base_cost_ns=150_000,
     example=_save_weights_example,
@@ -348,7 +308,7 @@ def _save_img_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "preprocessing_image_save_img", _save_img, APIType.STORING,
-    syscalls=_STORE_SYSCALLS,
+    syscalls=STORE_SYSCALLS,
     qualname="tf.keras.preprocessing.image.save_img",
     base_cost_ns=80_000,
     example=_save_img_example,
@@ -370,7 +330,7 @@ def _checkpoint_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "train_Checkpoint_save", _checkpoint_save, APIType.STORING,
-    syscalls=_STORE_SYSCALLS,
+    syscalls=STORE_SYSCALLS,
     qualname="tf.train.Checkpoint.save",
     stateful=StatefulKind.DATA_STATE,
     base_cost_ns=150_000,

@@ -8,23 +8,28 @@ visualizing APIs (Table 4 footnote).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from functools import partial
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
 from repro.core.apitypes import APIType
 from repro.frameworks._oplib import (
     BINARY_OPS,
+    FILE_LOAD_SYSCALLS,
+    NET_LOAD_SYSCALLS,
     NN_OPS,
     PROCESSING_SYSCALLS,
     REDUCTION_OPS,
     SHAPE_OPS,
+    STORE_SYSCALLS,
     UNARY_OPS,
     as_array,
+    declare,
+    declare_operator,
     register_tensor_ops,
 )
 from repro.frameworks.base import (
-    APISpec,
     ExecutionContext,
     Framework,
     Model,
@@ -33,10 +38,6 @@ from repro.frameworks.base import (
 )
 
 PYTORCH = Framework("pytorch", version="1.8")
-
-_FILE_LOAD_SYSCALLS = ("openat", "fstat", "read", "close", "brk", "lseek")
-_NET_LOAD_SYSCALLS = ("socket", "connect", "recvfrom", "memfd_create", "read", "close", "brk")
-_STORE_SYSCALLS = ("openat", "write", "close", "brk")
 
 _SAMPLE_MODEL_PATH = "/testdata/pytorch/model.pt"
 _SAMPLE_DATASET_DIR = "/testdata/pytorch/mnist"
@@ -92,31 +93,7 @@ register_tensor_ops(
 )
 
 
-def _register(
-    name: str,
-    impl,
-    api_type: APIType,
-    syscalls: tuple,
-    qualname: Optional[str] = None,
-    init_syscalls: tuple = (),
-    stateful: StatefulKind = StatefulKind.STATELESS,
-    base_cost_ns: int = 40_000,
-    example=None,
-    doc: str = "",
-) -> None:
-    spec = APISpec(
-        name=name,
-        framework="pytorch",
-        qualname=qualname or f"torch.{name}",
-        ground_truth=api_type,
-        syscalls=syscalls,
-        init_syscalls=init_syscalls,
-        stateful=stateful,
-        base_cost_ns=base_cost_ns,
-        example_args=example,
-        doc=doc,
-    )
-    PYTORCH.add(spec, impl)
+_register = partial(declare, PYTORCH, prefix="torch", base_cost_ns=40_000)
 
 
 # ----------------------------------------------------------------------
@@ -139,7 +116,7 @@ def _model_path_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "load", _load, APIType.LOADING,
-    syscalls=_FILE_LOAD_SYSCALLS,
+    syscalls=FILE_LOAD_SYSCALLS,
     base_cost_ns=120_000,
     example=_model_path_example,
     doc="Deserialize a checkpoint or model from disk.",
@@ -166,7 +143,7 @@ def _url_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "hub_load", _hub_load, APIType.LOADING,
-    syscalls=_NET_LOAD_SYSCALLS,
+    syscalls=NET_LOAD_SYSCALLS,
     qualname="torch.hub.load",
     base_cost_ns=200_000,
     example=_url_example,
@@ -175,7 +152,7 @@ _register(
 
 _register(
     "model_zoo_load_url", _hub_load, APIType.LOADING,
-    syscalls=_NET_LOAD_SYSCALLS,
+    syscalls=NET_LOAD_SYSCALLS,
     qualname="torch.utils.model_zoo.load_url",
     base_cost_ns=200_000,
     example=_url_example,
@@ -195,7 +172,7 @@ def _dataset_loader(name: str, qualname: str) -> None:
 
     _register(
         name, impl, APIType.LOADING,
-        syscalls=_FILE_LOAD_SYSCALLS,
+        syscalls=FILE_LOAD_SYSCALLS,
         qualname=qualname,
         base_cost_ns=150_000,
         example=example,
@@ -226,7 +203,7 @@ def _dataloader_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "DataLoader", _data_loader, APIType.LOADING,
-    syscalls=_FILE_LOAD_SYSCALLS,
+    syscalls=FILE_LOAD_SYSCALLS,
     qualname="torch.utils.data.DataLoader",
     base_cost_ns=60_000,
     example=_dataloader_example,
@@ -239,28 +216,9 @@ _register(
 # ----------------------------------------------------------------------
 
 
-def _simple_processing(name: str, fn, qualname: Optional[str] = None,
-                       stateful: StatefulKind = StatefulKind.STATELESS,
-                       base_cost_ns: int = 25_000, example=_tensor_example,
-                       doc: str = "") -> None:
-    def impl(ctx: ExecutionContext, *args: Any, **kwargs: Any) -> Any:
-        values = [ctx.guard(a) for a in args]
-        result = fn(*values, **kwargs)
-        nbytes = int(getattr(result, "nbytes", 8))
-        ctx.mem_compute(nbytes=nbytes)
-        if isinstance(result, np.ndarray):
-            return Tensor(result)
-        return result
-
-    _register(
-        name, impl, APIType.PROCESSING,
-        syscalls=PROCESSING_SYSCALLS,
-        qualname=qualname,
-        stateful=stateful,
-        base_cost_ns=base_cost_ns,
-        example=example,
-        doc=doc,
-    )
+_simple_processing = partial(
+    declare_operator, _register, Tensor, base_cost_ns=25_000, example=_tensor_example,
+)
 
 
 _simple_processing("tensor", lambda x=0.0: np.atleast_1d(as_array(x)).astype(np.float64),
@@ -370,7 +328,7 @@ def _save_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "save", _save, APIType.STORING,
-    syscalls=_STORE_SYSCALLS,
+    syscalls=STORE_SYSCALLS,
     base_cost_ns=120_000,
     example=_save_example,
     doc="Serialize an object to disk.",
@@ -388,7 +346,7 @@ def _writer_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "SummaryWriter", _summary_writer, APIType.STORING,
-    syscalls=_STORE_SYSCALLS,
+    syscalls=STORE_SYSCALLS,
     qualname="torch.utils.tensorboard.writer.SummaryWriter",
     stateful=StatefulKind.DATA_STATE,
     example=_writer_example,
@@ -407,7 +365,7 @@ def _add_scalar_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "SummaryWriter_add_scalar", _add_scalar, APIType.STORING,
-    syscalls=_STORE_SYSCALLS,
+    syscalls=STORE_SYSCALLS,
     qualname="torch.utils.tensorboard.writer.SummaryWriter.add_scalar",
     stateful=StatefulKind.DATA_STATE,
     base_cost_ns=20_000,
@@ -430,7 +388,7 @@ def _onnx_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _register(
     "onnx_export", _onnx_export, APIType.STORING,
-    syscalls=_STORE_SYSCALLS,
+    syscalls=STORE_SYSCALLS,
     qualname="torch.onnx.export",
     base_cost_ns=150_000,
     example=_onnx_example,

@@ -10,13 +10,21 @@ to leak).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
 from repro.core.apitypes import APIType
+from repro.frameworks._oplib import (
+    FILE_LOAD_SYSCALLS,
+    GUI_INIT_SYSCALLS,
+    GUI_SYSCALLS,
+    PROCESSING_SYSCALLS,
+    STORE_SYSCALLS,
+    declare,
+)
 from repro.frameworks.base import (
-    APISpec,
     ExecutionContext,
     Framework,
     Mat,
@@ -31,12 +39,6 @@ PILLOW = Framework("pillow", version="8.1")
 GTK = Framework("gtk", version="3.24")
 
 UTILITY_FRAMEWORKS = (PANDAS, JSONLIB, MATPLOTLIB, NUMPYLIB, PILLOW, GTK)
-
-_FILE_LOAD_SYSCALLS = ("openat", "fstat", "read", "close", "brk", "lseek")
-_STORE_SYSCALLS = ("openat", "write", "close", "brk")
-_PROC_SYSCALLS = ("brk",)
-_GUI_SYSCALLS = ("sendto", "futex", "select", "brk")
-_GUI_INIT_SYSCALLS = ("connect", "mprotect")
 
 _SAMPLE_CSV = "/testdata/util/table.csv"
 _SAMPLE_JSON = "/testdata/util/config.json"
@@ -58,32 +60,8 @@ def _ensure_sample_files(ctx: ExecutionContext) -> None:
         fs.write_file(_SAMPLE_IMG, rng.integers(0, 256, size=(12, 12, 3)).astype(np.float64))
 
 
-def _add(
-    framework: Framework,
-    name: str,
-    impl,
-    api_type: APIType,
-    syscalls: tuple,
-    qualname: str,
-    init_syscalls: tuple = (),
-    stateful: StatefulKind = StatefulKind.STATELESS,
-    base_cost_ns: int = 30_000,
-    example=None,
-    doc: str = "",
-) -> None:
-    spec = APISpec(
-        name=name,
-        framework=framework.name,
-        qualname=qualname,
-        ground_truth=api_type,
-        syscalls=syscalls,
-        init_syscalls=init_syscalls,
-        stateful=stateful,
-        base_cost_ns=base_cost_ns,
-        example_args=example,
-        doc=doc,
-    )
-    framework.add(spec, impl)
+#: Each utility API passes its framework and full qualname.
+_add = partial(declare, base_cost_ns=30_000)
 
 
 # ----------------------------------------------------------------------
@@ -120,7 +98,7 @@ def _csv_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _add(
     PANDAS, "read_csv", _read_csv, APIType.LOADING,
-    syscalls=_FILE_LOAD_SYSCALLS,
+    syscalls=FILE_LOAD_SYSCALLS,
     qualname="pd.read_csv",
     example=_csv_example,
     doc="Parse a CSV file (flows behind indirect parser dispatch).",
@@ -135,7 +113,7 @@ def _dataframe(ctx: ExecutionContext, rows: Any) -> List[list]:
 
 _add(
     PANDAS, "DataFrame", _dataframe, APIType.PROCESSING,
-    syscalls=_PROC_SYSCALLS,
+    syscalls=PROCESSING_SYSCALLS,
     qualname="pd.DataFrame",
     example=lambda ctx: (([["a", 1.0]],), {}),
     doc="Build a table in memory.",
@@ -149,7 +127,7 @@ def _to_csv(ctx: ExecutionContext, rows: Any, path: str) -> None:
 
 _add(
     PANDAS, "to_csv", _to_csv, APIType.STORING,
-    syscalls=_STORE_SYSCALLS,
+    syscalls=STORE_SYSCALLS,
     qualname="pd.DataFrame.to_csv",
     example=lambda ctx: (([["a", 1.0]], "/out/util/out.csv"), {}),
     doc="Write a table to a CSV file.",
@@ -188,7 +166,7 @@ def _json_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _add(
     JSONLIB, "load", _json_load, APIType.LOADING,
-    syscalls=_FILE_LOAD_SYSCALLS,
+    syscalls=FILE_LOAD_SYSCALLS,
     qualname="json.load",
     example=_json_example,
     doc="Parse a JSON file (recursive-descent: opaque to static analysis).",
@@ -201,7 +179,7 @@ def _json_dump(ctx: ExecutionContext, obj: Any, path: str) -> None:
 
 _add(
     JSONLIB, "dump", _json_dump, APIType.STORING,
-    syscalls=_STORE_SYSCALLS,
+    syscalls=STORE_SYSCALLS,
     qualname="json.dump",
     example=lambda ctx: (({"k": 1}, "/out/util/out.json"), {}),
     doc="Serialize an object to a JSON file.",
@@ -215,7 +193,7 @@ def _json_loads(ctx: ExecutionContext, text: str) -> Any:
 
 _add(
     JSONLIB, "loads", _json_loads, APIType.PROCESSING,
-    syscalls=_PROC_SYSCALLS,
+    syscalls=PROCESSING_SYSCALLS,
     qualname="json.loads",
     example=lambda ctx: (('{"k": 1}',), {}),
     doc="Parse a JSON string already in memory.",
@@ -260,7 +238,7 @@ def _plt_plot(ctx: ExecutionContext, values: Any) -> Dict[str, Any]:
 
 _add(
     MATPLOTLIB, "plot", _plt_plot, APIType.PROCESSING,
-    syscalls=_PROC_SYSCALLS,
+    syscalls=PROCESSING_SYSCALLS,
     qualname="plt.plot",
     stateful=StatefulKind.GUI_STATE,
     example=lambda ctx: ((np.arange(8, dtype=np.float64),), {}),
@@ -275,8 +253,8 @@ def _plt_show(ctx: ExecutionContext) -> None:
 
 _add(
     MATPLOTLIB, "show", _plt_show, APIType.VISUALIZING,
-    syscalls=_GUI_SYSCALLS,
-    init_syscalls=_GUI_INIT_SYSCALLS,
+    syscalls=GUI_SYSCALLS,
+    init_syscalls=GUI_INIT_SYSCALLS,
     qualname="plt.show",
     stateful=StatefulKind.GUI_STATE,
     example=lambda ctx: ((), {}),
@@ -291,7 +269,7 @@ def _plt_savefig(ctx: ExecutionContext, path: str) -> None:
 
 _add(
     MATPLOTLIB, "savefig", _plt_savefig, APIType.STORING,
-    syscalls=_STORE_SYSCALLS,
+    syscalls=STORE_SYSCALLS,
     qualname="plt.savefig",
     stateful=StatefulKind.GUI_STATE,
     example=lambda ctx: (("/out/util/figure.png",), {}),
@@ -316,7 +294,7 @@ def _npy_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _add(
     NUMPYLIB, "load", _np_load, APIType.LOADING,
-    syscalls=_FILE_LOAD_SYSCALLS,
+    syscalls=FILE_LOAD_SYSCALLS,
     qualname="np.load",
     example=_npy_example,
     doc="Load a .npy array.",
@@ -324,7 +302,7 @@ _add(
 
 _add(
     NUMPYLIB, "fromfile", _np_load, APIType.LOADING,
-    syscalls=_FILE_LOAD_SYSCALLS,
+    syscalls=FILE_LOAD_SYSCALLS,
     qualname="np.fromfile",
     example=_npy_example,
     doc="Read raw binary data into an array.",
@@ -340,7 +318,7 @@ def _np_save(ctx: ExecutionContext, path: str, array: Any) -> None:
 
 _add(
     NUMPYLIB, "save", _np_save, APIType.STORING,
-    syscalls=_STORE_SYSCALLS,
+    syscalls=STORE_SYSCALLS,
     qualname="np.save",
     example=lambda ctx: (("/out/util/out.npy", np.ones((3, 3))), {}),
     doc="Write an array to a .npy file.",
@@ -358,7 +336,7 @@ def _np_einsum(ctx: ExecutionContext, array: Any) -> Mat:
 
 _add(
     NUMPYLIB, "einsum", _np_einsum, APIType.PROCESSING,
-    syscalls=_PROC_SYSCALLS,
+    syscalls=PROCESSING_SYSCALLS,
     qualname="np.einsum",
     example=lambda ctx: ((np.ones((3, 3)),), {}),
     doc="Contract arrays in memory.",
@@ -385,7 +363,7 @@ def _img_example(ctx: ExecutionContext) -> Tuple[tuple, dict]:
 
 _add(
     PILLOW, "Image_open", _image_open, APIType.LOADING,
-    syscalls=_FILE_LOAD_SYSCALLS,
+    syscalls=FILE_LOAD_SYSCALLS,
     qualname="PIL.Image.open",
     base_cost_ns=60_000,
     example=_img_example,
@@ -404,7 +382,7 @@ def _image_resize(ctx: ExecutionContext, image: Any, factor: float = 0.5) -> Mat
 
 _add(
     PILLOW, "Image_resize", _image_resize, APIType.PROCESSING,
-    syscalls=_PROC_SYSCALLS,
+    syscalls=PROCESSING_SYSCALLS,
     qualname="PIL.Image.resize",
     example=lambda ctx: ((Mat(np.ones((8, 8))),), {}),
     doc="Resample an image in memory.",
@@ -420,7 +398,7 @@ def _image_save(ctx: ExecutionContext, image: Any, path: str) -> None:
 
 _add(
     PILLOW, "Image_save", _image_save, APIType.STORING,
-    syscalls=_STORE_SYSCALLS,
+    syscalls=STORE_SYSCALLS,
     qualname="PIL.Image.save",
     example=lambda ctx: ((Mat(np.ones((4, 4))), "/out/util/photo-out.png"), {}),
     doc="Encode an image to a file.",
@@ -436,8 +414,8 @@ def _image_show(ctx: ExecutionContext, image: Any) -> None:
 
 _add(
     PILLOW, "Image_show", _image_show, APIType.VISUALIZING,
-    syscalls=_GUI_SYSCALLS,
-    init_syscalls=_GUI_INIT_SYSCALLS,
+    syscalls=GUI_SYSCALLS,
+    init_syscalls=GUI_INIT_SYSCALLS,
     qualname="PIL.Image.show",
     example=lambda ctx: ((Mat(np.ones((4, 4))),), {}),
     doc="Display an image in the default viewer.",
@@ -456,8 +434,8 @@ def _recent_manager_add(ctx: ExecutionContext, path: str) -> None:
 
 _add(
     GTK, "RecentManager_add_item", _recent_manager_add, APIType.VISUALIZING,
-    syscalls=_GUI_SYSCALLS,
-    init_syscalls=_GUI_INIT_SYSCALLS,
+    syscalls=GUI_SYSCALLS,
+    init_syscalls=GUI_INIT_SYSCALLS,
     qualname="Gtk.RecentManager.add_item",
     stateful=StatefulKind.GUI_STATE,
     example=lambda ctx: (("/home/user/comic.cbz",), {}),
@@ -472,8 +450,8 @@ def _recent_manager_get_items(ctx: ExecutionContext) -> List[str]:
 
 _add(
     GTK, "RecentManager_get_items", _recent_manager_get_items, APIType.VISUALIZING,
-    syscalls=_GUI_SYSCALLS,
-    init_syscalls=_GUI_INIT_SYSCALLS,
+    syscalls=GUI_SYSCALLS,
+    init_syscalls=GUI_INIT_SYSCALLS,
     qualname="Gtk.RecentManager.get_items",
     stateful=StatefulKind.GUI_STATE,
     example=lambda ctx: ((), {}),
@@ -490,8 +468,8 @@ def _gtk_window_show(ctx: ExecutionContext, image: Any) -> None:
 
 _add(
     GTK, "Window_show", _gtk_window_show, APIType.VISUALIZING,
-    syscalls=_GUI_SYSCALLS,
-    init_syscalls=_GUI_INIT_SYSCALLS,
+    syscalls=GUI_SYSCALLS,
+    init_syscalls=GUI_INIT_SYSCALLS,
     qualname="Gtk.Window.show",
     stateful=StatefulKind.GUI_STATE,
     example=lambda ctx: ((Mat(np.ones((4, 4))),), {}),

@@ -1,9 +1,10 @@
-"""Framework registry: all mini-frameworks plus CVE wiring.
+"""Framework registry: every mini-framework by name.
 
-Importing this module attaches every CVE in the attack registry to the
-framework API that carries it (the specs are immutable, so a new spec
-with the vulnerability list is swapped in).  Use :func:`all_frameworks`
-or :func:`get_framework` to access the wired frameworks.
+The built-in frameworks declare their APIs through
+:func:`repro.frameworks._oplib.declare`, so each spec already carries
+its scaled costs and its CVEs; a framework added through
+:func:`register_framework` is used as written.  Use
+:func:`all_frameworks` or :func:`get_framework` to access them.
 """
 
 from __future__ import annotations
@@ -78,40 +79,7 @@ def iter_apis(names: Iterable[str] = ()) -> List[FrameworkAPI]:
     return apis
 
 
-def _wire_cves() -> None:
-    """Attach every registered CVE to its carrying API spec."""
-    for record in ALL_CVES:
-        framework = get_framework(record.framework)
-        api = framework.get(record.api_name)
-        if record.cve_id in api.spec.vulnerabilities:
-            continue
-        updated = api.spec.with_vulnerabilities(
-            *(api.spec.vulnerabilities + (record.cve_id,))
-        )
-        framework.replace_spec(record.api_name, updated)
-
-
-#: Global compute-cost calibration.  The per-API costs in the framework
-#: modules encode *relative* expense; this factor scales them so the
-#: ratio between API compute time and the isolation costs (IPC, copies)
-#: matches the regime the paper measured on real frameworks — real image
-#: operators take hundreds of microseconds while an IPC round trip takes
-#: a handful, which is what yields the ~3.7% overhead of Fig. 13.
-COMPUTE_COST_SCALE = 8
-
-
-def _calibrate_costs() -> None:
-    from dataclasses import replace as _replace
-
-    for framework in FRAMEWORKS.values():
-        for name in list(framework.api_names):
-            spec = framework.get(name).spec
-            framework.replace_spec(name, _replace(
-                spec,
-                base_cost_ns=spec.base_cost_ns * COMPUTE_COST_SCALE,
-                cost_ns_per_byte=spec.cost_ns_per_byte * COMPUTE_COST_SCALE,
-            ))
-
-
-_wire_cves()
-_calibrate_costs()
+# The builder attaches CVEs by API name, so a record naming an API that
+# no framework registers (a typo in the table) fails the import here.
+for _record in ALL_CVES:
+    get_api(_record.framework, _record.api_name)

@@ -103,12 +103,6 @@ class TestFrameworkRegistry:
                          qualname="testfw.b"), lambda ctx: 1)
         assert [a.name for a in fw.apis_of_type(APIType.LOADING)] == ["b"]
 
-    def test_replace_spec_keeps_impl(self):
-        fw = Framework("testfw")
-        fw.add(make_spec(), lambda ctx: 41)
-        fw.replace_spec("op", make_spec().with_vulnerabilities("CVE-X"))
-        assert fw.get("op").spec.vulnerabilities == ("CVE-X",)
-
     def test_covered_counts_test_cases(self):
         fw = Framework("testfw")
         fw.add(make_spec(name="a"), lambda ctx: 1)

@@ -1,10 +1,16 @@
 """Framework registry, CVE wiring, and cost calibration."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.attacks.cves import ALL_CVES
 from repro.core.apitypes import APIType
 from repro.errors import ReproError
+from repro.frameworks import registry
+from repro.frameworks.base import APISpec, Framework
 from repro.frameworks.registry import (
     FRAMEWORKS,
     MAJOR_FRAMEWORKS,
@@ -12,6 +18,7 @@ from repro.frameworks.registry import (
     get_api,
     get_framework,
     iter_apis,
+    register_framework,
 )
 
 
@@ -30,6 +37,38 @@ def test_every_cve_is_wired_to_its_api():
     for record in ALL_CVES:
         api = get_api(record.framework, record.api_name)
         assert record.cve_id in api.spec.vulnerabilities, record.cve_id
+
+
+def test_a_cve_naming_no_registered_api_fails_the_import():
+    # A fresh interpreter: the failed re-import leaves the registry
+    # module half-built.
+    script = (
+        "import importlib\n"
+        "from repro.attacks import cves\n"
+        "from repro.frameworks import registry\n"
+        "cves.ALL_CVES += (cves.CveRecord('CVE-TYPO', 'opencv', 'imreed',\n"
+        "    cves.VulnType.DOS, cves.APIType.LOADING),)\n"
+        "importlib.reload(registry)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert result.returncode == 1
+    assert "ReproError" in result.stderr
+    assert "'imreed'" in result.stderr
+
+
+def test_a_registered_user_framework_is_used_as_written(monkeypatch):
+    # Only the built-in frameworks' costs are scaled and CVEs attached.
+    monkeypatch.setattr(registry, "FRAMEWORKS", dict(FRAMEWORKS))
+    spec = APISpec(name="imread", framework="userfw", qualname="userfw.imread",
+                   ground_truth=APIType.LOADING, base_cost_ns=1_234,
+                   cost_ns_per_byte=0.5)
+    framework = Framework("userfw")
+    framework.add(spec, lambda ctx: None)
+    register_framework(framework)
+    assert get_api("userfw", "imread").spec is spec
 
 
 def test_cve_api_types_match_registry():
