@@ -121,21 +121,21 @@ class TemporalStateMachine:
         """Make every buffer defined during ``state`` read-only, when
         enforcing, and unmap the released ones either way.
 
-        Visits only the buffers no freeze has reached yet, not every
-        buffer ever defined in ``state``.  A buffer whose object was
-        released while it waited here is protected like the rest, then
-        unmapped.
+        Visits only the buffers no freeze has taken yet, not every
+        buffer ever defined in ``state``, and takes each out of the index
+        whether it protects it or not, so a later release unmaps it at
+        once.  A buffer whose object was released while it waited here
+        is protected like the rest, then unmapped.
         """
         protected = 0
         label = state.value
         for process in self._processes():
             if not process.alive:
                 continue
-            host_process = process.role == "host"
             memory = process.memory
-            for buffer in memory.unfrozen_in_state(label):
-                if host_process and buffer.tag not in self.annotated_tags:
-                    continue  # unannotated host variables stay writable
+            # Unannotated host variables stay writable, and indexed.
+            tags = self.annotated_tags if process.role == "host" else None
+            for buffer in memory.take_unfrozen(label, tags):
                 if self.enforce and memory.is_writable(buffer.buffer_id):
                     memory.protect_buffer(buffer.buffer_id, Permission.READ)
                     protected += 1

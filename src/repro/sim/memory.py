@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.errors import SegmentationFault
 from repro.sim.clock import VirtualClock
@@ -297,9 +297,10 @@ class AddressSpace:
         self._next_buffer_id = 1
         self._buffers: Dict[int, Buffer] = {}
         #: The freeze scan's index: per origin state, in allocation
-        #: order, the live buffers no read-only :meth:`protect_buffer`
-        #: has reached yet.  It holds every live buffer whose pages all
-        #: grant WRITE, and may hold more (the scan's probe decides).
+        #: order, the live buffers that, since they last gained WRITE,
+        #: no freeze has taken and no read-only :meth:`protect_buffer`
+        #: has reached.  A raw :meth:`mprotect` that drops WRITE leaves
+        #: a buffer here (the scan's probe decides).
         self._unfrozen: Dict[str, Dict[int, Buffer]] = {}
         #: Every mapped page's protection bits, kept as runs.
         self._pages = PageTable()
@@ -475,9 +476,26 @@ class AddressSpace:
         return [b for b in self._buffers.values() if b.origin_state == origin_state]
 
     def unfrozen_in_state(self, origin_state: str) -> List[Buffer]:
-        """Buffers of one state no read-only :meth:`protect_buffer` has
-        reached, in allocation order: a superset of the writable ones."""
+        """The freeze scan's index of one state, in allocation order."""
         return list(self._unfrozen.get(origin_state, {}).values())
+
+    def take_unfrozen(
+        self, origin_state: str, tags: Optional[FrozenSet[str]] = None
+    ) -> List[Buffer]:
+        """Take one state's buffers out of the freeze scan's index, in
+        allocation order: all of them, or only those tagged with one of
+        ``tags``.  A buffer taken is one a freeze has passed, protected
+        or not, so its release unmaps it at once."""
+        index = self._unfrozen.get(origin_state)
+        if not index:
+            return []
+        if tags is None:
+            del self._unfrozen[origin_state]
+            return list(index.values())
+        taken = [buffer for buffer in index.values() if buffer.tag in tags]
+        for buffer in taken:
+            del index[buffer.buffer_id]
+        return taken
 
     @property
     def resident_bytes(self) -> int:

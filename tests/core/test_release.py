@@ -126,6 +126,19 @@ def test_leaving_a_state_unmaps_what_it_released(enforce):
         if b.released and b.origin_state == processing
     ]
     assert left == []
+    del h  # the last blur's state, processing, is already frozen
+    gateway.call("opencv", "imwrite", "/again.png", np.ones((8, 8)))
+    # The imread result and the last blur were unmapped on release:
+    # their states' freezes had already passed them.  Only the storing
+    # agent's copy of the blur waits, because storing is still current.
+    storing = agent_of(gateway, APIType.STORING)
+    left = [
+        (agent is storing, b.origin_state)
+        for agent in gateway.agents.values()
+        for b in agent.process.memory.buffers()
+        if b.released
+    ]
+    assert left == [(True, FrameworkState.STORING.value)]
 
 
 def test_a_ref_kept_after_its_handle_died_is_stale():

@@ -3,17 +3,20 @@
 Random programs of allocations, zero-copy mappings of shared segments,
 frees, releases, protection changes, resizing stores and state freezes
 run against one :class:`AddressSpace`.  Page permissions and the freeze
-index are checked against a reference model kept per buffer, and every
-freeze must protect exactly what a full rescan would: the buffers of the
-state whose pages all grant WRITE, in allocation order, released ones
-included.  A store through a shared mapping pays the copy-on-write
-downgrade once, and only after the permission check.
+index are checked against a reference model kept per buffer.  Each run
+draws whether the freezes enforce.  A freeze takes every indexed buffer
+of its state out of the index, and when enforcing it must protect
+exactly what a full rescan would: the buffers of the state whose pages
+all grant WRITE, in allocation order, released ones included.  A store
+through a shared mapping pays the copy-on-write downgrade once, and only
+after the permission check.
 
 A release drops the buffer's payload.  A buffer the index still holds
 keeps its pages until its state's next freeze has probed (and maybe
-protected) it, and is unmapped right after; any other buffer is
-unmapped at once.  No ``free`` or ``store`` is drawn on a released
-buffer: nothing holds its object any more.
+protected) it, and is unmapped right after; any other buffer, one a
+freeze has already taken included, is unmapped at once.  No ``free`` or
+``store`` is drawn on a released buffer: nothing holds its object any
+more.
 """
 
 import itertools
@@ -23,6 +26,7 @@ import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
+    initialize,
     invariant,
     precondition,
     rule,
@@ -62,9 +66,13 @@ class FreezeScanMachine(RuleBasedStateMachine):
         self._segment_ids = itertools.count(1)
         #: Each mapped buffer's origin state.
         self.origin: Dict[int, str] = {}
-        #: The buffers the freeze index must hold: mapped ones no
-        #: read-only protection has reached since they last gained WRITE.
+        #: The buffers the freeze index must hold: mapped ones that no
+        #: freeze has taken and no read-only protection has reached
+        #: since they last gained WRITE.
         self.indexed: Set[int] = set()
+        #: Mapped buffers a freeze took that have not regained WRITE.
+        self.taken: Set[int] = set()
+        self.enforce = True
         #: Released buffers that still keep their pages.
         self.released: Set[int] = set()
         #: Unmapped buffers: id -> (first page address, page count).
@@ -90,6 +98,7 @@ class FreezeScanMachine(RuleBasedStateMachine):
         address = self.space.get_buffer(buffer_id).address
         self.unmapped[buffer_id] = (address, len(self.pages.pop(buffer_id)))
         self.indexed.discard(buffer_id)
+        self.taken.discard(buffer_id)
         self.released.discard(buffer_id)
 
     def _store(self, buffer_id: int, nbytes: int) -> None:
@@ -129,6 +138,10 @@ class FreezeScanMachine(RuleBasedStateMachine):
             del model[npages:]
 
     # -- rules ---------------------------------------------------------
+
+    @initialize(enforce=st.booleans())
+    def choose_enforcement(self, enforce):
+        self.enforce = self.freezer.enforce = enforce
 
     @rule(state=st.sampled_from(STATES), nbytes=SIZES)
     def alloc(self, state, nbytes):
@@ -196,6 +209,7 @@ class FreezeScanMachine(RuleBasedStateMachine):
         self.pages[buffer_id] = [permission] * len(self.pages[buffer_id])
         if writable:
             self.indexed.add(buffer_id)
+            self.taken.discard(buffer_id)
         else:
             self.indexed.discard(buffer_id)
 
@@ -218,6 +232,7 @@ class FreezeScanMachine(RuleBasedStateMachine):
         model[first:first + count] = [permission] * count
         if permission & Permission.WRITE:
             self.indexed.add(buffer_id)  # back in the index
+            self.taken.discard(buffer_id)
 
     @precondition(lambda self: self._has_live())
     @rule(data=st.data(), nbytes=SIZES)
@@ -233,11 +248,11 @@ class FreezeScanMachine(RuleBasedStateMachine):
     def freeze(self, state):
         space = self.space
         expected = [b.buffer_id for b in space.buffers_in_state(state.value)
-                    if space.is_writable(b.buffer_id)]
-        # The released buffers the scan visits: indexed, of this state.
+                    if self.enforce and space.is_writable(b.buffer_id)]
+        # The scan takes this state's indexed buffers, protected or not.
+        taken = {b for b in self.indexed if self.origin[b] == state.value}
         doomed = {b: space.get_buffer(b)
-                  for b in sorted(self.released & self.indexed)
-                  if self.origin[b] == state.value}
+                  for b in sorted(self.released & taken)}
         protected: List[int] = []
         original = space.protect_buffer
 
@@ -256,8 +271,9 @@ class FreezeScanMachine(RuleBasedStateMachine):
         assert space.write_denials == denials
         for buffer_id in protected:
             self.pages[buffer_id] = [Permission.ro()] * len(self.pages[buffer_id])
-            self.indexed.discard(buffer_id)
-        # ...and the released ones it visited are unmapped right after.
+        self.indexed -= taken
+        self.taken |= taken - set(doomed)
+        # ...and the released ones it took are unmapped right after.
         for buffer_id, buffer in doomed.items():
             assert buffer.freed
             self.unmapped[buffer_id] = (buffer.address,
@@ -334,7 +350,9 @@ class FreezeScanMachine(RuleBasedStateMachine):
             writable = {b.buffer_id
                         for b in self.space.buffers_in_state(state.value)
                         if self.space.is_writable(b.buffer_id)}
-            assert writable <= set(indexed)
+            # Only a freeze that does not enforce leaves one writable.
+            assert writable <= set(indexed) | (
+                set() if self.enforce else self.taken)
 
 
 FreezeScanMachine.TestCase.settings = settings(
