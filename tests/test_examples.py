@@ -8,8 +8,21 @@ import sys
 
 import pytest
 
+from repro.frameworks.registry import FRAMEWORKS
+
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
 EXAMPLE_SCRIPTS = sorted(p.name for p in EXAMPLES_DIR.glob("*.py"))
+
+
+@pytest.fixture(autouse=True)
+def restore_framework_registry():
+    """An example run in-process may register a framework globally
+    (``custom_framework.py`` adds ``miniaudio``); later tests in the
+    same process must see the registry as it was."""
+    saved = dict(FRAMEWORKS)
+    yield
+    FRAMEWORKS.clear()
+    FRAMEWORKS.update(saved)
 
 
 def test_examples_directory_has_expected_scripts():
