@@ -1,19 +1,14 @@
-"""How the built-in mini-frameworks declare their APIs, and their shared
-numpy-backed operator library.
+"""How the built-in mini-frameworks declare their APIs, and the operator
+library the ML frameworks share.
 
-Every built-in API is declared through :func:`declare`, which writes its
-:class:`~repro.frameworks.base.APISpec` in final form: the compute costs
-scaled by :data:`COMPUTE_COST_SCALE` and the CVEs of
-:mod:`repro.attacks.cves` that the API carries attached.  Each framework
-module binds its qualname prefix and default cost once.  Every
-memory-to-memory operator, hand-written or from the library below, is
-declared through :func:`declare_operator`.
-
-The ML frameworks (minitorch, minitf, minicaffe) share large families of
-operators (elementwise math, reductions, shape ops, neural-network
-layers).  This module implements them once over ndarrays, and
-:func:`register_tensor_ops` binds a family into a framework: all of
-these are *data processing* APIs (``W(MEM, R(MEM))`` only).
+:func:`declare` registers an API under its final spec: both costs scaled
+by :data:`COMPUTE_COST_SCALE`, and the CVEs :mod:`repro.attacks.cves`
+binds to it attached.  :func:`declare_operator` declares a
+memory-to-memory operator.  The ML frameworks (minitorch, minitf,
+minicaffe) share families of operators (elementwise math, reductions,
+shape ops, neural-network layers), implemented here once over ndarrays
+and bound into a framework by :func:`register_tensor_ops`: all of these
+are *data processing* APIs (``W(MEM, R(MEM))`` only).
 """
 
 from __future__ import annotations
@@ -75,12 +70,9 @@ def declare(
     example: Optional[ExampleArgs] = None,
     doc: str = "",
 ) -> None:
-    """Register one built-in API under its final spec.
-
-    The qualname defaults to ``prefix.name``.  Both costs are scaled by
-    :data:`COMPUTE_COST_SCALE`, and the API carries every CVE the
-    registry of :mod:`repro.attacks.cves` binds to it.
-    """
+    """Register one built-in API under its final spec: both costs
+    scaled, its CVEs attached, and a qualname of ``prefix.name`` unless
+    one is given."""
     spec = APISpec(
         name=name,
         framework=framework.name,

@@ -38,8 +38,6 @@ NUMPYLIB = Framework("numpy", version="1.20")
 PILLOW = Framework("pillow", version="8.1")
 GTK = Framework("gtk", version="3.24")
 
-UTILITY_FRAMEWORKS = (PANDAS, JSONLIB, MATPLOTLIB, NUMPYLIB, PILLOW, GTK)
-
 _SAMPLE_CSV = "/testdata/util/table.csv"
 _SAMPLE_JSON = "/testdata/util/config.json"
 _SAMPLE_NPY = "/testdata/util/array.npy"

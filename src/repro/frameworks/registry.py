@@ -79,7 +79,7 @@ def iter_apis(names: Iterable[str] = ()) -> List[FrameworkAPI]:
     return apis
 
 
-# The builder attaches CVEs by API name, so a record naming an API that
-# no framework registers (a typo in the table) fails the import here.
+# ``_oplib.declare`` attaches CVEs by API name, so a record naming an API
+# that no framework registers (a typo in the table) fails the import here.
 for _record in ALL_CVES:
     get_api(_record.framework, _record.api_name)

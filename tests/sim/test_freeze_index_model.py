@@ -72,6 +72,7 @@ class FreezeScanMachine(RuleBasedStateMachine):
         self.indexed: Set[int] = set()
         #: Mapped buffers a freeze took that have not regained WRITE.
         self.taken: Set[int] = set()
+        #: Whether the freezes enforce; drawn once per run.
         self.enforce = True
         #: Released buffers that still keep their pages.
         self.released: Set[int] = set()
