@@ -1,11 +1,11 @@
 """Cluster scaling — sharded serving at 4 nodes vs 1, plus node failure.
 
-Not a paper table: this bench measures the PR 7 cluster subsystem.
+Not a paper table: this bench measures the cluster subsystem.
 Tenants shard by directory and sticky-route to their shard's node, so
 four nodes serve four tenants' pipelines genuinely in parallel (per-node
 virtual clocks; cluster makespan is the max, not the sum).  Acceptance
 bars: >= 2.5x requests/sec at 4 nodes over 1, zero cross-node LDC
-dereferences under the affinity-respecting default placement, and full
+dereferences (sharded serving ships no object between nodes), and full
 goodput (every admitted client request eventually answered ok) through
 one scripted node failure.
 
@@ -81,7 +81,7 @@ def test_every_request_served_at_both_widths(result):
         assert config["goodput"] == 1.0
 
 
-def test_affinity_placement_keeps_derefs_node_local(result):
+def test_sharded_serving_ships_no_object_across_nodes(result):
     for config in result["configs"]:
         assert config["cross_node_derefs"] == 0
 

@@ -3,7 +3,6 @@
 from repro.analysis.coverage import (
     apps_use_only_covered_apis,
     major_framework_coverage,
-    uncovered_apis,
 )
 from repro.analysis.study_cves import (
     FRAMEWORK_TOTALS,
@@ -39,5 +38,4 @@ __all__ = [
     "major_framework_coverage",
     "table3",
     "table3_totals",
-    "uncovered_apis",
 ]

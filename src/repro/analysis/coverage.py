@@ -21,14 +21,6 @@ def major_framework_coverage() -> Dict[str, CoverageReport]:
     }
 
 
-def uncovered_apis(framework_name: str) -> List[str]:
-    """Qualnames of one framework's APIs lacking a dynamic test case."""
-    framework = get_framework(framework_name)
-    return sorted(
-        api.spec.qualname for api in framework if not api.spec.has_test_case
-    )
-
-
 def apps_use_only_covered_apis() -> Tuple[bool, List[str]]:
     """The footnote check: no evaluated program touches an uncovered API."""
     from repro.apps.suite import SAMPLE_IDS, make_app

@@ -10,7 +10,7 @@ from repro.attacks.exploits import (
     ForkBombExploit,
     MemoryCorruptionExploit,
 )
-from repro.attacks.payloads import CraftedInput, benign_image, crafted_image
+from repro.attacks.payloads import CraftedInput, benign_image
 
 __all__ = [
     "ALL_CVES",
@@ -27,5 +27,4 @@ __all__ = [
     "TABLE5_CVES",
     "VulnType",
     "benign_image",
-    "crafted_image",
 ]

@@ -128,7 +128,3 @@ def cves_for_api(framework: str, api_name: str) -> List[CveRecord]:
         if record.framework == framework and record.api_name == api_name
     ]
 
-
-def by_vuln_type(vuln_type: VulnType) -> List[CveRecord]:
-    """All CVEs of one vulnerability class."""
-    return [record for record in ALL_CVES if record.vuln_type is vuln_type]

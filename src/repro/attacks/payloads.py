@@ -18,7 +18,6 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.attacks.cves import get as get_cve
 from repro.attacks.exploits import Exploit, ExploitOutcome
 from repro.frameworks.base import ExecutionContext
 from repro.sim.memory import payload_nbytes
@@ -65,10 +64,3 @@ def benign_image(seed: int = 99, size: int = 24) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return rng.integers(0, 256, size=(size, size, 3)).astype(np.float64)
 
-
-def crafted_image(cve_id: str, exploit: Exploit, seed: int = 99,
-                  size: int = 24) -> CraftedInput:
-    """A malicious image file payload for an image-decoding CVE."""
-    get_cve(cve_id)  # validate the id
-    return CraftedInput(cve_id=cve_id, exploit=exploit,
-                        cover=benign_image(seed=seed, size=size))

@@ -175,9 +175,9 @@ def bench_cluster() -> Dict[str, Any]:
     """Multi-node scaling, failure goodput, and cross-node locality.
 
     ``cross_node_derefs`` gates at a 0 baseline with direction
-    ``lower``: the affinity placement keeps every LDC dereference
-    node-local, so *any* cross-node dereference creeping in trips the
-    gate regardless of tolerance.
+    ``lower``: sharded serving keeps each request on its tenant's node
+    and ships no object between nodes, so *any* cross-node dereference
+    creeping in trips the gate regardless of tolerance.
     """
     from repro.cluster.bench import run_cluster_benchmark
 

@@ -96,32 +96,3 @@ def average_overhead(rows: Sequence[OverheadRow]) -> float:
     if not rows:
         return 0.0
     return sum(r.overhead_percent for r in rows) / len(rows)
-
-
-def save_reports(reports: Sequence[RunReport], path: str) -> str:
-    """Persist run reports as JSON (for external plotting/diffing)."""
-    import json
-
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump([report.to_dict() for report in reports], handle, indent=2)
-    return path
-
-
-def save_overhead_rows(rows: Sequence[OverheadRow], path: str) -> str:
-    """Persist a Fig. 13-style sweep as JSON."""
-    import json
-
-    payload = [
-        {
-            "sample_id": row.sample_id,
-            "app_name": row.app_name,
-            "baseline_seconds": row.baseline_seconds,
-            "protected_seconds": row.protected_seconds,
-            "overhead_percent": row.overhead_percent,
-            "normalized_runtime": row.normalized_runtime,
-        }
-        for row in rows
-    ]
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-    return path

@@ -1,4 +1,4 @@
-"""Multi-node simulated cluster: sharding, placement, serving, chaos.
+"""Multi-node simulated cluster: sharding, serving, chaos.
 
 ``repro.cluster`` lifts the reproduction from one
 :class:`~repro.sim.kernel.SimKernel` machine to a simulated cluster:
@@ -8,15 +8,8 @@
   lane that reconciles exactly (AccountingError on drift);
 * :mod:`~repro.cluster.sharding` — directory / object / hash / lambda
   dataset partitioners and the deterministic shard manifest;
-* :mod:`~repro.cluster.placement` — partition-to-node assignment that
-  respects staticcheck-inferred affinity (co-located partitions keep
-  zero-copy LDC; split ones pay framed inter-node byte copies);
-* :mod:`~repro.cluster.gateway` — placement-aware pipeline dispatch
-  with the transparent cross-node LDC fallback;
 * :mod:`~repro.cluster.serve` — sticky per-tenant routing across nodes
   plus node-failure recovery (shard re-placement, resubmission);
-* :mod:`~repro.cluster.trace` — merged Chrome traces (a row per node
-  process) and the cluster mechanism rollup;
 * :mod:`~repro.cluster.bench` — the scaling benchmark behind
   ``repro cluster-bench`` and ``BENCH_cluster.json``.
 
@@ -24,15 +17,6 @@ Everything is byte-identically deterministic from the virtual clocks.
 """
 
 from repro.cluster.kernel import ClusterAccounting, ClusterKernel, ClusterNode
-from repro.cluster.placement import (
-    Placement,
-    affinity_groups,
-    affinity_placement,
-    check_placement,
-    inferred_affinity_groups,
-    placement_violations,
-    spread_placement,
-)
 from repro.cluster.sharding import (
     DirectoryPartitioner,
     HashPartitioner,
@@ -58,16 +42,9 @@ __all__ = [
     "LambdaPartitioner",
     "ObjectPartitioner",
     "Partitioner",
-    "Placement",
     "Shard",
     "ShardManifest",
-    "affinity_groups",
-    "affinity_placement",
-    "check_placement",
-    "inferred_affinity_groups",
     "make_partitioner",
-    "placement_violations",
     "shard_dataset",
-    "spread_placement",
     "stable_hash",
 ]

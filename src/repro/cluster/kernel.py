@@ -16,6 +16,9 @@ accounting lane, which :meth:`verify_accounting` reconciles exactly
 against the per-link counters and the per-node
 :class:`~repro.sim.ipc.IpcAccounting` totals — any drift raises
 :class:`~repro.errors.AccountingError` naming the off-by lane.
+Sharded serving (:mod:`~repro.cluster.serve`) keeps each request on its
+tenant's node, so it ships no object between nodes and leaves the lane
+at zero.
 """
 
 from __future__ import annotations
@@ -39,8 +42,9 @@ class ClusterAccounting:
 
     inter_node_messages: int = 0
     inter_node_bytes: int = 0
-    #: Cross-node LDC dereferences: a PREV/ref chain that crossed a node
-    #: boundary and fell back from zero-copy remap to framed byte-copy.
+    #: Cross-node LDC dereferences: transfers made with ``deref=True``,
+    #: where a reference crossed a node boundary and fell back from
+    #: zero-copy remap to framed byte-copy.
     cross_node_derefs: int = 0
     cross_node_deref_bytes: int = 0
     #: Directed per-link counters: (src, dst) -> [messages, bytes].

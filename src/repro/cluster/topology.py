@@ -4,9 +4,9 @@ Inter-node links are deliberately *not* IPC channels: a message between
 two nodes pays a fixed per-message cost (NIC + protocol framing), a
 propagation latency, and a per-byte serialization/transmission cost —
 all an order of magnitude above the intra-node shared-memory numbers in
-:class:`~repro.sim.clock.CostModel`.  That gap is what makes placement a
-policy decision instead of a no-op: a co-located partition pair derefs
-through LDC for nanoseconds, a split pair pays the wire.
+:class:`~repro.sim.clock.CostModel`.  That gap is why serving keeps a
+tenant's requests on one node: a local LDC dereference costs
+nanoseconds, a cross-node one pays the wire.
 """
 
 from __future__ import annotations

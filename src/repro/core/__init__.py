@@ -27,7 +27,6 @@ __all__ = [
     "RunReport",
     "four_way_plan",
     "hook",
-    "hook_all",
     "split_processing_plan",
 ]
 
@@ -42,7 +41,6 @@ _LAZY_EXPORTS = {
     "split_processing_plan": ("repro.core.partitioner", "split_processing_plan"),
     "FrameworkNamespace": ("repro.core.hooks", "FrameworkNamespace"),
     "hook": ("repro.core.hooks", "hook"),
-    "hook_all": ("repro.core.hooks", "hook_all"),
     "FreePart": ("repro.core.runtime", "FreePart"),
     "FreePartConfig": ("repro.core.runtime", "FreePartConfig"),
     "FreePartGateway": ("repro.core.runtime", "FreePartGateway"),

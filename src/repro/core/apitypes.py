@@ -50,17 +50,6 @@ class FrameworkState(enum.Enum):
     VISUALIZING = "visualizing"
     STORING = "storing"
 
-    @classmethod
-    def for_api_type(cls, api_type: APIType) -> "FrameworkState":
-        """The state entered when an API of ``api_type`` is invoked."""
-        try:
-            return STATE_OF_TYPE[api_type]
-        except KeyError:
-            raise ValueError(
-                f"{api_type} does not map to a framework state; neutral APIs "
-                "run in the current state"
-            ) from None
-
 
 #: The state each concrete API type moves the framework into.
 STATE_OF_TYPE = {
@@ -80,5 +69,5 @@ def state_label(state: FrameworkState) -> str:
 
 
 def api_type_of_state(state: FrameworkState) -> Optional[APIType]:
-    """Inverse of :meth:`FrameworkState.for_api_type` (None for init)."""
+    """Inverse of :data:`STATE_OF_TYPE` (None for init)."""
     return _TYPE_OF_STATE.get(state)

@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Any, Dict, List
 
 from repro.core.gateway import ApiGateway
-from repro.errors import ReproError
 from repro.frameworks.registry import get_framework
 
 
@@ -85,10 +84,3 @@ class FrameworkNamespace:
 def hook(gateway: ApiGateway, framework: str) -> FrameworkNamespace:
     """Hook one framework's API surface through ``gateway``."""
     return FrameworkNamespace(gateway, framework)
-
-
-def hook_all(gateway: ApiGateway, *frameworks: str) -> Dict[str, FrameworkNamespace]:
-    """Hook several frameworks at once: name → namespace."""
-    if not frameworks:
-        raise ReproError("hook_all needs at least one framework name")
-    return {name: hook(gateway, name) for name in frameworks}

@@ -185,7 +185,3 @@ def categorize_call_site(framework_name: str, api_name: str) -> CategorizedAPI:
         verdicts[api.spec.qualname] = entry
     return entry
 
-
-def clear_call_site_cache() -> None:
-    """Drop every cached call-site verdict (tests re-register frameworks)."""
-    _CALL_SITE_CACHE.clear()

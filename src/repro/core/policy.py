@@ -22,7 +22,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.core.apitypes import APIType
 from repro.core.hybrid import CategorizedAPI, Categorization
-from repro.core.partitioner import Partition, PartitionPlan
+from repro.core.partitioner import Partition
 from repro.frameworks.syscall_pools import INIT_ONLY_SYSCALLS, pool_for
 from repro.sim.devices import CAMERA_FD, GUI_SOCKET_FD, NETWORK_FD
 from repro.sim.filters import FilterSpec
@@ -81,20 +81,6 @@ def filter_spec_for_partition(
         allowed_path_prefixes=path_prefixes,
         description=f"agent filter for {partition.label}",
     )
-
-
-def filter_specs_for_plan(
-    plan: PartitionPlan,
-    categorization: Categorization,
-    widen_to_pool: bool = True,
-) -> Dict[int, FilterSpec]:
-    """Build one FilterSpec per partition of a plan."""
-    return {
-        partition.index: filter_spec_for_partition(
-            partition, categorization, widen_to_pool=widen_to_pool
-        )
-        for partition in plan.partitions
-    }
 
 
 @dataclass(frozen=True)

@@ -232,25 +232,3 @@ class NodeDown(ClusterError):
         suffix = f": {detail}" if detail else ""
         super().__init__(f"node {node_index} is down{suffix}")
 
-
-class PlacementError(ClusterError):
-    """A placement splits a partition-affinity group across nodes.
-
-    The static plan says these partitions exchange object references;
-    placing them on different nodes would turn every LDC dereference
-    into a framed inter-node byte copy, which the policy forbids unless
-    the caller explicitly opts in (``allow_split=True``).
-    """
-
-
-class AttackBlocked(ReproError):
-    """An attack step was stopped by an isolation mechanism.
-
-    Carried as an exception so that exploit code composed of several steps
-    aborts at the first mitigated step, like a real payload would.
-    """
-
-    def __init__(self, mechanism: str, detail: str) -> None:
-        self.mechanism = mechanism
-        self.detail = detail
-        super().__init__(f"attack blocked by {mechanism}: {detail}")

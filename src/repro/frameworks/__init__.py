@@ -19,13 +19,11 @@ from repro.frameworks.base import (
     Tensor,
     Tracer,
     is_crafted,
-    is_data_object,
 )
 from repro.frameworks.registry import (
     FRAMEWORKS,
     register_framework,
     MAJOR_FRAMEWORKS,
-    all_frameworks,
     get_api,
     get_framework,
     iter_apis,
@@ -46,11 +44,9 @@ __all__ = [
     "StatefulKind",
     "Tensor",
     "Tracer",
-    "all_frameworks",
     "get_api",
     "get_framework",
     "is_crafted",
-    "is_data_object",
     "iter_apis",
     "register_framework",
 ]

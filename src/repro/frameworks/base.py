@@ -139,11 +139,6 @@ class Frame(Mat):
         self.index = index
 
 
-def is_data_object(value: Any) -> bool:
-    """True for framework data objects and raw ndarrays."""
-    return isinstance(value, (DataObject, np.ndarray))
-
-
 def coerce_model(value: Any) -> Model:
     """View an arbitrary payload as a Model (serializers accept both)."""
     if isinstance(value, Model):

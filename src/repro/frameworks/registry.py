@@ -4,7 +4,7 @@ The built-in frameworks declare their APIs through
 :func:`repro.frameworks._oplib.declare`, so each spec already carries
 its scaled costs and its CVEs; a framework added through
 :func:`register_framework` is used as written.  Use
-:func:`all_frameworks` or :func:`get_framework` to access them.
+:data:`FRAMEWORKS` or :func:`get_framework` to access them.
 """
 
 from __future__ import annotations
@@ -58,11 +58,6 @@ def get_framework(name: str) -> Framework:
         return FRAMEWORKS[name]
     except KeyError:
         raise ReproError(f"unknown framework {name!r}") from None
-
-
-def all_frameworks() -> List[Framework]:
-    """Every registered framework object."""
-    return list(FRAMEWORKS.values())
 
 
 def get_api(framework: str, api_name: str) -> FrameworkAPI:

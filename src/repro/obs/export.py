@@ -25,13 +25,8 @@ from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 from repro.obs.tracer import Span
 
 __all__ = [
-    "NODE_PID_STRIDE",
-    "track_event",
-    "span_event",
     "to_chrome_trace",
     "validate_chrome_trace",
-    "validate_merged_trace",
-    "validate_rollup_rows",
     "render_tree",
     "mechanism_rollup",
     "merge_rollups",
@@ -42,13 +37,6 @@ __all__ = [
 ]
 
 _ALLOWED_PHASES = frozenset({"X", "i", "M"})
-
-#: Pid namespace stride for merged multi-node traces: merged pid =
-#: node * stride + local pid.  Far above any simulated pid (they count
-#: up from 100 per node), so node 0's pid 104 and node 2's pid 104 stay
-#: distinct rows.  ``repro.cluster.trace`` builds merged traces with
-#: this stride; :func:`validate_merged_trace` checks against it.
-NODE_PID_STRIDE = 1_000_000
 
 
 def _sorted_args(span: Span) -> Dict[str, Any]:
@@ -70,11 +58,8 @@ def track_event(pid: int, name: str) -> Dict[str, Any]:
     }
 
 
-def span_event(span: Span, pid: int, **args: Any) -> Dict[str, Any]:
-    """One span as a complete ("X") or instant ("i") trace event.
-
-    ``args`` are appended after the span's sorted attributes.
-    """
+def span_event(span: Span, pid: int) -> Dict[str, Any]:
+    """One span as a complete ("X") or instant ("i") trace event."""
     event: Dict[str, Any] = {
         "name": span.name,
         "cat": span.category,
@@ -82,7 +67,7 @@ def span_event(span: Span, pid: int, **args: Any) -> Dict[str, Any]:
         "ts": span.start_ns / 1000,
         "pid": pid,
         "tid": pid,
-        "args": {**_sorted_args(span), **args},
+        "args": _sorted_args(span),
     }
     if span.kind == "instant":
         event["s"] = "t"  # thread-scoped instant
@@ -141,107 +126,6 @@ def validate_chrome_trace(payload: Any) -> List[str]:
                         f"event {index}: ts {ts} not sorted (prev {last_ts})"
                     )
                 last_ts = ts
-    return problems
-
-
-def validate_merged_trace(payload: Any) -> List[str]:
-    """Schema check for *merged* multi-node cluster traces.
-
-    Runs the base :func:`validate_chrome_trace` checks, then the
-    merge-specific invariants:
-
-    * every pid carries exactly one ``process_name`` metadata row —
-      a duplicate means two nodes' pids collided in the merge (the
-      :data:`NODE_PID_STRIDE` namespacing failed);
-    * every non-metadata event's pid has a ``process_name`` row and a
-      ``node`` arg consistent with ``pid // NODE_PID_STRIDE``;
-    * cross-node traffic appears as the ``inter_node`` category with
-      both halves present (``inter_node_send`` and ``inter_node_recv``)
-      — a merge that dropped one node's tracer shows up as a
-      send-without-recv here.
-    """
-    problems = validate_chrome_trace(payload)
-    if not isinstance(payload, dict):
-        return problems
-    events = payload.get("traceEvents")
-    if not isinstance(events, list):
-        return problems
-    name_rows: Dict[int, int] = {}
-    for index, event in enumerate(events):
-        if not isinstance(event, dict) or event.get("ph") != "M":
-            continue
-        if event.get("name") == "process_name":
-            pid = event.get("pid")
-            if isinstance(pid, int):
-                name_rows[pid] = name_rows.get(pid, 0) + 1
-    for pid in sorted(name_rows):
-        if name_rows[pid] > 1:
-            problems.append(
-                f"pid {pid}: {name_rows[pid]} process_name rows "
-                "(cross-node pid collision in the merge)"
-            )
-    inter_node_names = set()
-    for index, event in enumerate(events):
-        if not isinstance(event, dict) or event.get("ph") == "M":
-            continue
-        pid = event.get("pid")
-        if not isinstance(pid, int):
-            continue
-        if pid not in name_rows:
-            problems.append(
-                f"event {index}: pid {pid} has no process_name row"
-            )
-        args = event.get("args")
-        node = args.get("node") if isinstance(args, dict) else None
-        if not isinstance(node, int):
-            problems.append(
-                f"event {index}: merged event missing integer "
-                "args['node']"
-            )
-        elif pid // NODE_PID_STRIDE != node:
-            problems.append(
-                f"event {index}: pid {pid} is in node "
-                f"{pid // NODE_PID_STRIDE}'s namespace but args['node'] "
-                f"is {node}"
-            )
-        if event.get("cat") == "inter_node":
-            inter_node_names.add(event.get("name"))
-    if inter_node_names:
-        for required in ("inter_node_send", "inter_node_recv"):
-            if required not in inter_node_names:
-                problems.append(
-                    f"inter_node traffic present without {required!r} "
-                    "spans (one side of the transfer is missing)"
-                )
-    return problems
-
-
-def validate_rollup_rows(rows: List["RollupRow"]) -> List[str]:
-    """Structural check of a (merged) rollup table.
-
-    Each category must appear exactly once (``inter_node`` included —
-    a merge that appends per-node tables instead of summing them shows
-    up as duplicates), ``untraced`` must be the single final row, and
-    no mechanism row may be negative.
-    """
-    problems: List[str] = []
-    seen: Dict[str, int] = {}
-    for row in rows:
-        seen[row.category] = seen.get(row.category, 0) + 1
-    for category in sorted(seen):
-        if seen[category] > 1:
-            problems.append(
-                f"category {category!r} appears {seen[category]} times "
-                "(rows must merge, not concatenate)"
-            )
-    if not rows or rows[-1].category != "untraced":
-        problems.append("the final row must be 'untraced'")
-    for row in rows:
-        if row.category != "untraced" and row.self_ns < 0:
-            problems.append(
-                f"category {row.category!r} has negative self time "
-                f"({row.self_ns} ns)"
-            )
     return problems
 
 

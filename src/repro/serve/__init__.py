@@ -40,7 +40,6 @@ from repro.serve.loadgen import (
     LoadgenResult,
     TenantPopulation,
     generate_schedule,
-    merge_schedules,
     profile_by_name,
     run_open_loop,
     run_open_loop_cluster,
@@ -85,7 +84,6 @@ __all__ = [
     "TenantPopulation",
     "TenantRegistry",
     "generate_schedule",
-    "merge_schedules",
     "plan_batches",
     "profile_by_name",
     "run_open_loop",

@@ -49,7 +49,6 @@ __all__ = [
     "Arrival",
     "ArrivalSchedule",
     "generate_schedule",
-    "merge_schedules",
     "profile_by_name",
     "LoadgenResult",
     "arrival_paths",
@@ -281,7 +280,6 @@ def generate_schedule(
     slow_multiplier: int = 4,
     image_size: int = 8,
     tick_ns: int = 1_000_000,
-    tenant_prefix: str = "tenant",
 ) -> ArrivalSchedule:
     """Thin the rate curve into a concrete arrival schedule.
 
@@ -295,9 +293,7 @@ def generate_schedule(
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    population = TenantPopulation(
-        tenants, zipf_alpha=zipf_alpha, prefix=tenant_prefix
-    )
+    population = TenantPopulation(tenants, zipf_alpha=zipf_alpha)
     arrivals: List[Arrival] = []
     t = 0
     while t < profile.duration_ns:
@@ -318,35 +314,6 @@ def generate_schedule(
     arrivals.sort()
     return ArrivalSchedule(
         profile=profile.name, seed=seed, arrivals=tuple(arrivals)
-    )
-
-
-def merge_schedules(
-    first: ArrivalSchedule, second: ArrivalSchedule
-) -> ArrivalSchedule:
-    """Stable two-pointer merge of two schedules on arrival time.
-
-    Ties take from ``first``; because the merge only compares ``at_ns``
-    and never reorders within an input, each tenant's arrivals keep
-    their original relative order — the property the hypothesis suite
-    proves.  Use distinct ``tenant_prefix``es to merge disjoint streams.
-    """
-    merged: List[Arrival] = []
-    a, b = list(first.arrivals), list(second.arrivals)
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i].at_ns <= b[j].at_ns:
-            merged.append(a[i])
-            i += 1
-        else:
-            merged.append(b[j])
-            j += 1
-    merged.extend(a[i:])
-    merged.extend(b[j:])
-    return ArrivalSchedule(
-        profile=f"{first.profile}+{second.profile}",
-        seed=first.seed ^ second.seed,
-        arrivals=tuple(merged),
     )
 
 

@@ -6,7 +6,7 @@ filters, shared-memory IPC, the filesystem, devices (camera/network), and
 the GUI subsystem.  See DESIGN.md §2 for the substitution argument.
 """
 
-from repro.sim.clock import CostModel, Stopwatch, VirtualClock
+from repro.sim.clock import CostModel, VirtualClock
 from repro.sim.devices import Camera, DeviceBoard, Network
 from repro.sim.files import SimFileSystem
 from repro.sim.filters import FilterSpec, SyscallFilter, permissive_filter
@@ -37,7 +37,6 @@ __all__ = [
     "SimFileSystem",
     "SimKernel",
     "SimProcess",
-    "Stopwatch",
     "Syscall",
     "SyscallFilter",
     "VirtualClock",

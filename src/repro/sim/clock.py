@@ -102,40 +102,3 @@ class VirtualClock:
         """Rewind the clock to zero (used between benchmark repetitions)."""
         self._now_ns = 0
 
-
-@dataclass
-class Stopwatch:
-    """Measures a span of virtual time on a :class:`VirtualClock`."""
-
-    clock: VirtualClock
-    _start_ns: int = 0
-    _elapsed_ns: int = 0
-    _running: bool = False
-
-    def start(self) -> "Stopwatch":
-        self._start_ns = self.clock.now_ns
-        self._running = True
-        return self
-
-    def stop(self) -> int:
-        """Stop the stopwatch and return the elapsed nanoseconds."""
-        if self._running:
-            self._elapsed_ns = self.clock.now_ns - self._start_ns
-            self._running = False
-        return self._elapsed_ns
-
-    @property
-    def elapsed_ns(self) -> int:
-        if self._running:
-            return self.clock.now_ns - self._start_ns
-        return self._elapsed_ns
-
-    @property
-    def elapsed_seconds(self) -> float:
-        return self.elapsed_ns / NS_PER_SEC
-
-    def __enter__(self) -> "Stopwatch":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()

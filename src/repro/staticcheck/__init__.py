@@ -28,7 +28,7 @@ from repro.staticcheck.report import (
     render_json,
     render_text,
 )
-from repro.staticcheck.rules import ALL_RULES, Rule, rule_ids
+from repro.staticcheck.rules import ALL_RULES, Rule
 
 __all__ = [
     "ALL_RULES",
@@ -43,6 +43,5 @@ __all__ = [
     "check_file",
     "render_json",
     "render_text",
-    "rule_ids",
     "run_check",
 ]

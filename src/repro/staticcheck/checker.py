@@ -35,7 +35,7 @@ class CheckResult:
     files_checked: int = 0
     suppressed: int = 0
     #: Per-agent minimal privileges merged over every checked file
-    #: (feeds ``--emit-minimal-pools`` and placement scoring).
+    #: (feeds ``--emit-minimal-pools``).
     privileges: Dict[str, AgentPrivilege] = field(default_factory=dict)
 
     @property

@@ -63,7 +63,7 @@ from repro.staticcheck.inference import (
 
 __all__ = [
     "BOTTOM", "AliasWriteHit", "DataflowAnalysis", "DataflowReport",
-    "EscapeHit", "LeakHit", "Taint", "analyze_module",
+    "EscapeHit", "LeakHit", "Taint",
 ]
 
 
@@ -212,11 +212,3 @@ class DataflowAnalysis:
                 line, col, alias, tag, alloc_state, write_state, function,
             ))
 
-
-def analyze_module(
-    summary: ModuleSummary,
-    inferencer: Optional[PartitionInferencer] = None,
-    param_taints: Optional[Dict[str, Dict[str, Taint]]] = None,
-) -> DataflowReport:
-    """Convenience: run the flow pass over one built module summary."""
-    return DataflowAnalysis(summary, inferencer, param_taints).run()

@@ -144,10 +144,6 @@ class FunctionReport:
     frozen_writes: List[FrozenWriteHit] = field(default_factory=list)
     shared_stores: List[SharedStoreEvent] = field(default_factory=list)
 
-    def agents_used(self) -> Set[str]:
-        """Every agent partition this function's plan touches."""
-        return {step.agent for step in self.steps}
-
 
 #: Machine snapshot: (state, tag → definition state, frozen tags).
 _MachineSnap = Tuple[FrameworkState, Dict[str, FrameworkState], Set[str]]

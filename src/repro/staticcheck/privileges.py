@@ -14,7 +14,7 @@ that one computation:
   over-privilege finding);
 * :func:`collect_privileges` — per-agent-label privilege accumulation
   over a module's :class:`~repro.staticcheck.inference.FunctionReport`
-  plans (``over-privileged-pool`` findings, placement scoring);
+  plans (``over-privileged-pool`` findings);
 * :func:`minimal_filter_spec` / :func:`render_minimal_pools` — the
   tightened :class:`~repro.sim.filters.FilterSpec` per agent behind
   ``repro check --emit-minimal-pools``;
@@ -75,10 +75,6 @@ class AgentPrivilege:
         return sorted(
             pool - self.syscalls - self.init_syscalls - INIT_ONLY_SYSCALLS
         )
-
-    def weight(self) -> int:
-        """Privilege mass for placement scoring (allowed + init)."""
-        return len(self.minimal_allowed() | self.minimal_init_only())
 
 
 def pool_excess(
@@ -169,16 +165,6 @@ def minimal_filter_spec(
             "pool syscalls)"
         ),
     )
-
-
-def minimal_filter_specs(
-    privileges: Dict[str, AgentPrivilege],
-) -> Dict[str, FilterSpec]:
-    """One tightened spec per agent label."""
-    return {
-        label: minimal_filter_spec(privilege)
-        for label, privilege in sorted(privileges.items())
-    }
 
 
 def render_minimal_pools(privileges: Dict[str, AgentPrivilege]) -> str:
@@ -317,9 +303,3 @@ def privileges_for_app(
         absorb(_site(framework, api, verdict, effective.value))
     return privileges
 
-
-def minimal_pools_for_app(
-    app, extra_apis: Iterable[Tuple[str, str]] = ()
-) -> Dict[str, FilterSpec]:
-    """Tightened per-agent filter specs for one app (+ extra APIs)."""
-    return minimal_filter_specs(privileges_for_app(app, extra_apis))

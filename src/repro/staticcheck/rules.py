@@ -445,7 +445,3 @@ ALL_RULES: Tuple[Rule, ...] = (
     OverPrivilegedPoolRule(),
 )
 
-
-def rule_ids() -> Tuple[str, ...]:
-    """The stable ids accepted by ``# repro: ignore[...]``."""
-    return tuple(rule.id for rule in ALL_RULES)

@@ -7,7 +7,7 @@ import pytest
 from repro.staticcheck import check_file
 from repro.staticcheck.callgraph import CallGraphBuilder
 from repro.staticcheck.checker import check_file as check_file_opts
-from repro.staticcheck.dataflow import BOTTOM, Taint, analyze_module
+from repro.staticcheck.dataflow import BOTTOM, DataflowAnalysis, Taint
 from repro.staticcheck.inference import PartitionInferencer
 from repro.staticcheck.report import Severity
 
@@ -23,9 +23,9 @@ def fixture(name):
 def analyze(source, path="flow.py", param_taints=None):
     summary = CallGraphBuilder(path, source).build()
     assert summary.parse_error is None
-    return analyze_module(
+    return DataflowAnalysis(
         summary, PartitionInferencer(summary), param_taints
-    )
+    ).run()
 
 
 # -- the three flow rule families over paired fixtures ------------------

@@ -7,7 +7,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from repro.staticcheck.callgraph import CallGraphBuilder
-from repro.staticcheck.dataflow import BOTTOM, Taint, analyze_module
+from repro.staticcheck.dataflow import BOTTOM, DataflowAnalysis, Taint
 from repro.staticcheck.inference import PartitionInferencer
 
 AGENTS = ("data_loading", "data_processing", "visualizing", "storing")
@@ -83,11 +83,11 @@ PROGRAM = (
 
 def run_with(payload_taint):
     summary = CallGraphBuilder("prop.py", PROGRAM).build()
-    return analyze_module(
+    return DataflowAnalysis(
         summary,
         PartitionInferencer(summary),
         param_taints={"handle_request": {"payload": payload_taint}},
-    )
+    ).run()
 
 
 def hit_keys(report):

@@ -19,8 +19,7 @@ from repro.staticcheck.inference import PartitionInferencer
 from repro.staticcheck.privileges import (
     collect_privileges,
     merge_privileges,
-    minimal_filter_specs,
-    minimal_pools_for_app,
+    minimal_filter_spec,
     pool_excess,
     privileges_for_app,
     render_minimal_pools,
@@ -35,6 +34,14 @@ FIXTURES = os.path.join(
 def privileges_of(name):
     summary = build_module(os.path.join(FIXTURES, name))
     return collect_privileges(PartitionInferencer(summary).infer())
+
+
+def minimal_filter_specs(privileges):
+    """One tightened spec per agent label."""
+    return {
+        label: minimal_filter_spec(privilege)
+        for label, privilege in sorted(privileges.items())
+    }
 
 
 # -- inference over file analysis ---------------------------------------
@@ -181,9 +188,9 @@ def test_cve_prevented_under_minimal_pools(cve_id):
     record = next(r for r in ALL_CVES if r.cve_id == cve_id)
     sample_id = record.samples[0] if record.samples else 8
     app = make_app(sample_id)
-    overrides = minimal_pools_for_app(
+    overrides = minimal_filter_specs(privileges_for_app(
         app, extra_apis=[(record.framework, record.api_name)]
-    )
+    ))
     config = FreePartConfig(
         annotations=tuple(app.annotations),
         filter_overrides=overrides,

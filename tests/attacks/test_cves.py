@@ -7,7 +7,6 @@ from repro.attacks.cves import (
     CASE_STUDY_CVES,
     TABLE5_CVES,
     VulnType,
-    by_vuln_type,
     cves_for_api,
     cves_for_sample,
     get,
@@ -85,12 +84,6 @@ def test_cves_for_api():
     imread = cves_for_api("opencv", "imread")
     assert len(imread) >= 5
     assert all(record.api_type is APIType.LOADING for record in imread)
-
-
-def test_by_vuln_type():
-    dos = by_vuln_type(VulnType.DOS)
-    assert all(record.vuln_type is VulnType.DOS for record in dos)
-    assert len(dos) >= 9
 
 
 def test_every_sample_reference_is_a_real_sample():

@@ -10,9 +10,8 @@ from repro.cluster.bench import (
 )
 from repro.cluster.kernel import ClusterKernel
 from repro.cluster.serve import ClusterServer
-from repro.cluster.trace import render_cluster_trace
 from repro.faults.plan import FaultPlan, FaultRates
-from repro.obs.export import validate_chrome_trace
+from repro.obs.export import to_chrome_trace, validate_chrome_trace
 
 
 def _traced_run(fault_plan=None):
@@ -28,11 +27,18 @@ def _traced_run(fault_plan=None):
     return cluster, manifest, stats
 
 
+def _node_traces(cluster):
+    """Every node's own Chrome trace as canonical JSON, in node order."""
+    return [
+        json.dumps(to_chrome_trace(node.kernel.tracer), sort_keys=True)
+        for node in cluster.nodes
+    ]
+
+
 def test_cluster_trace_and_manifest_byte_identical():
     first_cluster, first_manifest, _ = _traced_run()
     second_cluster, second_manifest, _ = _traced_run()
-    assert render_cluster_trace(first_cluster) == \
-        render_cluster_trace(second_cluster)
+    assert _node_traces(first_cluster) == _node_traces(second_cluster)
     assert first_manifest.json() == second_manifest.json()
     assert first_manifest.digest() == second_manifest.digest()
 
@@ -45,7 +51,7 @@ def test_cluster_trace_byte_identical_under_node_failure():
         SingleNodeFailurePlan(victim=1, after=3)
     )
     assert first_stats["node_failures"] == 1
-    assert render_cluster_trace(first) == render_cluster_trace(second)
+    assert _node_traces(first) == _node_traces(second)
     assert first_stats == second_stats
 
 
@@ -55,20 +61,16 @@ def test_cluster_trace_byte_identical_under_seeded_faults():
 
     first, _, first_stats = _traced_run(plan())
     second, _, second_stats = _traced_run(plan())
-    assert render_cluster_trace(first) == render_cluster_trace(second)
+    assert _node_traces(first) == _node_traces(second)
     assert first_stats == second_stats
 
 
-def test_merged_trace_validates_and_namespaces_nodes():
+def test_every_node_trace_validates():
     cluster, _, _ = _traced_run()
-    payload = json.loads(render_cluster_trace(cluster))
-    assert validate_chrome_trace(payload) == []
-    names = [
-        event["args"]["name"] for event in payload["traceEvents"]
-        if event["ph"] == "M"
-    ]
-    prefixes = {name.split(":", 1)[0] for name in names}
-    assert {"node0", "node1", "node2"} <= prefixes
+    for text in _node_traces(cluster):
+        payload = json.loads(text)
+        assert payload["traceEvents"]
+        assert validate_chrome_trace(payload) == []
 
 
 def test_bench_result_json_byte_identical():

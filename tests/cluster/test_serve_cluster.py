@@ -1,5 +1,7 @@
 """ClusterServer: sticky routing, node-failure recovery, goodput."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -184,3 +186,25 @@ class TestEvictPending:
         assert queue.pending == 0
         assert queue.stats.evicted == 5
         assert queue.stats.dispatched == 0
+
+
+def test_cluster_import_does_not_load_the_linter():
+    """Importing the cluster serving stack loads no ``repro.staticcheck``."""
+    import subprocess
+    import sys
+
+    probe = (
+        "import sys\n"
+        "import repro.cluster.serve, repro.cluster.bench\n"
+        "print(sorted(m for m in sys.modules"
+        " if m.startswith('repro.staticcheck')))\n"
+    )
+    src = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.dirname(__file__))), "src"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, check=True,
+        capture_output=True, text=True,
+    ).stdout
+    assert out.strip() == "[]"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.gateway import NativeGateway
-from repro.core.hooks import FrameworkNamespace, hook, hook_all
+from repro.core.hooks import hook
 from repro.core.runtime import FreePart
 from repro.core.rpc import RemoteHandle
 from repro.errors import ReproError
@@ -64,10 +64,3 @@ def test_dir_lists_apis(native):
     cv2 = hook(native, "opencv")
     listing = dir(cv2)
     assert "imread" in listing and "imshow" in listing
-
-
-def test_hook_all(native):
-    spaces = hook_all(native, "opencv", "pytorch")
-    assert isinstance(spaces["pytorch"], FrameworkNamespace)
-    with pytest.raises(ReproError):
-        hook_all(native)

@@ -11,11 +11,8 @@ import pytest
 
 from repro.core.apitypes import APIType
 from repro.core.dynamic_analysis import DynamicAnalyzer
-from repro.core.hybrid import (
-    HybridAnalyzer,
-    categorize_call_site,
-    clear_call_site_cache,
-)
+from repro.core import hybrid
+from repro.core.hybrid import HybridAnalyzer, categorize_call_site
 from repro.core.static_analysis import summarize
 from repro.errors import ReproError, UncategorizableAPI
 from repro.frameworks.base import APISpec, FrameworkAPI
@@ -27,6 +24,11 @@ _HOOKS = [lambda ctx: None]
 
 def _hooked(ctx):
     return _HOOKS[0](ctx)
+
+
+def clear_call_site_cache():
+    """Drop every cached call-site verdict."""
+    hybrid._CALL_SITE_CACHE.clear()
 
 
 def opaque_api(name, example_args=None):

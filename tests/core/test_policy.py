@@ -9,10 +9,10 @@ from repro.core.policy import (
     ATTACK_SYSCALLS,
     DESIGNATED_FDS,
     filter_spec_for_partition,
-    filter_specs_for_plan,
     policy_report,
     required_syscalls,
 )
+from repro.core.runtime import FreePartConfig, build_filter_specs
 from repro.frameworks.registry import get_framework
 from repro.frameworks.syscall_pools import pool_for
 from repro.sim.devices import CAMERA_FD, GUI_SOCKET_FD, NETWORK_FD
@@ -71,8 +71,8 @@ def test_designated_fds(plan, categorization):
     assert processing.allowed_fds is None
 
 
-def test_filter_specs_for_plan_covers_all_partitions(plan, categorization):
-    specs = filter_specs_for_plan(plan, categorization)
+def test_build_filter_specs_covers_all_partitions(plan, categorization):
+    specs = build_filter_specs(plan, categorization, FreePartConfig())
     assert set(specs) == {p.index for p in plan.partitions}
 
 

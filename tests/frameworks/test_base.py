@@ -18,7 +18,6 @@ from repro.frameworks.base import (
     Tracer,
     coerce_model,
     is_crafted,
-    is_data_object,
 )
 from repro.sim.kernel import SimKernel
 
@@ -63,11 +62,6 @@ class TestDataObjects:
         assert model.architecture == "cnn"
         assert model.trojan == "payload"
         assert model.nbytes > 0
-
-    def test_is_data_object(self):
-        assert is_data_object(Mat(np.zeros(1)))
-        assert is_data_object(np.zeros(1))
-        assert not is_data_object([1, 2])
 
     def test_coerce_model_passthrough_and_wrap(self):
         model = Model({"w": np.ones(1)})

@@ -14,7 +14,6 @@ from repro.frameworks.base import APISpec, Framework
 from repro.frameworks.registry import (
     FRAMEWORKS,
     MAJOR_FRAMEWORKS,
-    all_frameworks,
     get_api,
     get_framework,
     iter_apis,
@@ -79,7 +78,7 @@ def test_cve_api_types_match_registry():
 
 
 def test_iter_apis_all():
-    total = sum(len(fw) for fw in all_frameworks())
+    total = sum(len(fw) for fw in FRAMEWORKS.values())
     assert len(iter_apis()) == total
     assert total > 400  # the reproduction models a large API surface
 

@@ -18,7 +18,6 @@ from repro.serve.loadgen import (
     ArrivalSchedule,
     TenantPopulation,
     generate_schedule,
-    merge_schedules,
     profile_by_name,
     run_open_loop,
 )
@@ -112,10 +111,10 @@ def test_population_needs_a_tenant():
 # ----------------------------------------------------------------------
 
 
-def _small_schedule(seed=7, prefix="tenant"):
+def _small_schedule(seed=7):
     return generate_schedule(
         profile_by_name("burst", base_rps=400.0, duration_ns=20_000_000),
-        seed=seed, tenants=6, tenant_prefix=prefix,
+        seed=seed, tenants=6,
     )
 
 
@@ -154,20 +153,8 @@ def test_digest_covers_every_arrival_field():
     assert tampered.digest() != schedule.digest()
 
 
-def test_merge_is_sorted_and_complete():
-    first = _small_schedule(seed=1, prefix="acme")
-    second = _small_schedule(seed=2, prefix="globex")
-    merged = merge_schedules(first, second)
-    assert len(merged.arrivals) == (
-        len(first.arrivals) + len(second.arrivals)
-    )
-    times = [arrival.at_ns for arrival in merged.arrivals]
-    assert times == sorted(times)
-    assert merged.seed == first.seed ^ second.seed
-
-
 # ----------------------------------------------------------------------
-# Hypothesis properties (the PR's two headline invariants)
+# Hypothesis property: one seed and profile, one schedule
 # ----------------------------------------------------------------------
 
 
@@ -184,24 +171,6 @@ def test_same_seed_and_profile_is_byte_identical(name, seed):
     second = generate_schedule(profile, seed=seed, tenants=5)
     assert first.arrivals == second.arrivals
     assert first.digest() == second.digest()
-
-
-@settings(max_examples=20, deadline=None)
-@given(seed_a=seeds, seed_b=seeds)
-def test_merge_preserves_per_tenant_arrival_order(seed_a, seed_b):
-    first = _small_schedule(seed=seed_a, prefix="acme")
-    second = _small_schedule(seed=seed_b, prefix="globex")
-    merged = merge_schedules(first, second)
-
-    def per_tenant(arrivals):
-        streams = {}
-        for arrival in arrivals:
-            streams.setdefault(arrival.tenant, []).append(arrival)
-        return streams
-
-    originals = per_tenant(first.arrivals + second.arrivals)
-    for tenant, stream in per_tenant(merged.arrivals).items():
-        assert stream == originals[tenant]
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.clock import CostModel, NS_PER_SEC, Stopwatch, VirtualClock
+from repro.sim.clock import CostModel, NS_PER_SEC, VirtualClock
 
 
 def test_clock_starts_at_zero():
@@ -53,27 +53,3 @@ def test_serialize_cost_cheaper_than_copy():
     model = CostModel()
     nbytes = 1 << 20
     assert model.serialize_cost(nbytes) < model.copy_cost(nbytes)
-
-
-def test_stopwatch_measures_span():
-    clock = VirtualClock()
-    watch = Stopwatch(clock).start()
-    clock.advance(2_500)
-    assert watch.stop() == 2_500
-
-
-def test_stopwatch_context_manager():
-    clock = VirtualClock()
-    with Stopwatch(clock) as watch:
-        clock.advance(999)
-    assert watch.elapsed_ns == 999
-    assert watch.elapsed_seconds == pytest.approx(999 / NS_PER_SEC)
-
-
-def test_stopwatch_running_elapsed():
-    clock = VirtualClock()
-    watch = Stopwatch(clock).start()
-    clock.advance(10)
-    assert watch.elapsed_ns == 10  # still running
-    clock.advance(10)
-    assert watch.stop() == 20

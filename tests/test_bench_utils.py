@@ -12,8 +12,6 @@ from repro.bench.runner import (
     overhead_for_sample,
     overhead_sweep,
     run_under,
-    save_overhead_rows,
-    save_reports,
 )
 from repro.bench.tables import render_bars, render_series, render_table
 
@@ -60,20 +58,6 @@ class TestJsonExport:
         assert decoded["app_name"] == "lbpcascade_anime"
         assert decoded["processes"] == 5
         assert "result" not in decoded
-
-    def test_save_reports(self, tmp_path):
-        report = run_under(make_app(4), "none", WORKLOAD)
-        path = save_reports([report], str(tmp_path / "reports.json"))
-        loaded = json.loads(open(path).read())
-        assert len(loaded) == 1
-        assert loaded[0]["gateway"] == "NativeGateway"
-
-    def test_save_overhead_rows(self, tmp_path):
-        rows = overhead_sweep((4,), workload=WORKLOAD)
-        path = save_overhead_rows(rows, str(tmp_path / "sweep.json"))
-        loaded = json.loads(open(path).read())
-        assert loaded[0]["sample_id"] == 4
-        assert loaded[0]["overhead_percent"] > 0
 
 
 class TestTables:

@@ -43,12 +43,6 @@ def test_framework_crash_wraps_cause():
     assert "cv2.imread" in str(crash)
 
 
-def test_attack_blocked_carries_mechanism():
-    blocked = errors.AttackBlocked("seccomp", "fork denied")
-    assert blocked.mechanism == "seccomp"
-    assert "fork denied" in str(blocked)
-
-
 def test_catch_all_with_repro_error():
     for exc in (
         errors.SegmentationFault(1, 0, "read"),
