@@ -450,17 +450,20 @@ class AgentProcess:
                 )
             return value
 
-        has_chain = any(
-            isinstance(v, BatchChain) for v in request.args
-        ) or any(isinstance(v, BatchChain) for _, v in request.kwargs)
-        if not has_chain:
+        values = request.args
+        if request.kwargs:
+            values += tuple([value for _, value in request.kwargs])
+        for value in values:
+            if isinstance(value, BatchChain):
+                break
+        else:
             return request
-        import dataclasses as _dc
-
-        return _dc.replace(
-            request,
-            args=tuple(resolve(v) for v in request.args),
-            kwargs=tuple((k, resolve(v)) for k, v in request.kwargs),
+        return RpcRequest(
+            seq=request.seq,
+            api_qualname=request.api_qualname,
+            args=tuple([resolve(v) for v in request.args]),
+            kwargs=tuple([(k, resolve(v)) for k, v in request.kwargs]),
+            state_label=request.state_label,
         )
 
     def _materialize(

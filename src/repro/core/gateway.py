@@ -225,7 +225,7 @@ class ApiGateway(abc.ABC):
         """Host-code file read (e.g. ``fread(fopen("userprofile.xml"))``)."""
         self.host.syscall("openat", path=path)
         self.host.syscall("read", path=path)
-        payload = self.kernel.fs.read_file(path, pid=self.host.pid)
+        payload = self.kernel.fs.read_file(path)
         self.host.syscall("close", path=path)
         return payload
 
@@ -233,7 +233,7 @@ class ApiGateway(abc.ABC):
         """Host-code file write (results the app persists itself)."""
         self.host.syscall("openat", path=path)
         self.host.syscall("write", path=path)
-        self.kernel.fs.write_file(path, payload, pid=self.host.pid)
+        self.kernel.fs.write_file(path, payload)
         self.host.syscall("close", path=path)
 
     def send(self, destination: str, payload: Any) -> None:

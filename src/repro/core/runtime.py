@@ -282,9 +282,7 @@ class FreePartGateway(ApiGateway):
     # ------------------------------------------------------------------
 
     def _all_processes(self) -> List[SimProcess]:
-        processes = [self.host]
-        processes.extend(agent.process for agent in self.agents.values())
-        return processes
+        return [self.host] + [agent.process for agent in self.agents.values()]
 
     @property
     def process_count(self) -> int:

@@ -13,12 +13,12 @@ calls it issues are not subject to the agents' seccomp filters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.apitypes import STATE_OF_TYPE, APIType, FrameworkState
 from repro.obs.tracer import NULL_TRACER
 from repro.sim.memory import Permission
-from repro.sim.process import SimProcess
+from repro.sim.process import ProcessState, SimProcess
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class TemporalStateMachine:
 
     def __init__(
         self,
-        processes: Callable[[], Iterable[SimProcess]],
+        processes: Callable[[], Sequence[SimProcess]],
         enforce: bool = True,
         annotated_tags: Iterable[str] = (),
         tracer=None,
@@ -93,20 +93,24 @@ class TemporalStateMachine:
             return None
         previous = self.state
         self._enter(new_state)
-        tracer = self.tracer
+        processes = self._processes()
         clock_ns = 0
         protected = 0
-        first = next(iter(self._processes()), None)
-        if first is not None:
-            # The freeze span covers the mprotect storm the transition
-            # triggers; the transition itself is an instant marker.
-            tracer.instant("state_transition", category="state",
-                           pid=first.pid, previous=previous.value,
-                           current=new_state.value)
-            with tracer.span("freeze", category="state", pid=first.pid,
-                             state=previous.value) as span:
-                protected = self._protect_state(previous)
-                span.annotate(protected_buffers=protected)
+        if processes:
+            first = processes[0]
+            tracer = self.tracer
+            if tracer.enabled:
+                # The freeze span covers the mprotect storm the transition
+                # triggers; the transition itself is an instant marker.
+                tracer.instant("state_transition", category="state",
+                               pid=first.pid, previous=previous.value,
+                               current=new_state.value)
+                with tracer.span("freeze", category="state", pid=first.pid,
+                                 state=previous.value) as span:
+                    protected = self._protect_state(previous, processes)
+                    span.annotate(protected_buffers=protected)
+            else:
+                protected = self._protect_state(previous, processes)
             clock_ns = first.clock.now_ns
         transition = Transition(
             previous=previous,
@@ -117,7 +121,11 @@ class TemporalStateMachine:
         self.transitions.append(transition)
         return transition
 
-    def _protect_state(self, state: FrameworkState) -> int:
+    def _protect_state(
+        self,
+        state: FrameworkState,
+        processes: Optional[Sequence[SimProcess]] = None,
+    ) -> int:
         """Make every buffer defined during ``state`` read-only, when
         enforcing, and unmap the released ones either way.
 
@@ -125,12 +133,15 @@ class TemporalStateMachine:
         buffer ever defined in ``state``, and takes each out of the index
         whether it protects it or not, so a later release unmaps it at
         once.  A buffer whose object was released while it waited here
-        is protected like the rest, then unmapped.
+        is protected like the rest, then unmapped.  ``processes``
+        defaults to the live roster.
         """
+        if processes is None:
+            processes = self._processes()
         protected = 0
         label = state.value
-        for process in self._processes():
-            if not process.alive:
+        for process in processes:
+            if process.state is not ProcessState.RUNNING:
                 continue
             memory = process.memory
             # Unannotated host variables stay writable, and indexed.

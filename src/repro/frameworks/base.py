@@ -320,7 +320,7 @@ class ExecutionContext:
         agent's first request.
         """
         self._init_seen.add(spec.qualname)
-        already_done = set(self.process.syscalls_used())
+        already_done = self.process.syscall_counts
         for name in spec.init_syscalls:
             if name not in already_done:
                 self.syscall(name)
@@ -357,14 +357,10 @@ class ExecutionContext:
     # -- syscall + flow recording ----------------------------------------
 
     def syscall(
-        self,
-        name: str,
-        fd: Optional[int] = None,
-        path: Optional[str] = None,
-        nbytes: int = 0,
+        self, name: str, fd: Optional[int] = None, path: Optional[str] = None
     ) -> None:
         """Enter a syscall through this context's process and trace it."""
-        self.process.syscall(name, fd=fd, path=path, nbytes=nbytes)
+        self.process.syscall(name, fd=fd, path=path)
         if self.tracer is not None:
             self.tracer.record_syscall(name)
 
@@ -381,9 +377,9 @@ class ExecutionContext:
         self.syscall("fstat", path=path)
         entry = self.kernel.fs.stat(path)
         self.syscall("lseek", path=path)
-        self.syscall("read", path=path, nbytes=entry.nbytes)
+        self.syscall("read", path=path)
         self.syscall("brk")  # allocate the decoded buffer
-        payload = self.kernel.fs.read_file(path, pid=self.process.pid)
+        payload = self.kernel.fs.read_file(path)
         self.syscall("close", path=path)
         self.record_flow(write(Storage.MEM, Storage.FILE, nbytes=entry.nbytes))
         return payload
@@ -392,8 +388,8 @@ class ExecutionContext:
         """Store to a file: W(FILE, R(MEM))."""
         nbytes = payload_nbytes(payload)
         self.syscall("openat", path=path)
-        self.syscall("write", path=path, nbytes=nbytes)
-        self.kernel.fs.write_file(path, payload, pid=self.process.pid)
+        self.syscall("write", path=path)
+        self.kernel.fs.write_file(path, payload)
         self.syscall("close", path=path)
         self.record_flow(write(Storage.FILE, Storage.MEM, nbytes=nbytes))
 
@@ -410,12 +406,12 @@ class ExecutionContext:
         label = label or tmp
         nbytes = payload_nbytes(payload)
         self.syscall("memfd_create", path=tmp)
-        self.kernel.fs.write_file(tmp, payload, pid=self.process.pid)
+        self.kernel.fs.write_file(tmp, payload)
         self.record_flow(
             Flow(source=Storage.MEM, dest=Storage.FILE, label=label, nbytes=nbytes)
         )
-        self.syscall("read", path=tmp, nbytes=nbytes)
-        result = self.kernel.fs.read_file(tmp, pid=self.process.pid)
+        self.syscall("read", path=tmp)
+        result = self.kernel.fs.read_file(tmp)
         self.syscall("close", path=tmp)
         self.record_flow(
             Flow(source=Storage.FILE, dest=Storage.MEM, label=label, nbytes=nbytes)
@@ -459,7 +455,7 @@ class ExecutionContext:
         if not gui.is_connected(self.process.pid):
             self.syscall("connect", fd=GUI_SOCKET_FD)
             gui.connect(self.process.pid)
-        self.syscall("sendto", fd=GUI_SOCKET_FD, nbytes=payload_nbytes(image))
+        self.syscall("sendto", fd=GUI_SOCKET_FD)
         self.syscall("futex")
         gui.show(window, image)
         self.record_flow(
@@ -482,7 +478,7 @@ class ExecutionContext:
         if not gui.is_connected(self.process.pid):
             self.syscall("connect", fd=GUI_SOCKET_FD)
             gui.connect(self.process.pid)
-        self.syscall("sendto", fd=GUI_SOCKET_FD, nbytes=nbytes)
+        self.syscall("sendto", fd=GUI_SOCKET_FD)
         self.record_flow(
             write(Storage.GUI, Storage.MEM, label=label, nbytes=nbytes)
         )

@@ -62,7 +62,10 @@ def get_framework(name: str) -> Framework:
 
 def get_api(framework: str, api_name: str) -> FrameworkAPI:
     """Resolve (framework, api_name) to the FrameworkAPI."""
-    return get_framework(framework).get(api_name)
+    try:
+        return FRAMEWORKS[framework]._apis[api_name]
+    except KeyError:  # the slow path raises the ReproError naming it
+        return get_framework(framework).get(api_name)
 
 
 def iter_apis(names: Iterable[str] = ()) -> List[FrameworkAPI]:

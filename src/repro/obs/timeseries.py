@@ -250,17 +250,26 @@ class TimeSeriesRegistry:
         self.clock = clock
         self.window_ns = window_ns
         self._series: Dict[str, TimeSeries] = {}
+        #: (name, label items as passed) -> series, so a repeat observe
+        #: skips building the canonical key; one entry per series and
+        #: label order a caller uses.
+        self._by_items: Dict[Tuple[Any, ...], TimeSeries] = {}
 
     def series(
         self, name: str, labels: Optional[Mapping[str, str]] = None
     ) -> TimeSeries:
         labels = labels or {}
+        items = (name, tuple(labels.items()))
+        found = self._by_items.get(items)
+        if found is not None:
+            return found
         key = series_key(name, labels)
         found = self._series.get(key)
         if found is None:
             found = self._series[key] = TimeSeries(
                 name, labels, window_ns=self.window_ns
             )
+        self._by_items[items] = found
         return found
 
     def observe(

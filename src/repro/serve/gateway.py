@@ -146,6 +146,9 @@ class ServeGateway(FreePartGateway):
         results: List[Any] = [None] * len(calls)
         tracer = self.kernel.tracer
         for group in groups:
+            if not tracer.enabled:
+                self._exchange_group(group, apis, partitions, labels, results)
+                continue
             with tracer.span("batch", category="batch", pid=self.host.pid,
                              size=len(group), tenant=self.tenant.tenant_id,
                              agent=partitions[group.start].label):
@@ -174,9 +177,9 @@ class ServeGateway(FreePartGateway):
                 key: self._resolve_prev(value, index, results)
                 for key, value in call.kwargs
             }
-            self._check_args(tuple(
+            self._check_args(tuple([
                 v for v in chained_args if not isinstance(v, BatchChain)
-            ), kwargs)
+            ]), kwargs)
             # A BatchChain placeholder is neither data nor a handle, so
             # the builder passes it through untouched.
             requests.append(self._build_request(

@@ -170,13 +170,11 @@ class TenantPopulation:
         zipf_alpha: float = 1.1,
         gold_fraction: float = 0.2,
         silver_fraction: float = 0.3,
-        prefix: str = "tenant",
     ) -> None:
         if tenants < 1:
             raise ValueError(f"population needs >= 1 tenant, got {tenants}")
         self.tenants = tenants
         self.zipf_alpha = zipf_alpha
-        self.prefix = prefix
         weights = [1.0 / (rank + 1) ** zipf_alpha for rank in range(tenants)]
         total = sum(weights)
         cumulative: List[float] = []
@@ -209,7 +207,7 @@ class TenantPopulation:
         return BRONZE
 
     def tenant_id(self, rank: int) -> str:
-        return f"{self.prefix}-{rank}"
+        return f"tenant-{rank}"
 
 
 @dataclass(frozen=True, order=True)

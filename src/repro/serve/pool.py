@@ -25,6 +25,7 @@ from repro.core.partitioner import PartitionPlan
 from repro.core.runtime import FreePartConfig, build_agents
 from repro.errors import AgentUnavailable
 from repro.sim.kernel import SimKernel
+from repro.sim.process import ProcessState
 
 
 @dataclass
@@ -82,14 +83,16 @@ class AgentPool:
         of budget, and the server fails just the request that asked.
         """
         leased = out_of_budget = 0
-        for _ in range(self.size):
-            member = self.members[self._next % self.size]
+        members = self.members
+        count = len(members)
+        for _ in range(count):
+            member = members[self._next % count]
             self._next += 1
             if member.leased:
                 leased += 1
                 continue
             repaired = False
-            if not member.agent.alive:
+            if member.agent.process.state is not ProcessState.RUNNING:
                 # Died between leases (e.g. a crash observed at return
                 # time with repair deferred): repair before handing out.
                 try:

@@ -140,6 +140,9 @@ class PipelineServer:
             for partition in self.plan.partitions
         }
         self.degraded_responses = 0
+        #: Breaker label per registered (framework, name) a request has
+        #: named; the plan is fixed, so one derivation serves them all.
+        self._call_labels: Dict[Tuple[str, str], Optional[str]] = {}
         #: Optional control loops, attached via :meth:`enable_autoscale`
         #: / :meth:`enable_brownout` (None = the fixed-pool server every
         #: earlier PR built).
@@ -316,6 +319,8 @@ class PipelineServer:
 
     def _dispatch(self, request: ServeRequest) -> ServeResponse:
         tracer = self.kernel.tracer
+        if not tracer.enabled:
+            return self._dispatch_request(request)
         tenant = self.tenants[request.tenant_id]
         tracer.name_track(tenant.host.pid, f"tenant:{request.tenant_id}")
         # The queue wait already elapsed (it overlaps other requests'
@@ -426,22 +431,35 @@ class PipelineServer:
         sorted so breaker acquisition order is deterministic.
         """
         labels = set()
+        known = self._call_labels
         for call in request.calls:
-            try:
-                qualname = get_api(call.framework, call.name).spec.qualname
-            except ReproError:
-                continue
-            if qualname not in self.categorization:
-                continue
-            entry = self.categorization.get(qualname)
-            if entry.neutral:
-                continue
-            partition = self.plan.partition_of(qualname)
-            if partition is None:
-                partition = self.plan.partition_for_type(entry.api_type)
-            if partition is not None:
-                labels.add(partition.label)
+            key = (call.framework, call.name)
+            label = known[key] if key in known else self._call_label(key)
+            if label is not None:
+                labels.add(label)
         return sorted(labels)
+
+    def _call_label(self, key: Tuple[str, str]) -> Optional[str]:
+        """The breaker label of one (framework, name), or None.
+
+        A registered API's label is kept in ``_call_labels``; an unknown
+        name is not, so traffic cannot grow the memo.
+        """
+        try:
+            qualname = get_api(*key).spec.qualname
+        except ReproError:
+            return None
+        label = None
+        if qualname in self.categorization:
+            entry = self.categorization.get(qualname)
+            if not entry.neutral:
+                partition = self.plan.partition_of(qualname)
+                if partition is None:
+                    partition = self.plan.partition_for_type(entry.api_type)
+                if partition is not None:
+                    label = partition.label
+        self._call_labels[key] = label
+        return label
 
     def _acquire_breakers(
         self, request: ServeRequest, labels: List[str], retries: int

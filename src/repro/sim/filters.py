@@ -45,8 +45,13 @@ class SyscallFilter:
         allowed_fds: Optional[Iterable[int]] = None,
         allowed_path_prefixes: Optional[Iterable[str]] = None,
     ) -> None:
-        self._allowed: Set[str] = set()
-        self._init_only: Set[str] = set()
+        allowed = tuple(allowed)
+        init_only = tuple(init_only)
+        for name in allowed + init_only:
+            if name not in SYSCALL_TABLE:
+                lookup(name)  # raises UnknownSyscall
+        self._allowed: Set[str] = set(allowed)
+        self._init_only: Set[str] = set(init_only)
         self._allowed_fds: Optional[FrozenSet[int]] = (
             frozenset(allowed_fds) if allowed_fds is not None else None
         )
@@ -57,10 +62,6 @@ class SyscallFilter:
         self._sealed = False
         self._init_phase = True
         self.denials = 0
-        for name in allowed:
-            self.allow(name)
-        for name in init_only:
-            self.allow_during_init(name)
 
     # ------------------------------------------------------------------
     # Configuration (only before sealing)

@@ -278,11 +278,15 @@ class SimKernel:
             return destination.memory.map_shared(
                 segment, tag=tag, origin_state=origin_state
             )
-        with tracer.span("ldc_copy" if lazy else "copy", category="copy",
-                         pid=destination.pid, bytes=nbytes, tag=tag,
-                         src=source.pid, lazy=lazy):
+        if not tracer.enabled:
             self.clock.advance(cost.copy_cost(nbytes))
             self.ipc.record_copy(nbytes, lazy=lazy)
+        else:
+            with tracer.span("ldc_copy" if lazy else "copy", category="copy",
+                             pid=destination.pid, bytes=nbytes, tag=tag,
+                             src=source.pid, lazy=lazy):
+                self.clock.advance(cost.copy_cost(nbytes))
+                self.ipc.record_copy(nbytes, lazy=lazy)
         return destination.memory.alloc(
             nbytes, tag=tag, payload=payload, origin_state=origin_state
         )

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.errors import ProcessCrashed, SyscallDenied
 from repro.obs.tracer import NULL_TRACER
 from repro.sim.clock import VirtualClock
 from repro.sim.filters import SyscallFilter, permissive_filter
 from repro.sim.memory import AddressSpace
-from repro.sim.syscalls import SyscallInvocation
 
 
 class ProcessState(enum.Enum):
@@ -59,7 +58,10 @@ class SimProcess:
         self.filter = syscall_filter if syscall_filter is not None else permissive_filter()
         self.state = ProcessState.RUNNING
         self.crash_record: Optional[CrashRecord] = None
-        self.syscall_log: List[SyscallInvocation] = []
+        #: Executed syscalls by name, in first-use order.  A denied call
+        #: is not counted; it kills the process, and ``crash_record``
+        #: names it.
+        self.syscall_counts: Dict[str, int] = {}
         self.generation = 0  # bumped on restart
         #: Internal state kept by stateful framework APIs (training steps,
         #: accumulated gradients, ...).  Lives and dies with the process;
@@ -102,9 +104,8 @@ class SimProcess:
         name: str,
         fd: Optional[int] = None,
         path: Optional[str] = None,
-        nbytes: int = 0,
-    ) -> SyscallInvocation:
-        """Enter a syscall: filter check, cost, trace record.
+    ) -> None:
+        """Enter a syscall: filter check, cost, count.
 
         A denied call crashes the process (seccomp kill) and re-raises
         :class:`SyscallDenied` so the caller — typically an exploit payload
@@ -118,46 +119,29 @@ class SimProcess:
         if tracer.enabled:
             with tracer.span("syscall_check", category="filter_check",
                              pid=self.pid, syscall=name):
-                self._checked_filter_entry(name, fd, path, nbytes)
+                self._check_filter(name, fd, path)
+                self.clock.advance(cost.syscall_filter_check_ns)
             with tracer.span("syscall", category="syscall", pid=self.pid,
                              syscall=name):
                 self.clock.advance(cost.syscall_ns)
         else:
-            self._checked_filter_entry(name, fd, path, nbytes)
-            self.clock.advance(cost.syscall_ns)
-        record = SyscallInvocation(
-            pid=self.pid, name=name, fd=fd, path=path, nbytes=nbytes, allowed=True
-        )
-        self.syscall_log.append(record)
-        return record
+            # The check reads no clock, so charging both costs after it
+            # shows every later reader the same times as two charges.
+            self._check_filter(name, fd, path)
+            self.clock.advance(cost.syscall_filter_check_ns + cost.syscall_ns)
+        counts = self.syscall_counts
+        counts[name] = counts.get(name, 0) + 1
 
-    def _checked_filter_entry(
-        self, name: str, fd: Optional[int], path: Optional[str], nbytes: int
+    def _check_filter(
+        self, name: str, fd: Optional[int], path: Optional[str]
     ) -> None:
-        """Charge the filter check and run it; a denial crashes us."""
-        self.clock.advance(self.clock.cost_model.syscall_filter_check_ns)
+        """Run the filter check; a denial charges it and crashes us."""
         try:
             self.filter.check(self.pid, name, fd=fd, path=path)
         except SyscallDenied:
-            self.syscall_log.append(
-                SyscallInvocation(
-                    pid=self.pid, name=name, fd=fd, path=path, nbytes=nbytes,
-                    allowed=False,
-                )
-            )
+            self.clock.advance(self.clock.cost_model.syscall_filter_check_ns)
             self.crash(f"seccomp kill on {name}", syscall=name)
             raise
-
-    def syscalls_used(self) -> List[str]:
-        """Distinct syscall names this process successfully executed."""
-        seen: List[str] = []
-        for record in self.syscall_log:
-            if record.allowed and record.name not in seen:
-                seen.append(record.name)
-        return seen
-
-    def denied_syscalls(self) -> List[str]:
-        return [r.name for r in self.syscall_log if not r.allowed]
 
     def __repr__(self) -> str:
         return (

@@ -12,7 +12,7 @@ for reporting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 from repro.errors import UnknownSyscall
 
@@ -207,14 +207,3 @@ def by_category(category: str) -> List[Syscall]:
     found = [s for s in SYSCALL_TABLE.values() if s.category == category]
     return sorted(found, key=lambda s: s.number)
 
-
-@dataclass(frozen=True)
-class SyscallInvocation:
-    """A record of one executed (or attempted) syscall."""
-
-    pid: int
-    name: str
-    fd: Optional[int] = None
-    path: Optional[str] = None
-    nbytes: int = 0
-    allowed: bool = True

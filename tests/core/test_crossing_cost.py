@@ -4,12 +4,15 @@ FreePart pays its overhead per framework API call; the simulator pays a
 host cost per call too.  This test counts the Python frames under the
 ``repro`` package that each outermost ``FreePartGateway.call`` and
 ``NativeGateway.call`` runs, over a fixed small set of Table 6 apps, and
-bounds the mean per call.  The counts repeat exactly for a seed and
-exclude numpy and scipy, so a rise is a real change in how much of the
-simulator runs per crossing.  Interpreters that inline comprehensions
-(3.12 and later) only lower the count.
+bounds the mean per call.  It also bounds the frames per offered arrival
+of an open-loop serving run, the crossing as a served request pays it.
+The counts repeat exactly for a seed and exclude numpy and scipy, so a
+rise is a real change in how much of the simulator runs per crossing.
+Interpreters that inline comprehensions (3.12 and later) only lower the
+count.
 """
 
+import gc
 import os
 import sys
 
@@ -19,6 +22,15 @@ from repro.apps.suite import make_app
 from repro.attacks.scenarios import build_gateway
 from repro.core.gateway import NativeGateway
 from repro.core.runtime import FreePartGateway
+from repro.serve.autoscale import control_slo
+from repro.serve.loadbench import (
+    BUDGET_NS, CONTROL_BUDGET_NS, canonical_profile, elastic_config,
+)
+from repro.serve.loadgen import (
+    ArrivalSchedule, generate_schedule, run_open_loop,
+)
+from repro.serve.server import PipelineServer
+from repro.sim.clock import NS_PER_SEC
 from repro.sim.kernel import SimKernel
 
 PACKAGE_DIR = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
@@ -28,10 +40,18 @@ PACKAGE_DIR = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 SAMPLE_IDS = (1, 4, 8, 12, 20)
 
 #: Mean ``repro`` frames per call, with ~5% headroom over the counts
-#: when the budget was set (95.4 and 29.3; 145.9 and 42.5 before the
+#: when the budget was set (95.9 and 25.7; 145.9 and 42.5 before the
 #: per-crossing cuts).
 FREEPART_FRAME_BUDGET = 100
-NATIVE_FRAME_BUDGET = 31
+NATIVE_FRAME_BUDGET = 27
+
+#: Mean ``repro`` frames per offered arrival of :func:`frames_per_arrival`
+#: at 4 tenants and 200 arrivals, ~5% over the count when the budget was
+#: set (640.8; 830.8 before the serving cuts).
+SERVING_FRAME_BUDGET = 673
+#: The same bound at hostbench's full ``serve_diurnal`` shape (60 tenants,
+#: 1,000 arrivals: 642.2; 848.5 before the serving cuts), which CI checks.
+DEEP_SERVING_FRAME_BUDGET = 700
 
 
 def frames_per_call(technique, gateway_type):
@@ -74,3 +94,49 @@ def test_freepart_call_frame_budget():
 
 def test_native_call_frame_budget():
     assert frames_per_call("none", NativeGateway) <= NATIVE_FRAME_BUDGET
+
+
+def frames_per_arrival(tenants, arrivals):
+    """Mean package frames per offered arrival over ``run_open_loop``.
+
+    The server and schedule are hostbench's ``serve_diurnal``: a pool of
+    2 with batching, autoscaler and brownout armed, diurnal at 300 rps,
+    seed 42, Zipf 0.5 tenants, cut to the first ``arrivals``.
+    """
+    profile = canonical_profile(
+        "diurnal", base_rps=300.0, duration_ns=4 * NS_PER_SEC
+    )
+    full = generate_schedule(
+        profile, seed=42, tenants=tenants, zipf_alpha=0.5
+    )
+    schedule = ArrivalSchedule(
+        profile=full.profile, seed=42, arrivals=full.arrivals[:arrivals]
+    )
+    server = PipelineServer(pool_size=2, batching=True, queue_capacity=512)
+    server.enable_autoscale(
+        elastic_config(2, 8), spec=control_slo(CONTROL_BUDGET_NS)
+    )
+    server.enable_brownout(spec=control_slo(BUDGET_NS))
+    frames = 0
+
+    def profile_frames(frame, event, arg):
+        nonlocal frames
+        if event == "call" and frame.f_code.co_filename.startswith(
+                PACKAGE_DIR):
+            frames += 1
+
+    # Garbage an earlier run left (a handle's finalizer is a package
+    # frame) must not be collected inside the count.
+    gc.collect()
+    previous = sys.getprofile()
+    sys.setprofile(profile_frames)
+    try:
+        result = run_open_loop(server, schedule)
+    finally:
+        sys.setprofile(previous)
+    assert result.served_ok == result.offered == len(schedule.arrivals)
+    return frames / result.offered
+
+
+def test_serving_arrival_frame_budget():
+    assert frames_per_arrival(4, 200) <= SERVING_FRAME_BUDGET

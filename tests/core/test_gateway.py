@@ -42,7 +42,7 @@ def test_call_returns_real_objects(gateway, kernel):
 def test_call_runs_in_host_process(gateway, kernel):
     kernel.fs.write_file("/i.png", np.ones((4, 4)))
     gateway.call("opencv", "imread", "/i.png")
-    assert "openat" in gateway.host.syscalls_used()
+    assert "openat" in gateway.host.syscall_counts
 
 
 def test_no_ipc_for_native(gateway, kernel):
@@ -75,7 +75,7 @@ def test_send_uses_network_and_syscalls(gateway, kernel):
     gateway.send("server", {"note": 1})
     outbound = kernel.devices.network.outbound_to("server")
     assert len(outbound) == 1
-    assert "sendto" in gateway.host.syscalls_used()
+    assert "sendto" in gateway.host.syscall_counts
 
 
 def test_materialize_unwraps(gateway):

@@ -33,7 +33,7 @@ def test_api_executes_and_respects_declared_syscalls(framework_name, api_name):
     result = ctx.invoke(api, *args, **kwargs)
 
     declared = set(spec.syscalls) | set(spec.init_syscalls)
-    used = set(process.syscalls_used())
+    used = set(process.syscall_counts)
     undeclared = used - declared
     assert not undeclared, (
         f"{spec.qualname} issued undeclared syscalls: {sorted(undeclared)}"

@@ -58,37 +58,3 @@ def test_listdir_prefix(fs):
 def test_tempfile_paths_unique(fs):
     assert fs.tempfile() != fs.tempfile()
 
-
-def test_access_log_records_ops(fs):
-    fs.write_file("/f", 1, pid=7)
-    fs.read_file("/f", pid=8)
-    fs.unlink("/f", pid=9)
-    modes = [(a.pid, a.mode) for a in fs.access_log]
-    assert modes == [(7, "write"), (8, "read"), (9, "unlink")]
-
-
-def test_accesses_for_filters_by_path(fs):
-    fs.write_file("/a", 1)
-    fs.write_file("/b", 2)
-    fs.read_file("/a")
-    assert len(fs.accesses_for("/a")) == 2
-    assert len(fs.accesses_for("/b")) == 1
-
-
-def test_clear_log(fs):
-    fs.write_file("/a", 1)
-    fs.clear_log()
-    assert fs.access_log == []
-
-
-def test_total_bytes(fs):
-    fs.write_file("/a", np.zeros(4))
-    fs.write_file("/b", np.zeros(8))
-    assert fs.total_bytes == 96
-
-
-def test_snapshot_paths(fs):
-    fs.write_file("/a", 1)
-    fs.write_file("/a", 2)
-    fs.write_file("/b", 1)
-    assert fs.snapshot_paths() == {"/a": 2, "/b": 1}
