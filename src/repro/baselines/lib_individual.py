@@ -39,9 +39,7 @@ class IndividualApiIsolation(Partitioned):
             return None
         allowed = set(spec.syscalls) | set(spec.init_syscalls)
         allowed.add("exit_group")
-        built = SyscallFilter(allowed=allowed)
-        built.seal()
-        return built
+        return SyscallFilter(allowed=allowed)
 
     def _spec_for(self, qualname: str):
         for record in self.stats.calls[::-1]:

@@ -1,7 +1,7 @@
 """Agent processes (Sections 4.3.1 and 4.4.2).
 
 One :class:`AgentProcess` hosts all framework APIs of one partition.  It
-owns a simulated process with a sealed seccomp filter, an object store
+owns a simulated process with a fixed seccomp filter, an object store
 for lazy-data-copy references, an IPC channel pair to the host program,
 and the restart machinery: when the process crashes (exploit, seccomp
 kill, segfault) the kernel replaces it with a fresh process and the old
@@ -193,9 +193,7 @@ class AgentProcess:
     def _build_filter(self):
         if not self.restrict_syscalls or self.filter_spec is None:
             return None
-        built = self.filter_spec.build()
-        built.seal()
-        return built
+        return self.filter_spec.build()
 
     def _spawn(self) -> SimProcess:
         return self.kernel.spawn(

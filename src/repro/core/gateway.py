@@ -38,7 +38,7 @@ from repro.sim.process import SimProcess
 OBS_FRAMEWORK = "obs"
 
 
-@dataclass(frozen=True)
+@dataclass
 class CallRecord:
     """One framework API invocation as seen by the gateway."""
 
@@ -48,7 +48,7 @@ class CallRecord:
     api_type: APIType
 
 
-@dataclass(frozen=True)
+@dataclass
 class ApiCall:
     """One framework API invocation described as data (not yet dispatched).
 

@@ -86,7 +86,7 @@ class RemoteHandle:
         )
 
 
-@dataclass(frozen=True)
+@dataclass
 class RpcRequest:
     """One API-execution request (Fig. 10's ``request()``)."""
 
@@ -106,13 +106,14 @@ class RpcRequest:
             total += payload_nbytes(value)
         for _, value in self.kwargs:
             total += payload_nbytes(value)
-        # Requests are frozen, so the size never changes: cache it for
-        # the retransmit/reply-cache paths that re-frame the same object.
-        object.__setattr__(self, "_nbytes", total)
+        # A request is never changed once built, so the size never
+        # changes: cache it for the retransmit/reply-cache paths that
+        # re-frame the same object.
+        self._nbytes = total
         return total
 
 
-@dataclass(frozen=True)
+@dataclass
 class RpcResponse:
     """The result (or error) of one request (``agent_ret()``)."""
 
@@ -126,7 +127,7 @@ class RpcResponse:
         if cached is not None:
             return cached
         total = RESPONSE_HEADER_BYTES + payload_nbytes(self.value)
-        object.__setattr__(self, "_nbytes", total)
+        self._nbytes = total
         return total
 
 
@@ -146,7 +147,7 @@ BATCH_OFFSET_ENTRY_BYTES = 8
 FUSED_ITEM_HEADER_BYTES = 24
 
 
-@dataclass(frozen=True)
+@dataclass
 class BatchChain:
     """A placeholder argument: "the result of an earlier item in this batch".
 
@@ -162,7 +163,7 @@ class BatchChain:
     nbytes: int = 16
 
 
-@dataclass(frozen=True)
+@dataclass
 class RpcBatchRequest:
     """Several adjacent same-agent requests framed as ONE IPC message.
 
@@ -194,7 +195,7 @@ class RpcBatchRequest:
                 + FUSED_ITEM_HEADER_BYTES
                 + (request.nbytes - REQUEST_HEADER_BYTES)
             )
-        object.__setattr__(self, "_nbytes", total)
+        self._nbytes = total
         return total
 
     @property
@@ -210,7 +211,7 @@ class RpcBatchRequest:
         return per_item * len(self.requests)
 
 
-@dataclass(frozen=True)
+@dataclass
 class RpcBatchResponse:
     """The per-item results of a batch, framed as ONE IPC message."""
 
@@ -231,7 +232,7 @@ class RpcBatchResponse:
                 + FUSED_ITEM_HEADER_BYTES
                 + (response.nbytes - RESPONSE_HEADER_BYTES)
             )
-        object.__setattr__(self, "_nbytes", total)
+        self._nbytes = total
         return total
 
     @property

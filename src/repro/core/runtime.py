@@ -15,7 +15,7 @@ path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from repro.core.agent import AgentProcess
 from repro.core.apitypes import APIType, api_type_of_state
@@ -34,6 +34,7 @@ from repro.errors import (
     AgentUnavailable,
     AnnotationError,
     ChannelFull,
+    ForgedReply,
     FrameworkCrash,
     ProcessCrashed,
     RpcError,
@@ -571,8 +572,17 @@ class FreePartGateway(ApiGateway):
         released.clear()
 
     def _finish_value(self, agent: AgentProcess, spec, value: Any) -> Any:
-        """Post-process one response value back into the host's view."""
+        """Post-process one response value back into the host's view.
+
+        A reply's ref must name the replying agent's live process, the
+        only store an agent registers results in.  Any other ref is a
+        forged reply: see :meth:`_reject_forged_reply`.
+        """
         if isinstance(value, ObjectRef):
+            process = agent.process
+            if (value.owner_pid != process.pid
+                    or value.owner_generation != process.generation):
+                self._reject_forged_reply(agent, spec.qualname, value)
             return RemoteHandle(value, self._released)
         if not self.config.ldc and isinstance(value, DataObject):
             # Eager mode: the result is copied back into the host program.
@@ -583,6 +593,20 @@ class FreePartGateway(ApiGateway):
                 lazy=False, count_message=False,
             )
         return value
+
+    def _reject_forged_reply(
+        self, agent: AgentProcess, qualname: str, ref: ObjectRef
+    ) -> NoReturn:
+        """Handle a reply naming an object its agent does not own as a
+        seccomp kill is handled: record the security event, crash the
+        agent (restarting it per config) and fail the call."""
+        exc = ForgedReply(
+            f"agent {agent.partition.label!r} (pid {agent.process.pid}) "
+            f"replied with a ref it does not own (pid={ref.owner_pid}, "
+            f"gen={ref.owner_generation}, buf={ref.buffer_id})"
+        )
+        self._handle_agent_crash(agent, qualname, exc)
+        raise FrameworkCrash(qualname, exc) from exc
 
     def _build_request(
         self,

@@ -21,7 +21,7 @@ from repro.sim.memory import Permission
 from repro.sim.process import ProcessState, SimProcess
 
 
-@dataclass(frozen=True)
+@dataclass
 class Transition:
     """One framework state change."""
 

@@ -48,14 +48,6 @@ class SyscallDenied(SimulationError):
         super().__init__(f"syscall denied: pid={pid} syscall={syscall} ({reason})")
 
 
-class FilterSealed(SimulationError):
-    """An attempt was made to reconfigure a sealed syscall filter.
-
-    Raised when NO_NEW_PRIVS semantics forbid loosening an installed
-    filter (the paper's defence against attackers re-configuring seccomp).
-    """
-
-
 class UnknownSyscall(SimulationError):
     """A syscall name is not present in the simulated syscall table."""
 
@@ -158,6 +150,18 @@ class FrameworkCrash(RuntimeSupportError):
         self.qualname = qualname
         self.cause = cause
         super().__init__(f"{qualname} crashed its agent process: {cause}")
+
+
+class ForgedReply(RuntimeSupportError):
+    """An agent replied with a reference to an object it does not own.
+
+    An agent's reply may only name objects the agent registered in its
+    own live process.  A reference to another process's object (another
+    tenant's, the host program's, or a dead generation's) is what a
+    compromised agent would return to hand that object to its caller, so
+    the runtime treats it like a seccomp kill: the agent crashes and the
+    call fails.
+    """
 
 
 class StaleObjectRef(RuntimeSupportError):

@@ -71,7 +71,10 @@ class DataObject:
 
     @property
     def nbytes(self) -> int:
-        return payload_nbytes(self.data)
+        data = self.data
+        if isinstance(data, np.ndarray):
+            return data.nbytes
+        return payload_nbytes(data)
 
     def copy(self) -> "DataObject":
         """Deep copy: a new object with duplicated payload."""
@@ -370,6 +373,11 @@ class ExecutionContext:
             self.tracer.record_flow(flow)
 
     # -- storage helpers (each = syscalls + a recorded flow) -------------
+    #
+    # A flow record only matters to a tracer, so a helper builds one only
+    # when a tracer is attached.  Each records through
+    # ``self.tracer.record_flow`` by name: the static analysis reads the
+    # flows from these bodies.
 
     def read_file(self, path: str) -> Any:
         """Load a file: W(MEM, R(FILE))."""
@@ -381,17 +389,22 @@ class ExecutionContext:
         self.syscall("brk")  # allocate the decoded buffer
         payload = self.kernel.fs.read_file(path)
         self.syscall("close", path=path)
-        self.record_flow(write(Storage.MEM, Storage.FILE, nbytes=entry.nbytes))
+        if self.tracer is not None:
+            self.tracer.record_flow(
+                write(Storage.MEM, Storage.FILE, nbytes=entry.nbytes)
+            )
         return payload
 
     def write_file(self, path: str, payload: Any) -> None:
         """Store to a file: W(FILE, R(MEM))."""
-        nbytes = payload_nbytes(payload)
         self.syscall("openat", path=path)
         self.syscall("write", path=path)
         self.kernel.fs.write_file(path, payload)
         self.syscall("close", path=path)
-        self.record_flow(write(Storage.FILE, Storage.MEM, nbytes=nbytes))
+        if self.tracer is not None:
+            self.tracer.record_flow(write(
+                Storage.FILE, Storage.MEM, nbytes=payload_nbytes(payload)
+            ))
 
     def stage_via_tempfile(self, payload: Any, label: str = "") -> Any:
         """Copy data through a temporary cache file (Section 4.2.1).
@@ -404,18 +417,21 @@ class ExecutionContext:
         """
         tmp = self.kernel.fs.tempfile()
         label = label or tmp
-        nbytes = payload_nbytes(payload)
         self.syscall("memfd_create", path=tmp)
         self.kernel.fs.write_file(tmp, payload)
-        self.record_flow(
-            Flow(source=Storage.MEM, dest=Storage.FILE, label=label, nbytes=nbytes)
-        )
+        if self.tracer is not None:
+            self.tracer.record_flow(Flow(
+                source=Storage.MEM, dest=Storage.FILE, label=label,
+                nbytes=payload_nbytes(payload),
+            ))
         self.syscall("read", path=tmp)
         result = self.kernel.fs.read_file(tmp)
         self.syscall("close", path=tmp)
-        self.record_flow(
-            Flow(source=Storage.FILE, dest=Storage.MEM, label=label, nbytes=nbytes)
-        )
+        if self.tracer is not None:
+            self.tracer.record_flow(Flow(
+                source=Storage.FILE, dest=Storage.MEM, label=label,
+                nbytes=payload_nbytes(payload),
+            ))
         return result
 
     def camera_frame(self) -> Optional[np.ndarray]:
@@ -427,8 +443,8 @@ class ExecutionContext:
         self.syscall("ioctl", fd=camera.fd)
         self.syscall("select", fd=camera.fd)
         frame = camera.read_frame()
-        if frame is not None:
-            self.record_flow(
+        if frame is not None and self.tracer is not None:
+            self.tracer.record_flow(
                 write(Storage.MEM, Storage.DEV, label="camera",
                       nbytes=payload_nbytes(frame))
             )
@@ -443,10 +459,11 @@ class ExecutionContext:
             network.connect(self.process.pid, destination=url)
         self.syscall("recvfrom", fd=network.fd)
         payload = network.download(url)
-        self.record_flow(
-            write(Storage.MEM, Storage.DEV, label="network",
-                  nbytes=payload_nbytes(payload))
-        )
+        if self.tracer is not None:
+            self.tracer.record_flow(
+                write(Storage.MEM, Storage.DEV, label="network",
+                      nbytes=payload_nbytes(payload))
+            )
         return payload
 
     def gui_show(self, window: str, image: Any) -> None:
@@ -458,10 +475,11 @@ class ExecutionContext:
         self.syscall("sendto", fd=GUI_SOCKET_FD)
         self.syscall("futex")
         gui.show(window, image)
-        self.record_flow(
-            write(Storage.GUI, Storage.MEM, label=window,
-                  nbytes=payload_nbytes(image))
-        )
+        if self.tracer is not None:
+            self.tracer.record_flow(
+                write(Storage.GUI, Storage.MEM, label=window,
+                      nbytes=payload_nbytes(image))
+            )
 
     def gui_access(self, nbytes: int = 0, label: str = "") -> None:
         """Touch GUI state without displaying: R(GUI)."""
@@ -470,7 +488,10 @@ class ExecutionContext:
             self.syscall("connect", fd=GUI_SOCKET_FD)
             gui.connect(self.process.pid)
         self.syscall("select", fd=GUI_SOCKET_FD)
-        self.record_flow(read(Storage.GUI, label=label, nbytes=nbytes))
+        if self.tracer is not None:
+            self.tracer.record_flow(
+                read(Storage.GUI, label=label, nbytes=nbytes)
+            )
 
     def gui_write(self, nbytes: int = 0, label: str = "") -> None:
         """Mutate GUI state (window move/title): W(GUI, R(MEM))."""
@@ -479,15 +500,16 @@ class ExecutionContext:
             self.syscall("connect", fd=GUI_SOCKET_FD)
             gui.connect(self.process.pid)
         self.syscall("sendto", fd=GUI_SOCKET_FD)
-        self.record_flow(
-            write(Storage.GUI, Storage.MEM, label=label, nbytes=nbytes)
-        )
+        if self.tracer is not None:
+            self.tracer.record_flow(
+                write(Storage.GUI, Storage.MEM, label=label, nbytes=nbytes)
+            )
 
     def mem_compute(self, nbytes: int = 0, label: str = "") -> None:
         """Record a memory-to-memory computation: W(MEM, R(MEM))."""
         if nbytes:
             self.syscall("brk")
-        if self.tracer is not None:  # the flow only matters to the tracer
+        if self.tracer is not None:
             self.tracer.record_flow(
                 write(Storage.MEM, Storage.MEM, label=label, nbytes=nbytes)
             )

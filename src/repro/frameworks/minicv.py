@@ -13,7 +13,7 @@ API naming follows OpenCV (``imread``, ``GaussianBlur``,
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -56,6 +56,35 @@ def _gray(value: Any) -> np.ndarray:
     if arr.ndim == 3:
         arr = arr.mean(axis=2)
     return np.atleast_2d(arr)
+
+
+@lru_cache(maxsize=64)
+def _gaussian_weights(sigma: float) -> np.ndarray:
+    """The correlation weights ``ndimage.gaussian_filter`` builds for
+    ``sigma`` on every call and axis, built once (read-only, shared).
+
+    scipy's formula: radius ``int(4 * sigma + 0.5)`` (truncate 4), the
+    normalised ``exp(-0.5 / sigma**2 * x**2)``, reversed for correlation.
+    """
+    radius = int(4.0 * sigma + 0.5)
+    x = np.arange(-radius, radius + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * x ** 2)
+    weights = (phi / phi.sum())[::-1].copy()
+    weights.flags.writeable = False
+    return weights
+
+
+def _gaussian(arr: np.ndarray, sigma: float) -> np.ndarray:
+    """``ndimage.gaussian_filter(arr, sigma)``, bit for bit, with the
+    kernel weights memoised per sigma: one reflect-mode ``correlate1d``
+    per axis, as scipy runs them."""
+    sigma = float(sigma)
+    if sigma <= 1e-15:  # scipy skips every axis: a copy
+        return ndimage.gaussian_filter(arr, sigma=sigma)
+    weights = _gaussian_weights(sigma)
+    for axis in range(arr.ndim):
+        arr = ndimage.correlate1d(arr, weights, axis, mode="reflect")
+    return arr
 
 
 # ----------------------------------------------------------------------
@@ -618,10 +647,10 @@ def _pca_compute(data: Any, components: int = 2) -> np.ndarray:
 
 
 _SIMPLE_MAT_OPS: Dict[str, Callable[..., Any]] = {
-    "GaussianBlur": lambda img, sigma=1.0: ndimage.gaussian_filter(_float(img), sigma=sigma),
+    "GaussianBlur": lambda img, sigma=1.0: _gaussian(_float(img), sigma),
     "blur": lambda img, size=3: ndimage.uniform_filter(_float(img), size=size),
     "medianBlur": lambda img, size=3: ndimage.median_filter(_float(img), size=size),
-    "bilateralFilter": lambda img, sigma=1.0: ndimage.gaussian_filter(_float(img), sigma=sigma),
+    "bilateralFilter": lambda img, sigma=1.0: _gaussian(_float(img), sigma),
     "boxFilter": lambda img, size=3: ndimage.uniform_filter(_float(img), size=size),
     "erode": lambda img, size=3: ndimage.grey_erosion(_gray(img), size=size),
     "dilate": lambda img, size=3: ndimage.grey_dilation(_gray(img), size=size),
@@ -649,7 +678,7 @@ _SIMPLE_MAT_OPS: Dict[str, Callable[..., Any]] = {
     "getAffineTransform": _get_perspective_transform,
     "getRotationMatrix2D": _get_rotation_matrix,
     "remap": lambda img: np.flip(_gray(img), axis=0),
-    "undistort": lambda img: ndimage.gaussian_filter(_gray(img), sigma=0.5),
+    "undistort": lambda img: _gaussian(_gray(img), 0.5),
     "flip": lambda img, code=0: np.flip(_float(img), axis=int(code)),
     "rotate": lambda img, code=0: np.rot90(_float(img), k=int(code) + 1),
     "transpose": lambda img: np.swapaxes(_float(img), 0, 1),

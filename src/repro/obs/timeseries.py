@@ -198,13 +198,27 @@ class TimeSeries:
         return series_key(self.name, dict(self.labels))
 
     def observe(self, t_ns: int, value: int) -> None:
-        """Record one observation at virtual time ``t_ns``."""
+        """Record one observation at virtual time ``t_ns``.
+
+        The same update as :meth:`FixedGridSketch.observe` on the window's
+        sketch and on the overall one, done here with one grid search
+        (an observe per arrival stage makes this the obs hot path).
+        """
+        value = int(value)
+        slot = bisect.bisect_left(QUANTILE_GRID, value)
         index = t_ns // self.window_ns
         window = self.windows.get(index)
         if window is None:
             window = self.windows[index] = FixedGridSketch()
-        window.observe(value)
-        self.overall.observe(value)
+        for sketch in (window, self.overall):
+            counts = sketch.counts
+            counts[slot] = counts.get(slot, 0) + 1
+            sketch.count += 1
+            sketch.total += value
+            if sketch.min_value is None or value < sketch.min_value:
+                sketch.min_value = value
+            if sketch.max_value is None or value > sketch.max_value:
+                sketch.max_value = value
 
     def merge(self, other: "TimeSeries") -> None:
         """Fold another series with the same key and window width in."""
@@ -286,7 +300,11 @@ class TimeSeriesRegistry:
                     f"series {name!r}: no clock attached, pass t_ns"
                 )
             t_ns = self.clock.now_ns
-        self.series(name, labels).observe(t_ns, value)
+        items = tuple(labels.items()) if labels else ()
+        series = self._by_items.get((name, items))
+        if series is None:
+            series = self.series(name, labels)
+        series.observe(t_ns, value)
 
     def all_series(self) -> List[TimeSeries]:
         return [self._series[key] for key in sorted(self._series)]

@@ -25,7 +25,7 @@ from repro.core.gateway import PREV, ApiCall
 __all__ = ["PREV", "BatchGroup", "BatchingStats", "plan_batches"]
 
 
-@dataclass(frozen=True)
+@dataclass
 class BatchGroup:
     """A run of adjacent calls that will share one IPC round trip."""
 

@@ -9,7 +9,7 @@ periodically checkpointed RPC servers (Sections 4.3–4.4), which is what
 makes this reuse sound.
 
 Crash handling: a leased agent that dies is restarted *in place* by the
-pool (fresh process, fresh address space, sealed filter — the paper's
+pool (fresh process, fresh address space, freshly built filter — the paper's
 Section 4.4.2 restart), so the pool never shrinks and other members'
 in-flight work is untouched.
 """
@@ -65,10 +65,6 @@ class AgentPool:
         self.members = members
         self.stats = PoolStats()
         self._next = 0  # round-robin cursor over free members
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
 
     @property
     def partition(self):

@@ -58,8 +58,20 @@ class TenantRegistry:
     violations: int = 0
 
     def mint(self, tenant_id: str, ref: ObjectRef) -> ObjectRef:
-        """Record a freshly minted ref under the tenant's namespace."""
-        self._owners[ref_key(ref)] = tenant_id
+        """Record a freshly minted ref under the tenant's namespace.
+
+        A key another tenant holds is never handed over: minting it
+        raises :class:`TenantIsolationError`.
+        """
+        key = ref_key(ref)
+        owner = self._owners.setdefault(key, tenant_id)
+        if owner != tenant_id:
+            self.violations += 1
+            raise TenantIsolationError(
+                f"tenant {tenant_id!r} cannot mint a ref owned by tenant "
+                f"{owner!r} (pid={ref.owner_pid}, gen={ref.owner_generation}, "
+                f"buf={ref.buffer_id})"
+            )
         self.minted += 1
         return ref
 

@@ -74,31 +74,29 @@ class VirtualClock:
     """
 
     cost_model: CostModel = field(default_factory=CostModel)
-    _now_ns: int = 0
-
-    @property
-    def now_ns(self) -> int:
-        """Current virtual time in nanoseconds since simulation start."""
-        return self._now_ns
+    #: Current virtual time in nanoseconds since simulation start.  A
+    #: plain attribute, read on every hot path; only :meth:`advance` and
+    #: :meth:`reset` write it.
+    now_ns: int = 0
 
     @property
     def now_ms(self) -> float:
         """Current virtual time in milliseconds."""
-        return self._now_ns / NS_PER_MS
+        return self.now_ns / NS_PER_MS
 
     @property
     def now_seconds(self) -> float:
         """Current virtual time in seconds."""
-        return self._now_ns / NS_PER_SEC
+        return self.now_ns / NS_PER_SEC
 
     def advance(self, ns: int) -> int:
         """Charge ``ns`` nanoseconds of work and return the new time."""
         if ns < 0:
             raise ValueError(f"cannot advance the clock backwards ({ns} ns)")
-        self._now_ns += int(ns)
-        return self._now_ns
+        self.now_ns += int(ns)
+        return self.now_ns
 
     def reset(self) -> None:
         """Rewind the clock to zero (used between benchmark repetitions)."""
-        self._now_ns = 0
+        self.now_ns = 0
 

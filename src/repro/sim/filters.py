@@ -1,10 +1,12 @@
 """seccomp-BPF-like per-process system-call filters.
 
-Reproduces the three properties FreePart relies on (Section 4.4.1):
+Reproduces the four properties FreePart relies on (Section 4.4.1):
 
 * an **allowlist** of syscall names — anything else kills the process;
-* **NO_NEW_PRIVS sealing** — once installed, the filter cannot be loosened
-  or replaced, so a compromised agent cannot re-enable ``mprotect``;
+* **NO_NEW_PRIVS** — a filter is fixed when it is built: it has no call
+  that adds a name or drops an argument check, so a compromised agent
+  cannot re-enable ``mprotect``; the only change it ever sees is the end
+  of the init phase, which tightens it;
 * **fd-argument checks** for device-capable syscalls (``ioctl``,
   ``connect``, ``select``, ``fcntl``): they may only operate on the file
   descriptors that were designated at install time;
@@ -17,10 +19,19 @@ Reproduces the three properties FreePart relies on (Section 4.4.1):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, Optional, Set, Tuple
+from functools import lru_cache
+from typing import FrozenSet, Iterable, Optional, Tuple
 
-from repro.errors import FilterSealed, SyscallDenied
-from repro.sim.syscalls import SYSCALL_TABLE, lookup
+from repro.errors import SyscallDenied
+from repro.sim.syscalls import FD_CHECKED_SYSCALLS, SYSCALL_TABLE, lookup
+
+#: Every known syscall: the one allowlist all permissive filters share.
+ALL_SYSCALLS: FrozenSet[str] = frozenset(SYSCALL_TABLE)
+
+#: The syscalls a path-prefix restriction applies to.
+FILE_SYSCALLS: FrozenSet[str] = frozenset(
+    name for name, entry in SYSCALL_TABLE.items() if entry.category == "file"
+)
 
 
 @dataclass(frozen=True)
@@ -36,7 +47,12 @@ ALLOWED = FilterDecision(True)
 
 
 class SyscallFilter:
-    """An installable, sealable syscall allowlist for one process."""
+    """An installed syscall allowlist for one process, fixed when built.
+
+    ``unchecked_names`` is the compiled form of the filter for its current
+    phase: the names that pass whatever their arguments.  A name outside
+    it may still pass, but only :meth:`would_allow` can tell.
+    """
 
     def __init__(
         self,
@@ -45,13 +61,15 @@ class SyscallFilter:
         allowed_fds: Optional[Iterable[int]] = None,
         allowed_path_prefixes: Optional[Iterable[str]] = None,
     ) -> None:
-        allowed = tuple(allowed)
-        init_only = tuple(init_only)
-        for name in allowed + init_only:
-            if name not in SYSCALL_TABLE:
-                lookup(name)  # raises UnknownSyscall
-        self._allowed: Set[str] = set(allowed)
-        self._init_only: Set[str] = set(init_only)
+        # ``frozenset`` of a frozenset is that same object, so the filters
+        # built from one spec (and every permissive filter) share their
+        # name sets.
+        allowed, init_only = frozenset(allowed), frozenset(init_only)
+        unknown = (allowed | init_only) - ALL_SYSCALLS
+        if unknown:
+            lookup(min(unknown))  # raises UnknownSyscall
+        self._allowed: FrozenSet[str] = allowed
+        self._init_only: FrozenSet[str] = init_only
         self._allowed_fds: Optional[FrozenSet[int]] = (
             frozenset(allowed_fds) if allowed_fds is not None else None
         )
@@ -59,67 +77,31 @@ class SyscallFilter:
             tuple(allowed_path_prefixes)
             if allowed_path_prefixes is not None else None
         )
-        self._sealed = False
         self._init_phase = True
         self.denials = 0
+        self.unchecked_names = self._compile()
 
-    # ------------------------------------------------------------------
-    # Configuration (only before sealing)
-    # ------------------------------------------------------------------
-
-    def allow(self, name: str) -> None:
-        """Add a syscall to the allowlist (validates the name)."""
-        self._require_unsealed("allow")
-        lookup(name)
-        self._allowed.add(name)
-
-    def allow_during_init(self, name: str) -> None:
-        """Permit a syscall only while the initialization phase lasts."""
-        self._require_unsealed("allow_during_init")
-        lookup(name)
-        self._init_only.add(name)
-
-    def restrict_fds(self, fds: Iterable[int]) -> None:
-        """Designate the only fds device-capable syscalls may touch."""
-        self._require_unsealed("restrict_fds")
-        self._allowed_fds = frozenset(fds)
-
-    def restrict_paths(self, prefixes: Iterable[str]) -> None:
-        """Designate the only path prefixes file syscalls may touch.
-
-        This is the generalization of the paper's designated-files check:
-        the runtime knows which parts of the (simulated) filesystem each
-        agent type legitimately works with.
-        """
-        self._require_unsealed("restrict_paths")
-        self._allowed_path_prefixes = tuple(prefixes)
-
-    def seal(self) -> None:
-        """Install the filter with NO_NEW_PRIVS: no further changes."""
-        self._sealed = True
+    def _compile(self) -> FrozenSet[str]:
+        return _unchecked_names(
+            self._allowed,
+            self._init_only if self._init_phase else frozenset(),
+            self._allowed_fds is not None,
+            self._allowed_path_prefixes is not None,
+        )
 
     def end_init_phase(self) -> None:
         """Close the initialization grace phase.
 
-        Unlike configuration changes this *tightens* the filter, so it is
-        permitted after sealing (the runtime support performs it once the
-        first execution of every framework API has completed).
+        This only ever *tightens* the filter (the runtime support performs
+        it once the first execution of every framework API has completed),
+        and it is the one change a built filter allows.
         """
         self._init_phase = False
-
-    def _require_unsealed(self, operation: str) -> None:
-        if self._sealed:
-            raise FilterSealed(
-                f"cannot {operation}: filter sealed with NO_NEW_PRIVS"
-            )
+        self.unchecked_names = self._compile()
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-
-    @property
-    def sealed(self) -> bool:
-        return self._sealed
 
     @property
     def in_init_phase(self) -> bool:
@@ -127,11 +109,11 @@ class SyscallFilter:
 
     @property
     def allowed_names(self) -> FrozenSet[str]:
-        return frozenset(self._allowed)
+        return self._allowed
 
     @property
     def init_only_names(self) -> FrozenSet[str]:
-        return frozenset(self._init_only)
+        return self._init_only
 
     @property
     def allowed_fds(self) -> Optional[FrozenSet[int]]:
@@ -190,9 +172,31 @@ class SyscallFilter:
             raise SyscallDenied(pid, name, decision.reason)
 
 
+@lru_cache(maxsize=256)
+def _unchecked_names(
+    allowed: FrozenSet[str],
+    init_only: FrozenSet[str],
+    fd_checked: bool,
+    path_checked: bool,
+) -> FrozenSet[str]:
+    """The names :meth:`SyscallFilter.would_allow` passes with no
+    argument check, for one phase.
+
+    Memoised on the name sets, so every filter of one spec, in one
+    phase, holds the same set (for a permissive filter, the allowlist
+    itself); the keys are the specs' own sets.
+    """
+    names = allowed | init_only if init_only else allowed
+    if fd_checked:
+        names = names - FD_CHECKED_SYSCALLS
+    if path_checked:
+        names = names - FILE_SYSCALLS
+    return names
+
+
 def permissive_filter() -> SyscallFilter:
     """A filter that allows every known syscall (host/unprotected runs)."""
-    return SyscallFilter(allowed=SYSCALL_TABLE.keys())
+    return SyscallFilter(allowed=ALL_SYSCALLS)
 
 
 @dataclass

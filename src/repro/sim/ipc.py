@@ -48,7 +48,7 @@ def reconcile_lanes(context: str, recorded: Dict[str, int],
         raise AccountingError(context, mismatches)
 
 
-@dataclass(frozen=True)
+@dataclass
 class Message:
     """One framed message on a channel."""
 

@@ -12,7 +12,7 @@ runtime builds on:
     and 12.
 ``restart``
     Replace a crashed process with a fresh one of the same role, with a
-    newly built (sealed) filter — the paper's agent-restart support.
+    newly built filter — the paper's agent-restart support.
 """
 
 from __future__ import annotations
@@ -187,11 +187,9 @@ class SimKernel:
         The replacement keeps the name and role but gets a brand-new
         address space (the paper intentionally does not restore variable
         values of a crashed process — the crash may have been an attack)
-        and a freshly built, sealed filter.
+        and a freshly built filter.
         """
         new_filter = filter_spec.build() if filter_spec is not None else None
-        if new_filter is not None:
-            new_filter.seal()
         with self.tracer.span("restart", category="restart", pid=process.pid,
                               process=process.name) as span:
             replacement = self.spawn(

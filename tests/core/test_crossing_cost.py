@@ -5,13 +5,17 @@ host cost per call too.  This test counts the Python frames under the
 ``repro`` package that each outermost ``FreePartGateway.call`` and
 ``NativeGateway.call`` runs, over a fixed small set of Table 6 apps, and
 bounds the mean per call.  It also bounds the frames per offered arrival
-of an open-loop serving run, the crossing as a served request pays it.
+of an open-loop serving run, the crossing as a served request pays it,
+and the records that arrival builds: a dataclass's generated
+``__init__`` runs from ``<string>``, so the frame count misses it, and a
+frozen one sets each field through ``object.__setattr__``.
 The counts repeat exactly for a seed and exclude numpy and scipy, so a
 rise is a real change in how much of the simulator runs per crossing.
 Interpreters that inline comprehensions (3.12 and later) only lower the
 count.
 """
 
+import dataclasses
 import gc
 import os
 import sys
@@ -40,18 +44,22 @@ PACKAGE_DIR = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 SAMPLE_IDS = (1, 4, 8, 12, 20)
 
 #: Mean ``repro`` frames per call, with ~5% headroom over the counts
-#: when the budget was set (95.9 and 25.7; 145.9 and 42.5 before the
-#: per-crossing cuts).
-FREEPART_FRAME_BUDGET = 100
-NATIVE_FRAME_BUDGET = 27
+#: when the budget was set (90.1 and 20.7; 95.9 and 25.7 before the
+#: compiled syscall check and plain per-call records).
+FREEPART_FRAME_BUDGET = 95
+NATIVE_FRAME_BUDGET = 22
 
-#: Mean ``repro`` frames per offered arrival of :func:`frames_per_arrival`
-#: at 4 tenants and 200 arrivals, ~5% over the count when the budget was
-#: set (640.8; 830.8 before the serving cuts).
-SERVING_FRAME_BUDGET = 673
-#: The same bound at hostbench's full ``serve_diurnal`` shape (60 tenants,
-#: 1,000 arrivals: 642.2; 848.5 before the serving cuts), which CI checks.
-DEEP_SERVING_FRAME_BUDGET = 700
+#: Per offered arrival of :func:`arrival_costs` at 4 tenants and 200
+#: arrivals, ~5% over the counts when the budgets were set and never
+#: above the counts before: 562.4 frames (640.8 before), 52.0 records
+#: (54.0) of which 4.0 frozen (42.0).
+SERVING_FRAME_BUDGET = 590
+SERVING_RECORD_BUDGET = 54
+SERVING_FROZEN_RECORD_BUDGET = 4.2
+#: The frame bound at hostbench's full ``serve_diurnal`` shape (60
+#: tenants, 1,000 arrivals: 563.9; 642.2 before), which CI checks with
+#: the two record bounds.
+DEEP_SERVING_FRAME_BUDGET = 592
 
 
 def frames_per_call(technique, gateway_type):
@@ -96,8 +104,22 @@ def test_native_call_frame_budget():
     assert frames_per_call("none", NativeGateway) <= NATIVE_FRAME_BUDGET
 
 
-def frames_per_arrival(tenants, arrivals):
-    """Mean package frames per offered arrival over ``run_open_loop``.
+def _record_class(frame):
+    """The ``repro`` dataclass whose generated ``__init__`` ``frame``
+    runs, or None."""
+    code = frame.f_code
+    if code.co_name != "__init__" or code.co_filename != "<string>":
+        return None
+    cls = type(frame.f_locals[code.co_varnames[0]])
+    if cls.__module__.startswith("repro.") and dataclasses.is_dataclass(cls):
+        return cls
+    return None
+
+
+def arrival_costs(tenants, arrivals):
+    """Per offered arrival over ``run_open_loop``: package frames,
+    ``repro`` records built (generated ``__init__`` frames) and frozen
+    records built.
 
     The server and schedule are hostbench's ``serve_diurnal``: a pool of
     2 with batching, autoscaler and brownout armed, diurnal at 300 rps,
@@ -117,13 +139,19 @@ def frames_per_arrival(tenants, arrivals):
         elastic_config(2, 8), spec=control_slo(CONTROL_BUDGET_NS)
     )
     server.enable_brownout(spec=control_slo(BUDGET_NS))
-    frames = 0
+    frames = records = frozen = 0
 
     def profile_frames(frame, event, arg):
-        nonlocal frames
-        if event == "call" and frame.f_code.co_filename.startswith(
-                PACKAGE_DIR):
+        nonlocal frames, records, frozen
+        if event != "call":
+            return
+        if frame.f_code.co_filename.startswith(PACKAGE_DIR):
             frames += 1
+            return
+        cls = _record_class(frame)
+        if cls is not None:
+            records += 1
+            frozen += cls.__dataclass_params__.frozen
 
     # Garbage an earlier run left (a handle's finalizer is a package
     # frame) must not be collected inside the count.
@@ -135,8 +163,12 @@ def frames_per_arrival(tenants, arrivals):
     finally:
         sys.setprofile(previous)
     assert result.served_ok == result.offered == len(schedule.arrivals)
-    return frames / result.offered
+    offered = result.offered
+    return frames / offered, records / offered, frozen / offered
 
 
 def test_serving_arrival_frame_budget():
-    assert frames_per_arrival(4, 200) <= SERVING_FRAME_BUDGET
+    frames, records, frozen = arrival_costs(4, 200)
+    assert frames <= SERVING_FRAME_BUDGET
+    assert records <= SERVING_RECORD_BUDGET
+    assert frozen <= SERVING_FROZEN_RECORD_BUDGET

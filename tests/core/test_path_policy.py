@@ -33,14 +33,6 @@ class TestPathRestriction:
         built = SyscallFilter(allowed=["read"], allowed_path_prefixes=["/data/"])
         built.check(1, "read")  # fd-based read of an already-open file
 
-    def test_restrict_paths_after_seal_rejected(self):
-        from repro.errors import FilterSealed
-
-        built = SyscallFilter(allowed=["read"])
-        built.seal()
-        with pytest.raises(FilterSealed):
-            built.restrict_paths(["/data/"])
-
     def test_runtime_policy_confines_storing_agent(self):
         """A storing agent restricted to /out cannot overwrite configs."""
         app = make_app(8)

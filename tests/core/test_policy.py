@@ -84,7 +84,6 @@ def test_built_filters_deny_attack_syscalls(plan, categorization):
             plan.partition_for_type(api_type), categorization
         )
         built = spec.build()
-        built.seal()
         built.end_init_phase()
         for group in ATTACK_SYSCALLS.values():
             for name in group:

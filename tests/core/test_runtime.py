@@ -233,7 +233,11 @@ class TestSyscallRestriction:
     def test_agent_filters_sealed(self):
         kernel, gateway = fresh()
         for agent in gateway.agents.values():
-            assert agent.process.filter.sealed
+            # Each agent runs the filter its spec built, not the host's.
+            assert (agent.process.filter.allowed_names
+                    == agent.filter_spec.allowed)
+            host_names = gateway.host.filter.allowed_names
+            assert agent.process.filter.allowed_names < host_names
 
     def test_init_phase_ends_after_first_request(self):
         kernel, gateway = fresh()

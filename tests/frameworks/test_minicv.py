@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from repro.frameworks.base import ExecutionContext, Mat, Model, Tracer
-from repro.frameworks.minicv import OPENCV, sample_image
+from repro.frameworks.minicv import OPENCV, _gaussian_weights, sample_image
 from repro.sim.kernel import SimKernel
 
 
@@ -194,3 +195,41 @@ def test_connected_components_count(ctx):
 def test_uncovered_apis_have_no_examples():
     for name in ("grabCut", "watershed", "inpaint"):
         assert not OPENCV.get(name).spec.has_test_case
+
+
+# The Gaussian family runs scipy's kernel with its weights memoised per
+# sigma; every result must equal ``ndimage.gaussian_filter``'s, byte for
+# byte, on seeded 2-D and 3-D inputs.
+GAUSSIAN_INPUTS = [
+    np.random.default_rng(seed).normal(scale=60.0, size=shape)
+    for seed, shape in ((1, (16, 16)), (2, (9, 13)), (3, (16, 16, 3)))
+]
+
+
+@pytest.mark.parametrize("name", ["GaussianBlur", "bilateralFilter"])
+@pytest.mark.parametrize("sigma", [0, 0.5, 1, 1.5, 2])
+@pytest.mark.parametrize("index", range(len(GAUSSIAN_INPUTS)))
+def test_gaussian_family_equals_scipy(ctx, name, sigma, index):
+    image = GAUSSIAN_INPUTS[index]
+    result = call(ctx, name, Mat(image), sigma=sigma).data
+    expected = ndimage.gaussian_filter(image.astype(np.float64), sigma=sigma)
+    assert (result.dtype, result.shape) == (expected.dtype, expected.shape)
+    assert np.array_equal(result, expected)
+
+
+@pytest.mark.parametrize("index", range(len(GAUSSIAN_INPUTS)))
+def test_undistort_equals_scipy(ctx, index):
+    image = GAUSSIAN_INPUTS[index]
+    gray = image.mean(axis=2) if image.ndim == 3 else image
+    result = call(ctx, "undistort", Mat(image)).data
+    expected = ndimage.gaussian_filter(np.atleast_2d(gray), sigma=0.5)
+    assert (result.dtype, result.shape) == (expected.dtype, expected.shape)
+    assert np.array_equal(result, expected)
+
+
+def test_cached_gaussian_weights_are_read_only():
+    weights = _gaussian_weights(1.5)
+    assert weights is _gaussian_weights(1.5)
+    assert not weights.flags.writeable
+    with pytest.raises(ValueError):
+        weights[0] = 0.0

@@ -113,6 +113,26 @@ def test_series_windows_bucket_by_virtual_time():
     assert snapshot["labels"] == {"tenant": "t0"}
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=10_000),
+                          st.integers(min_value=0, max_value=10 ** 13)),
+                max_size=40))
+def test_series_observe_updates_like_two_sketch_observes(points):
+    """``TimeSeries.observe`` updates its window and overall sketches in
+    place; ``FixedGridSketch.observe`` is the reference."""
+    series = TimeSeries("lat", {}, window_ns=1_000)
+    windows, overall = {}, FixedGridSketch()
+    for t_ns, value in points:
+        series.observe(t_ns, value)
+        windows.setdefault(t_ns // 1_000, FixedGridSketch()).observe(value)
+        overall.observe(value)
+    assert series.overall.snapshot() == overall.snapshot()
+    assert series.windows.keys() == windows.keys()
+    for index, sketch in series.windows.items():
+        assert sketch.snapshot() == windows[index].snapshot()
+        assert sketch.counts == windows[index].counts
+
+
 def test_series_merge_rejects_window_width_mismatch():
     narrow = TimeSeries("lat", {}, window_ns=1_000)
     wide = TimeSeries("lat", {}, window_ns=2_000)

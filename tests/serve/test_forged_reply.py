@@ -1,0 +1,96 @@
+"""A forged reply in a shared agent cannot move an object across tenants.
+
+Tenant B loads a private image and keeps the handle.  Tenant A's
+request then runs a ``GaussianBlur`` whose implementation replies with
+B's ref, as an exploit in the shared processing agent could.  The host
+refuses the reply, so A's request fails and never receives B's object,
+and B's handle stays B's.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core.gateway import ApiCall
+from repro.core.rpc import RemoteHandle
+from repro.frameworks.registry import get_api
+from repro.serve import PREV, PipelineServer
+
+
+@pytest.mark.parametrize("batching", [True, False])
+def test_a_forged_reply_fails_the_request_and_keeps_the_owner(
+        monkeypatch, batching):
+    server = PipelineServer(pool_size=1, batching=batching)
+    fs = server.kernel.fs
+    private = np.random.default_rng(0).normal(size=(16, 16))
+    fs.write_file("/data/b.png", private)
+    fs.write_file("/data/a.png", np.zeros((16, 16)))
+
+    server.submit("tenant-b", [ApiCall("opencv", "imread", ("/data/b.png",))])
+    (loaded,) = server.drain()
+    assert loaded.ok, loaded.error
+    b_handle = loaded.values[-1]
+    assert isinstance(b_handle, RemoteHandle)
+
+    monkeypatch.setattr(
+        get_api("opencv", "GaussianBlur"), "impl",
+        lambda ctx, *args, **kwargs: b_handle.ref,
+    )
+    server.submit("tenant-a", [
+        ApiCall("opencv", "imread", ("/data/a.png",)),
+        ApiCall("opencv", "GaussianBlur", (PREV,)),
+    ])
+    (forged,) = server.drain()
+    assert not forged.ok
+    assert "ForgedReply" in forged.error or "does not own" in forged.error
+    assert forged.values is None
+    monkeypatch.undo()
+
+    # B still owns its object, and A cannot present it.
+    server.submit("tenant-b", [
+        ApiCall("opencv", "imwrite", ("/out/b.png", b_handle)),
+    ])
+    (stored,) = server.drain()
+    assert stored.ok, stored.error
+    assert np.array_equal(np.asarray(fs.read_file("/out/b.png")), private)
+    server.submit("tenant-a", [
+        ApiCall("opencv", "imwrite", ("/out/a.png", b_handle)),
+    ])
+    (stolen,) = server.drain()
+    assert not stolen.ok
+    assert "TenantIsolationError" in stolen.error or "tenant-b" in stolen.error
+    assert not fs.exists("/out/a.png")
+    server.shutdown()
+
+
+@pytest.mark.parametrize("batching", [True, False])
+def test_a_forged_reply_naming_a_co_tenant_object_of_the_same_agent(
+        monkeypatch, batching):
+    """A shared agent's own object passes the reply check, since the
+    agent owns it; minting it for another tenant is refused."""
+    server = PipelineServer(pool_size=1, batching=batching)
+    fs = server.kernel.fs
+    private = np.random.default_rng(1).normal(size=(16, 16))
+    fs.write_file("/data/b.png", private)
+    fs.write_file("/data/a.png", np.zeros((16, 16)))
+    server.submit("tenant-b", [
+        ApiCall("opencv", "imread", ("/data/b.png",)),
+        ApiCall("opencv", "GaussianBlur", (PREV,)),
+    ])
+    (blurred,) = server.drain()
+    assert blurred.ok, blurred.error
+    b_handle = blurred.values[-1]  # lives in the shared processing agent
+
+    monkeypatch.setattr(
+        get_api("opencv", "GaussianBlur"), "impl",
+        lambda ctx, *args, **kwargs: b_handle.ref,
+    )
+    server.submit("tenant-a", [
+        ApiCall("opencv", "imread", ("/data/a.png",)),
+        ApiCall("opencv", "GaussianBlur", (PREV,)),
+    ])
+    (forged,) = server.drain()
+    assert not forged.ok
+    assert "tenant-b" in forged.error
+    monkeypatch.undo()
+    server.registry.check("tenant-b", b_handle.ref)  # still B's
+    server.shutdown()

@@ -20,7 +20,7 @@ def poolset():
 
 def test_pool_spawns_size_agents_per_partition(poolset):
     for pool in poolset.pools.values():
-        assert pool.size == 2
+        assert len(pool.members) == 2
         assert pool.free_count() == 2
 
 
@@ -36,7 +36,7 @@ def test_restore_frees_members(poolset):
     leased = poolset.lease_set("tenant-a")
     poolset.restore_set(leased)
     for pool in poolset.pools.values():
-        assert pool.free_count() == pool.size
+        assert pool.free_count() == len(pool.members)
 
 
 def test_exhausted_pool_raises(poolset):
@@ -57,7 +57,7 @@ def test_failed_lease_set_releases_partial_leases(poolset):
     for other in poolset.pools.values():
         if other is pool:
             continue
-        assert other.free_count() == other.size
+        assert other.free_count() == len(other.members)
 
 
 def test_round_robin_spreads_leases(poolset):
@@ -77,7 +77,7 @@ def test_dead_member_repaired_on_restore(poolset):
     assert member.agent.alive
     assert member.agent.process.generation == old_generation + 1
     assert pool.stats.restarts == 1
-    assert pool.size == 2  # the pool never shrinks
+    assert len(pool.members) == 2  # the pool never shrinks
 
 
 def test_dead_member_repaired_on_lease(poolset):

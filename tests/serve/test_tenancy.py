@@ -63,3 +63,12 @@ def test_refs_of_counts_per_tenant(registry):
     registry.mint("bob", _ref(buffer_id=3))
     assert registry.refs_of("alice") == 2
     assert registry.refs_of("bob") == 1
+
+
+def test_mint_refuses_a_key_another_tenant_holds(registry):
+    ref = registry.mint("alice", _ref())
+    registry.mint("alice", ref)  # the owner may mint its own key again
+    with pytest.raises(TenantIsolationError, match="owned by tenant 'alice'"):
+        registry.mint("mallory", ref)
+    registry.check("alice", ref)  # still alice's
+    assert registry.violations == 1

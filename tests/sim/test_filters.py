@@ -1,8 +1,8 @@
-"""seccomp-like syscall filters: allowlists, sealing, fd checks."""
+"""seccomp-like syscall filters: allowlists, NO_NEW_PRIVS, fd checks."""
 
 import pytest
 
-from repro.errors import FilterSealed, SyscallDenied, UnknownSyscall
+from repro.errors import SyscallDenied, UnknownSyscall
 from repro.sim.filters import FilterSpec, SyscallFilter, permissive_filter
 from repro.sim.syscalls import SYSCALL_TABLE, FD_CHECKED_SYSCALLS, lookup
 
@@ -21,20 +21,25 @@ def test_unlisted_call_denied():
 
 
 def test_unknown_syscall_name_rejected_at_config():
-    f = SyscallFilter()
     with pytest.raises(UnknownSyscall):
-        f.allow("not_a_syscall")
+        SyscallFilter(allowed=["read", "not_a_syscall"])
+    with pytest.raises(UnknownSyscall):
+        SyscallFilter(init_only=["not_a_syscall"])
 
 
-def test_sealing_blocks_loosening():
-    f = SyscallFilter(allowed=["read"])
-    f.seal()
-    with pytest.raises(FilterSealed):
-        f.allow("write")
-    with pytest.raises(FilterSealed):
-        f.allow_during_init("mprotect")
-    with pytest.raises(FilterSealed):
-        f.restrict_fds([1])
+def test_built_filter_has_no_widening_call():
+    """NO_NEW_PRIVS by construction: a built filter's only public
+    mutator is ``end_init_phase``, which tightens it."""
+    f = SyscallFilter(allowed=["read"], init_only=["mprotect"])
+    mutators = {
+        name for name in dir(f)
+        if not name.startswith("_") and callable(getattr(f, name))
+    }
+    assert mutators == {"check", "end_init_phase", "would_allow"}
+    before = f.unchecked_names
+    f.end_init_phase()
+    assert f.unchecked_names < before
+    assert not f.would_allow("mprotect").allowed
 
 
 def test_init_only_allowed_during_init_phase():
@@ -43,14 +48,6 @@ def test_init_only_allowed_during_init_phase():
     f.end_init_phase()
     with pytest.raises(SyscallDenied):
         f.check(1, "mprotect")
-
-
-def test_end_init_phase_permitted_after_sealing():
-    f = SyscallFilter(allowed=["read"], init_only=["connect"])
-    f.seal()
-    f.end_init_phase()  # tightening is always allowed
-    with pytest.raises(SyscallDenied):
-        f.check(1, "connect")
 
 
 def test_fd_restriction_applies_to_device_syscalls():
@@ -99,12 +96,33 @@ def test_filter_spec_builds_equivalent_filter():
     assert built.allowed_names == {"read", "close"}
     assert built.init_only_names == {"mprotect"}
     assert built.allowed_fds == {10}
-    assert not built.sealed
 
 
 def test_filter_spec_build_is_fresh_each_time():
-    spec = FilterSpec(allowed=frozenset({"read"}))
+    spec = FilterSpec(
+        allowed=frozenset({"read"}), init_only=frozenset({"brk"})
+    )
     first = spec.build()
-    first.seal()
+    first.end_init_phase()
     second = spec.build()
-    assert not second.sealed
+    assert second.in_init_phase
+    assert second.would_allow("brk").allowed
+
+
+def test_filters_share_their_name_sets():
+    """No process keeps a private copy of an allowlist: every permissive
+    filter, and every filter built from one spec, holds the same sets."""
+    a, b = permissive_filter(), permissive_filter()
+    assert a.allowed_names is b.allowed_names
+    assert a.unchecked_names is b.unchecked_names is a.allowed_names
+    spec = FilterSpec(
+        allowed=frozenset({"read", "ioctl"}),
+        init_only=frozenset({"mprotect"}),
+        allowed_fds=frozenset({10}),
+    )
+    first, second = spec.build(), spec.build()
+    assert first.unchecked_names is second.unchecked_names
+    assert first.unchecked_names == {"read", "mprotect"}  # ioctl: fd-checked
+    first.end_init_phase()
+    second.end_init_phase()
+    assert first.unchecked_names is second.unchecked_names == {"read"}
