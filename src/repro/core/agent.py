@@ -36,6 +36,8 @@ from repro.core.rpc import (
     RpcRequest,
     RpcResponse,
     SequenceTracker,
+    batch_response,
+    response_nbytes,
 )
 from repro.errors import AgentUnavailable, ProcessCrashed
 from repro.faults.plan import FaultKind
@@ -66,6 +68,23 @@ RESTART_BACKOFF_BASE_NS = 100_000
 RESTART_BACKOFF_CAP_NS = 10_000_000
 
 RefResolver = Callable[[ObjectRef], Any]
+
+
+def _resolve_chain(value: Any, index: int, raw_results: List[Any]) -> Any:
+    """One argument of batch item ``index`` with every BatchChain in it
+    replaced by the raw result of the item it names."""
+    if isinstance(value, BatchChain):
+        at = index - value.offset
+        if at < 0 or at >= len(raw_results):
+            raise ValueError(
+                f"batch item {index} chains to item {at}, which "
+                "has not executed"
+            )
+        return raw_results[at]
+    if isinstance(value, (list, tuple)):
+        resolved = [_resolve_chain(item, index, raw_results) for item in value]
+        return type(value)(resolved) if isinstance(value, tuple) else resolved
+    return value
 
 
 def _fingerprint(value: Any) -> str:
@@ -366,13 +385,14 @@ class AgentProcess:
             # State applied, reply never produced: the retransmitted
             # request re-executes from the checkpoint after restart.
             self._injected_crash(crash_point, request)
+        value = result
         if ldc and isinstance(result, DataObject):
-            ref = self.store.register(
+            value = self.store.register(
                 result, state_label=request.state_label, tag=api.spec.qualname
             )
-            response = RpcResponse(seq=request.seq, value=ref)
-        else:
-            response = RpcResponse(seq=request.seq, value=result)
+        response = RpcResponse(
+            seq=request.seq, value=value, nbytes=response_nbytes(value)
+        )
         self._cache_reply(request.seq, response)
         if crash_point is FaultKind.CRASH_MID_REPLY:
             # Reply produced (and cached) but the process dies before it
@@ -423,31 +443,16 @@ class AgentProcess:
             response, raw = self._execute_raw(api, request, resolve_ref, ldc)
             raw_results.append(raw)
             responses.append(response)
-        return RpcBatchResponse(responses=tuple(responses))
+        return batch_response(responses)
 
     def _resolve_chains(
         self, request: RpcRequest, index: int, raw_results: List[Any]
     ) -> RpcRequest:
-        """Substitute BatchChain placeholders with earlier raw results."""
+        """Substitute BatchChain placeholders with earlier raw results.
 
-        def resolve(value: Any) -> Any:
-            if isinstance(value, BatchChain):
-                at = index - value.offset
-                if at < 0 or at >= len(raw_results):
-                    raise ValueError(
-                        f"batch item {index} chains to item {at}, which "
-                        "has not executed"
-                    )
-                return raw_results[at]
-            if isinstance(value, (list, tuple)):
-                resolved = [resolve(item) for item in value]
-                return (
-                    type(value)(resolved)
-                    if isinstance(value, tuple)
-                    else resolved
-                )
-            return value
-
+        The resolved request runs here and never crosses a channel, so
+        it keeps the wire size of the request as sent.
+        """
         values = request.args
         if request.kwargs:
             values += tuple([value for _, value in request.kwargs])
@@ -459,9 +464,15 @@ class AgentProcess:
         return RpcRequest(
             seq=request.seq,
             api_qualname=request.api_qualname,
-            args=tuple([resolve(v) for v in request.args]),
-            kwargs=tuple([(k, resolve(v)) for k, v in request.kwargs]),
+            args=tuple([
+                _resolve_chain(v, index, raw_results) for v in request.args
+            ]),
+            kwargs=tuple([
+                (k, _resolve_chain(v, index, raw_results))
+                for k, v in request.kwargs
+            ]),
             state_label=request.state_label,
+            nbytes=request.nbytes,
         )
 
     def _materialize(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import StaleObjectRef
 from repro.sim.memory import payload_nbytes
@@ -88,47 +88,30 @@ class RemoteHandle:
 
 @dataclass
 class RpcRequest:
-    """One API-execution request (Fig. 10's ``request()``)."""
+    """One API-execution request (Fig. 10's ``request()``).
+
+    ``nbytes`` is its wire size, :func:`request_nbytes` of its
+    arguments, computed once by whoever builds the request: a request
+    never changes once built, and the retransmit and reply-cache paths
+    re-frame the same object.
+    """
 
     seq: int
     api_qualname: str
     args: Tuple[Any, ...]
     kwargs: Tuple[Tuple[str, Any], ...]
     state_label: str
-
-    @property
-    def nbytes(self) -> int:
-        cached = getattr(self, "_nbytes", None)
-        if cached is not None:
-            return cached
-        total = REQUEST_HEADER_BYTES  # seq + ids + state
-        for value in self.args:
-            total += payload_nbytes(value)
-        for _, value in self.kwargs:
-            total += payload_nbytes(value)
-        # A request is never changed once built, so the size never
-        # changes: cache it for the retransmit/reply-cache paths that
-        # re-frame the same object.
-        self._nbytes = total
-        return total
+    nbytes: int
 
 
 @dataclass
 class RpcResponse:
-    """The result (or error) of one request (``agent_ret()``)."""
+    """The result of one request (``agent_ret()``), with its wire size
+    (:func:`response_nbytes` of the value)."""
 
     seq: int
-    value: Any = None
-    error: Optional[str] = None
-
-    @property
-    def nbytes(self) -> int:
-        cached = getattr(self, "_nbytes", None)
-        if cached is not None:
-            return cached
-        total = RESPONSE_HEADER_BYTES + payload_nbytes(self.value)
-        self._nbytes = total
-        return total
+    value: Any
+    nbytes: int
 
 
 #: Wire size of the batch envelope (count + flags + checksum).
@@ -136,9 +119,9 @@ BATCH_HEADER_BYTES = 32
 #: Per-item framing inside a batch (offset + length of each part).
 #: Legacy per-message-envelope framing; kept for the savings arithmetic.
 BATCH_ITEM_FRAME_BYTES = 16
-#: Header bytes every RpcRequest carries (see RpcRequest.nbytes).
+#: Header bytes every RpcRequest carries (see request_nbytes).
 REQUEST_HEADER_BYTES = 96
-#: Header bytes every RpcResponse carries (see RpcResponse.nbytes).
+#: Header bytes every RpcResponse carries (see response_nbytes).
 RESPONSE_HEADER_BYTES = 64
 #: Fused framing: one offset-table entry per item (u32 offset + u32 len).
 BATCH_OFFSET_ENTRY_BYTES = 8
@@ -163,6 +146,32 @@ class BatchChain:
     nbytes: int = 16
 
 
+#: Argument types whose wire size is a constant (``nbytes``): a
+#: reference or a chain placeholder carries no payload to walk.
+_FIXED_SIZE = (ObjectRef, BatchChain)
+
+
+def request_nbytes(
+    args: Tuple[Any, ...], kwargs: Tuple[Tuple[str, Any], ...]
+) -> int:
+    """Wire size of a request: its header plus each argument's size."""
+    total = REQUEST_HEADER_BYTES
+    values = args + tuple([value for _, value in kwargs]) if kwargs else args
+    for value in values:
+        total += (
+            value.nbytes if type(value) in _FIXED_SIZE
+            else payload_nbytes(value)
+        )
+    return total
+
+
+def response_nbytes(value: Any) -> int:
+    """Wire size of a response carrying ``value``."""
+    return RESPONSE_HEADER_BYTES + (
+        REF_WIRE_BYTES if type(value) is ObjectRef else payload_nbytes(value)
+    )
+
+
 @dataclass
 class RpcBatchRequest:
     """Several adjacent same-agent requests framed as ONE IPC message.
@@ -176,75 +185,63 @@ class RpcBatchRequest:
     Payload bytes are unchanged, so byte accounting stays honest while
     both the *message count* (fixed per-message latency) and the per-item
     envelope overhead collapse.
+
+    Build one with :func:`batch_request`, which sizes it: ``nbytes`` is
+    the fused wire size, and ``fused_savings`` the bytes saved against
+    per-message-envelope framing (a 16-byte item frame plus the full
+    96-byte header per item).
     """
 
     requests: Tuple[RpcRequest, ...]
+    nbytes: int
+    fused_savings: int
 
     def __len__(self) -> int:
         return len(self.requests)
 
-    @property
-    def nbytes(self) -> int:
-        cached = getattr(self, "_nbytes", None)
-        if cached is not None:
-            return cached
-        total = BATCH_HEADER_BYTES
-        for request in self.requests:
-            total += (
-                BATCH_OFFSET_ENTRY_BYTES
-                + FUSED_ITEM_HEADER_BYTES
-                + (request.nbytes - REQUEST_HEADER_BYTES)
-            )
-        self._nbytes = total
-        return total
-
-    @property
-    def fused_savings(self) -> int:
-        """Bytes saved vs the per-message-envelope framing of this batch
-        (16-byte item frame + full 96-byte header per item)."""
-        per_item = (
-            BATCH_ITEM_FRAME_BYTES
-            + REQUEST_HEADER_BYTES
-            - BATCH_OFFSET_ENTRY_BYTES
-            - FUSED_ITEM_HEADER_BYTES
-        )
-        return per_item * len(self.requests)
-
 
 @dataclass
 class RpcBatchResponse:
-    """The per-item results of a batch, framed as ONE IPC message."""
+    """The per-item results of a batch, framed as ONE IPC message (built
+    and sized by :func:`batch_response`)."""
 
     responses: Tuple[RpcResponse, ...]
+    nbytes: int
+    fused_savings: int
 
     def __len__(self) -> int:
         return len(self.responses)
 
-    @property
-    def nbytes(self) -> int:
-        cached = getattr(self, "_nbytes", None)
-        if cached is not None:
-            return cached
-        total = BATCH_HEADER_BYTES
-        for response in self.responses:
-            total += (
-                BATCH_OFFSET_ENTRY_BYTES
-                + FUSED_ITEM_HEADER_BYTES
-                + (response.nbytes - RESPONSE_HEADER_BYTES)
-            )
-        self._nbytes = total
-        return total
 
-    @property
-    def fused_savings(self) -> int:
-        """Bytes saved vs per-message-envelope framing of the responses."""
-        per_item = (
-            BATCH_ITEM_FRAME_BYTES
-            + RESPONSE_HEADER_BYTES
-            - BATCH_OFFSET_ENTRY_BYTES
-            - FUSED_ITEM_HEADER_BYTES
-        )
-        return per_item * len(self.responses)
+#: What an item costs in a fused batch besides its payload: one
+#: offset-table entry and the reduced item header.
+_FUSED_ITEM_BYTES = BATCH_OFFSET_ENTRY_BYTES + FUSED_ITEM_HEADER_BYTES
+
+
+def batch_request(requests: Sequence[RpcRequest]) -> RpcBatchRequest:
+    """Frame ``requests`` as one fused batch message."""
+    nbytes = BATCH_HEADER_BYTES
+    for request in requests:
+        nbytes += _FUSED_ITEM_BYTES + request.nbytes - REQUEST_HEADER_BYTES
+    return RpcBatchRequest(
+        requests=tuple(requests), nbytes=nbytes,
+        fused_savings=len(requests) * (
+            BATCH_ITEM_FRAME_BYTES + REQUEST_HEADER_BYTES - _FUSED_ITEM_BYTES
+        ),
+    )
+
+
+def batch_response(responses: Sequence[RpcResponse]) -> RpcBatchResponse:
+    """Frame ``responses`` as one fused batch message."""
+    nbytes = BATCH_HEADER_BYTES
+    for response in responses:
+        nbytes += _FUSED_ITEM_BYTES + response.nbytes - RESPONSE_HEADER_BYTES
+    return RpcBatchResponse(
+        responses=tuple(responses), nbytes=nbytes,
+        fused_savings=len(responses) * (
+            BATCH_ITEM_FRAME_BYTES + RESPONSE_HEADER_BYTES - _FUSED_ITEM_BYTES
+        ),
+    )
 
 
 class SequenceTracker:

@@ -14,8 +14,11 @@ path.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Any, Dict, List, NoReturn, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, List, NoReturn, Optional, Sequence, Tuple,
+)
 
 from repro.core.agent import AgentProcess
 from repro.core.apitypes import APIType, api_type_of_state
@@ -28,7 +31,13 @@ from repro.core.partitioner import (
     sub_partition_plan,
 )
 from repro.core.policy import filter_spec_for_partition
-from repro.core.rpc import ObjectRef, ObjectStore, RemoteHandle, RpcRequest
+from repro.core.rpc import (
+    ObjectRef,
+    ObjectStore,
+    RemoteHandle,
+    RpcRequest,
+    request_nbytes,
+)
 from repro.core.statemachine import TemporalStateMachine
 from repro.errors import (
     AgentUnavailable,
@@ -192,6 +201,22 @@ def build_filter_specs(
     }
 
 
+_PROCESS_OF = operator.attrgetter("process")
+
+
+def _roster(
+    host: SimProcess, agents: Dict[int, AgentProcess]
+) -> Callable[[], List[SimProcess]]:
+    """The state machine's process roster: the host, then each agent's
+    live process (a restart replaces it).
+
+    It closes over the host and the agent map, not the gateway, so the
+    gateway and its machine form no reference cycle and are freed as
+    soon as the last reference goes, without the cycle collector.
+    """
+    return lambda: [host, *map(_PROCESS_OF, agents.values())]
+
+
 def build_agents(
     kernel: SimKernel,
     plan: PartitionPlan,
@@ -272,7 +297,7 @@ class FreePartGateway(ApiGateway):
             else agents
         )
         self.machine = TemporalStateMachine(
-            processes=self._all_processes,
+            processes=_roster(host, self.agents),
             enforce=config.enforce_permissions,
             annotated_tags=[a.tag for a in config.annotations],
             tracer=kernel.tracer,
@@ -281,9 +306,6 @@ class FreePartGateway(ApiGateway):
     # ------------------------------------------------------------------
     # Process roster
     # ------------------------------------------------------------------
-
-    def _all_processes(self) -> List[SimProcess]:
-        return [self.host] + [agent.process for agent in self.agents.values()]
 
     @property
     def process_count(self) -> int:
@@ -323,7 +345,7 @@ class FreePartGateway(ApiGateway):
         dispatch, cached or not, so temporal freezing (and the
         frozen-write SIGSEGV it arms) can never be bypassed by a hit.
         """
-        epoch = self.machine.transition_count()
+        epoch = len(self.machine.transitions)
         if epoch != self._dispatch_epoch:
             if self._dispatch_cache:
                 self._dispatch_cache.clear()
@@ -380,7 +402,7 @@ class FreePartGateway(ApiGateway):
     def _ensure_agent(self, partition) -> AgentProcess:
         """The partition's agent, restarted first if it crashed."""
         agent = self.agents[partition.index]
-        if not agent.process.alive:
+        if agent.process.state is not ProcessState.RUNNING:
             if not self.config.restart_agents:
                 raise AgentUnavailable(
                     f"agent {partition.label!r} crashed and restart is disabled"
@@ -452,11 +474,12 @@ class FreePartGateway(ApiGateway):
     # Hardened request/response exchange
     # ------------------------------------------------------------------
 
-    def _send_with_backoff(
-        self, channel, sender_pid: int, kind: str, payload: Any,
-        framed: bool = False,
+    def _resend_with_backoff(
+        self, exc: ChannelFull, channel, sender_pid: int, kind: str,
+        payload: Any, framed: bool,
     ):
-        """Send, retrying transient fullness with exponential backoff.
+        """Retry a send that found ``channel`` full, backing off
+        exponentially.
 
         Permanent :class:`ChannelFull` (a message bigger than the ring
         buffer itself) propagates immediately — no amount of waiting can
@@ -464,22 +487,29 @@ class FreePartGateway(ApiGateway):
         SEND_BACKOFF_RETRIES times; the final error propagates.
         """
         backoff_ns = SEND_BACKOFF_BASE_NS
-        attempt = 0
-        while True:
-            try:
-                return channel.send(sender_pid, kind, payload, framed=framed)
-            except ChannelFull as exc:
-                if exc.permanent or attempt >= SEND_BACKOFF_RETRIES:
-                    raise
+        try:
+            for attempt in range(1, SEND_BACKOFF_RETRIES + 1):
+                if exc.permanent:
+                    raise exc
                 with self.kernel.tracer.span(
                     "send_backoff", category="ipc", pid=sender_pid,
-                    channel=channel.name, attempt=attempt + 1,
+                    channel=channel.name, attempt=attempt,
                     backoff_ns=backoff_ns,
                 ):
                     self.kernel.clock.advance(backoff_ns)
                 self.send_backoff_retries += 1
                 backoff_ns = min(backoff_ns * 2, SEND_BACKOFF_CAP_NS)
-                attempt += 1
+                try:
+                    return channel.send(
+                        sender_pid, kind, payload, framed=framed
+                    )
+                except ChannelFull as retry_exc:
+                    exc = retry_exc
+            raise exc
+        finally:
+            # A caught failure's traceback holds this frame, so holding
+            # the failure here past the return would make a cycle.
+            exc = None
 
     def _rpc_roundtrip(
         self,
@@ -500,18 +530,27 @@ class FreePartGateway(ApiGateway):
         delivery is executed, duplicates included, exercising the dedup
         path; the last reply drained wins.  Gives up with
         :class:`RpcError` after MAX_RPC_RETRANSMITS retransmissions.
+        A send that finds the channel full backs off and retries
+        (:meth:`_resend_with_backoff`).
         """
         requests, replies = agent.channel.request, agent.channel.response
+        host_pid = self.host.pid
         attempts = 0
         while True:
-            # Discard in-flight leftovers from an aborted earlier attempt
-            # (a restarted agent's ring buffers start empty).  No-op on
-            # the fault-free path.
-            requests.drain()
-            replies.drain()
-            self._send_with_backoff(
-                requests, self.host.pid, request_kind, payload, framed=framed,
-            )
+            if attempts:
+                # A retransmission discards whatever the lost attempt
+                # left queued.  A first attempt needs no drain: every
+                # exchange empties both queues before it returns or
+                # raises, and a restarted agent's ring buffers start
+                # empty.
+                requests.drain()
+                replies.drain()
+            try:
+                requests.send(host_pid, request_kind, payload, framed=framed)
+            except ChannelFull as exc:
+                self._resend_with_backoff(
+                    exc, requests, host_pid, request_kind, payload, framed,
+                )
             deliveries = requests.drain()
             if not deliveries:
                 # Request lost in flight: retransmit.
@@ -527,10 +566,13 @@ class FreePartGateway(ApiGateway):
                 # Each delivery (duplicates included) reaches the agent;
                 # the reply cache makes re-execution a cache hit.
                 response = execute()
-            self._send_with_backoff(
-                replies, agent.process.pid, response_kind, response,
-                framed=framed,
-            )
+            agent_pid = agent.process.pid
+            try:
+                replies.send(agent_pid, response_kind, response, framed=framed)
+            except ChannelFull as exc:
+                self._resend_with_backoff(
+                    exc, replies, agent_pid, response_kind, response, framed,
+                )
             delivered = replies.drain()
             if not delivered:
                 # Reply lost in flight: retransmit the request; the
@@ -582,7 +624,9 @@ class FreePartGateway(ApiGateway):
             process = agent.process
             if (value.owner_pid != process.pid
                     or value.owner_generation != process.generation):
-                self._reject_forged_reply(agent, spec.qualname, value)
+                self._reject_forged_reply(
+                    agent, spec.qualname, value, "it does not own"
+                )
             return RemoteHandle(value, self._released)
         if not self.config.ldc and isinstance(value, DataObject):
             # Eager mode: the result is copied back into the host program.
@@ -595,14 +639,15 @@ class FreePartGateway(ApiGateway):
         return value
 
     def _reject_forged_reply(
-        self, agent: AgentProcess, qualname: str, ref: ObjectRef
+        self, agent: AgentProcess, qualname: str, ref: ObjectRef, why: str
     ) -> NoReturn:
-        """Handle a reply naming an object its agent does not own as a
-        seccomp kill is handled: record the security event, crash the
-        agent (restarting it per config) and fail the call."""
+        """Handle a reply naming an object its agent may not hand over
+        (``why`` says which) as a seccomp kill is handled: record the
+        security event, crash the agent (restarting it per config) and
+        fail the call."""
         exc = ForgedReply(
             f"agent {agent.partition.label!r} (pid {agent.process.pid}) "
-            f"replied with a ref it does not own (pid={ref.owner_pid}, "
+            f"replied with a ref {why} (pid={ref.owner_pid}, "
             f"gen={ref.owner_generation}, buf={ref.buffer_id})"
         )
         self._handle_agent_crash(agent, qualname, exc)
@@ -636,6 +681,7 @@ class FreePartGateway(ApiGateway):
             args=args,
             kwargs=pairs,
             state_label=state_label,
+            nbytes=request_nbytes(args, pairs),
         )
 
     def _wrap_outbound(self, value: Any) -> Any:
@@ -646,15 +692,20 @@ class FreePartGateway(ApiGateway):
         if isinstance(value, RemoteHandle):
             return value.ref
         if isinstance(value, DataObject):
-            key = id(value)
-            ref = self._host_refs.get(key)
-            if ref is None:
-                ref = self.host_store.register(
-                    value, state_label=self.machine.state_label, tag="host-object"
-                )
-                self._host_refs[key] = ref
-            return ref
+            return self._host_ref(value)
         return value
+
+    def _host_ref(self, value: DataObject) -> ObjectRef:
+        """The ref a host data object crosses as, registered in the host
+        store on its first crossing."""
+        key = id(value)
+        ref = self._host_refs.get(key)
+        if ref is None:
+            ref = self.host_store.register(
+                value, state_label=self.machine.state_label, tag="host-object"
+            )
+            self._host_refs[key] = ref
+        return ref
 
     def _eager_copy_args(
         self, agent: AgentProcess, request: RpcRequest

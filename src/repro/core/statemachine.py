@@ -148,7 +148,11 @@ class TemporalStateMachine:
             tags = self.annotated_tags if process.role == "host" else None
             for buffer in memory.take_unfrozen(label, tags):
                 if self.enforce and memory.is_writable(buffer.buffer_id):
-                    memory.protect_buffer(buffer.buffer_id, Permission.READ)
+                    # Out of the index already: protecting the range is
+                    # all ``protect_buffer`` would do.
+                    memory.mprotect(
+                        buffer.address, buffer.nbytes, Permission.READ
+                    )
                     protected += 1
                 if buffer.released:
                     memory.free(buffer.buffer_id)

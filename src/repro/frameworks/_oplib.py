@@ -212,8 +212,20 @@ def _cross_entropy(logits: np.ndarray, target: Optional[np.ndarray] = None) -> f
     return float(-np.mean(np.log(np.clip(picked, 1e-12, None))))
 
 
-#: ``math.erf`` as an object ufunc: one C call per element, no Python frame.
-_erf_ufunc = np.frompyfunc(math.erf, 1, 1)
+def _erf(x: Any) -> np.ndarray:
+    """``math.erf`` per element, as float64 in the input's layout.
+
+    One pass of C calls over the values as Python floats: the same
+    bytes as an object ufunc over ``math.erf``, without building the
+    object array.
+    """
+    a = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(a)
+    out[...] = np.fromiter(
+        map(math.erf, a.ravel().tolist()), dtype=np.float64, count=a.size
+    ).reshape(a.shape)
+    return out
+
 
 #: name → (callable over arrays, arity) for elementwise/unary operators.
 UNARY_OPS: Dict[str, ArrayFn] = {
@@ -235,9 +247,7 @@ UNARY_OPS: Dict[str, ArrayFn] = {
     "softplus": lambda x: np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0),
     "reciprocal": lambda x: 1.0 / (np.asarray(x, dtype=np.float64) + 1e-9),
     "clamp": lambda x: np.clip(x, 0.0, 1.0),
-    "erf": lambda x: np.asarray(
-        _erf_ufunc(np.asarray(x, dtype=np.float64)), dtype=np.float64
-    ),
+    "erf": _erf,
 }
 
 

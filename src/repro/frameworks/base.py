@@ -262,6 +262,10 @@ class ExecutionContext:
         self.kernel = kernel
         self.process = process
         self.tracer = tracer
+        if tracer is None:
+            # With no tracer to record to, :meth:`syscall` would only
+            # forward: enter the process's syscall in one frame.
+            self.syscall = process.syscall
         self.state_label = state_label
         self.charge_costs = charge_costs
         self.current_spec: Optional[APISpec] = None
@@ -383,11 +387,11 @@ class ExecutionContext:
         """Load a file: W(MEM, R(FILE))."""
         self.syscall("openat", path=path)
         self.syscall("fstat", path=path)
-        entry = self.kernel.fs.stat(path)
+        entry = self.kernel.fs.stat(path)  # a missing file raises here
         self.syscall("lseek", path=path)
         self.syscall("read", path=path)
         self.syscall("brk")  # allocate the decoded buffer
-        payload = self.kernel.fs.read_file(path)
+        payload = entry.payload
         self.syscall("close", path=path)
         if self.tracer is not None:
             self.tracer.record_flow(

@@ -211,9 +211,21 @@ _simple_processing("convert_to_tensor",
 _simple_processing("constant", lambda x=0.0: np.atleast_1d(as_array(x)).astype(np.float64))
 _simple_processing("Variable", lambda x: as_array(x).astype(np.float64).copy(),
                    stateful=StatefulKind.DATA_STATE)
-_simple_processing("one_hot", lambda x, depth=4: np.eye(int(depth))[
-    np.clip(np.atleast_1d(as_array(x)).astype(np.int64), 0, int(depth) - 1) % int(depth)
-])
+
+
+def _one_hot(x: Any, depth: Any = 4) -> np.ndarray:
+    """Rows of the ``depth`` identity at the clipped indices, written as
+    one scatter of ones into zeros instead of indexing ``np.eye``."""
+    depth = int(depth)
+    indices = np.clip(
+        np.atleast_1d(as_array(x)).astype(np.int64), 0, depth - 1
+    ) % depth
+    out = np.zeros(indices.size * depth)
+    out[np.arange(indices.size) * depth + indices.ravel()] = 1.0
+    return out.reshape(indices.shape + (depth,))
+
+
+_simple_processing("one_hot", _one_hot)
 _simple_processing("cast", lambda x: as_array(x).astype(np.float32))
 _simple_processing("expand_dims_batch", lambda x: np.expand_dims(as_array(x), 0),
                    qualname="tf.expand_dims")

@@ -30,9 +30,8 @@ from repro.core.partitioner import PartitionPlan
 from repro.core.rpc import (
     BatchChain,
     ObjectRef,
-    RemoteHandle,
-    RpcBatchRequest,
     RpcRequest,
+    batch_request,
 )
 from repro.core.runtime import FreePartConfig, FreePartGateway
 from repro.errors import (
@@ -40,6 +39,7 @@ from repro.errors import (
     ProcessCrashed,
     SegmentationFault,
     SyscallDenied,
+    TenantIsolationError,
 )
 from repro.frameworks.base import DataObject
 from repro.serve.batching import PREV, BatchingStats, plan_batches
@@ -79,18 +79,35 @@ class ServeGateway(FreePartGateway):
     # Tenant namespacing
     # ------------------------------------------------------------------
 
-    def _mint(self, value: Any) -> Any:
-        if isinstance(value, RemoteHandle):
-            self.registry.mint(self.tenant.tenant_id, value.ref)
-        return value
+    def _finish_value(self, agent: AgentProcess, spec, value: Any) -> Any:
+        """Mint a reply's ref under this request's tenant before any
+        handle to it exists.
 
-    def _wrap_outbound(self, value: Any) -> Any:
-        wrapped = super()._wrap_outbound(value)
-        if isinstance(wrapped, ObjectRef) and isinstance(value, DataObject):
-            # A host-minted ref (raw payload passed by the tenant's own
-            # program) belongs to that tenant's namespace too.
-            self.registry.mint(self.tenant.tenant_id, wrapped)
-        return wrapped
+        A shared agent's reply passes the reply check when it names the
+        agent's own live object, even one minted for another tenant.
+        Minting refuses that ref, and the reply is then forged like any
+        other: the agent crashes and restarts, which evicts the dead
+        generation's refs for every tenant, and the call fails.
+        """
+        process = agent.process
+        if (isinstance(value, ObjectRef)
+                and value.owner_pid == process.pid
+                and value.owner_generation == process.generation):
+            # Any other ref fails the reply check itself, unminted.
+            try:
+                self.registry.mint(self.tenant.tenant_id, value)
+            except TenantIsolationError:
+                self._reject_forged_reply(
+                    agent, spec.qualname, value, "another tenant holds"
+                )
+        return super()._finish_value(agent, spec, value)
+
+    def _host_ref(self, value: DataObject) -> ObjectRef:
+        # A host-minted ref (raw payload passed by the tenant's own
+        # program) belongs to that tenant's namespace too.
+        ref = super()._host_ref(value)
+        self.registry.mint(self.tenant.tenant_id, ref)
+        return ref
 
     def _check_args(self, args: tuple, kwargs: dict) -> None:
         tenant_id = self.tenant.tenant_id
@@ -101,7 +118,7 @@ class ServeGateway(FreePartGateway):
 
     def call(self, framework: str, name: str, *args: Any, **kwargs: Any) -> Any:
         self._check_args(args, kwargs)
-        return self._mint(super().call(framework, name, *args, **kwargs))
+        return super().call(framework, name, *args, **kwargs)
 
     def _resolve_ref(self, ref: ObjectRef) -> Any:
         # A handle an earlier response returned may live in a pool
@@ -163,23 +180,28 @@ class ServeGateway(FreePartGateway):
         requests: List[RpcRequest] = []
         group_apis = []
         chains = 0
+        tenant_id = self.tenant.tenant_id
+        check_value = self.registry.check_value
         for offset, call in enumerate(group.calls):
             index = group.start + offset
             chained_args: List[Any] = []
             for value in call.args:
-                if value is PREV and offset > 0:
-                    # Same batch: resolve inside the agent, zero IPC.
-                    chained_args.append(BatchChain(1))
-                    chains += 1
-                    continue
-                chained_args.append(self._resolve_prev(value, index, results))
-            kwargs = {
-                key: self._resolve_prev(value, index, results)
-                for key, value in call.kwargs
-            }
-            self._check_args(tuple([
-                v for v in chained_args if not isinstance(v, BatchChain)
-            ]), kwargs)
+                if value is PREV:
+                    if offset > 0:
+                        # Same batch: resolve inside the agent, zero IPC.
+                        chained_args.append(BatchChain(1))
+                        chains += 1
+                        continue
+                    value = self._resolve_prev(value, index, results)
+                chained_args.append(value)
+            kwargs = {}
+            for key, value in call.kwargs:
+                kwargs[key] = self._resolve_prev(value, index, results)
+            for value in chained_args:
+                if type(value) is not BatchChain:
+                    check_value(tenant_id, value)
+            for value in kwargs.values():
+                check_value(tenant_id, value)
             # A BatchChain placeholder is neither data nor a handle, so
             # the builder passes it through untouched.
             requests.append(self._build_request(
@@ -188,7 +210,7 @@ class ServeGateway(FreePartGateway):
             ))
             group_apis.append(apis[index])
 
-        batch = RpcBatchRequest(requests=tuple(requests))
+        batch = batch_request(requests)
 
         def execute():
             if not self.config.ldc:
@@ -220,5 +242,6 @@ class ServeGateway(FreePartGateway):
 
         for offset, item in enumerate(response.responses):
             index = group.start + offset
-            value = self._finish_value(agent, group_apis[offset].spec, item.value)
-            results[index] = self._mint(value)
+            results[index] = self._finish_value(
+                agent, group_apis[offset].spec, item.value
+            )

@@ -63,12 +63,10 @@ class AgentPool:
         if not members:
             raise ValueError("an agent pool needs at least one member")
         self.members = members
+        #: Every member serves this partition (a restart keeps it).
+        self.partition = members[0].agent.partition
         self.stats = PoolStats()
         self._next = 0  # round-robin cursor over free members
-
-    @property
-    def partition(self):
-        return self.members[0].agent.partition
 
     def lease(self, tenant_id: str) -> PoolMember:
         """Lease a free member (round-robin), repairing dead ones.
@@ -84,7 +82,7 @@ class AgentPool:
         for _ in range(count):
             member = members[self._next % count]
             self._next += 1
-            if member.leased:
+            if member.leased_to is not None:
                 leased += 1
                 continue
             repaired = False
@@ -123,7 +121,7 @@ class AgentPool:
         crashed it.  The pool never shrinks: a crash costs one restart,
         not a pool slot."""
         repaired = False
-        if not member.agent.alive:
+        if member.agent.process.state is not ProcessState.RUNNING:
             try:
                 member.agent.restart()
             except AgentUnavailable:

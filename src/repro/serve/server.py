@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.gateway import ApiCall
-from repro.core.runtime import FreePart, FreePartConfig
+from repro.core.runtime import FreePart, FreePartConfig, SecurityEvent
 from repro.errors import (
     AgentUnavailable,
     BrownoutShed,
@@ -153,6 +153,10 @@ class PipelineServer:
         #: Transient-ChannelFull send retries absorbed across every
         #: request's gateway (overload made visible, not silent).
         self.send_backoff_retries = 0
+        #: The security events every request's gateway recorded (agent
+        #: crashes, forged replies), in order; each gateway is dropped
+        #: with its request.
+        self.security_events: List[SecurityEvent] = []
 
     # ------------------------------------------------------------------
     # Tenants
@@ -402,6 +406,7 @@ class PipelineServer:
                 failure = exc
             crashed = isinstance(failure, FrameworkCrash)
             self.send_backoff_retries += gateway.send_backoff_retries
+            self.security_events.extend(gateway.events)
             self.pools.restore_set(leased)
             self._settle_breakers(
                 breaker_labels,
@@ -415,9 +420,16 @@ class PipelineServer:
                 continue
             if isinstance(failure, TenantIsolationError):
                 tenant.isolation_violations += 1
-            return self._finish(
-                request, started_ns, retries, values=values, failure=failure
-            )
+            try:
+                return self._finish(
+                    request, started_ns, retries, values=values,
+                    failure=failure,
+                )
+            finally:
+                # The failure's traceback reaches this frame: holding it
+                # here would keep both, and the request's gateway, for
+                # the cycle collector.
+                failure = None
 
     # ------------------------------------------------------------------
     # Circuit breaking

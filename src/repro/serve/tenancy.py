@@ -24,13 +24,9 @@ from repro.core.rpc import ObjectRef, RemoteHandle
 from repro.errors import TenantIsolationError
 from repro.sim.process import SimProcess
 
-#: The namespace key of a reference: which process+generation+buffer.
+#: The namespace key under which a ref is owned and checked: its
+#: ``(owner_pid, owner_generation, buffer_id)``.
 RefKey = Tuple[int, int, int]
-
-
-def ref_key(ref: ObjectRef) -> RefKey:
-    """The namespace key under which a ref is owned and checked."""
-    return (ref.owner_pid, ref.owner_generation, ref.buffer_id)
 
 
 @dataclass
@@ -63,7 +59,7 @@ class TenantRegistry:
         A key another tenant holds is never handed over: minting it
         raises :class:`TenantIsolationError`.
         """
-        key = ref_key(ref)
+        key = (ref.owner_pid, ref.owner_generation, ref.buffer_id)
         owner = self._owners.setdefault(key, tenant_id)
         if owner != tenant_id:
             self.violations += 1
@@ -83,7 +79,9 @@ class TenantRegistry:
         leak whether the buffer id was ever live.
         """
         self.checks += 1
-        owner = self._owners.get(ref_key(ref))
+        owner = self._owners.get(
+            (ref.owner_pid, ref.owner_generation, ref.buffer_id)
+        )
         if owner != tenant_id:
             self.violations += 1
             if owner is None:

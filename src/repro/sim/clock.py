@@ -7,9 +7,10 @@ cost in virtual nanoseconds, making the benchmark results exactly
 reproducible across machines.
 
 The constants in :class:`CostModel` are calibrated so that the *relative*
-quantities the paper reports emerge from the simulation: ~3.7% average
-overhead with lazy data copy, ~10% without, and the 1.4x jump in Fig. 4
-when the two hot-loop APIs are split into different partitions.
+quantities the paper reports emerge from the simulation: the average
+overhead with lazy data copy, and the 1.4x jump in Fig. 4 when the two
+hot-loop APIs are split into different partitions.  DESIGN §6 says where
+each lands today, and the overhead without lazy data copy with it.
 """
 
 from __future__ import annotations
@@ -55,10 +56,6 @@ class CostModel:
     def serialize_cost(self, nbytes: int) -> int:
         """Cost of serializing ``nbytes`` into an IPC message."""
         return int(self.serialize_ns_per_byte * nbytes)
-
-    def message_cost(self, framed: bool) -> int:
-        """Fixed per-message cost, discounted for template-framed sends."""
-        return self.ipc_framed_message_ns if framed else self.ipc_message_ns
 
     def remap_cost(self, npages: int) -> int:
         """Cost of remapping ``npages`` shared pages (zero-copy transfer)."""

@@ -266,7 +266,9 @@ class Channel:
         """
         if self._closed:
             raise ChannelClosed(f"channel {self.name!r} is closed")
-        nbytes = payload_nbytes(payload)
+        # RPC records carry their wire size, computed once when built.
+        nbytes = getattr(payload, "nbytes", None)
+        nbytes = payload_nbytes(payload) if nbytes is None else int(nbytes)
         if nbytes > self.capacity_bytes:
             raise ChannelFull(
                 f"message of {nbytes} bytes exceeds channel {self.name!r} "
@@ -322,8 +324,14 @@ class Channel:
                 self._queue.append(previous)
         self.sent_messages += 1
         self.sent_bytes += nbytes
+        # The per-message cost (discounted for a template-framed send),
+        # CostModel.serialize_cost and IpcAccounting.record_message,
+        # inline: this runs on every send.
         cost = self._clock.cost_model
-        message_ns = cost.message_cost(framed)
+        message_ns = (
+            cost.ipc_framed_message_ns if framed else cost.ipc_message_ns
+        )
+        serialize_ns = int(cost.serialize_ns_per_byte * nbytes)
         tracer = self.tracer
         # Hot (~35k calls/suite pass): a guard costs less than a no-op span.
         if tracer.enabled:
@@ -337,12 +345,14 @@ class Channel:
             with tracer.span("serialize", category="serialize",
                              pid=sender_pid, channel=self.name, kind=kind,
                              bytes=nbytes):
-                self._clock.advance(cost.serialize_cost(nbytes))
+                self._clock.advance(serialize_ns)
         else:
-            self._clock.advance(
-                message_ns + cost.serialize_cost(nbytes)
-            )
-        self._accounting.record_message(nbytes, framed=framed)
+            self._clock.advance(message_ns + serialize_ns)
+        accounting = self._accounting
+        accounting.messages += 1
+        accounting.message_bytes += nbytes
+        if framed:
+            accounting.framed_messages += 1
         return message
 
     def receive(self) -> Message:

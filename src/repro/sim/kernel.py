@@ -36,7 +36,7 @@ from repro.sim.memory import (
     SharedSegment,
     payload_nbytes,
 )
-from repro.sim.process import SimProcess
+from repro.sim.process import ProcessState, SimProcess
 
 #: Smallest payload worth remapping instead of copying (4 pages): below
 #: this the page-table updates cost more than the byte copy they avoid,
@@ -251,8 +251,10 @@ class SimKernel:
         :class:`~repro.sim.memory.AddressSpace`).  Smaller payloads fall
         back to the copy path silently.
         """
-        source.require_alive()
-        destination.require_alive()
+        if source.state is not ProcessState.RUNNING:
+            source.require_alive()
+        if destination.state is not ProcessState.RUNNING:
+            destination.require_alive()
         nbytes = payload_nbytes(payload)
         cost = self.clock.cost_model
         tracer = self.tracer

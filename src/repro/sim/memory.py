@@ -240,7 +240,7 @@ class PageTable:
             return
         i = bisect_right(starts, start) - 1
         if i >= 0 and starts[i] == start and stops[i] == stop:
-            self._bits[i] = bits  # exactly one run: every protect_buffer
+            self._bits[i] = bits  # exactly one run: a whole-buffer mprotect
             return
         self._carve(start, stop, [(start, stop, bits)])
 

@@ -6,7 +6,7 @@ import pytest
 from repro.core.agent import AgentProcess, CHECKPOINT_INTERVAL
 from repro.core.apitypes import APIType
 from repro.core.partitioner import Partition
-from repro.core.rpc import ObjectRef, RpcRequest
+from repro.core.rpc import ObjectRef, RpcRequest, request_nbytes
 from repro.errors import AgentUnavailable, StaleObjectRef
 from repro.frameworks.base import Mat
 from repro.frameworks.registry import get_api
@@ -31,6 +31,7 @@ def request_for(agent, qualname, *args, state="data_processing"):
     return RpcRequest(
         seq=agent.sequence.next_seq(), api_qualname=qualname,
         args=args, kwargs=(), state_label=state,
+        nbytes=request_nbytes(args, ()),
     )
 
 

@@ -82,10 +82,10 @@ def test_oversized_message_raises_immediately(deployed):
     """A payload bigger than the ring buffer can never be delivered:
     the send fails permanent on the first attempt, with zero backoff."""
     kernel, gateway = deployed
-    channel = gateway.agents[0].channel.request
-    payload = b"x" * (channel.capacity_bytes + 1)
+    kernel.fs.write_file("/i.png", np.ones((8, 8)))
+    for agent in gateway.agents.values():
+        agent.channel.request.capacity_bytes = 8  # below any request
     with pytest.raises(ChannelFull) as excinfo:
-        gateway._send_with_backoff(channel, gateway.host.pid,
-                                   "request", payload)
+        gateway.call("opencv", "imread", "/i.png")
     assert excinfo.value.permanent is True
     assert gateway.send_backoff_retries == 0

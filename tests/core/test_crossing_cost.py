@@ -11,14 +11,18 @@ and the records that arrival builds: a dataclass's generated
 frozen one sets each field through ``object.__setattr__``.
 The counts repeat exactly for a seed and exclude numpy and scipy, so a
 rise is a real change in how much of the simulator runs per crossing.
+Last, no crossing may leave garbage that only the cycle collector can
+free: its passes would land inside served requests.
 Interpreters that inline comprehensions (3.12 and later) only lower the
 count.
 """
 
+import collections
 import dataclasses
 import gc
 import os
 import sys
+import types
 
 import repro
 from repro.apps.base import Workload, execute_app
@@ -44,22 +48,23 @@ PACKAGE_DIR = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 SAMPLE_IDS = (1, 4, 8, 12, 20)
 
 #: Mean ``repro`` frames per call, with ~5% headroom over the counts
-#: when the budget was set (90.1 and 20.7; 95.9 and 25.7 before the
-#: compiled syscall check and plain per-call records).
-FREEPART_FRAME_BUDGET = 95
-NATIVE_FRAME_BUDGET = 22
+#: when the budget was set (71.1 and 19.3; 90.1 and 20.7 before the
+#: roster without a cycle, sized records, inline send charges and the
+#: one-frame syscall entry).
+FREEPART_FRAME_BUDGET = 75
+NATIVE_FRAME_BUDGET = 20
 
 #: Per offered arrival of :func:`arrival_costs` at 4 tenants and 200
 #: arrivals, ~5% over the counts when the budgets were set and never
-#: above the counts before: 562.4 frames (640.8 before), 52.0 records
-#: (54.0) of which 4.0 frozen (42.0).
-SERVING_FRAME_BUDGET = 590
+#: above the budgets before: 437.5 frames (562.4 before), 52.0 records
+#: (52.0) of which 4.0 frozen (4.0).
+SERVING_FRAME_BUDGET = 459
 SERVING_RECORD_BUDGET = 54
 SERVING_FROZEN_RECORD_BUDGET = 4.2
 #: The frame bound at hostbench's full ``serve_diurnal`` shape (60
-#: tenants, 1,000 arrivals: 563.9; 642.2 before), which CI checks with
-#: the two record bounds.
-DEEP_SERVING_FRAME_BUDGET = 592
+#: tenants, 1,000 arrivals: 439.0; 563.9 before), which CI checks with
+#: the two record bounds and no cyclic garbage.
+DEEP_SERVING_FRAME_BUDGET = 460
 
 
 def frames_per_call(technique, gateway_type):
@@ -116,15 +121,10 @@ def _record_class(frame):
     return None
 
 
-def arrival_costs(tenants, arrivals):
-    """Per offered arrival over ``run_open_loop``: package frames,
-    ``repro`` records built (generated ``__init__`` frames) and frozen
-    records built.
-
-    The server and schedule are hostbench's ``serve_diurnal``: a pool of
-    2 with batching, autoscaler and brownout armed, diurnal at 300 rps,
-    seed 42, Zipf 0.5 tenants, cut to the first ``arrivals``.
-    """
+def diurnal_server(tenants, arrivals):
+    """Hostbench's ``serve_diurnal`` server and schedule: a pool of 2
+    with batching, autoscaler and brownout armed, diurnal at 300 rps,
+    seed 42, Zipf 0.5 tenants, cut to the first ``arrivals``."""
     profile = canonical_profile(
         "diurnal", base_rps=300.0, duration_ns=4 * NS_PER_SEC
     )
@@ -139,6 +139,14 @@ def arrival_costs(tenants, arrivals):
         elastic_config(2, 8), spec=control_slo(CONTROL_BUDGET_NS)
     )
     server.enable_brownout(spec=control_slo(BUDGET_NS))
+    return server, schedule
+
+
+def arrival_costs(tenants, arrivals):
+    """Per offered arrival over ``run_open_loop`` on
+    :func:`diurnal_server`: package frames, ``repro`` records built
+    (generated ``__init__`` frames) and frozen records built."""
+    server, schedule = diurnal_server(tenants, arrivals)
     frames = records = frozen = 0
 
     def profile_frames(frame, event, arg):
@@ -172,3 +180,69 @@ def test_serving_arrival_frame_budget():
     assert frames <= SERVING_FRAME_BUDGET
     assert records <= SERVING_RECORD_BUDGET
     assert frozen <= SERVING_FROZEN_RECORD_BUDGET
+
+
+def cyclic_garbage(run):
+    """What ``run()`` leaves that only the cycle collector can free.
+
+    The collector is off while ``run()`` runs; then a full collection
+    saves every object it finds unreachable, and they are counted by
+    ``module.qualname`` of their type (of the function itself, for a
+    function).  What ``run()`` returns stays alive through the count,
+    so a server kept for a whole run is not counted.
+    """
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        kept = run()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        found = collections.Counter(
+            f"{obj.__module__}.{obj.__qualname__}"
+            if isinstance(obj, types.FunctionType)
+            else f"{type(obj).__module__}.{type(obj).__qualname__}"
+            for obj in gc.garbage
+        )
+        del kept
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    return found
+
+
+def serving_garbage(tenants, arrivals):
+    """Cyclic garbage per offered arrival of ``run_open_loop`` on
+    :func:`diurnal_server`, all objects counted."""
+    server, schedule = diurnal_server(tenants, arrivals)
+    garbage = cyclic_garbage(lambda: run_open_loop(server, schedule))
+    return sum(garbage.values()) / len(schedule.arrivals)
+
+
+def test_requests_and_gateways_leave_no_cyclic_garbage():
+    """Reference counting frees every served request's gateway, state
+    machine and records, and every one-shot gateway: a collection after
+    a ``serve_diurnal``-shaped run and the sample apps finds no
+    ``repro`` object."""
+
+    def run():
+        server, schedule = diurnal_server(4, 200)
+        result = run_open_loop(server, schedule)
+        assert result.served_ok == result.offered
+        workload = Workload(items=1, image_size=8, seed=42)
+        for technique in ("freepart", "none"):
+            for sample_id in SAMPLE_IDS:
+                app = make_app(sample_id)
+                gateway = build_gateway(technique, SimKernel(), app=app)
+                report = execute_app(app, gateway, workload)
+                gateway.shutdown()
+                assert not report.failed, report.error
+        return server
+
+    garbage = cyclic_garbage(run)
+    assert not {
+        name: count for name, count in garbage.items()
+        if name.startswith("repro.")
+    }, garbage

@@ -108,8 +108,12 @@ class TestFrameTemplates:
         cost = kernel.clock.cost_model
         discount = cost.ipc_message_ns - cost.ipc_framed_message_ns
         assert discount > 0
-        # Both directions of the roundtrip enjoy the framed discount.
-        assert cost.message_cost(framed=True) == cost.ipc_framed_message_ns
+        # Both directions of the roundtrip enjoy the framed discount:
+        # a framed send charges the framed per-message cost.
+        channel = kernel.channel_pair("framed-probe").request
+        before = kernel.clock.now_ns
+        channel.send(1, "request", b"", framed=True)
+        assert kernel.clock.now_ns - before == cost.ipc_framed_message_ns
 
     def test_restart_forces_a_frame_rebuild(self):
         """A stale template must never frame a message for a process it

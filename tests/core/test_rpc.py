@@ -8,9 +8,9 @@ from repro.core.rpc import (
     ObjectStore,
     REF_WIRE_BYTES,
     RemoteHandle,
-    RpcRequest,
-    RpcResponse,
     SequenceTracker,
+    request_nbytes,
+    response_nbytes,
 )
 from repro.errors import StaleObjectRef
 from repro.frameworks.base import Mat
@@ -40,13 +40,13 @@ def test_handle_exposes_payload_bytes():
 
 
 def test_request_nbytes_counts_payloads():
-    small = RpcRequest(1, "f.op", (ObjectRef(1, 0, 1, 1 << 20),), (), "s")
-    big = RpcRequest(1, "f.op", (np.zeros(1 << 17),), (), "s")
-    assert small.nbytes < big.nbytes
+    small = request_nbytes((ObjectRef(1, 0, 1, 1 << 20),), ())
+    big = request_nbytes((np.zeros(1 << 17),), ())
+    assert small < big
 
 
 def test_response_nbytes():
-    assert RpcResponse(1, np.zeros(128)).nbytes > RpcResponse(1, None).nbytes
+    assert response_nbytes(np.zeros(128)) > response_nbytes(None)
 
 
 class TestSequenceTracker:

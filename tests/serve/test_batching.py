@@ -12,10 +12,12 @@ from repro.core.rpc import (
     REQUEST_HEADER_BYTES,
     RESPONSE_HEADER_BYTES,
     BatchChain,
-    RpcBatchRequest,
-    RpcBatchResponse,
     RpcRequest,
     RpcResponse,
+    batch_request,
+    batch_response,
+    request_nbytes,
+    response_nbytes,
 )
 from repro.serve import PREV, PipelineServer, plan_batches
 
@@ -70,8 +72,12 @@ def test_length_mismatch_raises():
 def _request(seq, payload):
     return RpcRequest(
         seq=seq, api_qualname="cv2.x", args=(payload,), kwargs=(),
-        state_label="processing",
+        state_label="processing", nbytes=request_nbytes((payload,), ()),
     )
+
+
+def _response(seq, value):
+    return RpcResponse(seq=seq, value=value, nbytes=response_nbytes(value))
 
 
 def test_batch_request_bytes_are_exact():
@@ -79,7 +85,7 @@ def test_batch_request_bytes_are_exact():
     # item header per request, payload bytes unchanged.
     first = _request(1, np.zeros(4))
     second = _request(2, np.zeros(8))
-    batch = RpcBatchRequest(requests=(first, second))
+    batch = batch_request((first, second))
     assert batch.nbytes == (
         BATCH_HEADER_BYTES
         + 2 * (BATCH_OFFSET_ENTRY_BYTES + FUSED_ITEM_HEADER_BYTES)
@@ -91,9 +97,7 @@ def test_batch_request_bytes_are_exact():
 def test_batch_request_fused_savings_vs_envelopes():
     # Savings vs the per-message-envelope framing: the old 16-byte item
     # frame plus the full request header, minus what fusing still pays.
-    batch = RpcBatchRequest(
-        requests=(_request(1, np.zeros(4)), _request(2, np.zeros(8)))
-    )
+    batch = batch_request((_request(1, np.zeros(4)), _request(2, np.zeros(8))))
     per_item = (
         BATCH_ITEM_FRAME_BYTES + REQUEST_HEADER_BYTES
         - BATCH_OFFSET_ENTRY_BYTES - FUSED_ITEM_HEADER_BYTES
@@ -107,8 +111,8 @@ def test_batch_request_fused_savings_vs_envelopes():
 
 
 def test_batch_response_bytes_are_exact():
-    responses = (RpcResponse(seq=1, value=1.0), RpcResponse(seq=2, value=2.0))
-    batch = RpcBatchResponse(responses=responses)
+    responses = (_response(1, 1.0), _response(2, 2.0))
+    batch = batch_response(responses)
     assert batch.nbytes == (
         BATCH_HEADER_BYTES
         + 2 * (BATCH_OFFSET_ENTRY_BYTES + FUSED_ITEM_HEADER_BYTES)

@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.gateway import ApiCall
 from repro.core.rpc import RemoteHandle
+from repro.errors import TenantIsolationError
 from repro.frameworks.registry import get_api
 from repro.serve import PREV, PipelineServer
 
@@ -65,8 +66,10 @@ def test_a_forged_reply_fails_the_request_and_keeps_the_owner(
 @pytest.mark.parametrize("batching", [True, False])
 def test_a_forged_reply_naming_a_co_tenant_object_of_the_same_agent(
         monkeypatch, batching):
-    """A shared agent's own object passes the reply check, since the
-    agent owns it; minting it for another tenant is refused."""
+    """A shared agent's own object passes the pid/generation check,
+    since the agent owns it, but minting it for another tenant is
+    refused, and the reply is then handled as forged: the agent crashes
+    and restarts, and its dead generation's refs go for every tenant."""
     server = PipelineServer(pool_size=1, batching=batching)
     fs = server.kernel.fs
     private = np.random.default_rng(1).normal(size=(16, 16))
@@ -79,6 +82,13 @@ def test_a_forged_reply_naming_a_co_tenant_object_of_the_same_agent(
     (blurred,) = server.drain()
     assert blurred.ok, blurred.error
     b_handle = blurred.values[-1]  # lives in the shared processing agent
+    shared = next(
+        member.agent
+        for pool in server.pools.pools.values()
+        for member in pool.members
+        if member.agent.process.pid == b_handle.ref.owner_pid
+    )
+    generation = shared.process.generation
 
     monkeypatch.setattr(
         get_api("opencv", "GaussianBlur"), "impl",
@@ -89,8 +99,13 @@ def test_a_forged_reply_naming_a_co_tenant_object_of_the_same_agent(
         ApiCall("opencv", "GaussianBlur", (PREV,)),
     ])
     (forged,) = server.drain()
-    assert not forged.ok
-    assert "tenant-b" in forged.error
     monkeypatch.undo()
-    server.registry.check("tenant-b", b_handle.ref)  # still B's
+    assert not forged.ok
+    assert "replied with a ref" in forged.error
+    assert forged.values is None  # A got nothing
+    assert shared.process.generation > generation
+    assert "ForgedReply" in [event.kind for event in server.security_events]
+    with pytest.raises(TenantIsolationError):
+        # Evicted with the dead generation: B's ref is gone for B too.
+        server.registry.check("tenant-b", b_handle.ref)
     server.shutdown()

@@ -255,18 +255,21 @@ class FreezeScanMachine(RuleBasedStateMachine):
         doomed = {b: space.get_buffer(b)
                   for b in sorted(self.released & taken)}
         protected: List[int] = []
-        original = space.protect_buffer
+        original = space.mprotect
 
-        def recording(buffer_id, permission):
-            protected.append(buffer_id)
-            original(buffer_id, permission)
+        def recording(address, nbytes, permission):
+            buffer = space.buffer_at(address)
+            # A freeze protects whole buffers.
+            assert (address, nbytes) == (buffer.address, buffer.nbytes)
+            protected.append(buffer.buffer_id)
+            original(address, nbytes, permission)
 
-        space.protect_buffer = recording
+        space.mprotect = recording
         denials = space.write_denials
         try:
             count = self.freezer._protect_state(state)
         finally:
-            del space.protect_buffer
+            del space.mprotect
         assert protected == expected
         assert count == len(expected)
         assert space.write_denials == denials
