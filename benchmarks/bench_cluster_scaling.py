@@ -33,7 +33,6 @@ def result():
         tenants=TENANTS,
         requests_per_tenant=REQUESTS,
         pool_size=2,
-        partitioner="directory",
         image_size=16,
         failure=True,
     )
@@ -99,7 +98,6 @@ def test_result_json_is_byte_identical_across_reruns(result):
         tenants=TENANTS,
         requests_per_tenant=REQUESTS,
         pool_size=2,
-        partitioner="directory",
         image_size=16,
         failure=True,
     )

@@ -24,6 +24,19 @@ CORPUS = [
 ]
 
 
+def mean_seconds(benchmark):
+    """The timed mean, or None under ``--benchmark-disable`` (the body
+    then runs once, untimed, and ``benchmark.stats`` is None)."""
+    stats = benchmark.stats
+    return stats.stats.mean if stats is not None else None
+
+
+def per_second(count, seconds):
+    if seconds is None:
+        return "untimed"
+    return f"{count / seconds:,.0f}" if seconds else "inf"
+
+
 @pytest.mark.benchmark(group="staticcheck")
 def test_bench_staticcheck_throughput(benchmark):
     file_count = len(iter_python_files(CORPUS))
@@ -32,11 +45,10 @@ def test_bench_staticcheck_throughput(benchmark):
         lambda: run_check(CORPUS), rounds=1, iterations=1
     )
 
-    seconds = benchmark.stats.stats.mean
-    files_per_second = file_count / seconds if seconds else float("inf")
+    seconds = mean_seconds(benchmark)
     rows = [[rule, count] for rule, count in sorted(result.by_rule().items())]
     rows.append(["files checked", result.files_checked])
-    rows.append(["files/sec", f"{files_per_second:,.0f}"])
+    rows.append(["files/sec", per_second(file_count, seconds)])
     rows.append(["errors", result.errors])
     rows.append(["warnings", result.warnings])
     emit(render_table(
@@ -78,7 +90,7 @@ def test_bench_dataflow_pass(benchmark):
 
     reports = benchmark.pedantic(flow_pass, rounds=3, iterations=1)
 
-    seconds = benchmark.stats.stats.mean
+    seconds = mean_seconds(benchmark)
     leaks = sum(len(r.leaks) for r in reports)
     escapes = sum(len(r.escapes) for r in reports)
     alias_writes = sum(len(r.alias_writes) for r in reports)
@@ -87,9 +99,9 @@ def test_bench_dataflow_pass(benchmark):
         ["metric", "value"],
         [
             ["modules analyzed", len(reports)],
-            ["modules/sec", f"{len(reports) / seconds:,.0f}" if seconds
-             else "inf"],
-            ["flow pass ms", f"{seconds * 1e3:,.2f}"],
+            ["modules/sec", per_second(len(reports), seconds)],
+            ["flow pass ms", "untimed" if seconds is None
+             else f"{seconds * 1e3:,.2f}"],
             ["leak hits", leaks],
             ["escape hits", escapes],
             ["alias-write hits", alias_writes],

@@ -285,22 +285,6 @@ class MotivatingVerdict:
     def prevented(self, label: str) -> bool:
         return self.attacks[label].prevented
 
-    @property
-    def memory_attack_prevented(self) -> bool:
-        return self.prevented("mem-write-template")
-
-    @property
-    def omrcrop_attack_prevented(self) -> bool:
-        return self.prevented("mem-write-omrcrop")
-
-    @property
-    def code_attack_prevented(self) -> bool:
-        return self.prevented("code-rewrite")
-
-    @property
-    def dos_attacks_prevented(self) -> bool:
-        return self.prevented("dos-imread") and self.prevented("dos-imshow")
-
 
 def run_motivating_example(technique: str) -> MotivatingVerdict:
     """Run all five motivating-example attacks under one technique."""

@@ -46,7 +46,3 @@ class IndividualApiIsolation(Partitioned):
             if record.qualname == qualname:
                 return get_api(record.framework, record.name).spec
         return None
-
-    def api_process_count(self) -> int:
-        """How many sandbox processes exist (Table 10's 86/87 column)."""
-        return len(self._workers)

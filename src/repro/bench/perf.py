@@ -186,7 +186,6 @@ def bench_cluster() -> Dict[str, Any]:
         tenants=8,
         requests_per_tenant=2,
         pool_size=2,
-        partitioner="directory",
         image_size=16,
         failure=True,
     )

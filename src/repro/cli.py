@@ -678,18 +678,14 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
                         ("--image-size", args.image_size)):
         if value < 1:
             raise CliUsageError(f"{flag} must be >= 1, got {value}")
-    try:
-        result = run_cluster_benchmark(
-            nodes=args.nodes,
-            tenants=args.tenants,
-            requests_per_tenant=args.requests,
-            pool_size=args.pool_size,
-            partitioner=args.partitioner,
-            image_size=args.image_size,
-            failure=not args.no_failure,
-        )
-    except ValueError as exc:
-        raise CliUsageError(str(exc)) from None
+    result = run_cluster_benchmark(
+        nodes=args.nodes,
+        tenants=args.tenants,
+        requests_per_tenant=args.requests,
+        pool_size=args.pool_size,
+        image_size=args.image_size,
+        failure=not args.no_failure,
+    )
     if args.json:
         print(json.dumps(result, indent=2, sort_keys=True))
         return 0
@@ -1025,9 +1021,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="requests per tenant (default 2)")
     p.add_argument("--pool-size", type=int, default=2,
                    help="agents per API type per node (default 2)")
-    p.add_argument("--partitioner", default="directory",
-                   help="dataset partitioner: 'directory', 'object[:N]', "
-                        "or 'hash[:K]' (default directory)")
     p.add_argument("--image-size", type=int, default=16)
     p.add_argument("--no-failure", action="store_true",
                    help="skip the scripted single-node-failure config")

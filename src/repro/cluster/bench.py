@@ -5,7 +5,7 @@ serve bench uses) three ways on identical data:
 
 1. ``--nodes 1``: the whole dataset and every tenant on one node — the
    scaling baseline;
-2. ``--nodes N``: dataset sharded by the chosen partitioner, tenants
+2. ``--nodes N``: dataset sharded one shard per directory, tenants
    sticky-routed to their shard's node — the scaling headline;
 3. ``--nodes N`` + one scripted node failure mid-drain — shard
    re-placement and request resubmission must keep goodput bounded.
@@ -26,7 +26,7 @@ from repro.serve.bench import standard_pipeline
 
 from repro.cluster.kernel import ClusterKernel
 from repro.cluster.serve import ClusterServer
-from repro.cluster.sharding import ShardManifest, make_partitioner
+from repro.cluster.sharding import ShardManifest, split_by_directory
 
 
 class SingleNodeFailurePlan(NoFaultPlan):
@@ -55,7 +55,6 @@ def load_sharded_requests(
     tenants: int,
     items: int,
     image_size: int,
-    partitioner: str = "directory",
 ) -> ShardManifest:
     """The sharded-cluster serving fixture: ``tenants x items`` pipelines.
 
@@ -71,9 +70,7 @@ def load_sharded_requests(
             path = f"/data/tenant-{tenant}/in-{index}.png"
             paths.append(path)
             payloads[path] = rng.normal(size=(image_size, image_size))
-    manifest = make_partitioner(
-        partitioner, default_shards=tenants
-    ).split(paths)
+    manifest = split_by_directory(paths)
     server.load_dataset(manifest, payloads)
     for tenant in range(tenants):
         server.pin_tenant_to_item(
@@ -97,7 +94,6 @@ def run_cluster_config(
     requests_per_tenant: int,
     pool_size: int,
     image_size: int,
-    partitioner: str,
     fault_plan: Optional[NoFaultPlan] = None,
 ) -> Tuple[ShardManifest, Dict[str, Any]]:
     """One full serving run at a node count; returns (manifest, stats)."""
@@ -108,7 +104,7 @@ def run_cluster_config(
         cluster=cluster, pool_size=pool_size, batching=True
     )
     manifest = load_sharded_requests(
-        server, tenants, requests_per_tenant, image_size, partitioner
+        server, tenants, requests_per_tenant, image_size
     )
     responses = server.drain()
     stats = server.stats()
@@ -142,17 +138,15 @@ def run_cluster_benchmark(
     tenants: int = 8,
     requests_per_tenant: int = 2,
     pool_size: int = 2,
-    partitioner: str = "directory",
     image_size: int = 16,
     failure: bool = True,
 ) -> Dict[str, Any]:
     """The scaling sweep: 1 node, N nodes, N nodes + one node failure."""
     manifest, single = run_cluster_config(
-        1, tenants, requests_per_tenant, pool_size, image_size, partitioner
+        1, tenants, requests_per_tenant, pool_size, image_size
     )
     _, multi = run_cluster_config(
-        nodes, tenants, requests_per_tenant, pool_size, image_size,
-        partitioner,
+        nodes, tenants, requests_per_tenant, pool_size, image_size
     )
     configs = [
         _row("1 node", single),
@@ -177,7 +171,6 @@ def run_cluster_benchmark(
     if failure and nodes > 1:
         _, chaos = run_cluster_config(
             nodes, tenants, requests_per_tenant, pool_size, image_size,
-            partitioner,
             fault_plan=SingleNodeFailurePlan(victim=1, after=3),
         )
         configs.append(_row(f"{nodes} nodes, 1 failure", chaos))

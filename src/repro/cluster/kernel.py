@@ -314,23 +314,3 @@ class ClusterKernel:
                 "total.data_bytes": node_bytes + per_link_bytes,
             },
         )
-
-    def summary(self) -> Dict[str, Any]:
-        """Cluster-wide counters (per-node summaries + inter-node lane)."""
-        self.verify_accounting()
-        return {
-            "nodes": len(self.nodes),
-            "living_nodes": len(self.living()),
-            "node_failures": self.node_failures,
-            "makespan_ns": self.makespan_ns,
-            "data_transferred_bytes": self.data_transferred_bytes,
-            "inter_node": self.accounting.summary(),
-            "per_node": [
-                {
-                    "node": node.index,
-                    "alive": node.alive,
-                    **node.kernel.summary(),
-                }
-                for node in self.nodes
-            ],
-        }

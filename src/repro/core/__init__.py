@@ -21,12 +21,10 @@ __all__ = [
     "FreePartConfig",
     "FreePartGateway",
     "HybridAnalyzer",
-    "FrameworkNamespace",
     "NativeGateway",
     "PartitionPlan",
     "RunReport",
     "four_way_plan",
-    "hook",
     "split_processing_plan",
 ]
 
@@ -39,8 +37,6 @@ _LAZY_EXPORTS = {
     "PartitionPlan": ("repro.core.partitioner", "PartitionPlan"),
     "four_way_plan": ("repro.core.partitioner", "four_way_plan"),
     "split_processing_plan": ("repro.core.partitioner", "split_processing_plan"),
-    "FrameworkNamespace": ("repro.core.hooks", "FrameworkNamespace"),
-    "hook": ("repro.core.hooks", "hook"),
     "FreePart": ("repro.core.runtime", "FreePart"),
     "FreePartConfig": ("repro.core.runtime", "FreePartConfig"),
     "FreePartGateway": ("repro.core.runtime", "FreePartGateway"),

@@ -563,13 +563,3 @@ class AgentProcess:
         self.stats.checkpoints += 1
         if tear_at is not None:
             self.stats.checkpoint_failures += 1
-
-    @property
-    def _checkpoint_state(self) -> Dict[str, Any]:
-        """The newest intact checkpoint snapshot (compatibility view)."""
-        record = self._latest_valid_checkpoint()
-        return record.state if record is not None else {}
-
-    @property
-    def checkpointed_state(self) -> Dict[str, int]:
-        return dict(self._checkpoint)

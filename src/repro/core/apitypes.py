@@ -63,11 +63,6 @@ STATE_OF_TYPE = {
 _TYPE_OF_STATE = {state: kind for kind, state in STATE_OF_TYPE.items()}
 
 
-def state_label(state: FrameworkState) -> str:
-    """The origin-state label recorded on buffers created in ``state``."""
-    return state.value
-
-
 def api_type_of_state(state: FrameworkState) -> Optional[APIType]:
     """Inverse of :data:`STATE_OF_TYPE` (None for init)."""
     return _TYPE_OF_STATE.get(state)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set
 
 from repro.core.apitypes import APIType
 
@@ -44,12 +44,6 @@ class Flow:
     dest: Optional[Storage] = Storage.MEM
     label: str = ""
     nbytes: int = 0
-
-    def __str__(self) -> str:
-        suffix = f"[{self.label}]" if self.label else ""
-        if self.dest is None:
-            return f"R({self.source.value}{suffix})"
-        return f"W({self.dest.value}, R({self.source.value}{suffix}))"
 
 
 def read(source: Storage, label: str = "", nbytes: int = 0) -> Flow:
@@ -156,20 +150,3 @@ class FlowTrace:
 
     def record(self, flow: Flow) -> None:
         self.flows.append(flow)
-
-    def extend(self, flows: Iterable[Flow]) -> None:
-        self.flows.extend(flows)
-
-    def categorize(self) -> Optional[APIType]:
-        return categorize_flows(self.flows)
-
-    def distinct(self) -> Tuple[Flow, ...]:
-        """Flows deduplicated by (source, dest, label), order-preserving."""
-        seen = set()
-        unique: List[Flow] = []
-        for flow in self.flows:
-            key = (flow.source, flow.dest, flow.label)
-            if key not in seen:
-                seen.add(key)
-                unique.append(flow)
-        return tuple(unique)

@@ -89,12 +89,6 @@ class CoverageReport:
             return 0.0
         return self.covered / self.total
 
-    def format_row(self) -> str:
-        return (
-            f"{self.framework:<12} {self.api_coverage * 100:5.1f}% "
-            f"({self.covered}/{self.total})  code≈{self.code_coverage * 100:4.0f}%"
-        )
-
 
 def coverage_report(framework) -> CoverageReport:
     """Measure dynamic-analysis coverage of one framework.

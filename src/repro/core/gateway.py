@@ -98,19 +98,6 @@ class GatewayStats:
         """Number of framework API calls recorded."""
         return len(self.calls)
 
-    def counts_by_type(self) -> Dict[APIType, Tuple[int, int]]:
-        """type → (unique APIs, total call instances)."""
-        by_type: Dict[APIType, Dict[str, int]] = {}
-        for record in self.calls:
-            by_type.setdefault(record.api_type, {})
-            by_type[record.api_type][record.qualname] = (
-                by_type[record.api_type].get(record.qualname, 0) + 1
-            )
-        return {
-            api_type: (len(counts), sum(counts.values()))
-            for api_type, counts in by_type.items()
-        }
-
     def unique_qualnames(self) -> List[str]:
         """Distinct called qualnames in first-seen order."""
         seen: List[str] = []

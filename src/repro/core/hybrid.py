@@ -66,9 +66,6 @@ class Categorization:
             if e.api_type is api_type and (include_neutral or not e.neutral)
         ]
 
-    def neutrals(self) -> List[CategorizedAPI]:
-        return [e for e in self.entries.values() if e.neutral]
-
     def counts_by_type(self) -> Dict[APIType, int]:
         counts = {t: 0 for t in APIType}
         for entry in self.entries.values():

@@ -47,10 +47,6 @@ class PartitionPlan:
                 for qualname in partition.qualnames
             }
 
-    @property
-    def partition_count(self) -> int:
-        return len(self.partitions)
-
     def partition_of(self, qualname: str) -> Optional[Partition]:
         index = self.assignment.get(qualname)
         if index is None:

@@ -75,10 +75,6 @@ class RemoteHandle:
     def __deepcopy__(self, memo: Dict[int, Any]) -> "RemoteHandle":
         return self
 
-    @property
-    def payload_bytes(self) -> int:
-        return self.ref.payload_bytes
-
     def __repr__(self) -> str:
         return (
             f"RemoteHandle(pid={self.ref.owner_pid}, "
@@ -196,9 +192,6 @@ class RpcBatchRequest:
     nbytes: int
     fused_savings: int
 
-    def __len__(self) -> int:
-        return len(self.requests)
-
 
 @dataclass
 class RpcBatchResponse:
@@ -208,9 +201,6 @@ class RpcBatchResponse:
     responses: Tuple[RpcResponse, ...]
     nbytes: int
     fused_savings: int
-
-    def __len__(self) -> int:
-        return len(self.responses)
 
 
 #: What an item costs in a fused batch besides its payload: one
@@ -249,12 +239,12 @@ class SequenceTracker:
 
     Each request carries a sequence number; the tracker records every
     *execution* of a number, so a duplicated or retransmitted request
-    that actually re-runs the API body shows up as a retry and breaks
-    ``exactly_once``.  The agent's reply cache turns such deliveries
-    into cache hits instead — recorded here as suppressed duplicates —
-    which is what keeps stateful APIs from double-applying when a lost
-    reply forces the sender to retransmit (the at-least-once protocol's
-    dedup half).
+    that actually re-runs the API body shows up as a retry and an
+    ``executed`` count above one.  The agent's reply cache turns such
+    deliveries into cache hits instead — recorded here as suppressed
+    duplicates — which is what keeps stateful APIs from double-applying
+    when a lost reply forces the sender to retransmit (the at-least-once
+    protocol's dedup half).
     """
 
     def __init__(self) -> None:
@@ -277,13 +267,6 @@ class SequenceTracker:
     def record_duplicate(self, seq: int) -> None:
         """A delivery of ``seq`` was served from the reply cache."""
         self.duplicates_suppressed += 1
-
-    def executions_of(self, seq: int) -> int:
-        return self.executed.get(seq, 0)
-
-    @property
-    def exactly_once(self) -> bool:
-        return all(count == 1 for count in self.executed.values())
 
 
 class ObjectStore:

@@ -104,7 +104,6 @@ class FreePartConfig:
     restart_agents: bool = True
     enforce_permissions: bool = True
     restrict_syscalls: bool = True
-    widen_to_pool: bool = True
     partition_count: int = 4
     partition_seed: int = 0
     strict_annotations: bool = False
@@ -144,22 +143,15 @@ class DispatchStats:
     """Per-gateway dispatch-cache counters.
 
     The cache keys on call site (framework, API name) and holds the
-    resolved API plus its categorization entry; the whole cache is
-    dropped whenever the framework state machine transitions, so a
-    stale entry can never route around the freezing semantics.
+    resolved API plus its categorization entry.  Neither depends on the
+    framework state, so no transition invalidates an entry: the state
+    enters routing afresh on every dispatch (see ``_route``).
     """
 
     hits: int = 0
     misses: int = 0
-    #: Epoch changes (state-machine transitions) that flushed the cache.
-    invalidations: int = 0
     #: Frame templates (re)built — once per agent, again after restart.
     frame_rebuilds: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 @dataclass
@@ -191,9 +183,7 @@ def build_filter_specs(
                 # Manually sub-partitioned agents (labelled "type#n") get
                 # tight per-group filters (Appendix A.6); full-type agents
                 # get the Table 7 pool.
-                widen_to_pool=(
-                    config.widen_to_pool and "#" not in partition.label
-                ),
+                widen_to_pool="#" not in partition.label,
                 path_prefixes=path_policies.get(partition.api_type),
             )
         )
@@ -279,9 +269,8 @@ class FreePartGateway(ApiGateway):
         self._released: List[ObjectRef] = []
         self.dispatch_stats = DispatchStats()
         #: Call-site dispatch cache: (framework, name) -> (api, entry).
-        #: Flushed whenever the state machine's transition count moves.
+        #: A serving gateway swaps in its server's shared memo.
         self._dispatch_cache: Dict[Tuple[str, str], Tuple[Any, Any]] = {}
-        self._dispatch_epoch = 0
         #: Prebuilt RPC frame templates: partition index -> the process
         #: generation the template was built against.  A send is "framed"
         #: (cheaper fixed cost) only while the template matches the live
@@ -338,19 +327,13 @@ class FreePartGateway(ApiGateway):
         """Resolve an API, advance the state machine, pick its partition.
 
         Steady-state calls hit the per-call-site dispatch cache and skip
-        re-resolution and re-categorization.  The cache is epoch-guarded
-        by the state machine's transition count: any transition flushes
-        it, so routing after a phase change always re-derives from live
-        state — and non-neutral APIs drive ``observe_call`` on *every*
-        dispatch, cached or not, so temporal freezing (and the
-        frozen-write SIGSEGV it arms) can never be bypassed by a hit.
+        re-resolution and re-categorization.  The cache holds only what
+        no state changes (the API and its categorization entry); the
+        state is read on *every* dispatch, cached or not: a non-neutral
+        API drives ``observe_call``, so temporal freezing (and the
+        frozen-write SIGSEGV it arms) can never be bypassed by a hit,
+        and a type-neutral API runs in the current state's agent.
         """
-        epoch = len(self.machine.transitions)
-        if epoch != self._dispatch_epoch:
-            if self._dispatch_cache:
-                self._dispatch_cache.clear()
-                self.dispatch_stats.invalidations += 1
-            self._dispatch_epoch = epoch
         key = (framework, name)
         cached = self._dispatch_cache.get(key)
         if cached is not None:
@@ -876,35 +859,6 @@ class RunReport:
         lazy = self.lazy_copies + self.zero_copy_transfers
         total = lazy + self.nonlazy_copies
         return lazy / total if total else 0.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable view (the ``result`` payload is dropped)."""
-        return {
-            "app_name": self.app_name,
-            "gateway": self.gateway,
-            "virtual_seconds": self.virtual_seconds,
-            "ipc_messages": self.ipc_messages,
-            "ipc_bytes": self.ipc_bytes,
-            "lazy_copies": self.lazy_copies,
-            "lazy_copy_bytes": self.lazy_copy_bytes,
-            "nonlazy_copies": self.nonlazy_copies,
-            "nonlazy_copy_bytes": self.nonlazy_copy_bytes,
-            "zero_copy_transfers": self.zero_copy_transfers,
-            "zero_copy_bytes": self.zero_copy_bytes,
-            "cow_downgrades": self.cow_downgrades,
-            "cow_bytes": self.cow_bytes,
-            "framed_messages": self.framed_messages,
-            "data_transferred_bytes": self.data_transferred_bytes,
-            "lazy_fraction": self.lazy_fraction,
-            "api_calls": self.api_calls,
-            "transitions": self.transitions,
-            "protected_buffers": self.protected_buffers,
-            "crashes": self.crashes,
-            "restarts": self.restarts,
-            "processes": self.processes,
-            "failed": self.failed,
-            "error": self.error,
-        }
 
 
 class FreePart:

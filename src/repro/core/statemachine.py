@@ -159,11 +159,6 @@ class TemporalStateMachine:
         self.protected_total += protected
         return protected
 
-    def reset(self) -> None:
-        self._enter(FrameworkState.INITIALIZATION)
-        self.transitions.clear()
-        self.protected_total = 0
-
     def transition_count(self) -> int:
         return len(self.transitions)
 

@@ -30,15 +30,6 @@ class InjectedFault:
     at_ns: int
     detail: Dict[str, Any] = field(default_factory=dict)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "fault_id": self.fault_id,
-            "kind": self.kind.value,
-            "site": self.site,
-            "at_ns": self.at_ns,
-            "detail": dict(sorted(self.detail.items())),
-        }
-
 
 class NullInjector:
     """Zero-cost default: hot paths check ``enabled`` and move on."""
@@ -184,10 +175,3 @@ class FaultInjector:
                     fault_id=fault.fault_id, kind=kind.value, site=site,
                 )
         return fault
-
-    def by_kind(self) -> Dict[str, int]:
-        """Injected-fault counts keyed by kind value (sorted, for reports)."""
-        counts: Dict[str, int] = {}
-        for fault in self.injected:
-            counts[fault.kind.value] = counts.get(fault.kind.value, 0) + 1
-        return dict(sorted(counts.items()))

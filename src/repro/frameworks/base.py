@@ -568,10 +568,6 @@ class Framework:
     def __len__(self) -> int:
         return len(self._apis)
 
-    @property
-    def api_names(self) -> List[str]:
-        return list(self._apis)
-
     def apis_of_type(self, api_type: APIType) -> List[FrameworkAPI]:
         """All APIs whose ground-truth type matches."""
         return [a for a in self if a.spec.ground_truth is api_type]
@@ -579,7 +575,3 @@ class Framework:
     def covered(self) -> List[FrameworkAPI]:
         """APIs with a dynamic-analysis test case (Table 11 numerator)."""
         return [a for a in self if a.spec.has_test_case]
-
-    def vulnerable_apis(self) -> List[FrameworkAPI]:
-        """APIs carrying at least one CVE."""
-        return [a for a in self if a.spec.vulnerabilities]

@@ -77,16 +77,6 @@ class CriticalPath:
     total_ns: int = 0
     by_category: Dict[str, int] = field(default_factory=dict)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "total_ns": self.total_ns,
-            "by_category": {
-                category: self.by_category[category]
-                for category in sorted(self.by_category)
-            },
-            "steps": [step.to_dict() for step in self.steps],
-        }
-
 
 def accountable_spans(tracer: Any) -> List[Span]:
     """The spans that participate in time accounting.

@@ -70,15 +70,6 @@ class RequestEvent:
     latency_ns: int = 0
     ok: bool = True
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "at_ns": self.at_ns,
-            "node": self.node,
-            "tenant": self.tenant,
-            "latency_ns": self.latency_ns,
-            "ok": self.ok,
-        }
-
 
 @dataclass(frozen=True)
 class BurnWindow:

@@ -144,10 +144,6 @@ class FixedGridSketch:
                 return bound
         return int(self.max_value)
 
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
     def snapshot(self) -> Dict[str, Any]:
         return {
             "count": self.count,

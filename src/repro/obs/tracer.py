@@ -75,13 +75,6 @@ class _OpenSpan:
         self._tracer = tracer
         self._span = span
 
-    @property
-    def span(self) -> Span:
-        return self._span
-
-    def annotate(self, **attrs: Any) -> None:
-        self._span.annotate(**attrs)
-
     def __enter__(self) -> Span:
         return self._span
 
@@ -214,12 +207,6 @@ class SpanTracer:
         """Spans whose interval is complete (open spans excluded)."""
         return [s for s in self.spans if s.end_ns >= 0]
 
-    def by_category(self) -> Dict[str, List[Span]]:
-        grouped: Dict[str, List[Span]] = {}
-        for span in self.closed_spans():
-            grouped.setdefault(span.category, []).append(span)
-        return grouped
-
 
 class _NullOpenSpan:
     """Shared no-op context manager; also absorbs ``annotate``."""
@@ -270,9 +257,6 @@ class NullTracer:
 
     def closed_spans(self) -> List[Span]:
         return []
-
-    def by_category(self) -> Dict[str, List[Span]]:
-        return {}
 
 
 NULL_TRACER = NullTracer()

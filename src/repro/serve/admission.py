@@ -169,7 +169,3 @@ class AdmissionQueue:
     @property
     def pending(self) -> int:
         return self._pending
-
-    def pending_for(self, tenant_id: str) -> int:
-        queue = self._queues.get(tenant_id)
-        return len(queue) if queue is not None else 0

@@ -24,6 +24,9 @@ from repro.core.gateway import PREV, ApiCall
 
 __all__ = ["PREV", "BatchGroup", "BatchingStats", "plan_batches"]
 
+#: The most adjacent calls one batch carries.
+MAX_BATCH_CALLS = 16
+
 
 @dataclass
 class BatchGroup:
@@ -40,9 +43,9 @@ class BatchGroup:
 def plan_batches(
     calls: Sequence[ApiCall],
     partition_indices: Sequence[int],
-    max_batch_calls: int = 16,
 ) -> List[BatchGroup]:
-    """Split a routed pipeline into runs of adjacent same-agent calls.
+    """Split a routed pipeline into runs of adjacent same-agent calls,
+    each at most :data:`MAX_BATCH_CALLS` long.
 
     ``partition_indices[i]`` is the partition call ``i`` was routed to.
     Only *adjacent* calls coalesce — reordering across an agent boundary
@@ -58,7 +61,7 @@ def plan_batches(
     run_partition = None
     for index, (call, partition) in enumerate(zip(calls, partition_indices)):
         boundary = (
-            partition != run_partition or len(run) >= max_batch_calls
+            partition != run_partition or len(run) >= MAX_BATCH_CALLS
         )
         if run and boundary:
             groups.append(BatchGroup(run_partition, run_start, tuple(run)))

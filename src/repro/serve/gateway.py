@@ -21,7 +21,7 @@ temporal state machine, exactly like a one-shot pipeline run.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Tuple
 
 from repro.core.agent import AgentProcess
 from repro.core.gateway import ApiCall
@@ -49,7 +49,12 @@ from repro.sim.kernel import SimKernel
 
 
 class ServeGateway(FreePartGateway):
-    """Tenant-scoped dispatch over a leased set of pooled agents."""
+    """Tenant-scoped dispatch over a leased set of pooled agents.
+
+    ``routes`` is the server's route memo: every request's gateway
+    shares it as its dispatch cache, so a call site resolves once per
+    server, not once per request.
+    """
 
     def __init__(
         self,
@@ -61,9 +66,9 @@ class ServeGateway(FreePartGateway):
         agents: Dict[int, AgentProcess],
         registry: TenantRegistry,
         pools: PoolSet,
+        routes: Dict[Tuple[str, str], Tuple[Any, Any]],
+        batch_stats: BatchingStats,
         batching: bool = True,
-        max_batch_calls: int = 16,
-        batch_stats: Optional[BatchingStats] = None,
     ) -> None:
         super().__init__(
             kernel, tenant.host, plan, categorization, config, agents=agents
@@ -72,8 +77,8 @@ class ServeGateway(FreePartGateway):
         self.tenant = tenant
         self.registry = registry
         self.batching = batching
-        self.max_batch_calls = max_batch_calls
-        self.batch_stats = batch_stats if batch_stats is not None else BatchingStats()
+        self.batch_stats = batch_stats
+        self._dispatch_cache = routes
 
     # ------------------------------------------------------------------
     # Tenant namespacing
@@ -157,9 +162,7 @@ class ServeGateway(FreePartGateway):
             partitions.append(partition)
             labels.append(self.machine.state_label)
 
-        groups = plan_batches(
-            calls, [p.index for p in partitions], self.max_batch_calls
-        )
+        groups = plan_batches(calls, [p.index for p in partitions])
         results: List[Any] = [None] * len(calls)
         tracer = self.kernel.tracer
         for group in groups:

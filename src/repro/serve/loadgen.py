@@ -359,22 +359,6 @@ class LoadgenResult:
             sorted(e.latency_ns for e in self.client_events if e.ok), 0.99
         )
 
-    def to_dict(self, budget_ns: int) -> Dict[str, Any]:
-        return {
-            "schedule_digest": self.schedule_digest,
-            "offered": self.offered,
-            "admitted": self.admitted,
-            "rejected": self.rejected,
-            "shed": self.shed,
-            "served_ok": self.served_ok,
-            "served_failed": self.served_failed,
-            "goodput": round(self.goodput(budget_ns), 9),
-            "p99_latency_ms": round(self.p99_latency_ns() / 1e6, 4),
-            "sheds_by_priority": dict(sorted(
-                self.sheds_by_priority.items()
-            )),
-        }
-
 
 def _payload(image_size: int):
     import numpy as np

@@ -144,9 +144,6 @@ class AgentPool:
         member.leased_to = None
         self.stats.returns += 1
 
-    def free_count(self) -> int:
-        return sum(1 for m in self.members if not m.leased)
-
 
 class PoolSet:
     """One :class:`AgentPool` per partition of a plan."""

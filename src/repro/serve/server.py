@@ -117,6 +117,9 @@ class PipelineServer:
             series=self.kernel.series,
         )
         self.registry = TenantRegistry()
+        #: The route memo every request's gateway dispatches through:
+        #: (framework, API name) -> (API, categorization entry).
+        self.routes: Dict[Tuple[str, str], Tuple[Any, Any]] = {}
         #: The ``node`` label stamped on this server's request events
         #: and time-series points; the cluster front door sets it to the
         #: owning node's name, single-machine servers leave it empty.
@@ -395,6 +398,7 @@ class PipelineServer:
                 agents=agents,
                 registry=self.registry,
                 pools=self.pools,
+                routes=self.routes,
                 batching=self.batching,
                 batch_stats=self.batch_stats,
             )

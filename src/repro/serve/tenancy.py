@@ -123,9 +123,6 @@ class TenantRegistry:
             del self._owners[key]
         return len(doomed)
 
-    def refs_of(self, tenant_id: str) -> int:
-        return sum(1 for owner in self._owners.values() if owner == tenant_id)
-
     def stale_keys(self, processes) -> list:
         """Registered ref keys whose (pid, generation) no longer exists.
 

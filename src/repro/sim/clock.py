@@ -93,7 +93,3 @@ class VirtualClock:
         self.now_ns += int(ns)
         return self.now_ns
 
-    def reset(self) -> None:
-        """Rewind the clock to zero (used between benchmark repetitions)."""
-        self.now_ns = 0
-

@@ -126,15 +126,8 @@ class Network:
         except KeyError:
             raise DeviceError(f"no remote content hosted at {url!r}") from None
 
-    @property
-    def outbound(self) -> List[NetworkMessage]:
-        return list(self._outbound)
-
     def outbound_to(self, destination: str) -> List[NetworkMessage]:
         return [m for m in self._outbound if m.destination == destination]
-
-    def clear(self) -> None:
-        self._outbound.clear()
 
 
 @dataclass
@@ -143,12 +136,3 @@ class DeviceBoard:
 
     camera: Camera = field(default_factory=Camera)
     network: Network = field(default_factory=Network)
-
-    def fd_of(self, device: str) -> int:
-        if device == "camera":
-            return self.camera.fd
-        if device == "network":
-            return self.network.fd
-        if device == "gui":
-            return GUI_SOCKET_FD
-        raise DeviceError(f"unknown device {device!r}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List
+from typing import Any, Dict, List
 
 from repro.errors import FileNotFoundInSim
 from repro.sim.memory import payload_nbytes
@@ -66,16 +66,8 @@ class SimFileSystem:
     def exists(self, path: str) -> bool:
         return path in self._files
 
-    def unlink(self, path: str) -> None:
-        entry = self._files.pop(path, None)
-        if entry is None:
-            raise FileNotFoundInSim(f"no such file: {path}")
-
     def listdir(self, prefix: str = "") -> List[str]:
         return sorted(p for p in self._files if p.startswith(prefix))
-
-    def files(self) -> Iterator[SimFile]:
-        return iter(list(self._files.values()))
 
     def tempfile(self, suffix: str = ".tmp") -> str:
         """Reserve a unique temporary path (used by copy-via-file APIs)."""

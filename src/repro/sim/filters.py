@@ -112,10 +112,6 @@ class SyscallFilter:
         return self._allowed
 
     @property
-    def init_only_names(self) -> FrozenSet[str]:
-        return self._init_only
-
-    @property
     def allowed_fds(self) -> Optional[FrozenSet[int]]:
         return self._allowed_fds
 
@@ -233,18 +229,3 @@ class FilterSpec:
             ),
             "description": self.description,
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FilterSpec":
-        """Rebuild a spec emitted by :meth:`to_dict` (install path)."""
-        fds = payload.get("allowed_fds")
-        prefixes = payload.get("allowed_path_prefixes")
-        return cls(
-            allowed=frozenset(payload.get("allowed", ())),
-            init_only=frozenset(payload.get("init_only", ())),
-            allowed_fds=frozenset(fds) if fds is not None else None,
-            allowed_path_prefixes=(
-                tuple(prefixes) if prefixes is not None else None
-            ),
-            description=payload.get("description", ""),
-        )

@@ -54,10 +54,6 @@ class GuiSubsystem:
     def is_connected(self, pid: int) -> bool:
         return pid in self._connected_pids
 
-    def require_connection(self, pid: int) -> None:
-        if pid not in self._connected_pids:
-            raise GuiError(f"process {pid} has no GUI connection")
-
     # ------------------------------------------------------------------
     # Windows
     # ------------------------------------------------------------------

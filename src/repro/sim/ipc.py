@@ -234,18 +234,10 @@ class Channel:
     def pending(self) -> int:
         return len(self._queue)
 
-    @property
-    def queued_bytes(self) -> int:
-        return self._queued_bytes
-
     def close(self) -> None:
         self._closed = True
         self._queue.clear()
         self._queued_bytes = 0
-
-    def would_fit(self, nbytes: int) -> bool:
-        """Whether a message of ``nbytes`` fits in the free space right now."""
-        return self._queued_bytes + nbytes <= self.capacity_bytes
 
     def send(
         self, sender_pid: int, kind: str, payload: Any, framed: bool = False
@@ -375,11 +367,6 @@ class Channel:
         self._queue.clear()
         self._queued_bytes = 0
         return messages
-
-    def try_receive(self) -> Optional[Message]:
-        if self._closed or not self._queue:
-            return None
-        return self.receive()
 
 
 class ChannelPair:

@@ -173,10 +173,6 @@ class SimKernel:
         """Processes still running."""
         return [p for p in self._processes.values() if p.alive]
 
-    def kill(self, pid: int, reason: str = "killed") -> None:
-        """Crash a process by pid."""
-        self.process(pid).crash(reason)
-
     def restart(
         self,
         process: SimProcess,

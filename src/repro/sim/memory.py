@@ -475,10 +475,6 @@ class AddressSpace:
         """Buffers defined during one framework state."""
         return [b for b in self._buffers.values() if b.origin_state == origin_state]
 
-    def unfrozen_in_state(self, origin_state: str) -> List[Buffer]:
-        """The freeze scan's index of one state, in allocation order."""
-        return list(self._unfrozen.get(origin_state, {}).values())
-
     def take_unfrozen(
         self, origin_state: str, tags: Optional[FrozenSet[str]] = None
     ) -> List[Buffer]:
@@ -497,17 +493,9 @@ class AddressSpace:
             del index[buffer.buffer_id]
         return taken
 
-    @property
-    def resident_bytes(self) -> int:
-        return sum(b.nbytes for b in self._buffers.values())
-
     # ------------------------------------------------------------------
     # Permission checks and protection changes
     # ------------------------------------------------------------------
-
-    def permission_of(self, address: int) -> Permission:
-        """Page protection bits at an address."""
-        return Permission(self._pages.get(page_of(address)))
 
     def check(self, address: int, nbytes: int, needed: Permission) -> None:
         """Fault unless every page in the range grants ``needed``."""

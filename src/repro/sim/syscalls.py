@@ -201,9 +201,3 @@ def validate_names(names: Iterable[str]) -> List[str]:
         resolved.append(name)
     return resolved
 
-
-def by_category(category: str) -> List[Syscall]:
-    """All syscalls in a category, ordered by syscall number."""
-    found = [s for s in SYSCALL_TABLE.values() if s.category == category]
-    return sorted(found, key=lambda s: s.number)
-

@@ -121,15 +121,6 @@ class Taint:
             payload=self.payload or other.payload,
         )
 
-    def leq(self, other: "Taint") -> bool:
-        """Lattice order: every component of self is below other's."""
-        return (
-            self.agents <= other.agents
-            and self.tenant <= other.tenant
-            and self.materialized <= other.materialized
-            and self.payload <= other.payload
-        )
-
     @property
     def is_bottom(self) -> bool:
         """True for the untainted value (lattice bottom)."""

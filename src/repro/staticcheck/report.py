@@ -24,11 +24,6 @@ class Severity(enum.Enum):
     WARNING = "warning"
     ERROR = "error"
 
-    @property
-    def rank(self) -> int:
-        """Numeric order for sorting (errors first)."""
-        return 0 if self is Severity.ERROR else 1
-
 
 @dataclass(frozen=True)
 class Finding:

@@ -115,12 +115,27 @@ def test_run_check_merges_privileges_across_files():
 
 # -- emission ------------------------------------------------------------
 
+def spec_from_dict(payload: dict) -> FilterSpec:
+    """Rebuild a spec from its ``FilterSpec.to_dict`` form."""
+    fds = payload["allowed_fds"]
+    prefixes = payload["allowed_path_prefixes"]
+    return FilterSpec(
+        allowed=frozenset(payload["allowed"]),
+        init_only=frozenset(payload["init_only"]),
+        allowed_fds=frozenset(fds) if fds is not None else None,
+        allowed_path_prefixes=(
+            tuple(prefixes) if prefixes is not None else None
+        ),
+        description=payload["description"],
+    )
+
+
 def test_render_minimal_pools_round_trips_as_filter_specs():
     privileges = privileges_of("over_privileged_pool_violation.py")
     payload = json.loads(render_minimal_pools(privileges))
     assert payload["version"] == 1
     specs = {
-        label: FilterSpec.from_dict(entry)
+        label: spec_from_dict(entry)
         for label, entry in payload["pools"].items()
     }
     direct = minimal_filter_specs(privileges)

@@ -18,10 +18,8 @@ WORKLOAD = Workload(items=2, image_size=16)
 class TestMotivatingExample:
     def test_freepart_prevents_all_five_attacks(self):
         verdict = run_motivating_example("freepart")
-        assert verdict.memory_attack_prevented
-        assert verdict.omrcrop_attack_prevented
-        assert verdict.code_attack_prevented
-        assert verdict.dos_attacks_prevented
+        assert all(verdict.prevented(label) for label in verdict.attacks)
+        assert len(verdict.attacks) == 5
 
     def test_no_isolation_prevents_nothing(self):
         verdict = run_motivating_example("none")
@@ -29,20 +27,22 @@ class TestMotivatingExample:
 
     def test_memory_based_only_stops_template_corruption(self):
         verdict = run_motivating_example("memory_based")
-        assert verdict.memory_attack_prevented
-        assert not verdict.dos_attacks_prevented
-        assert not verdict.code_attack_prevented
+        assert verdict.prevented("mem-write-template")
+        assert not (verdict.prevented("dos-imread")
+                    and verdict.prevented("dos-imshow"))
+        assert not verdict.prevented("code-rewrite")
 
     def test_code_api_leaves_template_exposed(self):
         verdict = run_motivating_example("code_api")
-        assert not verdict.memory_attack_prevented  # co-located with imread
-        assert verdict.dos_attacks_prevented        # crashes confined
+        assert not verdict.prevented("mem-write-template")  # beside imread
+        assert verdict.prevented("dos-imread")      # crashes confined
+        assert verdict.prevented("dos-imshow")
 
     def test_entire_library_leaves_shared_omrcrop_exposed(self):
         verdict = run_motivating_example("lib_entire")
-        assert verdict.memory_attack_prevented      # template in host
-        assert not verdict.omrcrop_attack_prevented # shared memory
-        assert not verdict.code_attack_prevented    # footnote 3
+        assert verdict.prevented("mem-write-template")      # in host
+        assert not verdict.prevented("mem-write-omrcrop")   # shared memory
+        assert not verdict.prevented("code-rewrite")        # footnote 3
 
     def test_individual_apis_prevent_everything(self):
         verdict = run_motivating_example("lib_individual")

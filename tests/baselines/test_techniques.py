@@ -130,7 +130,7 @@ class TestIndividualApis:
         gateway.call("opencv", "GaussianBlur", Mat(np.ones(4)))
         gateway.call("opencv", "erode", Mat(np.ones(4)))
         gateway.call("opencv", "erode", Mat(np.ones(4)))
-        assert gateway.api_process_count() == 2
+        assert len(gateway._workers) == 2
 
     def test_full_data_transferred_every_call(self):
         kernel = SimKernel()

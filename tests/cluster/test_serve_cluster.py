@@ -8,7 +8,7 @@ import pytest
 from repro.cluster.bench import SingleNodeFailurePlan
 from repro.cluster.kernel import ClusterKernel
 from repro.cluster.serve import ClusterServer
-from repro.cluster.sharding import DirectoryPartitioner, stable_hash
+from repro.cluster.sharding import split_by_directory, stable_hash
 from repro.errors import ClusterError
 from repro.serve.bench import standard_pipeline
 
@@ -28,7 +28,7 @@ def _loaded_server(nodes=3, tenants=6, requests=1, fault_plan=None):
         cluster.inject_faults(fault_plan)
     server = ClusterServer(cluster=cluster, pool_size=2, batching=True)
     paths, payloads = _dataset(tenants, requests)
-    manifest = DirectoryPartitioner().split(paths)
+    manifest = split_by_directory(paths)
     server.load_dataset(manifest, payloads)
     for t in range(tenants):
         server.pin_tenant_to_item(

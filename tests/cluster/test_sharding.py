@@ -1,15 +1,12 @@
-"""Dataset partitioners and the deterministic shard manifest."""
+"""The per-directory dataset split and the deterministic shard manifest."""
 
 import pytest
 
 from repro.cluster import (
     ClusterKernel,
-    DirectoryPartitioner,
-    HashPartitioner,
-    LambdaPartitioner,
-    ObjectPartitioner,
-    make_partitioner,
+    ShardManifest,
     shard_dataset,
+    split_by_directory,
     stable_hash,
 )
 
@@ -25,7 +22,8 @@ PATHS = [
 
 class TestDirectoryPartitioner:
     def test_one_shard_per_directory(self):
-        manifest = DirectoryPartitioner().split(PATHS)
+        manifest = split_by_directory(PATHS)
+        assert manifest.partitioner == "directory"
         assert len(manifest.shards) == 3
         assert [shard.key for shard in manifest.shards] == [
             "/data/tenant-0", "/data/tenant-1", "/data/tenant-2",
@@ -33,91 +31,41 @@ class TestDirectoryPartitioner:
         assert manifest.item_count == len(PATHS)
 
     def test_rootless_item_lands_in_root_shard(self):
-        manifest = DirectoryPartitioner().split(["plain.png"])
+        manifest = split_by_directory(["plain.png"])
         assert manifest.shards[0].key == "/"
 
     def test_shard_of_and_node_of(self):
-        manifest = DirectoryPartitioner().split(PATHS)
+        manifest = split_by_directory(PATHS)
         assert manifest.shard_of(PATHS[3]).key == "/data/tenant-2"
-        assert manifest.node_of(PATHS[0], 2) == 0
-        assert manifest.node_of(PATHS[3], 2) == 0  # shard 2 % 2 nodes
+        node_of = shard_dataset(ClusterKernel(nodes=2), manifest, {})
+        assert node_of[manifest.shard_of(PATHS[0]).index] == 0
+        assert node_of[manifest.shard_of(PATHS[3]).index] == 0  # 2 % 2 nodes
         with pytest.raises(ValueError):
             manifest.shard_of("/nope.png")
 
 
-class TestObjectPartitioner:
-    def test_groups_consecutive_items(self):
-        manifest = ObjectPartitioner(objects_per_shard=2).split(PATHS)
-        assert len(manifest.shards) == 3
-        assert manifest.shards[0].items == tuple(PATHS[:2])
-        assert manifest.shards[2].items == tuple(PATHS[4:])
-        assert manifest.partitioner == "object:2"
-
-    def test_rejects_nonpositive_group(self):
-        with pytest.raises(ValueError):
-            ObjectPartitioner(objects_per_shard=0)
-
-
-class TestHashPartitioner:
-    def test_stable_hash_is_process_independent(self):
-        # sha256-derived, so a literal value is safe to pin.
-        assert stable_hash("x") == stable_hash("x")
-        assert stable_hash("x") != stable_hash("y")
-
-    def test_buckets_cover_all_items(self):
-        manifest = HashPartitioner(shards=4).split(PATHS)
-        assert manifest.item_count == len(PATHS)
-        assert manifest.partitioner == "hash:4"
-        for shard in manifest.shards:
-            assert shard.key.startswith("bucket-")
-
-    def test_empty_buckets_omitted(self):
-        manifest = HashPartitioner(shards=64).split(PATHS[:2])
-        assert len(manifest.shards) <= 2
-
-
-class TestLambdaPartitioner:
-    def test_custom_key_function(self):
-        splitter = LambdaPartitioner(
-            lambda item: item.rsplit("-", 1)[-1], label="by-suffix"
-        )
-        manifest = splitter.split(PATHS)
-        assert manifest.partitioner == "by-suffix"
-        keys = {shard.key for shard in manifest.shards}
-        assert keys == {"0.png", "1.png", "2.png"}
+def test_stable_hash_is_process_independent():
+    # sha256-derived, so a literal value is safe to pin.
+    assert stable_hash("x") == stable_hash("x")
+    assert stable_hash("x") != stable_hash("y")
 
 
 class TestManifest:
     def test_json_and_digest_are_stable(self):
-        first = DirectoryPartitioner().split(PATHS)
-        second = DirectoryPartitioner().split(PATHS)
-        assert first.json() == second.json()
+        first = split_by_directory(PATHS)
+        second = split_by_directory(PATHS)
+        assert first.to_dict() == second.to_dict()
         assert first.digest() == second.digest()
 
     def test_digest_sees_partitioner_label(self):
-        by_dir = DirectoryPartitioner().split(PATHS)
-        by_object = ObjectPartitioner(objects_per_shard=6).split(PATHS)
-        assert by_dir.digest() != by_object.digest()
-
-
-class TestMakePartitioner:
-    def test_specs_parse(self):
-        assert isinstance(make_partitioner("directory"),
-                          DirectoryPartitioner)
-        assert make_partitioner("object:3").objects_per_shard == 3
-        assert make_partitioner("hash:16").shards == 16
-        assert make_partitioner("hash", default_shards=5).shards == 5
-
-    def test_bad_specs_rejected(self):
-        with pytest.raises(ValueError):
-            make_partitioner("zigzag")
-        with pytest.raises(ValueError):
-            make_partitioner("directory:2")
+        by_dir = split_by_directory(PATHS)
+        relabelled = ShardManifest(partitioner="other", shards=by_dir.shards)
+        assert by_dir.digest() != relabelled.digest()
 
 
 def test_shard_dataset_places_items_on_owner_nodes():
     cluster = ClusterKernel(nodes=2)
-    manifest = DirectoryPartitioner().split(PATHS)
+    manifest = split_by_directory(PATHS)
     payloads = {path: f"payload:{path}" for path in PATHS}
     assignment = shard_dataset(cluster, manifest, payloads)
     assert assignment == {0: 0, 1: 1, 2: 0}

@@ -141,7 +141,7 @@ def test_stateful_api_checkpointing(kernel):
         agent.execute(api, request, no_refs, ldc=False)
     assert agent.stats.stateful_calls == CHECKPOINT_INTERVAL
     assert agent.stats.checkpoints == 1
-    assert api.spec.qualname in agent.checkpointed_state
+    assert api.spec.qualname in agent._checkpoint
 
 
 def test_restart_restores_from_checkpoint_flag(kernel):

@@ -56,15 +56,15 @@ NATIVE_FRAME_BUDGET = 20
 
 #: Per offered arrival of :func:`arrival_costs` at 4 tenants and 200
 #: arrivals, ~5% over the counts when the budgets were set and never
-#: above the budgets before: 437.5 frames (562.4 before), 52.0 records
-#: (52.0) of which 4.0 frozen (4.0).
-SERVING_FRAME_BUDGET = 459
+#: above the budgets before: 425.6 frames (437.5 before the per-server
+#: route memo), 52.0 records (52.0) of which 4.0 frozen (4.0).
+SERVING_FRAME_BUDGET = 447
 SERVING_RECORD_BUDGET = 54
 SERVING_FROZEN_RECORD_BUDGET = 4.2
 #: The frame bound at hostbench's full ``serve_diurnal`` shape (60
-#: tenants, 1,000 arrivals: 439.0; 563.9 before), which CI checks with
+#: tenants, 1,000 arrivals: 427.0; 439.0 before), which CI checks with
 #: the two record bounds and no cyclic garbage.
-DEEP_SERVING_FRAME_BUDGET = 460
+DEEP_SERVING_FRAME_BUDGET = 448
 
 
 def frames_per_call(technique, gateway_type):

@@ -1,17 +1,24 @@
 """The per-call-site dispatch cache and prebuilt RPC frame templates.
 
 The cache must make steady-state dispatch cheaper without ever routing
-around enforcement: any state-machine transition flushes it, cached
-dispatches still drive ``observe_call``, and a restarted agent's frame
-template is rebuilt before the next send is framed.
+around enforcement.  It holds only what no framework state changes (an
+API and its categorization entry), so no transition invalidates it; the
+property that matters is that the state is read on every dispatch, hit
+or miss: a cached call still drives ``observe_call``, and a cached
+type-neutral call runs in the agent of the state it is made in, in the
+one-shot runtime and across the requests that share a server's route
+memo.  A restarted agent's frame template is rebuilt before the next
+send is framed.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.apitypes import FrameworkState
+from repro.core.apitypes import APIType, FrameworkState
+from repro.core.gateway import ApiCall
 from repro.core.runtime import FreePart, FreePartConfig
 from repro.errors import FrameworkCrash, SegmentationFault
+from repro.serve import PREV, PipelineServer
 from repro.sim.memory import MemoryLayout
 
 
@@ -34,20 +41,34 @@ class TestDispatchCache:
         for _ in range(5):
             gateway.call("opencv", "imread", path)
         stats = gateway.dispatch_stats
-        assert stats.hits >= 3  # steady-state calls served from cache
-        assert stats.misses >= 1
-        assert 0.0 < stats.hit_rate < 1.0
+        assert stats.misses == 1  # the first call resolves the site
+        assert stats.hits == 4    # steady-state calls served from cache
 
-    def test_state_transition_invalidates_the_cache(self):
+    def test_a_transition_keeps_the_cache_warm(self):
         kernel, gateway = fresh()
         path = write_image(kernel)
         handle = gateway.call("opencv", "imread", path)
-        gateway.call("opencv", "imread", path)
-        gateway.call("opencv", "imread", path)  # warm
-        invalidations = gateway.dispatch_stats.invalidations
         gateway.call("opencv", "GaussianBlur", handle)  # LOADING->PROCESSING
-        gateway.call("opencv", "imread", path)  # flushed: must re-resolve
-        assert gateway.dispatch_stats.invalidations > invalidations
+        gateway.call("opencv", "imread", path)  # PROCESSING->LOADING
+        assert gateway.dispatch_stats.misses == 2
+        assert gateway.dispatch_stats.hits == 1
+
+    def test_a_warm_neutral_route_follows_the_state(self):
+        """``cvtColor`` is type-neutral: it runs in the agent of the
+        state it is called in, even once its route is cached."""
+        kernel, gateway = fresh()
+        path = write_image(kernel)
+        loading = gateway.plan.partition_for_type(APIType.LOADING).index
+        processing = gateway.plan.partition_for_type(APIType.PROCESSING).index
+        image = gateway.call("opencv", "imread", path)
+        gray = gateway.call("opencv", "cvtColor", image)  # warms the route
+        assert gray.ref.owner_pid == gateway.agents[loading].process.pid
+        blurred = gateway.call("opencv", "GaussianBlur", image)
+        assert gateway.machine.state is FrameworkState.PROCESSING
+        hits = gateway.dispatch_stats.hits
+        gray = gateway.call("opencv", "cvtColor", blurred)
+        assert gateway.dispatch_stats.hits == hits + 1
+        assert gray.ref.owner_pid == gateway.agents[processing].process.pid
 
     def test_cached_dispatch_still_advances_the_state_machine(self):
         kernel, gateway = fresh()
@@ -76,7 +97,43 @@ class TestDispatchCache:
 
     def test_hit_rate_is_zero_before_any_dispatch(self):
         kernel, gateway = fresh()
-        assert gateway.dispatch_stats.hit_rate == 0.0
+        assert gateway.dispatch_stats.hits == 0
+        assert gateway.dispatch_stats.misses == 0
+
+
+class TestServerRouteMemo:
+    def test_a_warm_served_route_follows_each_requests_state(self):
+        """Tenant A warms the server's memo with ``cvtColor`` in
+        LOADING; tenant B calls it in PROCESSING and must get the
+        processing agent, and A's next request the loading agent."""
+        server = PipelineServer(pool_size=1)
+        write_image(server.kernel)
+
+        def agent_pid(api_type):
+            index = server.plan.partition_for_type(api_type).index
+            return server.pools.pools[index].members[0].agent.process.pid
+
+        def loading_gray():
+            return [ApiCall("opencv", "imread", ("/in.png",)),
+                    ApiCall("opencv", "cvtColor", (PREV,))]
+
+        server.submit("a", loading_gray())
+        [warm] = server.drain()
+        assert ("opencv", "cvtColor") in server.routes
+        server.submit("b", [
+            ApiCall("opencv", "imread", ("/in.png",)),
+            ApiCall("opencv", "GaussianBlur", (PREV,)),
+            ApiCall("opencv", "cvtColor", (PREV,)),
+        ])
+        server.submit("a", loading_gray())
+        by_tenant = {r.tenant_id: r for r in server.drain()}
+        for response in (warm, *by_tenant.values()):
+            assert response.ok, response.error
+        assert warm.values[-1].ref.owner_pid == agent_pid(APIType.LOADING)
+        assert (by_tenant["b"].values[-1].ref.owner_pid
+                == agent_pid(APIType.PROCESSING))
+        assert (by_tenant["a"].values[-1].ref.owner_pid
+                == agent_pid(APIType.LOADING))
 
 
 class TestFrameTemplates:

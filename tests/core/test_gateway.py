@@ -132,15 +132,6 @@ class TestGatewayStats:
         assert stats.total_calls() == 2
         assert stats.unique_qualnames() == ["cv2.imread"]
 
-    def test_counts_by_type(self):
-        stats = GatewayStats()
-        for name in ("a", "a", "b"):
-            stats.record(CallRecord("fw", name, f"fw.{name}", APIType.PROCESSING))
-        stats.record(CallRecord("fw", "ld", "fw.ld", APIType.LOADING))
-        counts = stats.counts_by_type()
-        assert counts[APIType.PROCESSING] == (2, 3)
-        assert counts[APIType.LOADING] == (1, 1)
-
     def test_unique_qualnames_ordered(self):
         stats = GatewayStats()
         for name in ("x", "y", "x"):

@@ -23,7 +23,7 @@ def categorization():
 
 def test_four_way_plan_has_four_partitions(categorization):
     plan = four_way_plan(categorization)
-    assert plan.partition_count == 4
+    assert len(plan.partitions) == 4
     types = [p.api_type for p in plan.partitions]
     assert types == [
         APIType.LOADING, APIType.PROCESSING,
@@ -61,7 +61,7 @@ def test_split_plan_k4_equals_default_sizes(categorization):
 @pytest.mark.parametrize("k", [5, 8, 15, 25])
 def test_split_plan_partition_count(categorization, k):
     plan = split_processing_plan(categorization, k, rng=random.Random(1))
-    assert plan.partition_count == k
+    assert len(plan.partitions) == k
     # processing slices are non-empty
     processing = [p for p in plan.partitions if p.api_type is APIType.PROCESSING]
     assert len(processing) == k - 3

@@ -85,7 +85,7 @@ def test_reordered_duplicate_request_applies_once():
     assert agent.process.framework_state[STEP_KEY] == 1
     assert agent.stats.requests == 1
     assert agent.stats.deduped_requests == 2
-    assert agent.sequence.exactly_once
+    assert set(agent.sequence.executed.values()) == {1}
     assert gateway.retransmits == 1
     assert agent.channel.request.pending == 0
     assert kernel.clock.now_ns == 13_221_695

@@ -70,9 +70,9 @@ def test_checkpoint_payload_is_a_snapshot(deployed):
     for _ in range(CHECKPOINT_INTERVAL):
         train_step(gateway)
     agent = processing_agent(gateway)
-    snapshot = dict(agent._checkpoint_state)
+    snapshot = dict(agent._latest_valid_checkpoint().state)
     train_step(gateway)  # post-checkpoint progress must not leak in
-    assert agent._checkpoint_state == snapshot
+    assert agent._latest_valid_checkpoint().state == snapshot
 
 
 def test_stateless_apis_do_not_checkpoint(deployed):

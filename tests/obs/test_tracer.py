@@ -95,18 +95,6 @@ def test_name_track_first_name_wins(tracer):
     assert tracer.track_names[4] == "agent:data_loading"
 
 
-def test_by_category_groups_closed_spans(tracer, clock):
-    with tracer.span("a", category="ipc"):
-        clock.advance(1)
-    with tracer.span("b", category="ipc"):
-        clock.advance(1)
-    with tracer.span("c", category="copy"):
-        clock.advance(1)
-    grouped = tracer.by_category()
-    assert len(grouped["ipc"]) == 2
-    assert len(grouped["copy"]) == 1
-
-
 def test_null_tracer_is_disabled_and_inert():
     assert NULL_TRACER.enabled is False
     with NULL_TRACER.span("x", category="y") as opened:
@@ -115,7 +103,6 @@ def test_null_tracer_is_disabled_and_inert():
     assert NULL_TRACER.add_span("x", "y", 0, 1) is None
     NULL_TRACER.name_track(1, "nope")
     assert NULL_TRACER.closed_spans() == []
-    assert NULL_TRACER.by_category() == {}
     assert NULL_TRACER.current is None
     assert isinstance(NULL_TRACER, NullTracer)
 

@@ -94,6 +94,6 @@ def test_pending_accounting(clock):
     queue.submit(FakeRequest("a"))
     queue.submit(FakeRequest("b"))
     assert queue.pending == 2
-    assert queue.pending_for("a") == 1
+    assert len(queue._queues["a"]) == 1
     queue.next_request()
     assert queue.pending == 1

@@ -20,6 +20,7 @@ from repro.core.rpc import (
     response_nbytes,
 )
 from repro.serve import PREV, PipelineServer, plan_batches
+from repro.serve.batching import MAX_BATCH_CALLS
 
 
 # ----------------------------------------------------------------------
@@ -51,8 +52,11 @@ def test_non_adjacent_same_partition_do_not_merge():
 
 
 def test_max_batch_calls_caps_run_length():
-    groups = plan_batches(_calls(5), [1] * 5, max_batch_calls=2)
-    assert [len(g) for g in groups] == [2, 2, 1]
+    count = 2 * MAX_BATCH_CALLS + 1
+    groups = plan_batches(_calls(count), [1] * count)
+    assert [len(g) for g in groups] == [MAX_BATCH_CALLS, MAX_BATCH_CALLS, 1]
+    assert [g.start for g in groups] == [0, MAX_BATCH_CALLS,
+                                         2 * MAX_BATCH_CALLS]
 
 
 def test_group_start_indices():

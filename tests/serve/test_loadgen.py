@@ -205,7 +205,10 @@ def test_open_loop_replay_is_deterministic():
         server = _server()
         result = run_open_loop(server, schedule)
         runs.append((
-            result.to_dict(10_000_000),
+            result.schedule_digest, result.offered, result.admitted,
+            result.rejected, result.shed, result.served_ok,
+            result.served_failed, result.goodput(10_000_000),
+            result.p99_latency_ns(), result.sheds_by_priority,
             tuple(sorted(server.events)),
         ))
         server.shutdown()

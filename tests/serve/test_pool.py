@@ -21,7 +21,7 @@ def poolset():
 def test_pool_spawns_size_agents_per_partition(poolset):
     for pool in poolset.pools.values():
         assert len(pool.members) == 2
-        assert pool.free_count() == 2
+        assert not any(m.leased for m in pool.members)
 
 
 def test_lease_set_gives_one_agent_per_partition(poolset):
@@ -36,7 +36,7 @@ def test_restore_frees_members(poolset):
     leased = poolset.lease_set("tenant-a")
     poolset.restore_set(leased)
     for pool in poolset.pools.values():
-        assert pool.free_count() == len(pool.members)
+        assert not any(m.leased for m in pool.members)
 
 
 def test_exhausted_pool_raises(poolset):
@@ -57,7 +57,7 @@ def test_failed_lease_set_releases_partial_leases(poolset):
     for other in poolset.pools.values():
         if other is pool:
             continue
-        assert other.free_count() == len(other.members)
+        assert not any(m.leased for m in other.members)
 
 
 def test_round_robin_spreads_leases(poolset):

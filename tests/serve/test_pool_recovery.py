@@ -85,7 +85,8 @@ def test_pool_is_repaired_not_shrunk(
     assert server.pools.total_restarts() == 1
     for pool in server.pools.pools.values():
         assert len(pool.members) == 2
-        assert pool.free_count() == 2  # every lease was returned
+        # Every lease was returned.
+        assert not any(m.leased for m in pool.members)
         for member in pool.members:
             assert member.agent.process.alive
 
@@ -124,7 +125,7 @@ def test_persistent_crash_exhausts_retries(
     assert "FrameworkCrash" in responses[0].error
     # Even after repeated crashes the pool is whole again.
     for pool in server.pools.pools.values():
-        assert pool.free_count() == len(pool.members)
+        assert not any(m.leased for m in pool.members)
 
 
 def test_crash_evicts_dead_generation_refs(
@@ -182,7 +183,7 @@ def test_exhausted_pool_fails_the_request(image_pipeline, seed_inputs):
     assert [e.ok for e in server.events] == [False, False]
     # The other pools got their leased members back.
     for pool in server.pools.pools.values():
-        assert pool.free_count() == len(pool.members)
+        assert not any(m.leased for m in pool.members)
     server.shutdown()
 
 

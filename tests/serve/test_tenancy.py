@@ -57,12 +57,11 @@ def test_check_value_recurses_into_containers(registry):
         registry.check_value("alice", {"data": (RemoteHandle(foreign),)})
 
 
-def test_refs_of_counts_per_tenant(registry):
+def test_mint_records_each_key_under_its_tenant(registry):
     registry.mint("alice", _ref(buffer_id=1))
     registry.mint("alice", _ref(buffer_id=2))
     registry.mint("bob", _ref(buffer_id=3))
-    assert registry.refs_of("alice") == 2
-    assert registry.refs_of("bob") == 1
+    assert sorted(registry._owners.values()) == ["alice", "alice", "bob"]
 
 
 def test_mint_refuses_a_key_another_tenant_holds(registry):

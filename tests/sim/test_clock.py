@@ -28,13 +28,6 @@ def test_now_conversions():
     assert clock.now_ms == pytest.approx(1_000.0)
 
 
-def test_reset_rewinds():
-    clock = VirtualClock()
-    clock.advance(42)
-    clock.reset()
-    assert clock.now_ns == 0
-
-
 def test_determinism_two_clocks_same_charges():
     a, b = VirtualClock(), VirtualClock()
     for ns in (3, 1_000, 77, 123_456):

@@ -8,7 +8,6 @@ from repro.sim.devices import (
     CAMERA_FD,
     Camera,
     DeviceBoard,
-    GUI_SOCKET_FD,
     NETWORK_FD,
     Network,
 )
@@ -56,9 +55,9 @@ class TestNetwork:
     def test_send_is_recorded(self):
         net = Network()
         net.send(1, "server", {"x": 1})
-        assert len(net.outbound) == 1
-        assert net.outbound[0].destination == "server"
-        assert net.outbound[0].nbytes > 0
+        [message] = net.outbound_to("server")
+        assert message.pid == 1
+        assert message.nbytes > 0
 
     def test_outbound_to_filters(self):
         net = Network()
@@ -81,20 +80,9 @@ class TestNetwork:
         net.connect(5)
         assert net.is_connected(5)
 
-    def test_clear(self):
-        net = Network()
-        net.send(1, "a", 1)
-        net.clear()
-        assert net.outbound == []
-
 
 class TestDeviceBoard:
     def test_fd_lookup(self):
         board = DeviceBoard()
-        assert board.fd_of("camera") == CAMERA_FD
-        assert board.fd_of("network") == NETWORK_FD
-        assert board.fd_of("gui") == GUI_SOCKET_FD
-
-    def test_unknown_device(self):
-        with pytest.raises(DeviceError):
-            DeviceBoard().fd_of("printer")
+        assert board.camera.fd == CAMERA_FD
+        assert board.network.fd == NETWORK_FD

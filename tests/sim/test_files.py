@@ -40,14 +40,6 @@ def test_exists(fs):
     assert fs.exists("/x")
 
 
-def test_unlink(fs):
-    fs.write_file("/x", 1)
-    fs.unlink("/x")
-    assert not fs.exists("/x")
-    with pytest.raises(FileNotFoundInSim):
-        fs.unlink("/x")
-
-
 def test_listdir_prefix(fs):
     fs.write_file("/data/a", 1)
     fs.write_file("/data/b", 2)

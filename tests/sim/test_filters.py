@@ -94,7 +94,7 @@ def test_filter_spec_builds_equivalent_filter():
     )
     built = spec.build()
     assert built.allowed_names == {"read", "close"}
-    assert built.init_only_names == {"mprotect"}
+    assert built._init_only == {"mprotect"}
     assert built.allowed_fds == {10}
 
 

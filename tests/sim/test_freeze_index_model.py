@@ -36,7 +36,9 @@ from repro.core.apitypes import FrameworkState
 from repro.core.statemachine import TemporalStateMachine
 from repro.errors import SegmentationFault
 from repro.sim.clock import VirtualClock
-from repro.sim.memory import PAGE_SIZE, Permission, SharedSegment
+from repro.sim.memory import (
+    PAGE_SIZE, AddressSpace, Buffer, Permission, SharedSegment, page_of,
+)
 from repro.sim.process import SimProcess
 
 STATES = list(FrameworkState)
@@ -48,6 +50,16 @@ SIZES = st.integers(min_value=0, max_value=3 * PAGE_SIZE + 17)
 
 def _npages(nbytes: int) -> int:
     return (max(nbytes, 1) + PAGE_SIZE - 1) // PAGE_SIZE
+
+
+def permission_of(space: AddressSpace, address: int) -> Permission:
+    """Page protection bits at an address."""
+    return Permission(space._pages.get(page_of(address)))
+
+
+def unfrozen_in_state(space: AddressSpace, origin_state: str) -> List[Buffer]:
+    """The freeze scan's index of one state, in allocation order."""
+    return list(space._unfrozen.get(origin_state, {}).values())
 
 
 class FreezeScanMachine(RuleBasedStateMachine):
@@ -292,11 +304,11 @@ class FreezeScanMachine(RuleBasedStateMachine):
         for buffer_id, model in self.pages.items():
             buffer = self.space.get_buffer(buffer_id)
             assert _npages(buffer.nbytes) == len(model)
-            actual = [self.space.permission_of(buffer.address + i * PAGE_SIZE)
+            actual = [permission_of(self.space, buffer.address + i * PAGE_SIZE)
                       for i in range(len(model))]
             assert actual == model
             past_end = buffer.address + len(model) * PAGE_SIZE
-            assert self.space.permission_of(past_end) == Permission.NONE
+            assert permission_of(self.space, past_end) == Permission.NONE
             assert self.space.is_writable(buffer_id) == all(
                 p & Permission.WRITE for p in model)
 
@@ -321,7 +333,7 @@ class FreezeScanMachine(RuleBasedStateMachine):
     def index_matches_the_model(self):
         for state in STATES:
             indexed = [b.buffer_id
-                       for b in self.space.unfrozen_in_state(state.value)]
+                       for b in unfrozen_in_state(self.space, state.value)]
             assert indexed == sorted(b for b in self.indexed
                                      if self.origin[b] == state.value)
 
@@ -341,14 +353,14 @@ class FreezeScanMachine(RuleBasedStateMachine):
                 self.space.get_buffer(buffer_id)
             assert not self.space.is_writable(buffer_id)
             for page in range(npages):
-                assert (self.space.permission_of(address + page * PAGE_SIZE)
+                assert (permission_of(self.space, address + page * PAGE_SIZE)
                         == Permission.NONE)
 
     @invariant()
     def index_covers_every_writable_buffer_in_order(self):
         for state in STATES:
             indexed = [b.buffer_id
-                       for b in self.space.unfrozen_in_state(state.value)]
+                       for b in unfrozen_in_state(self.space, state.value)]
             assert indexed == sorted(indexed)
             assert set(indexed) <= set(self.pages)
             writable = {b.buffer_id

@@ -50,9 +50,8 @@ def test_destroy_all(gui):
 def test_connection_tracking(gui):
     assert not gui.is_connected(3)
     gui.connect(3)
-    gui.require_connection(3)
-    with pytest.raises(GuiError):
-        gui.require_connection(4)
+    assert gui.is_connected(3)
+    assert not gui.is_connected(4)
 
 
 def test_key_queue_fifo(gui):

@@ -61,7 +61,7 @@ def test_oversize_message_raises_immediately(clock, accounting):
     assert excinfo.value.permanent
     # The channel is untouched: nothing was enqueued or accounted.
     assert channel.pending == 0
-    assert channel.queued_bytes == 0
+    assert channel._queued_bytes == 0
     assert accounting.messages == 0
 
 
@@ -73,13 +73,6 @@ def test_transient_fullness_is_not_permanent(clock, accounting):
     assert not excinfo.value.permanent
     channel.receive()
     channel.send(1, "m", np.zeros(8))  # drain resolved it
-
-
-def test_would_fit(clock, accounting):
-    channel = Channel("tiny", clock, accounting, capacity_bytes=100)
-    assert channel.would_fit(64)
-    channel.send(1, "m", np.zeros(8))
-    assert not channel.would_fit(64)
 
 
 def test_receive_frees_capacity(clock, accounting):
@@ -106,10 +99,6 @@ def test_bigger_payload_costs_more(clock, accounting):
 def test_receive_empty_raises(channel):
     with pytest.raises(ChannelClosed):
         channel.receive()
-
-
-def test_try_receive_empty_returns_none(channel):
-    assert channel.try_receive() is None
 
 
 def test_closed_channel_rejects_send_and_receive(channel):

@@ -45,7 +45,7 @@ def test_processes_filter_by_role(kernel):
 def test_kill_and_living(kernel):
     a = kernel.spawn("a")
     b = kernel.spawn("b")
-    kernel.kill(a.pid, "test")
+    a.crash("test")
     living = kernel.living()
     assert b in living and a not in living
 

@@ -14,6 +14,7 @@ from repro.sim.memory import (
     pages_spanned,
     payload_nbytes,
 )
+from tests.sim.test_freeze_index_model import permission_of, unfrozen_in_state
 
 
 @pytest.fixture
@@ -40,7 +41,7 @@ def test_guard_page_between_allocations(space):
     # the page right after a's last page is unmapped
     gap_addr = (page_of(a.end - 1) + 1) * PAGE_SIZE
     assert gap_addr < b.address
-    assert space.permission_of(gap_addr) == Permission.NONE
+    assert permission_of(space, gap_addr) == Permission.NONE
 
 
 def test_store_and_load_roundtrip(space):
@@ -133,7 +134,7 @@ def test_mprotect_onto_an_unmapped_page_changes_nothing(space):
     assert space.mprotect_calls == 0
     # A page mapped with no permission is still mapped.
     space.mprotect(buffer.address, PAGE_SIZE, Permission.NONE)
-    assert space.permission_of(buffer.address) == Permission.NONE
+    assert permission_of(space, buffer.address) == Permission.NONE
     space.mprotect(buffer.address, PAGE_SIZE, Permission.rw())
     assert space.is_writable(buffer.buffer_id)
 
@@ -176,7 +177,7 @@ def test_free_unmaps(space):
     space.free(buffer.buffer_id)
     with pytest.raises(SegmentationFault):
         space.load(buffer.buffer_id)
-    assert space.permission_of(buffer.address) == Permission.NONE
+    assert permission_of(space, buffer.address) == Permission.NONE
 
 
 def test_find_buffer_returns_most_recent(space):
@@ -227,7 +228,7 @@ def test_unfrozen_in_state_tracks_protection(space):
     space.alloc(8, origin_state="storing")
 
     def unfrozen():
-        return [x.buffer_id for x in space.unfrozen_in_state("data_loading")]
+        return [x.buffer_id for x in unfrozen_in_state(space, "data_loading")]
 
     assert unfrozen() == [a.buffer_id, b.buffer_id, c.buffer_id]
     space.protect_buffer(a.buffer_id, Permission.ro())
@@ -235,13 +236,7 @@ def test_unfrozen_in_state_tracks_protection(space):
     assert unfrozen() == [b.buffer_id]
     space.protect_buffer(a.buffer_id, Permission.rw())
     assert unfrozen() == [a.buffer_id, b.buffer_id]  # allocation order
-    assert space.unfrozen_in_state("visualizing") == []
-
-
-def test_resident_bytes(space):
-    space.alloc(100)
-    space.alloc(200)
-    assert space.resident_bytes == 300
+    assert unfrozen_in_state(space, "visualizing") == []
 
 
 def test_pages_spanned_boundaries():

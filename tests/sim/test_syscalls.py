@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import UnknownSyscall
-from repro.sim.syscalls import SYSCALL_TABLE, by_category, lookup, validate_names
+from repro.sim.syscalls import SYSCALL_TABLE, lookup, validate_names
 
 
 def test_table_has_the_paper_syscalls():
@@ -44,14 +44,6 @@ def test_validate_names_roundtrip():
 def test_validate_names_rejects_unknown():
     with pytest.raises(UnknownSyscall):
         validate_names(["read", "bogus"])
-
-
-def test_by_category_sorted_by_number():
-    network = by_category("network")
-    assert network
-    assert all(s.category == "network" for s in network)
-    numbers = [s.number for s in network]
-    assert numbers == sorted(numbers)
 
 
 def test_dangerous_syscalls_categorized():

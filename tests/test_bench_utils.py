@@ -1,6 +1,4 @@
-"""Bench harness utilities: runner, table rendering, JSON export."""
-
-import json
+"""Bench harness utilities: runner and table rendering."""
 
 import pytest
 
@@ -48,16 +46,6 @@ class TestRunner:
         row = OverheadRow(1, "x", 0.0, 1.0)
         assert row.overhead_percent == 0.0
         assert row.normalized_runtime == 1.0
-
-
-class TestJsonExport:
-    def test_report_to_dict_round_trips_json(self):
-        report = run_under(make_app(4), "freepart", WORKLOAD)
-        payload = report.to_dict()
-        decoded = json.loads(json.dumps(payload))
-        assert decoded["app_name"] == "lbpcascade_anime"
-        assert decoded["processes"] == 5
-        assert "result" not in decoded
 
 
 class TestTables:

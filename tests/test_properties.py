@@ -203,7 +203,7 @@ def test_split_plans_partition_processing_exactly(k, seed):
 
     categorization = _categorization()
     plan = split_processing_plan(categorization, k, rng=random.Random(seed))
-    assert plan.partition_count == k
+    assert len(plan.partitions) == k
     members = [q for p in plan.partitions for q in p.qualnames]
     assert len(members) == len(set(members))  # no API in two partitions
 
