@@ -28,6 +28,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.partitioner import Partition
 from repro.core.rpc import (
+    REPLY_CACHE_SIZE,
     BatchChain,
     ObjectRef,
     ObjectStore,
@@ -58,9 +59,6 @@ CHECKPOINT_INTERVAL = 16
 
 #: How many checkpoint generations an agent retains for fallback.
 CHECKPOINT_HISTORY = 3
-
-#: Replies remembered for duplicate suppression (per agent process).
-REPLY_CACHE_SIZE = 256
 
 #: First restart retries immediately; subsequent attempts in the same
 #: repair (a restart storm) back off exponentially from this base.

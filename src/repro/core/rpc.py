@@ -21,6 +21,10 @@ from repro.sim.process import ProcessState
 #: Simulated wire size of a reference (pid + buffer id + metadata).
 REF_WIRE_BYTES = 64
 
+#: Replies an agent process remembers for duplicate suppression, and the
+#: sequence numbers whose executions its tracker counts.
+REPLY_CACHE_SIZE = 256
+
 
 @dataclass(frozen=True)
 class ObjectRef:
@@ -245,11 +249,18 @@ class SequenceTracker:
     duplicates — which is what keeps stateful APIs from double-applying
     when a lost reply forces the sender to retransmit (the at-least-once
     protocol's dedup half).
+
+    ``executed`` keeps counts for the last REPLY_CACHE_SIZE sequence
+    numbers only.  A re-execution names a number still in flight (a
+    retransmission, or the retry after a restart, which this tracker
+    survives), so it always finds its count.
     """
 
     def __init__(self) -> None:
         self._seq = itertools.count(1)
         self.executed: Dict[int, int] = {}
+        #: The lowest sequence number whose count ``executed`` may hold.
+        self._oldest = 1
         self.retries = 0
         #: Deliveries answered from the reply cache without re-running
         #: the API body (duplicated messages, retried requests).
@@ -259,10 +270,16 @@ class SequenceTracker:
         return next(self._seq)
 
     def record_execution(self, seq: int) -> None:
-        count = self.executed.get(seq, 0)
+        executed = self.executed
+        count = executed.get(seq, 0)
         if count >= 1:
             self.retries += 1
-        self.executed[seq] = count + 1
+        executed[seq] = count + 1
+        oldest = self._oldest
+        while oldest <= seq - REPLY_CACHE_SIZE:
+            executed.pop(oldest, None)
+            oldest += 1
+        self._oldest = oldest
 
     def record_duplicate(self, seq: int) -> None:
         """A delivery of ``seq`` was served from the reply cache."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from typing import (
-    Any, Callable, Dict, List, NoReturn, Optional, Sequence, Tuple,
+    Any, Callable, Dict, Iterable, List, NoReturn, Optional, Sequence, Tuple,
 )
 
 from repro.core.agent import AgentProcess
@@ -25,6 +25,7 @@ from repro.core.apitypes import APIType, api_type_of_state
 from repro.core.gateway import OBS_FRAMEWORK, ApiGateway, CallRecord
 from repro.core.hybrid import Categorization, HybridAnalyzer
 from repro.core.partitioner import (
+    Partition,
     PartitionPlan,
     four_way_plan,
     split_processing_plan,
@@ -142,10 +143,10 @@ class FreePartConfig:
 class DispatchStats:
     """Per-gateway dispatch-cache counters.
 
-    The cache keys on call site (framework, API name) and holds the
-    resolved API plus its categorization entry.  Neither depends on the
-    framework state, so no transition invalidates an entry: the state
-    enters routing afresh on every dispatch (see ``_route``).
+    The cache keys on call site (framework, API name) and holds its
+    :data:`Route`.  Nothing in a route depends on the framework state,
+    so no transition invalidates an entry: the state enters routing
+    afresh on every dispatch (see ``_route``).
     """
 
     hits: int = 0
@@ -189,6 +190,64 @@ def build_filter_specs(
         )
         for partition in plan.partitions
     }
+
+
+#: A call site's route: its API, its categorization entry and the
+#: partition it runs in, None for a type-neutral API (it runs in the
+#: agent of the current state).  Nothing in it depends on the state.
+Route = Tuple[FrameworkAPI, Any, Optional[Partition]]
+
+
+def resolve_route(
+    api: FrameworkAPI, categorization: Categorization, plan: PartitionPlan
+) -> Route:
+    """An API's route under a categorization and a plan.
+
+    Raises :class:`~repro.errors.UncategorizableAPI` for an API the
+    analysis did not categorize.
+    """
+    qualname = api.spec.qualname
+    entry = categorization.get(qualname)
+    if entry.neutral:
+        return api, entry, None
+    partition = plan.partition_of(qualname)
+    if partition is None:
+        partition = plan.partition_for_type(entry.api_type)
+    return api, entry, partition
+
+
+def release_objects(
+    refs: List[ObjectRef], agents: Iterable[AgentProcess]
+) -> None:
+    """Release the object behind each of ``refs``, in order, and empty
+    the list.
+
+    The owner, found by (pid, generation) among the running ``agents``,
+    releases its buffer, and every other running agent drops its lazy
+    copy.  A crashed or restarted owner has nothing left to release.  No
+    release costs virtual time.
+    """
+    running = ProcessState.RUNNING
+    owners: Dict[int, SimProcess] = {}
+    copies = []
+    for agent in agents:
+        process = agent.process
+        if process.state is running:
+            owners[process.pid] = process
+            resident = agent._resident
+            if resident:
+                copies.append((resident, process.memory))
+    for ref in refs:  # a handle dying meanwhile joins this pass
+        owner = owners.get(ref.owner_pid)
+        if owner is not None and owner.generation == ref.owner_generation:
+            owner.memory.release_buffer(ref.buffer_id)
+        if copies:
+            key = (ref.owner_pid, ref.owner_generation, ref.buffer_id)
+            for resident, memory in copies:
+                copy = resident.pop(key, None)
+                if copy is not None:
+                    memory.release_buffer(copy.buffer_id)
+    refs.clear()
 
 
 _PROCESS_OF = operator.attrgetter("process")
@@ -268,9 +327,9 @@ class FreePartGateway(ApiGateway):
         #: since the last call, in the order they died.
         self._released: List[ObjectRef] = []
         self.dispatch_stats = DispatchStats()
-        #: Call-site dispatch cache: (framework, name) -> (api, entry).
-        #: A serving gateway swaps in its server's shared memo.
-        self._dispatch_cache: Dict[Tuple[str, str], Tuple[Any, Any]] = {}
+        #: Call-site dispatch cache: (framework, name) -> its route.  A
+        #: serving gateway swaps in its server's shared memo.
+        self._dispatch_cache: Dict[Tuple[str, str], Route] = {}
         #: Prebuilt RPC frame templates: partition index -> the process
         #: generation the template was built against.  A send is "framed"
         #: (cheaper fixed cost) only while the template matches the live
@@ -328,25 +387,26 @@ class FreePartGateway(ApiGateway):
 
         Steady-state calls hit the per-call-site dispatch cache and skip
         re-resolution and re-categorization.  The cache holds only what
-        no state changes (the API and its categorization entry); the
-        state is read on *every* dispatch, cached or not: a non-neutral
-        API drives ``observe_call``, so temporal freezing (and the
-        frozen-write SIGSEGV it arms) can never be bypassed by a hit,
-        and a type-neutral API runs in the current state's agent.
+        no state changes (the :data:`Route`); the state is read on
+        *every* dispatch, cached or not: a non-neutral API drives
+        ``observe_call``, so temporal freezing (and the frozen-write
+        SIGSEGV it arms) can never be bypassed by a hit, and a
+        type-neutral API runs in the current state's agent.
         """
         key = (framework, name)
-        cached = self._dispatch_cache.get(key)
-        if cached is not None:
+        route = self._dispatch_cache.get(key)
+        if route is not None:
             self.dispatch_stats.hits += 1
-            api, entry = cached
         else:
             self.dispatch_stats.misses += 1
-            api = self._resolve_api(framework, name)
-            entry = self.categorization.get(api.spec.qualname)
-            self._dispatch_cache[key] = (api, entry)
+            route = self._dispatch_cache[key] = resolve_route(
+                self._resolve_api(framework, name),
+                self.categorization, self.plan,
+            )
+        api, entry, partition = route
         spec = api.spec
 
-        if entry.neutral:
+        if partition is None:
             # Type-neutral APIs run in the agent of the current state.
             effective_type = (
                 api_type_of_state(self.machine.state) or APIType.PROCESSING
@@ -355,9 +415,6 @@ class FreePartGateway(ApiGateway):
         else:
             effective_type = entry.api_type
             self.machine.observe_call(entry.api_type)
-            partition = self.plan.partition_of(spec.qualname)
-            if partition is None:
-                partition = self.plan.partition_for_type(entry.api_type)
 
         self.stats.record(CallRecord(
             framework=spec.framework, name=spec.name,
@@ -573,28 +630,8 @@ class FreePartGateway(ApiGateway):
 
     def _release_dropped(self) -> None:
         """Release the object behind every handle the host dropped, in
-        the order the handles died.
-
-        The owner releases its buffer, and every other agent drops its
-        lazy copy.  A crashed or restarted owner has nothing left to
-        release.  No release costs virtual time.
-        """
-        released = self._released
-        agents = self.agents.values()
-        for ref in released:  # a handle dying meanwhile joins this pass
-            key = (ref.owner_pid, ref.owner_generation, ref.buffer_id)
-            for agent in agents:
-                process = agent.process
-                if process.state is not ProcessState.RUNNING:
-                    continue
-                if process.pid == ref.owner_pid:
-                    if process.generation == ref.owner_generation:
-                        process.memory.release_buffer(ref.buffer_id)
-                    continue
-                copy = agent._resident.pop(key, None)
-                if copy is not None:
-                    process.memory.release_buffer(copy.buffer_id)
-        released.clear()
+        the order the handles died (:func:`release_objects`)."""
+        release_objects(self._released, self.agents.values())
 
     def _finish_value(self, agent: AgentProcess, spec, value: Any) -> Any:
         """Post-process one response value back into the host's view.

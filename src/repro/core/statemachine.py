@@ -17,7 +17,6 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.apitypes import STATE_OF_TYPE, APIType, FrameworkState
 from repro.obs.tracer import NULL_TRACER
-from repro.sim.memory import Permission
 from repro.sim.process import ProcessState, SimProcess
 
 
@@ -129,33 +128,32 @@ class TemporalStateMachine:
         """Make every buffer defined during ``state`` read-only, when
         enforcing, and unmap the released ones either way.
 
-        Visits only the buffers no freeze has taken yet, not every
-        buffer ever defined in ``state``, and takes each out of the index
-        whether it protects it or not, so a later release unmaps it at
-        once.  A buffer whose object was released while it waited here
-        is protected like the rest, then unmapped.  ``processes``
+        One :meth:`~repro.sim.memory.AddressSpace.freeze` per running
+        process visits only the buffers no freeze has taken yet, not
+        every buffer ever defined in ``state``, and takes each out of the
+        index whether it protects it or not, so a later release unmaps
+        it at once.  A buffer whose object was released while it waited
+        there is protected like the rest, then unmapped.  ``processes``
         defaults to the live roster.
         """
         if processes is None:
             processes = self._processes()
         protected = 0
         label = state.value
+        enforce = self.enforce
+        host_tags = self.annotated_tags
         for process in processes:
-            if process.state is not ProcessState.RUNNING:
-                continue
             memory = process.memory
-            # Unannotated host variables stay writable, and indexed.
-            tags = self.annotated_tags if process.role == "host" else None
-            for buffer in memory.take_unfrozen(label, tags):
-                if self.enforce and memory.is_writable(buffer.buffer_id):
-                    # Out of the index already: protecting the range is
-                    # all ``protect_buffer`` would do.
-                    memory.mprotect(
-                        buffer.address, buffer.nbytes, Permission.READ
-                    )
-                    protected += 1
-                if buffer.released:
-                    memory.free(buffer.buffer_id)
+            # Most processes defined nothing in ``state`` since its last
+            # freeze: their index holds no entry for it.
+            if (process.state is not ProcessState.RUNNING
+                    or label not in memory._unfrozen):
+                continue
+            if process.role != "host":
+                protected += len(memory.freeze(label, None, enforce))
+            elif host_tags:
+                # Unannotated host variables stay writable, and indexed.
+                protected += len(memory.freeze(label, host_tags, enforce))
         self.protected_total += protected
         return protected
 

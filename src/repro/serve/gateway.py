@@ -4,8 +4,10 @@ A :class:`ServeGateway` is a :class:`~repro.core.runtime.FreePartGateway`
 with three serving-specific behaviours layered on:
 
 * it runs over **leased pool agents** instead of spawning its own (and
-  therefore never tears them down — the pool owns their lifecycle), and
-  resolves a presented handle in whichever pool member owns it;
+  therefore never tears them down — the pool owns their lifecycle),
+  resolves a presented handle in whichever pool member owns it, and
+  makes its handles on the server's release list, so a served object
+  lives while its tenant holds a handle to it (:func:`release_served`);
 * every ObjectRef crossing the tenant boundary is **namespaced**: refs a
   request produces are minted under its tenant, refs a request presents
   are checked, and a pooled agent's crash evicts the dead generation's
@@ -33,7 +35,12 @@ from repro.core.rpc import (
     RpcRequest,
     batch_request,
 )
-from repro.core.runtime import FreePartConfig, FreePartGateway
+from repro.core.runtime import (
+    FreePartConfig,
+    FreePartGateway,
+    Route,
+    release_objects,
+)
 from repro.errors import (
     FrameworkCrash,
     ProcessCrashed,
@@ -48,12 +55,28 @@ from repro.serve.tenancy import Tenant, TenantRegistry
 from repro.sim.kernel import SimKernel
 
 
+def release_served(
+    refs: List[ObjectRef], pools: PoolSet, registry: TenantRegistry
+) -> None:
+    """Release the objects behind the handles tenants dropped, in the
+    order the handles died, and empty ``refs``.
+
+    Each object goes in whichever pool member owns it, leased or not,
+    every member drops its lazy copy, and the ref's registry key goes
+    too, so a ref kept past its last handle fails as unknown.
+    """
+    registry.forget(refs)
+    release_objects(refs, pools.agents())
+
+
 class ServeGateway(FreePartGateway):
     """Tenant-scoped dispatch over a leased set of pooled agents.
 
     ``routes`` is the server's route memo: every request's gateway
     shares it as its dispatch cache, so a call site resolves once per
-    server, not once per request.
+    server, not once per request.  ``releases`` is the server's release
+    list: the handles every request's gateway makes report their death
+    there.
     """
 
     def __init__(
@@ -66,7 +89,8 @@ class ServeGateway(FreePartGateway):
         agents: Dict[int, AgentProcess],
         registry: TenantRegistry,
         pools: PoolSet,
-        routes: Dict[Tuple[str, str], Tuple[Any, Any]],
+        routes: Dict[Tuple[str, str], Route],
+        releases: List[ObjectRef],
         batch_stats: BatchingStats,
         batching: bool = True,
     ) -> None:
@@ -79,6 +103,11 @@ class ServeGateway(FreePartGateway):
         self.batching = batching
         self.batch_stats = batch_stats
         self._dispatch_cache = routes
+        self._released = releases
+
+    def _release_dropped(self) -> None:
+        # Over every pool member, not only the leased ones.
+        release_served(self._released, self.pools, self.registry)
 
     # ------------------------------------------------------------------
     # Tenant namespacing

@@ -270,18 +270,21 @@ class PoolSet:
         for index, member in leased.items():
             self.pools[index].restore(member)
 
+    def agents(self) -> List[AgentProcess]:
+        """Every pooled agent, leased or not, pool by pool."""
+        agents = []
+        for pool in self.pools.values():
+            for member in pool.members:
+                agents.append(member.agent)
+        return agents
+
     def total_restarts(self) -> int:
         """Restarts across every pooled agent, however they were repaired
         (pool-side on lease/restore, or in place by a gateway's crash
         handler mid-request)."""
-        return sum(
-            member.agent.stats.restarts
-            for pool in self.pools.values()
-            for member in pool.members
-        )
+        return sum(agent.stats.restarts for agent in self.agents())
 
     def shutdown(self) -> None:
         """Stop every pooled agent."""
-        for pool in self.pools.values():
-            for member in pool.members:
-                member.agent.stop()
+        for agent in self.agents():
+            agent.stop()

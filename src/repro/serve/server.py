@@ -10,6 +10,9 @@ serves pipeline requests from many tenants:
   runs its call sequence through a tenant-scoped
   :class:`~repro.serve.gateway.ServeGateway` (batched IPC when enabled),
   and returns the lease;
+* a served object lives while its tenant holds a handle to it: each
+  dispatch first releases every object whose last handle died since the
+  one before, in whichever pool member holds it;
 * a crash costs one in-place restart and an at-least-once retry of the
   victim request — the pool, and every other tenant's work, is
   untouched.
@@ -23,11 +26,18 @@ serving-throughput benchmark measures the pools against.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.gateway import ApiCall
-from repro.core.runtime import FreePart, FreePartConfig, SecurityEvent
+from repro.core.rpc import ObjectRef
+from repro.core.runtime import (
+    FreePart,
+    FreePartConfig,
+    Route,
+    SecurityEvent,
+    resolve_route,
+)
 from repro.errors import (
     AgentUnavailable,
     BrownoutShed,
@@ -43,7 +53,7 @@ from repro.obs.slo import RequestEvent
 from repro.serve.admission import AdmissionQueue
 from repro.serve.batching import BatchingStats
 from repro.serve.breaker import CircuitBreaker
-from repro.serve.gateway import ServeGateway
+from repro.serve.gateway import ServeGateway, release_served
 from repro.serve.metrics import ServingTimeline
 from repro.serve.pool import PoolSet
 from repro.serve.tenancy import Tenant, TenantRegistry
@@ -117,9 +127,15 @@ class PipelineServer:
             series=self.kernel.series,
         )
         self.registry = TenantRegistry()
-        #: The route memo every request's gateway dispatches through:
-        #: (framework, API name) -> (API, categorization entry).
-        self.routes: Dict[Tuple[str, str], Tuple[Any, Any]] = {}
+        #: The route memo every request's gateway dispatches through and
+        #: the breaker labels come from: (framework, API name) -> route.
+        #: The plan is fixed, so one resolution serves every request; an
+        #: unknown name stays out, so traffic cannot grow it.
+        self.routes: Dict[Tuple[str, str], Route] = {}
+        #: Refs of the handles every request's gateway made that their
+        #: tenants dropped since the last dispatch, in the order they
+        #: died; each dispatch releases them first.
+        self._released: List[ObjectRef] = []
         #: The ``node`` label stamped on this server's request events
         #: and time-series points; the cluster front door sets it to the
         #: owning node's name, single-machine servers leave it empty.
@@ -132,6 +148,8 @@ class PipelineServer:
         self.timeline = ServingTimeline(lanes=pool_size)
         self.tenants: Dict[str, Tenant] = {}
         self._request_ids = itertools.count(1)
+        #: Every response's outcome, without its values: the log must
+        #: not keep a result alive once its tenant drops the handle.
         self.responses: List[ServeResponse] = []
         #: One circuit breaker per partition: a partition whose agents
         #: keep crashing is fenced off for a cooldown and its requests
@@ -143,9 +161,6 @@ class PipelineServer:
             for partition in self.plan.partitions
         }
         self.degraded_responses = 0
-        #: Breaker label per registered (framework, name) a request has
-        #: named; the plan is fixed, so one derivation serves them all.
-        self._call_labels: Dict[Tuple[str, str], Optional[str]] = {}
         #: Optional control loops, attached via :meth:`enable_autoscale`
         #: / :meth:`enable_brownout` (None = the fixed-pool server every
         #: earlier PR built).
@@ -320,8 +335,13 @@ class PipelineServer:
         request = self.queue.next_request()
         if request is None:
             return None
+        if self._released:
+            release_served(self._released, self.pools, self.registry)
         response = self._dispatch(request)
-        self.responses.append(response)
+        self.responses.append(
+            response if response.values is None
+            else replace(response, values=None)
+        )
         return response
 
     def _dispatch(self, request: ServeRequest) -> ServeResponse:
@@ -399,6 +419,7 @@ class PipelineServer:
                 registry=self.registry,
                 pools=self.pools,
                 routes=self.routes,
+                releases=self._released,
                 batching=self.batching,
                 batch_stats=self.batch_stats,
             )
@@ -440,42 +461,30 @@ class PipelineServer:
     # ------------------------------------------------------------------
 
     def _breaker_labels(self, request: ServeRequest) -> List[str]:
-        """Partition labels this request's calls are expected to touch.
+        """Partition labels this request's calls are expected to touch:
+        each one's route partition, read through the route memo.
 
-        Type-neutral and unknown APIs are skipped (they follow the
-        framework state, which is not known before dispatch); the set is
-        sorted so breaker acquisition order is deterministic.
+        Type-neutral APIs are skipped (they follow the framework state,
+        which is not known before dispatch), and so are names that do
+        not resolve; the set is sorted so breaker acquisition order is
+        deterministic.
         """
         labels = set()
-        known = self._call_labels
+        routes = self.routes
         for call in request.calls:
             key = (call.framework, call.name)
-            label = known[key] if key in known else self._call_label(key)
-            if label is not None:
-                labels.add(label)
+            route = routes.get(key)
+            if route is None:
+                try:
+                    route = routes[key] = resolve_route(
+                        get_api(*key), self.categorization, self.plan
+                    )
+                except ReproError:
+                    continue
+            partition = route[2]
+            if partition is not None:
+                labels.add(partition.label)
         return sorted(labels)
-
-    def _call_label(self, key: Tuple[str, str]) -> Optional[str]:
-        """The breaker label of one (framework, name), or None.
-
-        A registered API's label is kept in ``_call_labels``; an unknown
-        name is not, so traffic cannot grow the memo.
-        """
-        try:
-            qualname = get_api(*key).spec.qualname
-        except ReproError:
-            return None
-        label = None
-        if qualname in self.categorization:
-            entry = self.categorization.get(qualname)
-            if not entry.neutral:
-                partition = self.plan.partition_of(qualname)
-                if partition is None:
-                    partition = self.plan.partition_for_type(entry.api_type)
-                if partition is not None:
-                    label = partition.label
-        self._call_labels[key] = label
-        return label
 
     def _acquire_breakers(
         self, request: ServeRequest, labels: List[str], retries: int

@@ -18,7 +18,7 @@ the paper's isolation guarantee under sharing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Iterable, Tuple
 
 from repro.core.rpc import ObjectRef, RemoteHandle
 from repro.errors import TenantIsolationError
@@ -107,6 +107,16 @@ class TenantRegistry:
         elif isinstance(value, dict):
             for item in value.values():
                 self.check_value(tenant_id, item)
+
+    def forget(self, refs: Iterable[ObjectRef]) -> None:
+        """Drop the keys of refs whose objects are being released: a
+        ref kept past its last handle then fails :meth:`check` as
+        unknown."""
+        owners = self._owners
+        for ref in refs:
+            owners.pop(
+                (ref.owner_pid, ref.owner_generation, ref.buffer_id), None
+            )
 
     def evict_generation(self, pid: int, generation: int) -> int:
         """Drop every ref minted by a (pid, generation) address space.

@@ -48,6 +48,7 @@ class Permission(enum.IntFlag):
 
 #: The protection bits as plain ints.  The page table stores and tests
 #: ints, because ``IntFlag`` arithmetic costs ~30x an int operation.
+_READ = int(Permission.READ)
 _WRITE = int(Permission.WRITE)
 _RW = int(Permission.rw())
 
@@ -475,23 +476,62 @@ class AddressSpace:
         """Buffers defined during one framework state."""
         return [b for b in self._buffers.values() if b.origin_state == origin_state]
 
-    def take_unfrozen(
-        self, origin_state: str, tags: Optional[FrozenSet[str]] = None
+    def freeze(
+        self,
+        origin_state: str,
+        tags: Optional[FrozenSet[str]] = None,
+        enforce: bool = True,
     ) -> List[Buffer]:
-        """Take one state's buffers out of the freeze scan's index, in
+        """Freeze one state's buffers in one pass; return those it
+        protected, in allocation order.
+
+        Takes the state's buffers out of the freeze scan's index, in
         allocation order: all of them, or only those tagged with one of
-        ``tags``.  A buffer taken is one a freeze has passed, protected
-        or not, so its release unmaps it at once."""
+        ``tags``.  When ``enforce``, each one whose pages all grant WRITE
+        is made read-only, as :meth:`mprotect` would.  Each released one
+        is unmapped after that.  A buffer taken is one a freeze has
+        passed, protected or not, so its release unmaps it at once.
+
+        Untraced, the protections cost one clock advance of
+        ``mprotect_ns`` each; traced, each goes through :meth:`mprotect`
+        and its span.
+        """
         index = self._unfrozen.get(origin_state)
         if not index:
             return []
         if tags is None:
             del self._unfrozen[origin_state]
-            return list(index.values())
-        taken = [buffer for buffer in index.values() if buffer.tag in tags]
+            taken = index.values()
+        else:
+            taken = [buffer for buffer in index.values() if buffer.tag in tags]
+            for buffer in taken:
+                del index[buffer.buffer_id]
+        protected: List[Buffer] = []
+        pages = self._pages
+        traced = self.tracer.enabled
         for buffer in taken:
-            del index[buffer.buffer_id]
-        return taken
+            if enforce:
+                address = buffer.address
+                span = range(
+                    address // PAGE_SIZE,
+                    (address + buffer.nbytes - 1) // PAGE_SIZE + 1,
+                )
+                # Every page writable means every page mapped too.
+                if pages.first_lacking(span, _WRITE) is None:
+                    if traced:
+                        self.mprotect(address, buffer.nbytes, Permission.READ)
+                    else:
+                        pages.set(span, _READ)
+                    protected.append(buffer)
+            if buffer.released:
+                self.free(buffer.buffer_id)
+        if protected and not traced:
+            self.mprotect_calls += len(protected)
+            if self.clock is not None:
+                self.clock.advance(
+                    len(protected) * self.clock.cost_model.mprotect_ns
+                )
+        return protected
 
     # ------------------------------------------------------------------
     # Permission checks and protection changes

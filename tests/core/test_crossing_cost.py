@@ -11,8 +11,10 @@ and the records that arrival builds: a dataclass's generated
 frozen one sets each field through ``object.__setattr__``.
 The counts repeat exactly for a seed and exclude numpy and scipy, so a
 rise is a real change in how much of the simulator runs per crossing.
-Last, no crossing may leave garbage that only the cycle collector can
-free: its passes would land inside served requests.
+No crossing may leave garbage that only the cycle collector can free:
+its passes would land inside served requests.  Last, a served object
+must not outlive its handles: once the client drops a response, the
+next dispatch releases what it returned, in every pooled agent.
 Interpreters that inline comprehensions (3.12 and later) only lower the
 count.
 """
@@ -24,11 +26,13 @@ import os
 import sys
 import types
 
+import numpy as np
+
 import repro
 from repro.apps.base import Workload, execute_app
 from repro.apps.suite import make_app
 from repro.attacks.scenarios import build_gateway
-from repro.core.gateway import NativeGateway
+from repro.core.gateway import ApiCall, NativeGateway
 from repro.core.runtime import FreePartGateway
 from repro.serve.autoscale import control_slo
 from repro.serve.loadbench import (
@@ -37,6 +41,7 @@ from repro.serve.loadbench import (
 from repro.serve.loadgen import (
     ArrivalSchedule, generate_schedule, run_open_loop,
 )
+from repro.serve.batching import PREV
 from repro.serve.server import PipelineServer
 from repro.sim.clock import NS_PER_SEC
 from repro.sim.kernel import SimKernel
@@ -48,23 +53,24 @@ PACKAGE_DIR = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 SAMPLE_IDS = (1, 4, 8, 12, 20)
 
 #: Mean ``repro`` frames per call, with ~5% headroom over the counts
-#: when the budget was set (71.1 and 19.3; 90.1 and 20.7 before the
-#: roster without a cycle, sized records, inline send charges and the
-#: one-frame syscall entry).
-FREEPART_FRAME_BUDGET = 75
+#: when the budget was set (66.2 and 19.3; 71.1 and 19.3 before the
+#: one-pass freeze).
+FREEPART_FRAME_BUDGET = 70
 NATIVE_FRAME_BUDGET = 20
 
 #: Per offered arrival of :func:`arrival_costs` at 4 tenants and 200
 #: arrivals, ~5% over the counts when the budgets were set and never
-#: above the budgets before: 425.6 frames (437.5 before the per-server
-#: route memo), 52.0 records (52.0) of which 4.0 frozen (4.0).
-SERVING_FRAME_BUDGET = 447
+#: above the budgets before: 411.5 frames (425.6 before the one-pass
+#: freeze and the release of dropped handles), 53.0 records (52.0; the
+#: response log's copy without values is one more) of which 4.0 frozen
+#: (4.0).
+SERVING_FRAME_BUDGET = 432
 SERVING_RECORD_BUDGET = 54
 SERVING_FROZEN_RECORD_BUDGET = 4.2
 #: The frame bound at hostbench's full ``serve_diurnal`` shape (60
-#: tenants, 1,000 arrivals: 427.0; 439.0 before), which CI checks with
-#: the two record bounds and no cyclic garbage.
-DEEP_SERVING_FRAME_BUDGET = 448
+#: tenants, 1,000 arrivals: 413.0; 427.0 before), which CI checks with
+#: the two record bounds, no cyclic garbage and no dropped payload.
+DEEP_SERVING_FRAME_BUDGET = 434
 
 
 def frames_per_call(technique, gateway_type):
@@ -246,3 +252,44 @@ def test_requests_and_gateways_leave_no_cyclic_garbage():
         name: count for name, count in garbage.items()
         if name.startswith("repro.")
     }, garbage
+
+
+def dropped_payloads(tenants, arrivals):
+    """Buffers in pooled agents that still carry a payload of a request
+    whose response was dropped.
+
+    ``run_open_loop`` on :func:`diurnal_server` drops every response it
+    is handed.  One more request follows, whose response is kept: its
+    dispatch releases what the others left, so only its own results and
+    their lazy copies may still carry a payload.
+    """
+    server, schedule = diurnal_server(tenants, arrivals)
+    run_open_loop(server, schedule)
+    server.kernel.fs.write_file("/in/kept.png", np.zeros((16, 16)))
+    server.submit("kept", [
+        ApiCall("opencv", "imread", ("/in/kept.png",)),
+        ApiCall("opencv", "GaussianBlur", (PREV,)),
+    ])
+    [kept] = server.drain()
+    assert kept.ok, kept.error
+    keys = {
+        (h.ref.owner_pid, h.ref.owner_generation, h.ref.buffer_id)
+        for h in kept.values
+    }
+    dropped = 0
+    for agent in server.pools.agents():
+        process = agent.process
+        copies = {
+            copy.buffer_id for key, copy in agent._resident.items()
+            if key in keys
+        }
+        for buffer in process.memory.buffers():
+            key = (process.pid, process.generation, buffer.buffer_id)
+            if not (buffer.released or key in keys
+                    or buffer.buffer_id in copies):
+                dropped += 1
+    return dropped
+
+
+def test_no_pooled_agent_keeps_a_dropped_payload():
+    assert dropped_payloads(4, 200) == 0

@@ -7,6 +7,7 @@ from repro.core.rpc import (
     ObjectRef,
     ObjectStore,
     REF_WIRE_BYTES,
+    REPLY_CACHE_SIZE,
     RemoteHandle,
     SequenceTracker,
     request_nbytes,
@@ -69,6 +70,17 @@ class TestSequenceTracker:
         tracker.record_execution(seq)  # re-executed after restart
         assert tracker.retries == 1
         assert tracker.executed[seq] == 2
+
+    def test_counts_only_the_last_reply_cache_window(self):
+        tracker = SequenceTracker()
+        for _ in range(3 * REPLY_CACHE_SIZE):
+            seq = tracker.next_seq()
+            tracker.record_execution(seq)
+            if seq % 5 == 0:
+                tracker.record_execution(seq)  # a retry in flight
+        assert sorted(tracker.executed) == list(
+            range(2 * REPLY_CACHE_SIZE + 1, 3 * REPLY_CACHE_SIZE + 1))
+        assert tracker.retries == 3 * REPLY_CACHE_SIZE // 5
 
 
 class TestObjectStore:

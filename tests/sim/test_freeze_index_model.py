@@ -4,10 +4,12 @@ Random programs of allocations, zero-copy mappings of shared segments,
 frees, releases, protection changes, resizing stores and state freezes
 run against one :class:`AddressSpace`.  Page permissions and the freeze
 index are checked against a reference model kept per buffer.  Each run
-draws whether the freezes enforce.  A freeze takes every indexed buffer
-of its state out of the index, and when enforcing it must protect
-exactly what a full rescan would: the buffers of the state whose pages
-all grant WRITE, in allocation order, released ones included.  A store
+draws whether the freezes enforce and whether they are traced.  A freeze
+is one :meth:`AddressSpace.freeze` call: it takes, and probes, exactly
+the state's indexed buffers, and when enforcing it must protect exactly
+what a full rescan would: the buffers of the state whose pages all grant
+WRITE, in allocation order, released ones included, each charged one
+``mprotect_ns`` (and one ``mprotect`` span when traced).  A store
 through a shared mapping pays the copy-on-write downgrade once, and only
 after the permission check.
 
@@ -35,6 +37,7 @@ from hypothesis.stateful import (
 from repro.core.apitypes import FrameworkState
 from repro.core.statemachine import TemporalStateMachine
 from repro.errors import SegmentationFault
+from repro.obs.tracer import SpanTracer
 from repro.sim.clock import VirtualClock
 from repro.sim.memory import (
     PAGE_SIZE, AddressSpace, Buffer, Permission, SharedSegment, page_of,
@@ -152,9 +155,11 @@ class FreezeScanMachine(RuleBasedStateMachine):
 
     # -- rules ---------------------------------------------------------
 
-    @initialize(enforce=st.booleans())
-    def choose_enforcement(self, enforce):
+    @initialize(enforce=st.booleans(), traced=st.booleans())
+    def choose_enforcement(self, enforce, traced):
         self.enforce = self.freezer.enforce = enforce
+        if traced:
+            self.space.tracer = SpanTracer(self.process.clock)
 
     @rule(state=st.sampled_from(STATES), nbytes=SIZES)
     def alloc(self, state, nbytes):
@@ -266,24 +271,43 @@ class FreezeScanMachine(RuleBasedStateMachine):
         taken = {b for b in self.indexed if self.origin[b] == state.value}
         doomed = {b: space.get_buffer(b)
                   for b in sorted(self.released & taken)}
-        protected: List[int] = []
-        original = space.mprotect
+        calls: List[Tuple[List[int], List[int]]] = []
+        original = space.freeze
 
-        def recording(address, nbytes, permission):
-            buffer = space.buffer_at(address)
-            # A freeze protects whole buffers.
-            assert (address, nbytes) == (buffer.address, buffer.nbytes)
-            protected.append(buffer.buffer_id)
-            original(address, nbytes, permission)
+        def recording(origin_state, tags=None, enforce=True):
+            # The process is an agent's: the call takes the whole index.
+            probed = [b.buffer_id
+                      for b in unfrozen_in_state(space, origin_state)]
+            protected = original(origin_state, tags, enforce)
+            calls.append((probed, [b.buffer_id for b in protected]))
+            return protected
 
-        space.mprotect = recording
+        space.freeze = recording
         denials = space.write_denials
+        mprotects = space.mprotect_calls
+        clock = self.process.clock
+        clock_ns = clock.now_ns
+        spans = len(getattr(space.tracer, "spans", ()))
+        sizes = {b: space.get_buffer(b).nbytes for b in expected}
         try:
             count = self.freezer._protect_state(state)
         finally:
-            del space.mprotect
+            del space.freeze
+        # One pass, skipped when the index has no entry for the state:
+        # it probes the state's indexed buffers, and only them, and
+        # protects the writable ones, each at one mprotect's charge.
+        [(probed, protected)] = calls or [([], [])]
+        assert probed == sorted(taken)
         assert protected == expected
         assert count == len(expected)
+        assert space.mprotect_calls == mprotects + len(expected)
+        assert clock.now_ns == (
+            clock_ns + len(expected) * clock.cost_model.mprotect_ns)
+        if space.tracer.enabled:
+            # Traced, each protection keeps its span, over the whole buffer.
+            assert [(s.name, s.attrs["bytes"])
+                    for s in space.tracer.spans[spans:]] == [
+                ("mprotect", sizes[b]) for b in expected]
         assert space.write_denials == denials
         for buffer_id in protected:
             self.pages[buffer_id] = [Permission.ro()] * len(self.pages[buffer_id])
