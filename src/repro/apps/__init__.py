@@ -1,5 +1,9 @@
 """Evaluation applications (Table 6) and case-study programs."""
 
+# The 23 apps call scipy-backed operators throughout, so a process that
+# runs them loads scipy here, in set-up, not inside its first call.
+import scipy.ndimage  # noqa: F401
+
 from repro.apps.base import (
     Application,
     AppResult,

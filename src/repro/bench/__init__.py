@@ -1,23 +1,1 @@
 """Benchmark harness utilities (runner + table/series rendering)."""
-
-from repro.bench.runner import (
-    DEFAULT_WORKLOAD,
-    OverheadRow,
-    average_overhead,
-    overhead_for_sample,
-    overhead_sweep,
-    run_under,
-)
-from repro.bench.tables import render_bars, render_series, render_table
-
-__all__ = [
-    "DEFAULT_WORKLOAD",
-    "OverheadRow",
-    "average_overhead",
-    "overhead_for_sample",
-    "overhead_sweep",
-    "render_bars",
-    "render_series",
-    "render_table",
-    "run_under",
-]

@@ -6,6 +6,12 @@ operators, GUI windows, and image/video storing.  Every API issues its
 real syscalls through the execution context and records its data flows,
 so the hybrid analysis categorizes it from observed behaviour.
 
+``scipy.ndimage`` loads with the first scipy-backed operator that runs
+(or with :mod:`repro.apps`, which imports it up front), not with this
+module: importing it costs about 0.2 s and 27 MiB over numpy.  The
+Gaussian family runs on numpy alone, so serving, cluster and
+load-generation processes never load scipy.
+
 API naming follows OpenCV (``imread``, ``GaussianBlur``,
 ``CascadeClassifier`` + ``CascadeClassifier_load`` +
 ``CascadeClassifier_detectMultiScale`` for the class's methods).
@@ -17,7 +23,6 @@ from functools import lru_cache, partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from repro.core.apitypes import APIType
 from repro.core.dataflow import Storage, write
@@ -58,6 +63,21 @@ def _gray(value: Any) -> np.ndarray:
     return np.atleast_2d(arr)
 
 
+class _DeferredNdimage:
+    """``scipy.ndimage`` until an operator first reads an attribute of
+    it; that read imports scipy and rebinds this module's ``ndimage`` to
+    the real module, so later calls pay nothing extra."""
+
+    def __getattr__(self, name: str) -> Any:
+        global ndimage
+        from scipy import ndimage
+
+        return getattr(ndimage, name)
+
+
+ndimage = _DeferredNdimage()
+
+
 @lru_cache(maxsize=64)
 def _gaussian_weights(sigma: float) -> np.ndarray:
     """The correlation weights ``ndimage.gaussian_filter`` builds for
@@ -74,17 +94,66 @@ def _gaussian_weights(sigma: float) -> np.ndarray:
     return weights
 
 
-def _gaussian(arr: np.ndarray, sigma: float) -> np.ndarray:
-    """``ndimage.gaussian_filter(arr, sigma)``, bit for bit, with the
-    kernel weights memoised per sigma: one reflect-mode ``correlate1d``
-    per axis, as scipy runs them."""
-    sigma = float(sigma)
-    if sigma <= 1e-15:  # scipy skips every axis: a copy
-        return ndimage.gaussian_filter(arr, sigma=sigma)
+@lru_cache(maxsize=256)
+def _reflect_taps(length: int, sigma: float,
+                  ndim: int) -> Tuple[np.ndarray, np.ndarray]:
+    """What a reflect-mode pass of σ's weights along an axis of
+    ``length`` reads, for an ``ndim``-D array (both read-only, shared).
+
+    The index holds each output's source positions, one row per tap: the
+    centre, the left taps ``k-r … k-1``, the right taps ``k+r … k+1``.
+    The weights are the centre's ``w_c`` and each pair's ``w_0 …
+    w_{r-1}``, shaped to broadcast over the gathered rows.  scipy's
+    reflect mode mirrors the line about both edges (``dcba|abcd|dcba``),
+    so a position repeats with period ``2 * length`` and a short axis
+    reflects more than once.
+    """
     weights = _gaussian_weights(sigma)
-    for axis in range(arr.ndim):
-        arr = ndimage.correlate1d(arr, weights, axis, mode="reflect")
-    return arr
+    radius = len(weights) // 2
+    offsets = np.r_[0, -radius:0, radius:0:-1]
+    position = (np.arange(length) + offsets[:, None]) % (2 * length)
+    index = np.where(position < length, position, 2 * length - 1 - position)
+    pair_weights = np.r_[weights[radius], weights[:radius]]
+    pair_weights = pair_weights.reshape((radius + 1,) + (1,) * ndim)
+    index.flags.writeable = pair_weights.flags.writeable = False
+    return index, pair_weights
+
+
+def _gaussian(arr: np.ndarray, sigma: float) -> np.ndarray:
+    """``ndimage.gaussian_filter(arr, sigma)`` of a float64 array, bit
+    for bit and C-contiguous, on numpy alone.
+
+    Like scipy it filters axis 0, then 1, and so on, each pass scipy's
+    symmetric reflect-mode ``correlate1d`` in scipy's accumulation
+    order: ``x[k]·w_c``, then ``+= (x[k-j] + x[k+j])·w_{c-j}`` for
+    ``j = r … 1``.  One gather reads every tap; the pair sums, the
+    weighting and the r additions each take one vectorised pass.  Each
+    pass works along axis 0, so its result is rotated to bring the next
+    axis to the front (a transpose for a 2-D array), and the last
+    rotation restores the original order.
+    """
+    sigma = float(sigma)
+    if sigma <= 1e-15:  # scipy filters no axis: a copy
+        return arr.copy()
+    rotate = (*range(1, arr.ndim), 0)
+    for _ in range(arr.ndim):
+        index, weights = _reflect_taps(arr.shape[0], sigma, arr.ndim)
+        pairs = len(weights)
+        taps = arr.take(index, 0)
+        head = taps[:pairs]
+        sums = head[1:]
+        np.add(sums, taps[pairs:], sums)
+        np.multiply(head, weights, head)
+        if arr.size > 1:
+            # numpy sums a leading axis row by row, in order (from -0.0,
+            # which keeps a zero's sign), but a lone axis pairwise.
+            out = np.add.reduce(head, 0, initial=-0.0)
+        else:
+            out = taps[0]
+            for row in sums:
+                np.add(out, row, out)
+        arr = out.transpose(rotate)
+    return arr.copy()
 
 
 # ----------------------------------------------------------------------

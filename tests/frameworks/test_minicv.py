@@ -5,7 +5,9 @@ import pytest
 from scipy import ndimage
 
 from repro.frameworks.base import ExecutionContext, Mat, Model, Tracer
-from repro.frameworks.minicv import OPENCV, _gaussian_weights, sample_image
+from repro.frameworks.minicv import (
+    OPENCV, _gaussian, _gaussian_weights, sample_image,
+)
 from repro.sim.kernel import SimKernel
 
 
@@ -197,13 +199,21 @@ def test_uncovered_apis_have_no_examples():
         assert not OPENCV.get(name).spec.has_test_case
 
 
-# The Gaussian family runs scipy's kernel with its weights memoised per
-# sigma; every result must equal ``ndimage.gaussian_filter``'s, byte for
-# byte, on seeded 2-D and 3-D inputs.
+# The Gaussian family runs scipy's reflect-mode correlation on numpy,
+# in scipy's accumulation order; every result must equal
+# ``ndimage.gaussian_filter``'s byte for byte (signed zeros too) and be
+# C-contiguous like scipy's, so that later reductions sum in the same
+# order.  The last input is a transposed view.
 GAUSSIAN_INPUTS = [
     np.random.default_rng(seed).normal(scale=60.0, size=shape)
     for seed, shape in ((1, (16, 16)), (2, (9, 13)), (3, (16, 16, 3)))
-]
+] + [np.random.default_rng(4).normal(scale=60.0, size=(11, 7)).T]
+
+
+def assert_same_bytes(result, expected):
+    assert (result.dtype, result.shape) == (expected.dtype, expected.shape)
+    assert result.tobytes() == expected.tobytes()
+    assert result.flags.c_contiguous
 
 
 @pytest.mark.parametrize("name", ["GaussianBlur", "bilateralFilter"])
@@ -213,8 +223,7 @@ def test_gaussian_family_equals_scipy(ctx, name, sigma, index):
     image = GAUSSIAN_INPUTS[index]
     result = call(ctx, name, Mat(image), sigma=sigma).data
     expected = ndimage.gaussian_filter(image.astype(np.float64), sigma=sigma)
-    assert (result.dtype, result.shape) == (expected.dtype, expected.shape)
-    assert np.array_equal(result, expected)
+    assert_same_bytes(result, expected)
 
 
 @pytest.mark.parametrize("index", range(len(GAUSSIAN_INPUTS)))
@@ -223,8 +232,39 @@ def test_undistort_equals_scipy(ctx, index):
     gray = image.mean(axis=2) if image.ndim == 3 else image
     result = call(ctx, "undistort", Mat(image)).data
     expected = ndimage.gaussian_filter(np.atleast_2d(gray), sigma=0.5)
-    assert (result.dtype, result.shape) == (expected.dtype, expected.shape)
-    assert np.array_equal(result, expected)
+    assert_same_bytes(result, expected)
+
+
+def seeded(shape):
+    return np.random.default_rng(5).normal(scale=60.0, size=shape)
+
+
+# What a reflect index can get wrong: axes as short as the radius or
+# shorter (they reflect more than once), σ from scipy's cut-off (1e-15,
+# no axis filtered) to 5 (radius 20), 1-D and 3-D arrays, signed zeros
+# and a transposed view; and single elements at large σ, whose taps
+# numpy would sum pairwise.
+KERNEL_CASES = [
+    *[(seeded(shape), sigma) for sigma in (1, 2)
+      for shape in ((1, 1), (1, 6), (6, 1), (2, 6), (6, 2), (3, 6), (6, 3),
+                    (2, 3))],
+    *[(seeded((9, 13)), sigma)
+      for sigma in (0.0, 1e-16, 1e-15, 0.05, 0.12, 0.37, 0.5, 0.8, 1.3, 1.9,
+                    2.5, 3.7, 4.4, 5.0)],
+    *[(seeded(shape), sigma) for sigma in (0.5, 1, 2.5)
+      for shape in ((1,), (2,), (3,), (17,), (4, 5, 3), (2, 3, 1),
+                    (7, 6, 5))],
+    *[(np.full((5, 7), -0.0), sigma) for sigma in (0.5, 1, 2)],
+    *[(seeded((7, 11)).T, sigma) for sigma in (0.5, 1, 2)],
+    *[(seeded(shape), sigma) for sigma in (3.7, 5)
+      for shape in ((1,), (1, 1), (1, 1, 1))],
+]
+
+
+@pytest.mark.parametrize("image, sigma", KERNEL_CASES)
+def test_gaussian_kernel_equals_scipy(image, sigma):
+    assert_same_bytes(_gaussian(image, sigma),
+                      ndimage.gaussian_filter(image, sigma))
 
 
 def test_cached_gaussian_weights_are_read_only():
