@@ -82,12 +82,10 @@ class ClusterNode:
         self.index = index
         self.kernel = kernel
         self.alive = True
-        self.failed_at_ns = 0
         self.failure_reason = ""
 
     def fail(self, reason: str) -> None:
         self.alive = False
-        self.failed_at_ns = self.kernel.clock.now_ns
         self.failure_reason = reason
 
     def require_alive(self) -> None:

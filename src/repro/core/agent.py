@@ -154,8 +154,6 @@ class AgentStats:
     checkpoint_failures: int = 0
     #: Torn records detected (and skipped) while restoring.
     torn_checkpoints_detected: int = 0
-    #: Virtual time spent backing off between restart attempts.
-    restart_backoff_ns: int = 0
 
 
 class AgentProcess:
@@ -256,7 +254,6 @@ class AgentProcess:
                     attempt=attempt, backoff_ns=backoff_ns,
                 ):
                     self.kernel.clock.advance(backoff_ns)
-                self.stats.restart_backoff_ns += backoff_ns
             replacement = self.kernel.restart(
                 self.process,
                 filter_spec=(

@@ -122,11 +122,13 @@ class FreePartConfig:
     #: loop — e.g. a malicious input replayed at a restarted agent —
     #: eventually leaves the agent down instead of thrashing.
     max_restarts_per_agent: Optional[int] = None
-    #: How many times a dispatch retries the *same* request (same
-    #: sequence number) after the agent crashed and was restarted.  The
-    #: default 0 preserves crash-is-an-error semantics: one crash = one
-    #: FrameworkCrash surfaced to the caller.  Serving setups raise this
-    #: to mask faults behind at-least-once re-execution.
+    #: How many times a per-call dispatch retries the *same* request
+    #: (same sequence number) after the agent crashed and was restarted.
+    #: It acts on per-call dispatch only: one-shot gateways and servers
+    #: built with ``batching=False``.  A batched served call never
+    #: retries; ``PipelineServer(max_retries=...)`` retries the whole
+    #: request instead.  The default 0 preserves crash-is-an-error
+    #: semantics: one crash = one FrameworkCrash surfaced to the caller.
     rpc_retries: int = 0
     #: Span tracing (repro.obs).  The tracer only reads the virtual
     #: clock, so enabling it changes no reproduced number; disabled (the

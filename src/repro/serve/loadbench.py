@@ -134,9 +134,8 @@ def _make_server(
 
     faulted = fault_rate > 0
     server_args = dict(
-        config=FreePartConfig(
-            rpc_retries=2, max_restarts_per_agent=8
-        ) if faulted else FreePartConfig(),
+        config=FreePartConfig(max_restarts_per_agent=8)
+        if faulted else FreePartConfig(),
         pool_size=pool_size,
         batching=True,
         queue_capacity=512,

@@ -8,15 +8,17 @@ and returns them afterwards — the paper's agents are stateless or
 periodically checkpointed RPC servers (Sections 4.3–4.4), which is what
 makes this reuse sound.
 
-Crash handling: a leased agent that dies is restarted *in place* by the
-pool (fresh process, fresh address space, freshly built filter — the paper's
-Section 4.4.2 restart), so the pool never shrinks and other members'
-in-flight work is untouched.
+Crash handling: a leased agent that dies mid-request is restarted *in
+place* by the runtime's crash handler (fresh process, fresh address
+space, freshly built filter — the paper's Section 4.4.2 restart) when
+``FreePartConfig.restart_agents`` is on, so other members' in-flight
+work is untouched.  The pool itself restarts nothing: a member left dead
+(restarts off, or its restart budget spent) keeps its slot, and
+:meth:`AgentPool.lease` skips it while its siblings serve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.agent import AgentProcess
@@ -26,19 +28,6 @@ from repro.core.runtime import FreePartConfig, build_agents
 from repro.errors import AgentUnavailable
 from repro.sim.kernel import SimKernel
 from repro.sim.process import ProcessState
-
-
-@dataclass
-class PoolStats:
-    """Counters one partition's pool keeps across its lifetime."""
-
-    leases: int = 0
-    returns: int = 0
-    restarts: int = 0
-    crashes_repaired: int = 0
-    #: Repairs abandoned because the member's restart budget ran out;
-    #: the member stays dead and lease() skips it.
-    budget_exhausted: int = 0
 
 
 class PoolMember:
@@ -65,18 +54,17 @@ class AgentPool:
         self.members = members
         #: Every member serves this partition (a restart keeps it).
         self.partition = members[0].agent.partition
-        self.stats = PoolStats()
         self._next = 0  # round-robin cursor over free members
 
     def lease(self, tenant_id: str) -> PoolMember:
-        """Lease a free member (round-robin), repairing dead ones.
+        """Lease a free live member (round-robin), skipping dead ones.
 
         Raises :class:`AgentUnavailable` when no member can be leased:
-        each is either leased or dead with its restart budget spent.
-        Requests run one at a time, so in practice the members are out
-        of budget, and the server fails just the request that asked.
+        each is either leased or dead.  Requests run one at a time, so
+        in practice the members are dead, and the server fails just the
+        request that asked.
         """
-        leased = out_of_budget = 0
+        leased = dead = 0
         members = self.members
         count = len(members)
         for _ in range(count):
@@ -85,64 +73,39 @@ class AgentPool:
             if member.leased_to is not None:
                 leased += 1
                 continue
-            repaired = False
             if member.agent.process.state is not ProcessState.RUNNING:
-                # Died between leases (e.g. a crash observed at return
-                # time with repair deferred): repair before handing out.
-                try:
-                    member.agent.restart()
-                except AgentUnavailable:
-                    # Restart budget spent: this member is permanently
-                    # down, but its pool siblings can still serve.
-                    self.stats.budget_exhausted += 1
-                    out_of_budget += 1
-                    continue
-                self.stats.restarts += 1
-                self.stats.crashes_repaired += 1
-                repaired = True
+                dead += 1
+                continue
             member.leased_to = tenant_id
-            self.stats.leases += 1
             tracer = member.agent.kernel.tracer
             if tracer.enabled:
                 tracer.instant(
                     "pool_lease", category="pool",
                     pid=member.agent.process.pid, tenant=tenant_id,
-                    slot=member.slot,
-                    partition=self.partition.label, repaired=repaired,
+                    slot=member.slot, partition=self.partition.label,
                 )
             return member
         raise AgentUnavailable(
             f"pool for partition {self.partition.label!r} has no free "
-            f"member ({leased} leased, {out_of_budget} out of restart budget)"
+            f"member ({leased} leased, {dead} out of restart budget)"
         )
 
     def restore(self, member: PoolMember) -> None:
-        """Return a member to the pool, repairing it if the request
-        crashed it.  The pool never shrinks: a crash costs one restart,
-        not a pool slot."""
-        repaired = False
-        if member.agent.process.state is not ProcessState.RUNNING:
-            try:
-                member.agent.restart()
-            except AgentUnavailable:
-                # Out of restart budget: return the member dead; lease()
-                # will skip it while its siblings carry the load.
-                self.stats.budget_exhausted += 1
-                member.leased_to = None
-                self.stats.returns += 1
-                return
-            self.stats.restarts += 1
-            self.stats.crashes_repaired += 1
-            repaired = True
-        tracer = member.agent.kernel.tracer
-        if tracer.enabled:
+        """Return a member to the pool, as the request left it.
+
+        A member the request crashed comes back restarted by the crash
+        handler, or dead (restarts off, or its budget spent), and then
+        :meth:`lease` skips it.  Only a live member's return is traced.
+        """
+        agent = member.agent
+        tracer = agent.kernel.tracer
+        if tracer.enabled and agent.process.state is ProcessState.RUNNING:
             tracer.instant(
                 "pool_restore", category="pool",
-                pid=member.agent.process.pid, tenant=member.leased_to,
-                slot=member.slot, repaired=repaired,
+                pid=agent.process.pid, tenant=member.leased_to,
+                slot=member.slot,
             )
         member.leased_to = None
-        self.stats.returns += 1
 
 
 class PoolSet:
@@ -163,11 +126,6 @@ class PoolSet:
         self.categorization = categorization
         self.config = config
         self.size = size
-        #: Member sets ever added after construction (autoscale grow);
-        #: the autoscaler's spawn budget is charged against this.
-        self.grown = 0
-        #: Member sets retired by shrink.
-        self.shrunk = 0
         columns: Dict[int, List[PoolMember]] = {
             partition.index: [] for partition in plan.partitions
         }
@@ -207,7 +165,6 @@ class PoolSet:
             for index, agent in agents.items():
                 self.pools[index].members.append(PoolMember(agent, slot))
         self.size += count
-        self.grown += count
         return self.size
 
     def shrink(self, count: int) -> int:
@@ -238,7 +195,6 @@ class PoolSet:
                 pool.members.remove(member)
                 member.agent.stop()
             self.size -= 1
-            self.shrunk += 1
         return self.size
 
     def lease_set(self, tenant_id: str, slot_hint: Optional[int] = None
@@ -279,9 +235,8 @@ class PoolSet:
         return agents
 
     def total_restarts(self) -> int:
-        """Restarts across every pooled agent, however they were repaired
-        (pool-side on lease/restore, or in place by a gateway's crash
-        handler mid-request)."""
+        """Restarts across every pooled agent, each made by a request's
+        gateway (the pool restarts nothing)."""
         return sum(agent.stats.restarts for agent in self.agents())
 
     def shutdown(self) -> None:

@@ -222,7 +222,7 @@ class PipelineServer:
                 f"brownout floor {self.brownout.floor}: priority "
                 f"{priority} request from tenant {tenant_id!r} shed"
             )
-        tenant = self.register_tenant(tenant_id)
+        self.register_tenant(tenant_id)
         request = ServeRequest(
             request_id=next(self._request_ids),
             tenant_id=tenant_id,
@@ -231,7 +231,6 @@ class PipelineServer:
             priority=priority,
         )
         self.queue.submit(request)  # stamps enqueued_at_ns
-        tenant.requests_submitted += 1
         return request
 
     # ------------------------------------------------------------------
@@ -444,8 +443,9 @@ class PipelineServer:
                 crashed=gateway.last_crash_partition if crashed else None,
             )
             if crashed and retries < self.max_retries:
-                # The pool repaired the agent in place (restart); retry
-                # the whole request — at-least-once, like the one-shot
+                # The crash handler restarted the agent in place, or it
+                # stays down and the retry leases a sibling; retry the
+                # whole request — at-least-once, like the one-shot
                 # runtime's post-restart re-execution.
                 retries += 1
                 continue
@@ -570,11 +570,8 @@ class PipelineServer:
                 f"answer at {timing.finish_ns} ns"
             )
         ok = failure is None
-        tenant = self.tenants[request.tenant_id]
-        if ok:
-            tenant.requests_completed += 1
-        else:
-            tenant.requests_failed += 1
+        if not ok:
+            self.tenants[request.tenant_id].requests_failed += 1
         self._record(
             request.tenant_id, timing.finish_ns, timing.latency_ns, ok
         )

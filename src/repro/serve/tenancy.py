@@ -35,8 +35,6 @@ class Tenant:
 
     tenant_id: str
     host: SimProcess
-    requests_submitted: int = 0
-    requests_completed: int = 0
     requests_failed: int = 0
     isolation_violations: int = 0
     #: Requests shed by an open circuit breaker (counted in

@@ -46,7 +46,6 @@ class CostModel:
     page_remap_ns: int = 250
     process_spawn_ns: int = 2_500_000
     process_restart_ns: int = 3_500_000
-    page_fault_ns: int = 900
     checkpoint_ns_per_byte: float = 0.30
 
     def copy_cost(self, nbytes: int) -> int:

@@ -18,7 +18,7 @@ Reproduces the four properties FreePart relies on (Section 4.4.1):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import FrozenSet, Iterable, Optional, Tuple
 
@@ -204,7 +204,6 @@ class FilterSpec:
     allowed_fds: Optional[FrozenSet[int]] = None
     allowed_path_prefixes: Optional[Tuple[str, ...]] = None
     description: str = ""
-    extras: dict = field(default_factory=dict)
 
     def build(self) -> SyscallFilter:
         return SyscallFilter(

@@ -223,8 +223,6 @@ class Channel:
         self._queued_bytes = 0
         self._seq = itertools.count()
         self._closed = False
-        self.sent_messages = 0
-        self.sent_bytes = 0
 
     @property
     def closed(self) -> bool:
@@ -314,8 +312,6 @@ class Channel:
                 previous = self._queue.pop()
                 self._queue.append(last)
                 self._queue.append(previous)
-        self.sent_messages += 1
-        self.sent_bytes += nbytes
         # The per-message cost (discounted for a template-framed send),
         # CostModel.serialize_cost and IpcAccounting.record_message,
         # inline: this runs on every send.

@@ -1,12 +1,12 @@
 """AST call-graph extraction for host programs, and the one walker.
 
-The builder parses one module at a time and recovers its functions, the
-module-level facts (constants, in-file specs, annotated tags) and, per
-function, the parameters that receive gateway values.  The flow walk
-then records each function's partition plan: framework API call sites,
-host-variable operations and shared-state stores, in flow order.
-Resolution follows values the way PyCG's assignment graph does (stdlib
-``ast`` only), restricted to the patterns host pipelines actually use:
+The builder parses one module at a time and recovers the module-level
+facts (constants, in-file specs, annotated tags) and one
+:class:`FunctionTrace` per function.  The flow walk then records each
+function's partition plan: framework API call sites, host-variable
+operations and shared-state stores, in flow order.  Resolution follows
+values the way PyCG's assignment graph does (stdlib ``ast`` only),
+restricted to the patterns host pipelines actually use:
 
 * gateway values — parameters named like a gateway, results of
   ``FreePart().deploy(...)`` / ``NativeGateway(...)`` /
@@ -17,8 +17,8 @@ Resolution follows values the way PyCG's assignment graph does (stdlib
   (``FW = "opencv"; api = "imread"; gateway.call(FW, api, ...)``);
 * one level of intra-module interprocedural flow: a module function
   receiving a gateway argument is analyzed with that parameter treated
-  as a gateway (fixpoint over the module's call edges), and the flow
-  walk evaluates it inline at the call site.
+  as a gateway (the flow pass's fixpoint over the module's call edges),
+  and the flow walk evaluates it inline at the call site.
 
 Anything beyond that — dynamically computed API names, gateways stored
 in containers, cross-module helpers — is skipped rather than guessed
@@ -26,14 +26,13 @@ at, mirroring how the paper's static phase hands indirect-call walks to
 the dynamic analysis.
 
 Every function body is walked by one class, :class:`FunctionWalker`,
-in one of two roles.  Each expression evaluates to a pair: a
-:class:`ValueKind` *shape*, which the builder tracks, and a
-:class:`Taint`, which the flow pass
-(:mod:`~repro.staticcheck.dataflow`) tracks.  With no analysis attached
-the walker only collects gateway edges; with one attached it resolves
-sites, advances the one framework state machine
-(:class:`~repro.staticcheck.inference._Machine`), which records the
-plan, evaluates module-local calls inline and reports the flow hits.
+for the flow pass (:mod:`~repro.staticcheck.dataflow`).  Each
+expression evaluates to a pair: a :class:`ValueKind` *shape* and a
+:class:`Taint`.  The walker resolves sites, advances the one framework
+state machine (:class:`~repro.staticcheck.inference._Machine`), which
+records the plan, evaluates module-local calls inline, reports the flow
+hits, and collects the gateway edges from which the flow pass grows
+each function's gateway parameters.
 """
 
 from __future__ import annotations
@@ -42,8 +41,7 @@ import ast
 import enum
 from dataclasses import dataclass, field, replace
 from typing import (
-    TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set,
-    Tuple,
+    TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple,
 )
 
 from repro.core.apitypes import APIType
@@ -153,13 +151,9 @@ def _derive(taints: Iterable[Taint]) -> Taint:
 
 @dataclass
 class WalkStats:
-    """Deterministic work counters of the flow pass (bench + report)."""
+    """Deterministic work counters of the flow pass's last pass."""
 
-    functions: int = 0
-    events: int = 0
     joins: int = 0
-    inlined_calls: int = 0
-    depth_cutoffs: int = 0
 
 
 # ----------------------------------------------------------------------
@@ -226,6 +220,8 @@ class FunctionTrace:
     qualname: str
     line: int
     params: Tuple[str, ...]
+    #: Parameters that receive gateway values: those named like a
+    #: gateway, and those the flow pass finds a caller passing one to.
     gateway_params: Set[str] = field(default_factory=set)
     tenant_scoped: bool = False
     #: The walked body: the ``def`` node, or the module for ``<module>``.
@@ -237,6 +233,7 @@ class ModuleSummary:
     """The call-graph builder's output for one source file."""
 
     path: str
+    #: Qualname → trace: ``<module>`` first, then every definition.
     functions: Dict[str, FunctionTrace] = field(default_factory=dict)
     #: Annotated host-variable tags (``MemoryLayout(tag=...)`` and
     #: ``annotated_tags=[...]`` literals found anywhere in the module).
@@ -249,18 +246,17 @@ class ModuleSummary:
     #: not resolve to a literal (dead-api checks are unsound for them).
     dynamic_spec_frameworks: Set[str] = field(default_factory=set)
     parse_error: Optional[str] = None
-    #: The parsed module (None on parse errors).  The flow pass re-walks
-    #: it; keeping the tree here saves a second parse and guarantees both
-    #: roles see identical source.
+    #: The parsed module (None on parse errors), which the flow pass
+    #: walks.
     tree: Optional[ast.Module] = None
     #: Module-level string constants (name -> value).
     constants: Dict[str, str] = field(default_factory=dict)
     #: Module-level assigned names (shared-state bases for escape checks).
     module_level_names: Set[str] = field(default_factory=set)
-    #: Bare name → (qualname, def node) of every walked function, in
-    #: definition order.  A module function takes a name from a method;
-    #: of two methods, the first keeps it.
-    definitions: Dict[str, Tuple[str, ast.AST]] = field(default_factory=dict)
+    #: Bare name → trace of every walked function, in definition order.
+    #: A module function takes a name from a method; of two methods, the
+    #: first keeps it.
+    definitions: Dict[str, FunctionTrace] = field(default_factory=dict)
 
 
 # ----------------------------------------------------------------------
@@ -325,17 +321,26 @@ def _attr_key(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _parameter_slots(function: ast.AST) -> Tuple[List[str], Set[str]]:
+def _bind_arguments(
+    function: ast.AST, call: ast.Call, values: List[Pair]
+) -> List[Tuple[str, ast.AST, Pair]]:
     """Where a call's arguments bind in a module-local ``def``.
 
-    Returns the parameters positional arguments fill, in order, and the
-    names a keyword argument may bind to.  Anything else (a spill into
-    ``*args``/``**kwargs``, an unknown keyword) binds no parameter.
+    Returns ``(parameter, argument, value)`` for every argument that
+    fills a named parameter: positional ones in order, keywords by name.
+    Anything else (a spill into ``*args``/``**kwargs``, an unknown
+    keyword) binds no parameter.
     """
     arguments = function.args
     positional = [a.arg for a in arguments.posonlyargs + arguments.args]
     keywords = {a.arg for a in arguments.args + arguments.kwonlyargs}
-    return positional, keywords
+    bindings = list(zip(positional, call.args, values))
+    bindings.extend(
+        (keyword.arg, keyword.value, value)
+        for keyword, value in zip(call.keywords, values[len(call.args):])
+        if keyword.arg in keywords
+    )
+    return bindings
 
 
 # ----------------------------------------------------------------------
@@ -453,8 +458,33 @@ def _collect_api_spec(
     )
 
 
+def _new_trace(qualname: str, node: ast.AST) -> FunctionTrace:
+    """A function's trace, with the gateway parameters its names give."""
+    arguments = node.args
+    params = tuple(
+        argument.arg for argument in (
+            arguments.posonlyargs + arguments.args + arguments.kwonlyargs
+        )
+    )
+    return FunctionTrace(
+        qualname=qualname,
+        line=node.lineno,
+        params=params,
+        gateway_params={
+            param for param in params
+            if param in GATEWAY_PARAM_NAMES or param.endswith("_gateway")
+        },
+        tenant_scoped=any(
+            param in TENANT_PARAM_NAMES or param.startswith("tenant")
+            for param in params
+        ),
+        node=node,
+    )
+
+
 def _collect_definitions(tree: ast.Module, summary: ModuleSummary) -> None:
-    """Module-level assigned names and the function collection."""
+    """Module-level assigned names and one trace per function."""
+    definitions = summary.definitions
     for statement in tree.body:
         if isinstance(statement, ast.Assign):
             for target in statement.targets:
@@ -464,18 +494,26 @@ def _collect_definitions(tree: ast.Module, summary: ModuleSummary) -> None:
             if isinstance(statement.target, ast.Name):
                 summary.module_level_names.add(statement.target.id)
         elif isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            summary.definitions[statement.name] = (statement.name, statement)
+            definitions[statement.name] = _new_trace(statement.name,
+                                                     statement)
         elif isinstance(statement, ast.ClassDef):
             for member in statement.body:
-                if isinstance(member, (ast.FunctionDef,
-                                       ast.AsyncFunctionDef)):
+                if (
+                    isinstance(member, (ast.FunctionDef,
+                                        ast.AsyncFunctionDef))
+                    and member.name not in definitions
+                ):
                     # Methods are analyzed but only reachable by name for
                     # module-level functions; a method name clashing with
                     # a function keeps the function.
-                    summary.definitions.setdefault(
-                        member.name,
-                        (f"{statement.name}.{member.name}", member),
+                    definitions[member.name] = _new_trace(
+                        f"{statement.name}.{member.name}", member
                     )
+    summary.functions["<module>"] = FunctionTrace(
+        qualname="<module>", line=1, params=(), node=tree
+    )
+    for trace in definitions.values():
+        summary.functions[trace.qualname] = trace
 
 
 # ----------------------------------------------------------------------
@@ -491,22 +529,20 @@ _EnvSnap = Tuple[Dict[str, Taint], Dict[str, ValueKind], Dict[str, str],
 class FunctionWalker:
     """Flow-ordered walk of one function (or module) body.
 
-    The role is keyed on whether an analysis is attached:
-
-    * builder (no analysis): collect gateway edges ``(callee, positions,
-      keywords)`` in :attr:`edges`, which the builder applies after the
-      walk, and walk each loop body once;
-    * flow pass: resolve sites through the analysis's inferencer and
-      place them on ``machine``, which records the plan; report hits,
-      evaluate module-local calls inline and walk each loop body twice.
+    It resolves sites through the analysis's inferencer and places them
+    on ``machine``, which records the plan; it reports hits, evaluates
+    module-local calls inline and walks each loop body twice.  Each
+    module-local call that passes gateway values adds ``(callee trace,
+    parameters they bind)`` to :attr:`edges`, inlined or not; the flow
+    pass marks those parameters after the walk.
     """
 
     def __init__(
         self,
         summary: ModuleSummary,
         trace: FunctionTrace,
-        analysis: Optional["DataflowAnalysis"] = None,
-        machine: Optional["_Machine"] = None,
+        analysis: "DataflowAnalysis",
+        machine: "_Machine",
         depth: int = 0,
         active: Optional[Set[str]] = None,
         param_taints: Optional[Dict[str, Taint]] = None,
@@ -517,9 +553,6 @@ class FunctionWalker:
         self.summary = summary
         self.trace = trace
         self.analysis = analysis
-        self.stats = (
-            analysis.report.stats if analysis is not None else WalkStats()
-        )
         self.machine = machine
         self.depth = depth
         self.active = active if active is not None else {trace.qualname}
@@ -536,10 +569,7 @@ class FunctionWalker:
             self.local_names.update(summary.module_level_names)
         self.global_names: Set[str] = set()
         self.returns: Taint = BOTTOM
-        self.edges: List[Tuple[str, List[int], List[str]]] = []
-        #: Builder role: the walk met a site, host op, shared store or
-        #: gateway edge (what the flow walk records or follows).
-        self.met = False
+        self.edges: List[Tuple[FunctionTrace, Set[str]]] = []
 
     # -- environment plumbing ------------------------------------------
 
@@ -572,7 +602,7 @@ class FunctionWalker:
             if strings.get(key) == value
         }
         self.local_names |= locals_
-        self.stats.joins += 1
+        self.analysis.report.stats.joins += 1
 
     def _bind(
         self,
@@ -679,19 +709,14 @@ class FunctionWalker:
         # Nested defs/classes, imports, pass/break/continue: no flow.
 
     def _loop_body(self, body: List[ast.stmt]) -> None:
-        """Walk a loop body: once in the builder, twice in the flow pass.
+        """Walk a loop body twice, so back-edge taints reach the head.
 
-        The flow pass walks it a second time so back-edge taints reach
-        the head.  The machine is restored to its pre-loop snapshot
-        before the second pass and records nothing during it:
-        transitions replay identically, so per-site agents match pass
-        one, the plan holds each site once, and duplicate hits collapse
-        in the dedup set — only genuinely new back-edge flows surface.
+        The machine is restored to its pre-loop snapshot before the
+        second walk and records nothing during it: transitions replay
+        identically, so per-site agents match the first walk, the plan
+        holds each site once, and duplicate hits collapse in the dedup
+        set — only genuinely new back-edge flows surface.
         """
-        if self.analysis is None:
-            for child in body:
-                self._statement(child)
-            return
         pre_env = self._snapshot_env()
         machine = self.machine
         machine_snap = machine.snapshot()
@@ -779,9 +804,6 @@ class FunctionWalker:
         The plan records the shape (None: nothing worth recording); the
         flow pass reports tenant-derived payload data as an escape.
         """
-        if self.analysis is None:
-            self.met = self.met or shape is not None
-            return
         if shape is not None:
             self.machine.store(SharedStoreEvent(
                 target=target,
@@ -972,11 +994,6 @@ class FunctionWalker:
             (keyword.arg or "<expression>", self._eval(keyword.value))
             for keyword in node.keywords
         )
-        if self.analysis is None:
-            self.met = True
-            return (ValueKind.HANDLE, BOTTOM)
-
-        self.stats.events += 1
         framework = self._string_of(args[0]) if args else None
         api = self._string_of(args[1]) if len(args) > 1 else None
         step = None
@@ -1010,7 +1027,6 @@ class FunctionWalker:
 
     def _materialize_call(self, node: ast.Call) -> Pair:
         """``gateway.materialize(ref)``: a host-side copy of agent data."""
-        self.stats.events += 1
         source = BOTTOM
         for _, taint in self._eval_args(node):
             source = source.join(taint)
@@ -1033,11 +1049,6 @@ class FunctionWalker:
     def _host_op(self, node: ast.Call, op: str) -> Pair:
         """``gateway.host_alloc/write/read(tag, ...)``."""
         values = self._eval_args(node)
-        if self.analysis is None:
-            self.met = True
-            return _PLAIN
-
-        self.stats.events += 1
         first = node.args[0] if node.args else None
         # A tag named by a literal or module constant is the plan's
         # frozen-write evidence; one reached through a local alias is
@@ -1082,88 +1093,58 @@ class FunctionWalker:
     def _declared_site(self, node: ast.Call) -> Pair:
         """A ``CallSite(framework, api, ...)`` data record: a typed site
         the program dispatches elsewhere, placed where it is written."""
-        if self.analysis is None:
-            self.met = True
-        else:
-            fields: Dict[str, ast.AST] = {}
-            positional = ("framework", "api", "argspec", "api_type")
-            for position, arg in enumerate(node.args[: len(positional)]):
-                fields[positional[position]] = arg
-            for keyword in node.keywords:
-                if keyword.arg:
-                    fields[keyword.arg] = keyword.value
-            framework = (
-                self._string_of(fields["framework"])
-                if "framework" in fields else None
-            )
-            api = self._string_of(fields["api"]) if "api" in fields else None
-            if framework is not None and api is not None:
-                self._place(CallEvent(
-                    framework=framework,
-                    api=api,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    declared_only=True,
-                    declared_type=(
-                        _api_type_literal(fields["api_type"])
-                        if "api_type" in fields else None
-                    ),
-                ))
+        fields: Dict[str, ast.AST] = {}
+        positional = ("framework", "api", "argspec", "api_type")
+        for position, arg in enumerate(node.args[: len(positional)]):
+            fields[positional[position]] = arg
+        for keyword in node.keywords:
+            if keyword.arg:
+                fields[keyword.arg] = keyword.value
+        framework = (
+            self._string_of(fields["framework"])
+            if "framework" in fields else None
+        )
+        api = self._string_of(fields["api"]) if "api" in fields else None
+        if framework is not None and api is not None:
+            self._place(CallEvent(
+                framework=framework,
+                api=api,
+                line=node.lineno,
+                col=node.col_offset,
+                declared_only=True,
+                declared_type=(
+                    _api_type_literal(fields["api_type"])
+                    if "api_type" in fields else None
+                ),
+            ))
         self._eval_args(node)
         return _PLAIN
 
     def _local_call(self, node: ast.Call, callee: str) -> Pair:
-        """A call to another function defined in this module."""
-        values = self._eval_args(node)
-        if self.analysis is None:
-            count = len(node.args)
-            positions = [
-                position for position, (shape, _) in enumerate(values[:count])
-                if shape is ValueKind.GATEWAY
-            ]
-            keywords = [
-                keyword.arg
-                for keyword, (shape, _) in zip(node.keywords, values[count:])
-                if keyword.arg and shape is ValueKind.GATEWAY
-            ]
-            if positions or keywords:
-                self.edges.append((callee, positions, keywords))
-                self.met = True
-            return _PLAIN
-        return self._inline_call(node, callee, values)
-
-    def _inline_call(
-        self, node: ast.Call, callee: str, values: List[Pair]
-    ) -> Pair:
-        """Evaluate a module-local call inline on the caller's machine.
+        """A call to another function defined in this module.
 
         Only calls that carry flow (a gateway or a tainted argument) are
-        followed, depth-bounded and recursion-guarded.
+        followed.  The parameters their gateway arguments bind are an
+        edge, and the call is evaluated inline on the caller's machine,
+        depth-bounded and recursion-guarded.
         """
+        values = self._eval_args(node)
         joined = _derive(taint for _, taint in values)
-        qualname, function = self.summary.definitions[callee]
-        callee_trace = self.summary.functions.get(qualname)
-        carries_flow = not joined.is_bottom or any(
-            shape is ValueKind.GATEWAY for shape, _ in values
-        )
-        if (
-            callee_trace is None
-            or qualname in self.active
-            or not carries_flow
+        if joined.is_bottom and all(
+            shape is not ValueKind.GATEWAY for shape, _ in values
         ):
             return (ValueKind.OTHER, joined)
-        if self.depth >= MAX_INLINE_DEPTH:
-            self.stats.depth_cutoffs += 1
+        trace = self.summary.definitions[callee]
+        bindings = _bind_arguments(trace.node, node, values)
+        gateways = {
+            name for name, _, (shape, _) in bindings
+            if shape is ValueKind.GATEWAY
+        }
+        if gateways:
+            self.edges.append((trace, gateways))
+        if trace.qualname in self.active or self.depth >= MAX_INLINE_DEPTH:
             return (ValueKind.OTHER, joined)
 
-        positional, keyword_names = _parameter_slots(function)
-        count = len(node.args)
-        bindings = list(zip(positional, node.args, values))
-        bindings.extend(
-            (keyword.arg, keyword.value, value)
-            for keyword, value in zip(node.keywords, values[count:])
-            if keyword.arg in keyword_names
-        )
         param_taints: Dict[str, Taint] = {}
         param_shapes: Dict[str, ValueKind] = {}
         param_strings: Dict[str, str] = {}
@@ -1175,12 +1156,12 @@ class FunctionWalker:
             if string is not None:
                 param_strings[name] = string
 
-        self.active.add(qualname)
+        self.active.add(trace.qualname)
         walker = FunctionWalker(
             self.summary,
-            callee_trace,
+            trace,
             self.analysis,
-            machine=self.machine,
+            self.machine,
             depth=self.depth + 1,
             active=self.active,
             param_taints=param_taints,
@@ -1189,8 +1170,7 @@ class FunctionWalker:
             tenant_ctx=self.tenant_ctx,
         )
         walker.walk()
-        self.active.discard(qualname)
-        self.stats.inlined_calls += 1
+        self.active.discard(trace.qualname)
         return (ValueKind.OTHER, joined.join(walker.returns))
 
 
@@ -1202,15 +1182,10 @@ class FunctionWalker:
 class CallGraphBuilder:
     """Build a :class:`ModuleSummary` for one Python source file."""
 
-    #: Fixpoint bound for interprocedural gateway propagation.
-    MAX_PASSES = 5
-
     def __init__(self, path: str, source: str) -> None:
         self.path = path
         self.source = source
         self.summary = ModuleSummary(path=path)
-        #: name → parameter names proven to receive gateway values.
-        self._propagated: Dict[str, Set[str]] = {}
 
     @classmethod
     def from_file(cls, path: str) -> "CallGraphBuilder":
@@ -1218,42 +1193,13 @@ class CallGraphBuilder:
         with open(path, "r", encoding="utf-8") as handle:
             return cls(path, handle.read())
 
-    def record_gateway_edge(
-        self,
-        callee: str,
-        positions: Sequence[int],
-        keywords: Sequence[str],
-    ) -> bool:
-        """A caller passes gateway values into a module-local function.
-
-        Returns True when this marks a parameter not marked before.
-        """
-        definition = self.summary.definitions.get(callee)
-        if definition is None:
-            return False
-        positional, keyword_names = _parameter_slots(definition[1])
-        marked = self._propagated.setdefault(callee, set())
-        before = len(marked)
-        for position in positions:
-            if position < len(positional):
-                marked.add(positional[position])
-        marked.update(
-            keyword for keyword in keywords if keyword in keyword_names
-        )
-        return len(marked) != before
-
-    def _walk(self, trace: FunctionTrace) -> Tuple[bool, bool]:
-        """Walk one trace: (its gateway edges marked new params, the walk
-        met a site, host op, shared store or gateway edge)."""
-        walker = FunctionWalker(self.summary, trace)
-        walker.walk()
-        changed = False
-        for edge in walker.edges:
-            changed = self.record_gateway_edge(*edge) or changed
-        return changed, walker.met
-
     def build(self) -> ModuleSummary:
-        """Parse, prepass, and analyze every function to a fixpoint."""
+        """Parse, run the module prepass and make one trace per function.
+
+        No body is walked here: the flow pass
+        (:mod:`~repro.staticcheck.dataflow`) grows each trace's gateway
+        parameters as it walks.
+        """
         summary = self.summary
         try:
             tree = ast.parse(self.source, filename=self.path)
@@ -1263,59 +1209,7 @@ class CallGraphBuilder:
         summary.tree = tree
         summary.constants = _module_prepass(tree, summary)
         _collect_definitions(tree, summary)
-
-        module_trace = FunctionTrace(
-            qualname="<module>", line=1, params=(), node=tree
-        )
-        _, met = self._walk(module_trace)
-        if met:
-            summary.functions["<module>"] = module_trace
-        # A builder walk reads no other function's trace, so a function
-        # is walked again only when its gateway parameters grew.  Each
-        # trace is built right before its walk: an edge found earlier in
-        # a pass reaches later functions in the same pass.
-        for _ in range(self.MAX_PASSES):
-            changed = False
-            for name, (qualname, node) in summary.definitions.items():
-                trace = self._new_trace(
-                    qualname, node, self._propagated.get(name, set())
-                )
-                previous = summary.functions.get(qualname)
-                if (
-                    previous is not None
-                    and previous.gateway_params == trace.gateway_params
-                ):
-                    continue
-                changed = self._walk(trace)[0] or changed
-                summary.functions[qualname] = trace
-            if not changed:
-                break
         return summary
-
-    @staticmethod
-    def _new_trace(
-        qualname: str, node: ast.AST, propagated: Set[str]
-    ) -> FunctionTrace:
-        arguments = node.args
-        params = tuple(
-            argument.arg for argument in (
-                arguments.posonlyargs + arguments.args + arguments.kwonlyargs
-            )
-        )
-        return FunctionTrace(
-            qualname=qualname,
-            line=node.lineno,
-            params=params,
-            gateway_params={
-                param for param in params
-                if param in GATEWAY_PARAM_NAMES or param.endswith("_gateway")
-            } | propagated,
-            tenant_scoped=any(
-                param in TENANT_PARAM_NAMES or param.startswith("tenant")
-                for param in params
-            ),
-            node=node,
-        )
 
 
 def build_module(path: str) -> ModuleSummary:

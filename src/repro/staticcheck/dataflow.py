@@ -1,10 +1,11 @@
 """Interprocedural partition-provenance taint analysis (the flow pass).
 
-This pass re-walks the module AST (the tree cached on
+This pass walks the module AST (the tree cached on
 :class:`~repro.staticcheck.callgraph.ModuleSummary`) with
-:class:`~repro.staticcheck.callgraph.FunctionWalker`, the walker the
-builder uses, attached to a :class:`DataflowAnalysis`.  The one walk per
-function records that function's partition plan (the
+:class:`~repro.staticcheck.callgraph.FunctionWalker`, attached to a
+:class:`DataflowAnalysis`, in passes until the functions' gateway
+parameters stop growing.  A function's walk in the last pass records
+its partition plan (the
 :class:`~repro.staticcheck.inference.FunctionReport` the per-site rules
 in :mod:`~repro.staticcheck.rules` read) and tracks what a per-site rule
 cannot see: a *value* produced in one partition and consumed in
@@ -65,6 +66,12 @@ __all__ = [
     "BOTTOM", "AliasWriteHit", "DataflowAnalysis", "DataflowReport",
     "EscapeHit", "LeakHit", "Taint",
 ]
+
+#: Bound on the passes of the gateway-parameter fixpoint.  A pass
+#: carries a gateway down a helper chain as far as the definition order
+#: allows: the whole chain when callers come first, one hop when
+#: callees do.
+MAX_PASSES = 5
 
 
 # ----------------------------------------------------------------------
@@ -129,7 +136,7 @@ class DataflowReport:
 
 
 class DataflowAnalysis:
-    """Run the flow-pass walk over every function of one module summary."""
+    """Run the flow-pass walks over the functions of one module summary."""
 
     def __init__(
         self,
@@ -145,20 +152,38 @@ class DataflowAnalysis:
         self._hit_keys: Set[Tuple] = set()
 
     def run(self) -> DataflowReport:
-        """Walk every summarized function with a fresh machine."""
-        if self.summary.tree is None:
+        """Walk the functions in passes, to the gateway fixpoint.
+
+        A pass walks every summarized function, in definition order,
+        with a fresh machine.  Right after each walk, the parameters its
+        calls pass gateway values to join their functions' gateway
+        parameters, so a function later in the order sees them in the
+        same pass.  The loop stops after a pass that marks nothing, or
+        after :data:`MAX_PASSES` passes; the last pass is the report.
+        """
+        summary = self.summary
+        if summary.tree is None:
             return self.report
-        for qualname, trace in self.summary.functions.items():
-            plan = FunctionReport(trace=trace)
-            walker = FunctionWalker(
-                self.summary, trace, self,
-                machine=_Machine(plan, self.summary.annotated_tags),
-                param_taints=self.param_taints.get(qualname),
-            )
-            walker.walk()
-            self.report.plans[qualname] = plan
-            self.report.returns[qualname] = walker.returns
-            self.report.stats.functions += 1
+        for _ in range(MAX_PASSES):
+            self.report = DataflowReport()
+            self._hit_keys = set()
+            marked = False
+            for qualname, trace in summary.functions.items():
+                plan = FunctionReport(trace=trace)
+                walker = FunctionWalker(
+                    summary, trace, self,
+                    _Machine(plan, summary.annotated_tags),
+                    param_taints=self.param_taints.get(qualname),
+                )
+                walker.walk()
+                self.report.plans[qualname] = plan
+                self.report.returns[qualname] = walker.returns
+                for callee, params in walker.edges:
+                    if not params <= callee.gateway_params:
+                        callee.gateway_params |= params
+                        marked = True
+            if not marked:
+                break
         self.report.leaks.sort(key=lambda h: (h.line, h.col, h.value))
         self.report.escapes.sort(key=lambda h: (h.line, h.col, h.target))
         self.report.alias_writes.sort(key=lambda h: (h.line, h.col, h.tag))

@@ -1,4 +1,4 @@
-"""Agent pools: lease/restore, round-robin reuse, in-place repair."""
+"""Agent pools: lease/restore, round-robin reuse, dead members skipped."""
 
 import pytest
 
@@ -68,25 +68,30 @@ def test_round_robin_spreads_leases(poolset):
     assert second.slot != first.slot
 
 
-def test_dead_member_repaired_on_restore(poolset):
+def test_dead_member_returns_dead_from_restore(poolset):
     pool = next(iter(poolset.pools.values()))
     member = pool.lease("a")
     member.agent.process.crash("boom")
-    old_generation = member.agent.process.generation
+    generation = member.agent.process.generation
     pool.restore(member)
-    assert member.agent.alive
-    assert member.agent.process.generation == old_generation + 1
-    assert pool.stats.restarts == 1
-    assert len(pool.members) == 2  # the pool never shrinks
+    assert not member.leased
+    assert not member.agent.alive  # the pool restarts nothing
+    assert member.agent.process.generation == generation
+    assert len(pool.members) == 2
 
 
-def test_dead_member_repaired_on_lease(poolset):
+def test_dead_member_skipped_at_lease(poolset):
     pool = next(iter(poolset.pools.values()))
-    for member in pool.members:
-        member.agent.process.crash("poison")
-    member = pool.lease("a")
-    assert member.agent.alive
-    assert pool.stats.restarts >= 1
+    dead, live = pool.members
+    dead.agent.process.crash("poison")
+    for _ in range(3):
+        member = pool.lease("a")
+        assert member is live
+        pool.restore(member)
+    assert not dead.agent.alive
+    live.agent.process.crash("poison")
+    with pytest.raises(AgentUnavailable, match=r"\(0 leased, 2 out of"):
+        pool.lease("a")
 
 
 def test_shutdown_exits_all_members(poolset):

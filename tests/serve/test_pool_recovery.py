@@ -91,6 +91,32 @@ def test_pool_is_repaired_not_shrunk(
             assert member.agent.process.alive
 
 
+def test_without_restarts_the_crashed_member_stays_down(
+    image_pipeline, seed_inputs, monkeypatch
+):
+    server = PipelineServer(
+        pool_size=2, max_retries=1,
+        config=FreePartConfig(restart_agents=False),
+    )
+    api = get_api("opencv", "GaussianBlur")
+    monkeypatch.setattr(api, "impl", CrashOnce(api.impl, crashes=1))
+
+    _submit_all(server, image_pipeline, seed_inputs, tenants=1)
+    (response,) = server.drain()
+
+    # The retry ran on the crashed member's sibling; nothing restarted.
+    assert response.ok, response.error
+    assert response.retries == 1
+    assert server.kernel.restarted_processes == 0
+    dead = [
+        member for pool in server.pools.pools.values()
+        for member in pool.members if not member.agent.alive
+    ]
+    assert len(dead) == 1
+    assert dead[0].agent.partition.label == "data_processing"
+    server.shutdown()
+
+
 def test_other_tenants_unaffected_by_crash(
     server, image_pipeline, seed_inputs, monkeypatch
 ):
